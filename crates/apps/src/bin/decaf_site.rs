@@ -39,7 +39,8 @@
 //! appends (fsyncs) every committed transaction before its commit
 //! broadcast leaves the process. On a directory holding an existing log
 //! it *recovers*: newest checkpoint + committed suffix (any torn tail is
-//! truncated to the longest valid record prefix), prints
+//! truncated to the longest valid record prefix; a log in another format
+//! version is refused, exit 2, and left untouched), prints
 //! `recovered wal-records=N value=V`, and runs the §3.4 rejoin/catch-up
 //! protocol against its peers (`rejoin peers=N`). The end-of-run
 //! `run-summary` gains WAL append counts and an fsync-latency histogram,
@@ -56,13 +57,9 @@
 //! `metrics listening on ADDR` once bound; scrape with
 //! `curl http://ADDR/metrics`.
 //!
-//! Wire tuning: `--codec <1|2>` caps the link codec this site offers
-//! (2 = compact binary + batching, the default; 1 = the v1 JSON format,
-//! for interop with old peers — each link independently negotiates
-//! `min(local, peer)` via the Hello exchange). `--batch-max N` and
-//! `--batch-delay-us US` bound how many envelopes a writer may coalesce
-//! into one Batch frame and how long it may linger collecting them;
-//! `--batch-max 1` disables batching.
+//! Wire tuning: `--batch-max N` and `--batch-delay-us US` bound how many
+//! envelopes a writer may coalesce into one Batch frame and how long it may
+//! linger collecting them; `--batch-max 1` disables batching.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -305,12 +302,6 @@ fn render_metrics(site: u32, t: &Telemetry) -> String {
         l,
         n.bytes_saved,
     );
-    p.counter(
-        "decaf_transport_codec_v2_frames_total",
-        "Frames sent with the compact binary codec v2.",
-        l,
-        n.codec_v2_frames,
-    );
     p.gauge(
         "decaf_transport_queue_depth_hwm",
         "High-water mark of any per-peer outbound queue.",
@@ -488,7 +479,6 @@ struct Args {
     trace_out: Option<PathBuf>,
     trace_buf: usize,
     summary_every_ms: u64,
-    codec: u8,
     batch_max: usize,
     batch_delay_us: u64,
     data_dir: Option<PathBuf>,
@@ -501,7 +491,7 @@ fn usage() -> ! {
          \x20                [--txns N] [--on-fail-txns K] [--phase1-target V] \\\n\
          \x20                [--final-target V] [--linger-ms MS] [--max-runtime-ms MS] \\\n\
          \x20                [--trace-out PATH] [--trace-buf N] [--summary-every-ms MS] \\\n\
-         \x20                [--codec 1|2] [--batch-max N] [--batch-delay-us US] \\\n\
+         \x20                [--batch-max N] [--batch-delay-us US] \\\n\
          \x20                [--data-dir DIR] [--metrics-listen ADDR]"
     );
     std::process::exit(2);
@@ -520,7 +510,6 @@ fn parse_args() -> Args {
     let mut trace_out = None;
     let mut trace_buf = 65_536usize;
     let mut summary_every_ms = 0u64;
-    let mut codec = 2u8;
     let mut batch_max = 64usize;
     let mut batch_delay_us = 200u64;
     let mut data_dir = None;
@@ -551,12 +540,6 @@ fn parse_args() -> Args {
             "--trace-out" => trace_out = Some(PathBuf::from(value())),
             "--trace-buf" => trace_buf = value().parse().unwrap_or_else(|_| usage()),
             "--summary-every-ms" => summary_every_ms = value().parse().unwrap_or_else(|_| usage()),
-            "--codec" => {
-                codec = value().parse().unwrap_or_else(|_| usage());
-                if !(1..=2).contains(&codec) {
-                    usage();
-                }
-            }
             "--batch-max" => batch_max = value().parse().unwrap_or_else(|_| usage()),
             "--batch-delay-us" => batch_delay_us = value().parse().unwrap_or_else(|_| usage()),
             "--data-dir" => data_dir = Some(PathBuf::from(value())),
@@ -580,7 +563,6 @@ fn parse_args() -> Args {
         trace_out,
         trace_buf,
         summary_every_ms,
-        codec,
         batch_max,
         batch_delay_us,
         data_dir,
@@ -684,7 +666,6 @@ fn main() {
     // --- transport: TCP mesh over the peer table ---
     let mut cfg = TcpConfig::new(site_id, args.listen)
         .trace(trace.clone())
-        .codec(args.codec)
         .batching(args.batch_max, Duration::from_micros(args.batch_delay_us));
     for (&id, &addr) in &args.peers {
         cfg = cfg.peer(SiteId(id), addr);
@@ -869,11 +850,10 @@ fn main() {
                 let t = mesh.stats();
                 println!(
                     "run-summary site={} committed={committed} elapsed-ms={} failed-peers={} \
-                     codec-v2-frames={} coalesced={} bytes-saved={}",
+                     coalesced={} bytes-saved={}",
                     args.site,
                     start.elapsed().as_millis(),
                     failed_sites.len(),
-                    t.codec_v2_frames,
                     t.frames_coalesced,
                     t.bytes_saved,
                 );

@@ -153,10 +153,9 @@ fn bench_gvt_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Checkpoint + JSON serialization cost as object count grows (§5.3
-/// persistence).
+/// Checkpoint + encoding cost as object count grows (§5.3 persistence).
 fn bench_checkpoint(c: &mut Criterion) {
-    let mut group = c.benchmark_group("checkpoint_json");
+    let mut group = c.benchmark_group("checkpoint_bytes");
     for n in [10usize, 100, 1000] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let mut site = Site::new(SiteId(1));
@@ -165,7 +164,7 @@ fn bench_checkpoint(c: &mut Criterion) {
             }
             b.iter(|| {
                 let cp = site.checkpoint().expect("quiescent");
-                criterion::black_box(serde_json::to_vec(&cp).expect("serializable"))
+                criterion::black_box(cp.to_bytes())
             });
         });
     }

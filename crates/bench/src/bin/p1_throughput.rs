@@ -1,14 +1,15 @@
-//! P1 — hot-path throughput: wire codec v2 + batching, and CoW snapshots.
+//! P1 — hot-path throughput: the wire codec + batching, and CoW snapshots.
 //!
 //! Two sections, matching the two halves of the hot-path overhaul:
 //!
 //! 1. **Wire throughput** (threaded substrate): a ring of real OS threads
 //!    exchanges protocol envelopes through [`decaf_net::threaded::ThreadedNet`],
 //!    frame-encoding each message exactly as the TCP transport does. Modes:
-//!    `v1` (per-envelope JSON `Data` frames, the pre-overhaul wire format),
-//!    `v2` (per-envelope binary `DataV2` frames), and `v2+batch` (up to 64
+//!    `v2` (per-envelope binary `DataV2` frames) and `v2+batch` (up to 64
 //!    envelopes coalesced into one `Batch` frame). Throughput counts
-//!    envelopes fully encoded, transported, and decoded per second.
+//!    envelopes fully encoded, transported, and decoded per second. (The
+//!    `v1 json` rows of `BENCH_throughput.json` measured a codec since
+//!    removed.)
 //!
 //! 2. **CoW rollback/re-execute** (engine): the §3.1 rollback machinery on
 //!    composites of K elements. `rollback` times a transaction that writes a
@@ -34,8 +35,8 @@ use decaf_core::{
 };
 use decaf_net::threaded::ThreadedNet;
 use decaf_net::wire::{
-    decode_batch, decode_envelope, decode_envelope_v2, encode_batch_parts, encode_envelope,
-    encode_envelope_v2, encode_frame, FrameKind, FrameReader,
+    decode_batch, decode_envelope_v2, encode_batch_parts, encode_envelope_v2, encode_frame,
+    FrameKind, FrameReader,
 };
 use decaf_net::TransportEvent;
 use decaf_vt::{SiteId, VirtualTime};
@@ -74,7 +75,6 @@ fn mk_envelope(from: SiteId, to: SiteId, seq: u64, payload_len: usize) -> Envelo
 
 #[derive(Clone, Copy, PartialEq)]
 enum WireMode {
-    V1,
     V2,
     V2Batch,
 }
@@ -82,7 +82,6 @@ enum WireMode {
 impl WireMode {
     fn label(self) -> &'static str {
         match self {
-            WireMode::V1 => "v1 json",
             WireMode::V2 => "v2 binary",
             WireMode::V2Batch => "v2+batch",
         }
@@ -132,13 +131,6 @@ fn run_wire(sites: usize, payload: usize, mode: WireMode, per_site: u64) -> Wire
                 ep.send(next, frame);
             };
             match mode {
-                WireMode::V1 => {
-                    for seq in 0..per_site {
-                        let env = mk_envelope(me, next, seq + 1, payload);
-                        let p = encode_envelope(&env).expect("v1 encode");
-                        send_frame(FrameKind::Data, &p);
-                    }
-                }
                 WireMode::V2 => {
                     for seq in 0..per_site {
                         let env = mk_envelope(me, next, seq + 1, payload);
@@ -177,7 +169,6 @@ fn run_wire(sites: usize, payload: usize, mode: WireMode, per_site: u64) -> Wire
                 reader.feed(&bytes);
                 while let Ok(Some(frame)) = reader.next_frame() {
                     got += match frame.kind {
-                        FrameKind::Data => decode_envelope(&frame.payload).map(|_| 1).unwrap_or(0),
                         FrameKind::DataV2 => {
                             decode_envelope_v2(&frame.payload).map(|_| 1).unwrap_or(0)
                         }
@@ -361,7 +352,7 @@ fn main() {
     let mut wire_rows = Vec::new();
     for &sites in &[2usize, 8] {
         for &payload in &[8usize, 256] {
-            for &mode in &[WireMode::V1, WireMode::V2, WireMode::V2Batch] {
+            for &mode in &[WireMode::V2, WireMode::V2Batch] {
                 wire_rows.push(run_wire(sites, payload, mode, per_site));
             }
         }

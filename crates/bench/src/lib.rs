@@ -661,7 +661,7 @@ pub fn a2_propagation(n_children: usize) -> A2Row {
         .expect("invitation");
     let list2 = world.site(SiteId(2)).create_list();
 
-    // Measure the join's graph bytes by serializing the envelopes.
+    // Measure the join's graph bytes as what the wire carries.
     world.site(SiteId(2)).join(invitation, list2).expect("join");
     let mut join_bytes = 0usize;
     loop {
@@ -669,7 +669,7 @@ pub fn a2_propagation(n_children: usize) -> A2Row {
         for site in [SiteId(1), SiteId(2)] {
             for env in world.site(site).drain_outbox() {
                 moved = true;
-                join_bytes += serde_json::to_vec(&env).map(|v| v.len()).unwrap_or(0);
+                join_bytes += decaf_net::wire::encode_envelope_v2(&env).len();
                 world.net.send(env.from, env.to, env);
             }
         }
@@ -730,12 +730,23 @@ pub struct R1Row {
 /// Measures what a crash costs at restart (DESIGN.md §S20): a durable replica
 /// pair commits `log_commits` transactions (each fsynced to a real WAL
 /// file under the system temp dir), one site "crashes" (is dropped), the
-/// survivor commits `missed` more, and the victim is rebuilt with
-/// [`Site::recover`] + `begin_rejoin`. Both halves of the restart are
-/// timed separately; the function asserts the recovered site converges on
-/// the survivor's value before reporting, so a wrong recovery can never
-/// masquerade as a fast one.
+/// survivor declares it failed and commits `missed` more, and the victim is
+/// rebuilt with [`decaf_core::Site::recover`] + `begin_rejoin`. Both halves
+/// of the restart are timed separately; the function asserts the recovered
+/// site converges on the survivor's value before reporting, so a wrong
+/// recovery can never masquerade as a fast one.
 pub fn r1_recovery(log_commits: u64, missed: u64) -> R1Row {
+    r1_restart(log_commits, missed, true)
+}
+
+/// [`r1_recovery`] for a restart inside the transport's reconnect window:
+/// the survivor keeps committing but never declares the fail-stop, so its
+/// replication graph still names the victim when the rejoin arrives.
+pub fn r1_recovery_in_window(log_commits: u64, missed: u64) -> R1Row {
+    r1_restart(log_commits, missed, false)
+}
+
+fn r1_restart(log_commits: u64, missed: u64, fail_stop: bool) -> R1Row {
     use decaf_core::{wiring, CommitLog, ObjectName, Site, Transaction, TxnCtx, TxnError};
     use std::time::Instant;
 
@@ -758,7 +769,7 @@ pub fn r1_recovery(log_commits: u64, missed: u64) -> R1Row {
     wiring::wire_pair(&mut a, oa, &mut b, ob);
 
     let dir = std::env::temp_dir().join(format!(
-        "decaf-r1-{}-{log_commits}-{missed}",
+        "decaf-r1-{}-{log_commits}-{missed}-{fail_stop}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -779,9 +790,12 @@ pub fn r1_recovery(log_commits: u64, missed: u64) -> R1Row {
     drop(b); // crash: in-memory state gone, only the WAL survives
 
     // The survivor declares the failure and keeps committing, exactly the
-    // state a SIGKILLed decaf-site finds on restart.
-    a.notify_site_failed(SiteId(2));
-    let _ = a.drain_outbox();
+    // state a SIGKILLed decaf-site finds on restart (past the reconnect
+    // window; inside it no fail-stop has been declared yet).
+    if fail_stop {
+        a.notify_site_failed(SiteId(2));
+        let _ = a.drain_outbox();
+    }
     for _ in 0..missed {
         a.execute(Box::new(Incr(oa)));
         let _ = a.drain_outbox();
@@ -1067,6 +1081,19 @@ mod tests {
         assert_eq!(small.replayed, 8);
         assert_eq!(small.missed, 4);
         let large = r1_recovery(64, 4);
+        assert_eq!(large.replayed, 64);
+        assert!(
+            large.wal_bytes > small.wal_bytes,
+            "WAL grows with commits: {small:?} {large:?}"
+        );
+    }
+
+    #[test]
+    fn r1_in_window_restart_recovers_and_converges() {
+        let small = r1_recovery_in_window(8, 4);
+        assert_eq!(small.replayed, 8);
+        assert_eq!(small.missed, 4);
+        let large = r1_recovery_in_window(64, 4);
         assert_eq!(large.replayed, 64);
         assert!(
             large.wal_bytes > small.wal_bytes,

@@ -5,8 +5,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use decaf_vt::{SiteId, VirtualTime};
 
 use crate::graph::NodeRef;
@@ -18,7 +16,7 @@ use crate::object::ObjectName;
 /// spanning multiple applications, which are required to mirror one
 /// another's value. Replica relationships are symmetric and transitive"
 /// (§2.2). The id labels the multigraph edges the relationship contributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RelationId(pub u64);
 
 impl fmt::Display for RelationId {
@@ -33,8 +31,9 @@ impl fmt::Display for RelationId {
 /// by creating an external token, called an *invitation*, containing a
 /// reference to Aassoc, somewhere where application B can access it (e.g.,
 /// on a bulletin board)" (§2.6). The invitation is plain data — pass it
-/// out-of-band (a test fixture, a file, a real bulletin board).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// out-of-band (a test fixture, a file, a real bulletin board), as a value or
+/// as its [`to_bytes`](Invitation::to_bytes) form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Invitation {
     /// The inviter's association object.
     pub assoc: NodeRef,
@@ -43,6 +42,24 @@ pub struct Invitation {
     /// A current member object of the relationship to contact (the paper's
     /// "reference to one of the objects in the replica relationship", §3.3).
     pub contact: NodeRef,
+}
+
+impl Invitation {
+    /// The invitation's byte form, in the crate's one binary codec.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        crate::codec::invitation(&mut out, self);
+        out
+    }
+
+    /// Decodes [`to_bytes`](Self::to_bytes) output.
+    ///
+    /// # Errors
+    ///
+    /// Truncation or trailing bytes.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Invitation, String> {
+        crate::codec::decode_invitation(bytes)
+    }
 }
 
 /// A read-only description of one replica relationship inside an
@@ -121,17 +138,5 @@ mod tests {
     #[test]
     fn relation_id_display() {
         assert_eq!(RelationId(4).to_string(), "R4");
-    }
-
-    #[test]
-    fn invitation_is_plain_serializable_data() {
-        let inv = Invitation {
-            assoc: NodeRef::new(SiteId(1), ObjectName::new(SiteId(1), 0)),
-            relation: RelationId(1),
-            contact: NodeRef::new(SiteId(1), ObjectName::new(SiteId(1), 1)),
-        };
-        let json = serde_json::to_string(&inv).unwrap();
-        let back: Invitation = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, inv);
     }
 }

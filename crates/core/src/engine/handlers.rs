@@ -178,6 +178,7 @@ impl Site {
                     Err(ApplyBlocked::Fatal(_)) => return, // nothing resolvable
                     Ok(()) => {}
                 }
+                let redelivered = self.already_committed_here(&p);
                 let applied = self.apply_updates(&p);
                 for (obj, _) in &applied {
                     if let Ok(o) = self.store.get_mut(*obj) {
@@ -188,6 +189,15 @@ impl Site {
                 let objs: Vec<(ObjectName, VirtualTime)> =
                     coverage.iter().map(|(o, t)| (*o, *t)).collect();
                 let names: Vec<ObjectName> = coverage.keys().copied().collect();
+                // Known committed here from this moment, like a commit that
+                // arrives after its updates (`finish_remote_commit`) — once:
+                // a redelivered copy is not a second commit.
+                if !redelivered {
+                    self.events.push(EngineEvent::TxnCommitted {
+                        vt: p.txn,
+                        local_origin: false,
+                    });
+                }
                 self.schedule_optimistic(&names);
                 self.create_pess_snapshots(p.txn, &objs, true);
                 self.on_committed_update(p.txn, p.origin, &coverage);
@@ -364,6 +374,20 @@ impl Site {
             self.store.resolve(&r.addr)?;
         }
         Ok(())
+    }
+
+    /// Whether every update of a prevalidated propagation already sits
+    /// committed in its target's history at the transaction's VT — the
+    /// message is a redelivery of one applied and committed before.
+    fn already_committed_here(&self, p: &TxnPropagate) -> bool {
+        !p.updates.is_empty()
+            && p.updates.iter().all(|item| {
+                self.resolve_now(&item.addr)
+                    .ok()
+                    .and_then(|target| self.store.get(target).ok())
+                    .and_then(|o| o.values.entry_at(p.txn))
+                    .is_some_and(|e| e.committed)
+            })
     }
 
     /// Applies all updates of a prevalidated propagation, returning the

@@ -3,8 +3,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use decaf_vt::SiteId;
 
 use crate::collab::RelationId;
@@ -12,7 +10,7 @@ use crate::object::ObjectName;
 
 /// A reference to one model object at one site: a node of a replication
 /// graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeRef {
     /// Hosting site.
     pub site: SiteId,
@@ -42,7 +40,7 @@ impl fmt::Display for NodeRef {
 /// which updates are not possible because a primary site is being chosen"
 /// (§3.3). The selector is pluggable so the `a1_delegate` ablation can
 /// control primary placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum PrimarySelector {
     /// The node with the smallest `(site, object)` key (the default).
@@ -102,7 +100,7 @@ impl PrimarySelector {
 /// assert_eq!(g.sites().collect::<Vec<_>>(), vec![SiteId(1), SiteId(2)]);
 /// assert_eq!(PrimarySelector::MinNode.primary(&g), Some(a));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplicationGraph {
     nodes: BTreeSet<NodeRef>,
     edges: BTreeSet<(NodeRef, NodeRef, RelationId)>,
@@ -142,9 +140,6 @@ impl ReplicationGraph {
 
     /// Iterates the relation edges `(a, b, relation)` in ascending order,
     /// with `a < b` as maintained by [`joined_with`](Self::joined_with).
-    ///
-    /// Exposed so transports can serialize graphs without going through
-    /// serde (the binary wire codec v2 walks nodes and edges directly).
     pub fn edges(&self) -> impl Iterator<Item = &(NodeRef, NodeRef, RelationId)> {
         self.edges.iter()
     }

@@ -63,6 +63,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 mod collab;
 mod engine;
 mod error;
@@ -89,8 +90,8 @@ pub use message::{
 pub use object::{Blueprint, ObjectKind, ObjectName};
 pub use oracle::{CommittedDigest, GcWatermark, TestMutation, ViewLedgerEntry, ViewLedgerKind};
 pub use persist::{
-    append_frame, crc32, scan_wal, Checkpoint, CheckpointError, CommitLog, CommitRecord,
-    ObjectCheckpoint, Recovery, WalError, WalRecord, WalScan, WAL_FORMAT_VERSION,
+    append_frame, scan_wal, Checkpoint, CheckpointError, CommitLog, CommitRecord, ObjectCheckpoint,
+    Recovery, WalError, WalRecord, WalScan, WAL_FORMAT_VERSION,
 };
 pub use stats::{SiteStats, TransportStats};
 // Re-exported so engine users can enable tracing ([`Site::set_trace_sink`])

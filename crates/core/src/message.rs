@@ -16,8 +16,6 @@
 //! * the `Outcome*`/`Graph*` recovery messages implement client-failure
 //!   handling (§3.4).
 
-use serde::{Deserialize, Serialize};
-
 use decaf_vt::{SiteId, VirtualTime};
 
 use crate::collab::RelationId;
@@ -35,7 +33,7 @@ use crate::value::ScalarValue;
 /// end-to-end causal span, which is what lets `decaf-trace-stitch` pair a
 /// `MsgSend` at one site with the matching `MsgRecv` at another and
 /// reconstruct gesture → local commit → remote commits → view notified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanCtx {
     /// The site owning the subject virtual time (where the gesture ran).
     pub origin: SiteId,
@@ -54,7 +52,7 @@ impl SpanCtx {
 }
 
 /// A message together with its source and destination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Sending site.
     pub from: SiteId,
@@ -66,10 +64,8 @@ pub struct Envelope {
     /// Payload.
     pub msg: Message,
     /// Causal trace context, when the payload has a VT subject. Absent on
-    /// the wire for span-less messages (heartbeats, graph acks) and when
-    /// talking to pre-span peers — old decoders skip the unknown field,
-    /// new decoders default it, so mixed fleets interoperate.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// the wire for span-less messages (heartbeats, graph acks): it rides
+    /// as a trailing optional section of the encoding.
     pub span: Option<SpanCtx>,
 }
 
@@ -84,7 +80,7 @@ impl decaf_trace::SpanCarrier for Envelope {
 /// Paths name objects embedded in composites. List elements carry the VT at
 /// which the child was embedded as a *tag*, because raw indices are fragile
 /// under concurrent structural changes (§3.2.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PathElem {
     /// A list position: index hint plus the embedding transaction's VT tag
     /// (the tag is authoritative; the index accelerates lookup).
@@ -100,7 +96,7 @@ pub enum PathElem {
 
 /// A path from a composite root down to an embedded object, e.g. the
 /// paper's `A[103][John][12]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Path(pub Vec<PathElem>);
 
 impl Path {
@@ -128,7 +124,7 @@ impl std::fmt::Display for Path {
 }
 
 /// How an update or read addresses an object at the destination site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ObjectAddr {
     /// The object is directly replicated: addressed by its local name at
     /// the destination (taken from the replication graph).
@@ -147,7 +143,7 @@ pub enum ObjectAddr {
 /// A deep snapshot of an object's (sub)tree, used when a joining object
 /// adopts the value of the relationship it joins (§3.3) and when replicas
 /// instantiate embedded children.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TreeSnapshot {
     /// A scalar value.
     Scalar(ScalarValue),
@@ -161,27 +157,11 @@ pub enum TreeSnapshot {
 }
 
 /// Opaque wire form of an association object's value.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AssocSnapshot(pub(crate) AssocState);
 
 impl AssocSnapshot {
-    /// Flattens the snapshot into `(relation, members, description)` rows,
-    /// ascending by relation id. Exposed so transports can serialize
-    /// association state without serde (binary wire codec v2).
-    pub fn wire_parts(&self) -> Vec<(RelationId, Vec<NodeRef>, String)> {
-        self.0
-            .iter()
-            .map(|(id, rel)| {
-                (
-                    *id,
-                    rel.members.iter().copied().collect(),
-                    rel.description.clone(),
-                )
-            })
-            .collect()
-    }
-
-    /// Rebuilds a snapshot from [`wire_parts`](Self::wire_parts) rows.
+    /// Builds a snapshot from `(relation, members, description)` rows.
     pub fn from_wire_parts(
         parts: impl IntoIterator<Item = (RelationId, Vec<NodeRef>, String)>,
     ) -> Self {
@@ -206,7 +186,7 @@ impl AssocSnapshot {
 /// "For scalar objects it suffices to distribute the final value; for
 /// composite objects it is usually efficient to distribute the change as an
 /// increment" (§3.1 fn. 1) — hence structural ops rather than whole values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireOp {
     /// Overwrite a scalar's value.
     SetScalar(ScalarValue),
@@ -242,7 +222,7 @@ pub enum WireOp {
 }
 
 /// One object update within a [`TxnPropagate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateItem {
     /// The target object, addressed for the destination site.
     pub addr: ObjectAddr,
@@ -261,7 +241,7 @@ pub struct UpdateItem {
 
 /// One read-confirmation request within a [`TxnPropagate`] or
 /// [`Message::SnapshotConfirm`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadItem {
     /// The read object, addressed for the destination (primary) site.
     pub addr: ObjectAddr,
@@ -273,7 +253,6 @@ pub struct ReadItem {
     /// Explicit upper bound of the guessed interval; `None` means the
     /// subject's VT. View snapshots use this when a transaction's own
     /// reservation already covers the tail of the interval (§5.1.2).
-    #[serde(default)]
     pub hi: Option<VirtualTime>,
 }
 
@@ -281,7 +260,7 @@ pub struct ReadItem {
 /// remote primary site and no RC guesses, the originator delegates the
 /// commit decision to that primary, which then broadcasts COMMIT/ABORT
 /// itself, saving one message latency.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delegate {
     /// Every site (other than the delegate) that must receive the summary
     /// commit or abort — "the site identifiers of all the remote sites
@@ -292,7 +271,7 @@ pub struct Delegate {
 /// A transaction's propagation message to one destination site: its WRITEs
 /// for objects replicated there, plus CONFIRM-READ requests for objects
 /// whose primary copy lives there.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TxnPropagate {
     /// The transaction's VT (its global identity).
     pub txn: VirtualTime,
@@ -314,7 +293,7 @@ impl TxnPropagate {
 }
 
 /// What kind of actor a Confirm/Deny subject identifies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubjectKind {
     /// A transaction (deny ⇒ abort + automatic retry).
     Txn,
@@ -323,7 +302,7 @@ pub enum SubjectKind {
 }
 
 /// A DECAF protocol message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // field-level docs live on the payload structs
 pub enum Message {
     /// WRITE + CONFIRM-READ propagation of one transaction to one site.
@@ -430,7 +409,6 @@ pub enum Message {
         /// contacted side — the adoption is applied at this VT so the
         /// joiner's subsequent read intervals line up with the primary's
         /// history.
-        #[serde(default)]
         adopt_value_vt: VirtualTime,
     },
 
@@ -651,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn envelope_round_trips_through_serde() {
+    fn envelope_round_trips_through_the_codec() {
         let env = Envelope {
             from: SiteId(1),
             to: SiteId(2),
@@ -662,14 +640,11 @@ mod tests {
             },
             span: None,
         };
-        let json = serde_json::to_string(&env).unwrap();
-        // A span-less envelope serializes exactly as it did before spans
-        // existed: the field is skipped, not null — the v1 compatibility
-        // contract.
-        assert!(!json.contains("span"), "{json}");
-        let back: Envelope = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, env);
+        let mut bytes = Vec::new();
+        crate::codec::envelope(&mut bytes, &env);
+        assert_eq!(crate::codec::decode_envelope(&bytes).unwrap(), env);
 
+        // A span is a trailing section: the span-less bytes are a prefix.
         let spanned = Envelope {
             span: Some(SpanCtx {
                 origin: SiteId(1),
@@ -678,12 +653,9 @@ mod tests {
             }),
             ..env.clone()
         };
-        let json = serde_json::to_string(&spanned).unwrap();
-        assert!(
-            json.contains("\"span\":{\"origin\":1,\"seq\":5,\"hop\":0}"),
-            "{json}"
-        );
-        let back: Envelope = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spanned);
+        let mut with_span = Vec::new();
+        crate::codec::envelope(&mut with_span, &spanned);
+        assert_eq!(&with_span[..bytes.len()], &bytes[..]);
+        assert_eq!(crate::codec::decode_envelope(&with_span).unwrap(), spanned);
     }
 }

@@ -4,8 +4,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use decaf_vt::{History, ReservationSet, SiteId, VirtualTime};
 
 use crate::collab::RelationId;
@@ -18,7 +16,7 @@ use crate::value::ScalarValue;
 /// object creation needs no coordination. Replicas of the same logical
 /// object at different sites have *different* names; the replication graph
 /// records the correspondence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectName {
     /// Site that created the object.
     pub site: SiteId,
@@ -40,7 +38,7 @@ impl fmt::Display for ObjectName {
 }
 
 /// The kind of a model object (paper §2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectKind {
     /// Scalar: 64-bit integer.
     Int,
@@ -96,7 +94,7 @@ impl fmt::Display for ObjectKind {
 /// ]);
 /// # let _ = msg;
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Blueprint {
     /// An integer scalar with initial value.
     Int(i64),
@@ -134,7 +132,7 @@ impl Blueprint {
 /// The tag makes path names robust: "in addition to using the actual list
 /// index in a path name, the propagation algorithm includes the VT at which
 /// the object was updated as a tag to the index" (§3.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ListEntry {
     pub tag: VirtualTime,
     pub child: ObjectName,
@@ -142,7 +140,7 @@ pub(crate) struct ListEntry {
 
 /// A structural operation on a list, retained in the history so straggling
 /// operations can be re-folded deterministically in VT order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ListOp {
     /// Insert `child` at `index` (clamped; `usize::MAX` = append), tagged
     /// with the inserting transaction's VT.
@@ -158,7 +156,7 @@ pub(crate) enum ListOp {
 }
 
 /// A structural operation on a tuple.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum TupleOp {
     Put {
         key: String,
@@ -174,7 +172,7 @@ pub(crate) enum TupleOp {
 }
 
 /// One replica relationship within an association object's value.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct Relation {
     /// The model objects that have joined, "together with their sites and
     /// object descriptions" (§2.1).
@@ -193,15 +191,9 @@ pub(crate) type AssocState = BTreeMap<RelationId, Relation>;
 /// history entries structurally share unchanged state, so snapshotting a
 /// value, restoring it on rollback, and re-folding after a straggler are
 /// O(touched entries) — a fold clones the underlying collection (via
-/// [`Arc::make_mut`]) only at the moment it actually diverges. The `rc`
-/// serde feature serializes the `Arc`s transparently (by content), so the
-/// checkpoint format is unchanged.
-///
-/// `Assoc` relies on the derived map serialization (`RelationId`-keyed
-/// `BTreeMap`), which every serde backend we target represents losslessly;
-/// the wire type [`crate::message::AssocSnapshot`] round-trips through the
-/// same representation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// [`Arc::make_mut`]) only at the moment it actually diverges. The codec
+/// writes the `Arc`s by content, so sharing is a memory matter only.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ObjectValue {
     Scalar(ScalarValue),
     /// Materialized list state plus the ops (one transaction may perform
@@ -287,7 +279,7 @@ impl ObjectValue {
 }
 
 /// How updates to this object reach its replicas (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum PropagationMode {
     /// The object holds its own replication graph and communicates directly
     /// with its replicas. Roots are always direct; embedded objects switch

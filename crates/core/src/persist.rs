@@ -4,8 +4,9 @@
 //!
 //! A [`Checkpoint`] captures a site's *durable* state — model objects with
 //! their value and graph histories, reservations, decided-transaction
-//! outcomes, and the Lamport clock — as plain serde-serializable data. The
-//! format is caller's choice (JSON, bincode, …).
+//! outcomes, and the Lamport clock. Its byte form
+//! ([`Checkpoint::to_bytes`]) is the crate's one binary codec
+//! ([`crate::codec`]), the same encoding protocol envelopes use on the wire.
 //!
 //! Checkpoints are taken at quiescence: in-flight transactions hold boxed
 //! application closures that cannot (and should not) be serialized; the
@@ -16,10 +17,11 @@
 //! and re-joins.
 //!
 //! On top of checkpoints sits the **write-ahead commit log**: an
-//! append-only file of CRC-framed, length-prefixed records — one
-//! [`CommitRecord`] per committed transaction, plus periodic inline
-//! [`Checkpoint`] records. The reader ([`scan_wal`]) tolerates torn or
-//! truncated tails by recovering the longest valid record prefix, and
+//! append-only file of CRC-framed, length-prefixed records (format
+//! version 2: binary-codec payloads) — one [`CommitRecord`] per committed
+//! transaction, plus periodic inline [`Checkpoint`] records. The reader
+//! ([`scan_wal`]) tolerates torn or truncated tails by recovering the
+//! longest valid record prefix, and
 //! [`Site::recover`] rebuilds a site from the newest checkpoint plus the
 //! committed suffix, resuming the Lamport clock strictly ahead of anything
 //! logged. See DESIGN.md §S20.
@@ -28,10 +30,9 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use decaf_vt::{History, LamportClock, ReservationSet, SiteId, VirtualTime};
 
+use crate::codec::{self, crc32_update};
 use crate::engine::{Site, SiteConfig};
 use crate::graph::ReplicationGraph;
 use crate::message::WireOp;
@@ -59,8 +60,8 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Serialized form of one model object.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Durable form of one model object.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectCheckpoint {
     /// The object's name.
     pub name: ObjectName,
@@ -86,22 +87,21 @@ pub struct ObjectCheckpoint {
 ///
 /// let mut site = Site::new(SiteId(1));
 /// let obj = site.create_int(7);
-/// let checkpoint = site.checkpoint().expect("quiescent");
-/// let json = serde_json::to_string(&checkpoint).expect("serializable");
+/// let bytes = site.checkpoint().expect("quiescent").to_bytes();
 ///
 /// // ... crash, restart ...
-/// let restored: decaf_core::Checkpoint = serde_json::from_str(&json).unwrap();
+/// let restored = decaf_core::Checkpoint::from_bytes(&bytes).unwrap();
 /// let site = Site::restore(restored);
 /// assert_eq!(site.read_int_committed(obj), Some(7));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// The checkpointed site.
     pub site: SiteId,
     pub(crate) clock: LamportClock,
     pub(crate) objects: Vec<ObjectCheckpoint>,
     pub(crate) next_seq: u64,
-    /// Pairs rather than a map: JSON requires string map keys.
+    /// Ascending by VT.
     pub(crate) decided: Vec<(VirtualTime, TxnOutcome)>,
     pub(crate) next_relation: u64,
 }
@@ -110,6 +110,23 @@ impl Checkpoint {
     /// How many model objects the checkpoint contains.
     pub fn object_count(&self) -> usize {
         self.objects.len()
+    }
+
+    /// The checkpoint's byte form: the payload of a WAL checkpoint record.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        codec::checkpoint(&mut out, self);
+        out
+    }
+
+    /// Decodes [`to_bytes`](Self::to_bytes) output.
+    ///
+    /// # Errors
+    ///
+    /// Truncation, trailing bytes, an unknown tag, or state that breaks an
+    /// invariant (a history out of VT order, an inverted reservation).
+    pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, String> {
+        codec::decode_checkpoint(bytes)
     }
 }
 
@@ -231,7 +248,9 @@ impl Site {
 /// frame with any *other* version byte makes the reader fail loudly
 /// ([`WalError::UnsupportedVersion`]) instead of misdecoding — bump this
 /// constant on any schema change to [`CommitRecord`] or [`Checkpoint`].
-pub const WAL_FORMAT_VERSION: u8 = 1;
+/// Version 1 carried JSON payloads; a version-1 log is refused and left
+/// untouched on disk.
+pub const WAL_FORMAT_VERSION: u8 = 2;
 
 /// Frame kind byte for a [`CommitRecord`] payload.
 const WAL_KIND_COMMIT: u8 = 1;
@@ -242,9 +261,9 @@ const WAL_HEADER_LEN: usize = 10;
 
 /// One committed transaction as recorded durably: its VT, the site that
 /// originated it, and the post-state of every object it touched at the
-/// logging site (serialized effects, not closures — replay is a wholesale
+/// logging site (recorded effects, not closures — replay is a wholesale
 /// state write, not a re-execution).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommitRecord {
     /// The transaction's virtual time (its identity).
     pub vt: VirtualTime,
@@ -255,7 +274,7 @@ pub struct CommitRecord {
 }
 
 /// A decoded WAL record: a committed transaction or an inline checkpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)]
 pub enum WalRecord {
     /// One committed transaction.
@@ -281,12 +300,12 @@ pub enum WalError {
         /// The kind byte found in the frame header.
         found: u8,
     },
-    /// A CRC-valid payload failed to deserialize — a schema change without
-    /// a version bump.
+    /// A CRC-valid payload failed to decode — a schema change without a
+    /// version bump.
     SchemaMismatch {
         /// The frame's kind byte.
         kind: u8,
-        /// The deserializer's complaint.
+        /// The decoder's complaint.
         detail: String,
     },
     /// Recovery needs at least one checkpoint record in the log (durable
@@ -319,61 +338,40 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-/// CRC-32 (IEEE, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xedb8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
-    bytes.iter().fold(state, |crc, &b| {
-        CRC32_TABLE[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8)
-    })
-}
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update(!0, bytes)
-}
-
 /// Appends one framed record to `buf`:
 /// `[version u8][kind u8][payload-len u32 LE][crc32 u32 LE][payload]`,
 /// where the CRC covers the version, kind, and length bytes plus the
 /// payload (everything except the CRC field itself).
 pub fn append_frame(buf: &mut Vec<u8>, record: &WalRecord) {
-    let (kind, payload) = match record {
-        WalRecord::Commit(c) => (
-            WAL_KIND_COMMIT,
-            serde_json::to_vec(c).expect("commit record serializes"),
-        ),
-        WalRecord::Checkpoint(cp) => (
-            WAL_KIND_CHECKPOINT,
-            serde_json::to_vec(cp).expect("checkpoint serializes"),
-        ),
-    };
-    let mut head = [0u8; 6];
-    head[0] = WAL_FORMAT_VERSION;
-    head[1] = kind;
-    head[2..6].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = !crc32_update(crc32_update(!0, &head), &payload);
-    buf.extend_from_slice(&head);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf.extend_from_slice(&payload);
+    match record {
+        WalRecord::Commit(c) => commit_frame(buf, c),
+        WalRecord::Checkpoint(cp) => checkpoint_frame(buf, cp),
+    }
+}
+
+fn commit_frame(buf: &mut Vec<u8>, rec: &CommitRecord) {
+    frame(buf, WAL_KIND_COMMIT, |o| codec::commit_record(o, rec));
+}
+
+fn checkpoint_frame(buf: &mut Vec<u8>, cp: &Checkpoint) {
+    frame(buf, WAL_KIND_CHECKPOINT, |o| codec::checkpoint(o, cp));
+}
+
+/// Frames one record whose payload `encode` appends in place: the header is
+/// reserved first and its length and CRC filled in afterwards, so the
+/// payload is written once, straight into `buf`.
+fn frame(buf: &mut Vec<u8>, kind: u8, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.extend_from_slice(&[WAL_FORMAT_VERSION, kind, 0, 0, 0, 0, 0, 0, 0, 0]);
+    encode(buf);
+    let len = u32::try_from(buf.len() - start - WAL_HEADER_LEN)
+        .expect("a WAL record payload stays under 4 GiB");
+    buf[start + 2..start + 6].copy_from_slice(&len.to_le_bytes());
+    let crc = !crc32_update(
+        crc32_update(!0, &buf[start..start + 6]),
+        &buf[start + WAL_HEADER_LEN..],
+    );
+    buf[start + 6..start + WAL_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// The result of scanning a WAL byte stream.
@@ -441,24 +439,15 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
         if head[0] != WAL_FORMAT_VERSION {
             return Err(WalError::UnsupportedVersion { found: head[0] });
         }
-        let record = match head[1] {
-            WAL_KIND_COMMIT => WalRecord::Commit(serde_json::from_slice(payload).map_err(|e| {
-                WalError::SchemaMismatch {
-                    kind: WAL_KIND_COMMIT,
-                    detail: e.to_string(),
-                }
-            })?),
+        let kind = head[1];
+        let record = match kind {
+            WAL_KIND_COMMIT => codec::decode_commit_record(payload).map(WalRecord::Commit),
             WAL_KIND_CHECKPOINT => {
-                WalRecord::Checkpoint(serde_json::from_slice(payload).map_err(|e| {
-                    WalError::SchemaMismatch {
-                        kind: WAL_KIND_CHECKPOINT,
-                        detail: e.to_string(),
-                    }
-                })?)
+                codec::decode_checkpoint(payload).map(|cp| WalRecord::Checkpoint(Box::new(cp)))
             }
             other => return Err(WalError::UnknownKind { found: other }),
         };
-        records.push(record);
+        records.push(record.map_err(|detail| WalError::SchemaMismatch { kind, detail })?);
         pos += WAL_HEADER_LEN + len;
     }
     Ok(WalScan {
@@ -491,6 +480,9 @@ impl CommitLog {
             .create(true)
             .truncate(false)
             .open(&path)?;
+        // If this call created the file, its directory entry must be
+        // durable before any commit fsynced into it counts as acknowledged.
+        sync_dir(data_dir)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let scan = scan_wal(&bytes)?;
@@ -503,25 +495,29 @@ impl CommitLog {
         Ok((CommitLog { file, path, len }, scan))
     }
 
-    fn append(&mut self, record: &WalRecord) -> Result<Duration, WalError> {
-        let mut buf = Vec::new();
-        append_frame(&mut buf, record);
-        self.file.write_all(&buf)?;
+    /// Writes one already-framed record and fsyncs; returns the fsync
+    /// latency.
+    fn append(&mut self, framed: &[u8]) -> Result<Duration, WalError> {
+        self.file.write_all(framed)?;
         let start = Instant::now();
         self.file.sync_data()?;
-        self.len += buf.len() as u64;
+        self.len += framed.len() as u64;
         Ok(start.elapsed())
     }
 
     /// Appends one committed transaction and fsyncs; returns the fsync
     /// latency (for the WAL latency histogram).
     pub fn append_commit(&mut self, rec: &CommitRecord) -> Result<Duration, WalError> {
-        self.append(&WalRecord::Commit(rec.clone()))
+        let mut buf = Vec::new();
+        commit_frame(&mut buf, rec);
+        self.append(&buf)
     }
 
     /// Appends an inline checkpoint record and fsyncs.
     pub fn append_checkpoint(&mut self, cp: &Checkpoint) -> Result<Duration, WalError> {
-        self.append(&WalRecord::Checkpoint(Box::new(cp.clone())))
+        let mut buf = Vec::new();
+        checkpoint_frame(&mut buf, cp);
+        self.append(&buf)
     }
 
     /// Atomically rewrites the log as just `cp` (tmp file + rename),
@@ -529,11 +525,18 @@ impl CommitLog {
     pub fn compact(&mut self, cp: &Checkpoint) -> Result<(), WalError> {
         let tmp = self.path.with_extension("log.tmp");
         let mut buf = Vec::new();
-        append_frame(&mut buf, &WalRecord::Checkpoint(Box::new(cp.clone())));
+        checkpoint_frame(&mut buf, cp);
         let mut out = std::fs::File::create(&tmp)?;
         out.write_all(&buf)?;
         out.sync_all()?;
         std::fs::rename(&tmp, &self.path)?;
+        // Without this a crash could undo the rename and, with it, every
+        // commit fsynced into the new inode afterwards.
+        sync_dir(
+            self.path
+                .parent()
+                .expect("the log lives in a data directory"),
+        )?;
         let mut file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -553,6 +556,11 @@ impl CommitLog {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// Fsyncs a directory, making a file creation or rename inside it durable.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// The outcome of rebuilding a site from its WAL.

@@ -173,9 +173,6 @@ pub struct TransportStats {
     /// Frame-header bytes saved by coalescing (each coalesced envelope
     /// avoids one fixed-size frame header).
     pub bytes_saved: u64,
-    /// Frames sent with the compact binary codec v2 (single-envelope or
-    /// batch) rather than v1 serde-JSON.
-    pub codec_v2_frames: u64,
 }
 
 impl TransportStats {
@@ -197,7 +194,6 @@ impl TransportStats {
         self.queue_depth_hwm = self.queue_depth_hwm.max(other.queue_depth_hwm);
         self.frames_coalesced += other.frames_coalesced;
         self.bytes_saved += other.bytes_saved;
-        self.codec_v2_frames += other.codec_v2_frames;
     }
 }
 
@@ -208,7 +204,7 @@ impl fmt::Display for TransportStats {
             "frames {}/{} in/out ({} rejected); bytes {}/{}; \
              {} reconnects; hb {} sent, {} missed; {} peers failed; \
              {} sends dropped; qdepth hwm {}; trace dropped {}; \
-             {} coalesced ({} bytes saved); {} v2 frames",
+             {} coalesced ({} bytes saved)",
             self.frames_in,
             self.frames_out,
             self.frames_rejected,
@@ -223,7 +219,6 @@ impl fmt::Display for TransportStats {
             self.trace_events_dropped,
             self.frames_coalesced,
             self.bytes_saved,
-            self.codec_v2_frames,
         )
     }
 }
@@ -326,7 +321,6 @@ mod tests {
             trace_events_dropped: 2,
             frames_coalesced: 6,
             bytes_saved: 84,
-            codec_v2_frames: 11,
             ..Default::default()
         };
         let mut sum = a;
@@ -336,7 +330,6 @@ mod tests {
         assert_eq!(sum.trace_events_dropped, 2);
         assert_eq!(sum.frames_coalesced, 10);
         assert_eq!(sum.bytes_saved, 140);
-        assert_eq!(sum.codec_v2_frames, 11);
     }
 
     #[test]
@@ -344,11 +337,9 @@ mod tests {
         let t = TransportStats {
             frames_coalesced: 9,
             bytes_saved: 126,
-            codec_v2_frames: 5,
             ..Default::default()
         };
         let s = t.to_string();
         assert!(s.contains("9 coalesced (126 bytes saved)"), "{s}");
-        assert!(s.contains("5 v2 frames"), "{s}");
     }
 }

@@ -3,8 +3,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use decaf_vt::{SiteId, VirtualTime};
 
 use crate::collab::RelationInfo;
@@ -92,7 +90,7 @@ impl fmt::Display for TxnHandle {
 }
 
 /// Final outcome of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TxnOutcome {
     /// All guesses confirmed; effects are permanent everywhere.
     Committed,

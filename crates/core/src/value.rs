@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The value of a scalar model object.
 ///
 /// The paper's framework "currently supports scalar model objects of types
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// `Eq`/`Hash` use the IEEE-754 bit pattern for reals, so histories and
 /// message deduplication behave deterministically (`NaN == NaN` here,
 /// deliberately).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ScalarValue {
     /// A 64-bit integer.
     Int(i64),

@@ -1,5 +1,5 @@
 //! Persistence and recovery tests (paper §5.3): checkpoint a quiescent
-//! site, serialize it, restore it, and resume collaborating — including the
+//! site, encode it, restore it, and resume collaborating — including the
 //! crash-and-rejoin flow of §3.4.
 
 use decaf_core::{
@@ -25,7 +25,7 @@ impl Transaction for Push {
 }
 
 #[test]
-fn checkpoint_roundtrips_through_json() {
+fn checkpoint_roundtrips_through_bytes() {
     let mut site = Site::new(SiteId(1));
     let counter = site.create_int(0);
     let list = site.create_list();
@@ -34,8 +34,8 @@ fn checkpoint_roundtrips_through_json() {
         site.execute(Box::new(Push(list, i * 10)));
     }
     let cp = site.checkpoint().expect("quiescent site");
-    let json = serde_json::to_string(&cp).expect("serializable");
-    let back: Checkpoint = serde_json::from_str(&json).expect("deserializable");
+    let back = Checkpoint::from_bytes(&cp.to_bytes()).expect("decodable");
+    assert_eq!(back, cp);
     let restored = Site::restore(back);
 
     assert_eq!(restored.read_int_committed(counter), Some(3));
@@ -207,7 +207,7 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Any reachable quiescent state survives a JSON checkpoint
+        /// Any reachable quiescent state survives a checkpoint byte
         /// round trip bit-for-bit observably.
         #[test]
         fn checkpoint_roundtrip_preserves_observable_state(ops in arb_ops()) {
@@ -235,9 +235,7 @@ mod proptests {
                 .collect();
 
             let cp = site.checkpoint().expect("single site is quiescent");
-            let json = serde_json::to_string(&cp).expect("serialize");
-            let back: decaf_core::Checkpoint =
-                serde_json::from_str(&json).expect("deserialize");
+            let back = Checkpoint::from_bytes(&cp.to_bytes()).expect("decode");
             let restored = Site::restore(back);
 
             prop_assert_eq!(restored.read_int_committed(counter), before_counter);

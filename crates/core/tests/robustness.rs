@@ -5,8 +5,8 @@
 //! the wire.
 
 use decaf_core::{
-    wiring, Envelope, Message, ObjectAddr, ObjectName, Path, PathElem, ReadItem, Site, SubjectKind,
-    Transaction, TxnCtx, TxnError, TxnPropagate, UpdateItem, WireOp,
+    wiring, EngineEvent, Envelope, Message, ObjectAddr, ObjectName, Path, PathElem, ReadItem, Site,
+    SubjectKind, Transaction, TxnCtx, TxnError, TxnPropagate, UpdateItem, WireOp,
 };
 use decaf_vt::{SiteId, VirtualTime};
 
@@ -175,6 +175,48 @@ fn duplicate_and_out_of_order_verdicts_do_not_double_commit() {
     assert_eq!(b.stats().txns_committed, 1, "exactly one commit");
     assert_eq!(a.read_int_committed(oa), Some(1));
     assert_eq!(b.read_int_committed(ob), Some(1));
+}
+
+#[test]
+fn commit_overtaking_its_txn_is_reported_committed_exactly_once() {
+    // COMMIT first, then the updates it decides (§3.1: "if any future
+    // update messages arrive, the updates are considered committed"), then
+    // the same updates again, as a transport redelivers them after a
+    // reconnect: one TxnCommitted, not none and not two.
+    let txn = VirtualTime::new(3, SiteId(2));
+    let committed_events = |site: &mut Site| {
+        site.drain_events()
+            .iter()
+            .filter(|e| matches!(e, EngineEvent::TxnCommitted { vt, local_origin: false } if *vt == txn))
+            .count()
+    };
+    for order in [["commit", "txn", "txn"], ["txn", "commit", "txn"]] {
+        let mut a = Site::new(SiteId(1));
+        let o = a.create_int(0);
+        let mut seen = 0;
+        for step in order {
+            let msg = match step {
+                "commit" => Message::Commit { txn },
+                _ => Message::Txn(TxnPropagate {
+                    txn,
+                    origin: SiteId(2),
+                    updates: vec![UpdateItem {
+                        addr: ObjectAddr::Direct(o),
+                        t_r: txn,
+                        t_g: VirtualTime::ZERO,
+                        op: WireOp::SetScalar(decaf_core::ScalarValue::Int(7)),
+                        needs_check: false,
+                    }],
+                    reads: vec![],
+                    delegate: None,
+                }),
+            };
+            a.handle_message(env(2, 1, msg));
+            seen += committed_events(&mut a);
+        }
+        assert_eq!(seen, 1, "{order:?}");
+        assert_eq!(a.read_int_committed(o), Some(7), "{order:?}");
+    }
 }
 
 #[test]

@@ -1,14 +1,17 @@
 //! Write-ahead commit log tests (DESIGN.md §S20): golden frame bytes pin
-//! the on-disk format, a property test proves truncation at *any* byte
-//! offset recovers exactly the longest valid record prefix, and
+//! the on-disk format, every reachable record round-trips through
+//! `append_frame`/`scan_wal`, a property test proves truncation at *any*
+//! byte offset recovers exactly the longest valid record prefix, and
 //! `CommitLog`/`Site::recover` round trips exercise the full crash-restart
 //! path on a real filesystem.
 
 use std::path::PathBuf;
 
+use decaf_core::codec::crc32;
 use decaf_core::{
-    append_frame, crc32, scan_wal, wiring, CommitLog, CommitRecord, ObjectName, Site, SiteConfig,
-    Transaction, TxnCtx, TxnError, WalError, WalRecord, WAL_FORMAT_VERSION,
+    append_frame, scan_wal, wiring, Blueprint, CommitLog, CommitRecord, ObjectName, ScalarValue,
+    Site, SiteConfig, Transaction, TxnCtx, TxnError, WalError, WalRecord, WireOp,
+    WAL_FORMAT_VERSION,
 };
 use decaf_vt::{SiteId, VirtualTime};
 
@@ -49,28 +52,52 @@ fn scratch_dir(name: &str) -> PathBuf {
 // ---- golden bytes: the WAL frame layout is pinned -------------------------
 
 /// The frame layout — version byte, kind byte, LE length, LE CRC over
-/// header-plus-payload, then the serde_json payload — must never drift
+/// header-plus-payload, then the binary-codec payload — must never drift
 /// without a `WAL_FORMAT_VERSION` bump: a silent change would make old
 /// logs unreadable (or worse, misread).
 #[test]
 fn golden_commit_frame_bytes() {
     let mut buf = Vec::new();
     append_frame(&mut buf, &WalRecord::Commit(sample_commit(3)));
-
-    let payload = br#"{"vt":{"lamport":3,"site":1},"origin":1,"updates":[]}"#;
-    assert_eq!(buf[0], WAL_FORMAT_VERSION, "format-version byte");
-    assert_eq!(buf[0], 1, "this build writes WAL format 1");
-    assert_eq!(buf[1], 1, "kind byte 1 = Commit");
+    assert_eq!(WAL_FORMAT_VERSION, 2, "this build writes WAL format 2");
     assert_eq!(
-        &buf[2..6],
-        (payload.len() as u32).to_le_bytes(),
-        "LE payload length"
+        buf,
+        [
+            0x02, // format version
+            0x01, // kind 1 = Commit
+            0x04, 0x00, 0x00, 0x00, // payload length, LE
+            0x6a, 0x56, 0x22, 0x7e, // CRC-32 of the six bytes above + payload, LE
+            0x03, 0x01, // vt: lamport 3 | site 1
+            0x01, // origin
+            0x00, // no updates
+        ]
     );
-    assert_eq!(&buf[10..], payload, "serde_json payload");
+
+    let with_update = CommitRecord {
+        updates: vec![(
+            ObjectName::new(SiteId(1), 0),
+            vt(2, 1),
+            WireOp::SetScalar(ScalarValue::Int(5)),
+        )],
+        ..sample_commit(3)
+    };
+    let mut buf = Vec::new();
+    append_frame(&mut buf, &WalRecord::Commit(with_update));
+    assert_eq!(
+        buf,
+        [
+            0x02, 0x01, 0x0b, 0x00, 0x00, 0x00, 0x58, 0x99, 0x60, 0x44, // header
+            0x03, 0x01, 0x01, // vt | origin
+            0x01, // one update:
+            0x01, 0x00, //   object: site 1 | seq 0
+            0x02, 0x01, //   read time: lamport 2 | site 1
+            0x00, 0x00, 0x0a, //   SetScalar | Int | zigzag(5)
+        ]
+    );
 
     // The CRC covers the first six header bytes plus the payload.
     let mut covered = buf[..6].to_vec();
-    covered.extend_from_slice(payload);
+    covered.extend_from_slice(&buf[10..]);
     assert_eq!(&buf[6..10], crc32(&covered).to_le_bytes(), "LE CRC-32");
 }
 
@@ -84,6 +111,12 @@ fn golden_checkpoint_frame_has_kind_two() {
     assert_eq!(buf[1], 2, "kind byte 2 = Checkpoint");
     let len = u32::from_le_bytes(buf[2..6].try_into().unwrap()) as usize;
     assert_eq!(buf.len(), 10 + len);
+    assert_eq!(
+        &buf[10..],
+        [4, 4, 0, 0, 0, 0, 0],
+        "site | clock site | clock counter | no objects | next object seq | \
+         no decided outcomes | next relation id"
+    );
 }
 
 #[test]
@@ -167,7 +200,7 @@ fn unknown_kind_fails_loudly() {
 fn undecodable_payload_fails_loudly() {
     // An integrity-checked frame whose payload the schema cannot decode is
     // a schema bug (a change without a version bump), never a silent skip.
-    let payload = b"not json";
+    let payload = b"not a record";
     let mut bytes = vec![WAL_FORMAT_VERSION, 1];
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     let crc = {
@@ -218,6 +251,265 @@ mod truncation_proptests {
             prop_assert_eq!(scan.records.len(), expect);
             prop_assert_eq!(scan.valid_len, boundaries[expect]);
             prop_assert_eq!(scan.truncated_at(cut), cut != boundaries[expect]);
+        }
+    }
+}
+
+// ---- every reachable record round-trips ----------------------------------
+
+/// One gesture against the fixture of [`records_after`].
+#[derive(Debug, Clone)]
+enum Op {
+    /// Blind write of the wired counter at site 1 (its primary).
+    SetInt(i64),
+    /// Read-modify-write of the wired counter at site 2: an RL guess the
+    /// primary confirms with a reservation.
+    RemoteIncr,
+    SetReal(f64),
+    SetStr(String),
+    /// Embed a child subtree at the end of the wired list.
+    ListPush(Blueprint),
+    ListRemoveFirst,
+    TuplePut(String, i64),
+    TupleRemove(String),
+    /// An application abort: decided, never committed.
+    Fail,
+}
+
+struct Apply {
+    op: Op,
+    counter: ObjectName,
+    real: ObjectName,
+    text: ObjectName,
+    list: ObjectName,
+    tuple: ObjectName,
+}
+
+impl Transaction for Apply {
+    fn execute(&mut self, ctx: &mut TxnCtx<'_>) -> Result<(), TxnError> {
+        match &self.op {
+            Op::SetInt(v) => ctx.write_int(self.counter, *v),
+            Op::RemoteIncr => {
+                let v = ctx.read_int(self.counter)?;
+                ctx.write_int(self.counter, v.wrapping_add(1))
+            }
+            Op::SetReal(v) => ctx.write_real(self.real, *v),
+            Op::SetStr(v) => ctx.write_str(self.text, v.clone()),
+            Op::ListPush(child) => ctx.list_push(self.list, child.clone()).map(|_| ()),
+            Op::ListRemoveFirst => {
+                if ctx.list_len(self.list)? == 0 {
+                    return Err(TxnError::app("empty"));
+                }
+                ctx.list_remove(self.list, 0)
+            }
+            Op::TuplePut(key, v) => ctx
+                .tuple_put(self.tuple, key.clone(), Blueprint::Int(*v))
+                .map(|_| ()),
+            Op::TupleRemove(key) => {
+                if ctx.tuple_get(self.tuple, key).is_err() {
+                    return Err(TxnError::app("absent"));
+                }
+                ctx.tuple_remove(self.tuple, key)
+            }
+            Op::Fail => Err(TxnError::app("declined")),
+        }
+    }
+}
+
+/// Two durable sites holding all six object kinds — a counter and a list
+/// wired between them (site 1 is primary), and at site 1 a real, a string,
+/// a tuple and an association with one relation — run `ops`, then yield what
+/// their logs would hold: each site's commit records and a closing
+/// checkpoint.
+fn records_after(ops: &[Op]) -> Vec<WalRecord> {
+    let mut a = Site::with_config(SiteId(1), durable_config());
+    let mut b = Site::with_config(SiteId(2), durable_config());
+    let (counter_a, counter_b) = (a.create_int(0), b.create_int(0));
+    let (list_a, list_b) = (a.create_list(), b.create_list());
+    wiring::wire_pair(&mut a, counter_a, &mut b, counter_b);
+    wiring::wire_pair(&mut a, list_a, &mut b, list_b);
+    let (real, text, tuple) = (a.create_real(0.0), a.create_str(""), a.create_tuple());
+    let assoc = a.create_association();
+    a.create_relation(assoc, "editors", counter_a)
+        .expect("relation over a local object");
+
+    for op in ops {
+        let at_b = matches!(op, Op::RemoteIncr);
+        let apply = Apply {
+            op: op.clone(),
+            counter: if at_b { counter_b } else { counter_a },
+            real,
+            text,
+            list: list_a,
+            tuple,
+        };
+        if at_b { &mut b } else { &mut a }.execute(Box::new(apply));
+        wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+    }
+
+    let mut records = Vec::new();
+    for site in [&mut a, &mut b] {
+        records.extend(site.drain_wal().into_iter().map(WalRecord::Commit));
+        let cp = site.drain_and_checkpoint(16).expect("settled pair");
+        records.push(WalRecord::Checkpoint(Box::new(cp)));
+    }
+    records
+}
+
+/// `append_frame` then `scan_wal` is the identity on `records`, and a
+/// checkpoint's standalone byte form agrees with its WAL payload.
+fn assert_round_trip(records: &[WalRecord]) {
+    let mut log = Vec::new();
+    for r in records {
+        append_frame(&mut log, r);
+    }
+    let scan = scan_wal(&log).expect("self-written log decodes");
+    assert_eq!(scan.valid_len, log.len());
+    assert_eq!(scan.records, records);
+    for r in records {
+        if let WalRecord::Checkpoint(cp) = r {
+            let bytes = cp.to_bytes();
+            assert_eq!(
+                decaf_core::Checkpoint::from_bytes(&bytes).as_ref(),
+                Ok(&**cp)
+            );
+        }
+    }
+}
+
+fn scripted_ops() -> Vec<Op> {
+    let nested = Blueprint::Tuple(vec![
+        ("who".into(), Blueprint::str("ana")),
+        (
+            "tags".into(),
+            Blueprint::List(vec![Blueprint::Real(-0.0), Blueprint::Int(i64::MIN)]),
+        ),
+    ]);
+    vec![
+        Op::SetInt(-7),
+        Op::RemoteIncr,
+        Op::SetReal(f64::NEG_INFINITY),
+        Op::SetStr("héllo ✓".into()),
+        Op::ListPush(Blueprint::Int(1)),
+        Op::ListPush(nested),
+        Op::ListRemoveFirst,
+        Op::TuplePut("k".into(), 3),
+        Op::TuplePut("gone".into(), 4),
+        Op::TupleRemove("gone".into()),
+        Op::Fail,
+        Op::RemoteIncr,
+        Op::SetInt(i64::MAX),
+    ]
+}
+
+#[test]
+fn scripted_history_round_trips_through_the_log() {
+    let records = records_after(&scripted_ops());
+    let commits = records
+        .iter()
+        .filter(|r| matches!(r, WalRecord::Commit(_)))
+        .count();
+    assert!(commits >= 10, "only {commits} commit records");
+    assert_round_trip(&records);
+    // Prefixes of the script reach other states (pending list ops folded
+    // or not, reservations live or collected).
+    for n in 0..scripted_ops().len() {
+        assert_round_trip(&records_after(&scripted_ops()[..n]));
+    }
+}
+
+/// JSON wrote a non-finite real as `null` and the log then failed recovery
+/// with a schema mismatch; the binary codec carries the bit pattern.
+#[test]
+fn non_finite_reals_recover_with_the_same_bits() {
+    struct SetReal(ObjectName, f64);
+    impl Transaction for SetReal {
+        fn execute(&mut self, ctx: &mut TxnCtx<'_>) -> Result<(), TxnError> {
+            ctx.write_real(self.0, self.1)
+        }
+    }
+    // A NaN with a payload: the bits, not just "some NaN", must survive.
+    let odd_nan = f64::from_bits(0x7ff8_0000_dead_beef);
+    for (i, value) in [f64::INFINITY, f64::NAN, odd_nan].into_iter().enumerate() {
+        let dir = scratch_dir(&format!("nonfinite-{i}"));
+        let object;
+        {
+            let mut site = Site::with_config(SiteId(1), durable_config());
+            object = site.create_real(0.0);
+            let (mut log, _) = CommitLog::open(&dir).unwrap();
+            log.append_checkpoint(&site.checkpoint().unwrap()).unwrap();
+            site.execute(Box::new(SetReal(object, value)));
+            for rec in site.drain_wal() {
+                log.append_commit(&rec).unwrap();
+            }
+        }
+        let (recovery, mut log) = Site::recover(&dir, durable_config()).expect("recover");
+        assert_eq!(recovery.replayed, 1);
+        let back = recovery
+            .site
+            .read_real_committed(object)
+            .expect("committed");
+        assert_eq!(back.to_bits(), value.to_bits(), "from the commit record");
+
+        // And once more from a checkpoint that holds the value.
+        log.compact(&recovery.site.checkpoint().unwrap()).unwrap();
+        drop(log);
+        let (recovery, _log) = Site::recover(&dir, durable_config()).expect("recover");
+        assert_eq!(recovery.replayed, 0);
+        let back = recovery
+            .site
+            .read_real_committed(object)
+            .expect("committed");
+        assert_eq!(back.to_bits(), value.to_bits(), "from the checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+mod round_trip_proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn arb_blueprint() -> impl Strategy<Value = Blueprint> {
+        let leaf = prop_oneof![
+            any::<i64>().prop_map(Blueprint::Int),
+            any::<u64>().prop_map(|bits| Blueprint::Real(f64::from_bits(bits))),
+            "[a-zα-ω ]{0,6}".prop_map(Blueprint::Str),
+        ];
+        leaf.prop_recursive(2, 8, 3, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..3).prop_map(Blueprint::List),
+                proptest::collection::vec(("[a-z]{1,3}".prop_map(String::from), inner), 0..3)
+                    .prop_map(Blueprint::Tuple),
+            ]
+        })
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            any::<i64>().prop_map(Op::SetInt),
+            Just(Op::RemoteIncr),
+            any::<u64>().prop_map(|bits| Op::SetReal(f64::from_bits(bits))),
+            "[a-zA-Zα-ω0-9 ]{0,12}".prop_map(Op::SetStr),
+            arb_blueprint().prop_map(Op::ListPush),
+            Just(Op::ListRemoveFirst),
+            ("[a-c]".prop_map(String::from), any::<i64>()).prop_map(|(k, v)| Op::TuplePut(k, v)),
+            "[a-c]".prop_map(Op::TupleRemove),
+            Just(Op::Fail),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever two collaborating sites log — commit records of every
+        /// `WireOp` shape, checkpoints over all six object kinds with
+        /// embeddings, reservations and decided outcomes — reads back
+        /// equal.
+        #[test]
+        fn arbitrary_histories_round_trip_through_the_log(
+            ops in proptest::collection::vec(arb_op(), 0..24),
+        ) {
+            assert_round_trip(&records_after(&ops));
         }
     }
 }

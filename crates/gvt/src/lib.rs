@@ -48,16 +48,14 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use decaf_vt::{History, LamportClock, SiteId, VirtualTime};
 
 /// Global logical object name in the baseline (sites agree on names).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GvtObject(pub String);
 
 /// Messages of the GVT baseline protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GvtMessage {
     /// An optimistic write broadcast to the object's replica set.
     Write {
@@ -98,7 +96,7 @@ pub enum GvtMessage {
 }
 
 /// An envelope of the baseline protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GvtEnvelope {
     /// Sender.
     pub from: SiteId,

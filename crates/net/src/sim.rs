@@ -25,7 +25,6 @@ use std::ops::{Add, AddAssign, Sub};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use decaf_vt::SiteId;
 
@@ -40,9 +39,7 @@ use decaf_vt::SiteId;
 /// assert_eq!(t.as_micros(), 3_500);
 /// assert_eq!(t.as_millis_f64(), 3.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

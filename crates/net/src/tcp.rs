@@ -49,7 +49,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,9 +64,8 @@ use decaf_trace::{Histogram, TraceKind, TraceSink};
 use decaf_vt::SiteId;
 
 use crate::wire::{
-    decode_batch, decode_envelope, decode_envelope_v2, decode_hello_any, encode_batch_parts,
-    encode_envelope, encode_envelope_v2, encode_hello, encode_hello_v2, write_frame, FrameKind,
-    FrameReader, HEADER_LEN,
+    decode_batch, decode_envelope_v2, decode_hello, encode_batch_parts, encode_envelope_v2,
+    encode_hello_v2, write_frame, FrameKind, FrameReader, CODEC_VERSION, HEADER_LEN,
 };
 use crate::{Transport, TransportEndpoint, TransportEvent};
 
@@ -101,14 +100,8 @@ pub struct TcpConfig {
     pub outbound_queue: usize,
     /// Seed for backoff jitter (default: derived from the site id).
     pub jitter_seed: u64,
-    /// Highest envelope codec this site speaks (default 2). Each link uses
-    /// `min(ours, theirs)` as negotiated via the Hello exchange; set to 1
-    /// to emit only classic v1 JSON frames (and the classic 4-byte Hello)
-    /// for strict interop with pre-v2 peers.
-    pub codec_version: u8,
-    /// Most envelopes coalesced into one `Batch` frame (default 64). Takes
-    /// effect only on links negotiated to codec ≥ 2; `1` disables
-    /// batching.
+    /// Most envelopes coalesced into one `Batch` frame (default 64); `1`
+    /// disables batching.
     pub batch_max: usize,
     /// How long a writer lingers draining its queue for ride-along
     /// envelopes after the first one of a flush (default 200 µs) — a
@@ -136,7 +129,6 @@ impl TcpConfig {
             connect_deadline: Duration::from_secs(20),
             outbound_queue: 4096,
             jitter_seed: 0xDECAF ^ site.0 as u64,
-            codec_version: 2,
             batch_max: 64,
             batch_delay: Duration::from_micros(200),
             trace: TraceSink::disabled(),
@@ -146,13 +138,6 @@ impl TcpConfig {
     /// Adds a peer to the address table (builder style).
     pub fn peer(mut self, site: SiteId, addr: SocketAddr) -> Self {
         self.peers.insert(site, addr);
-        self
-    }
-
-    /// Caps the envelope codec version (builder style); `1` forces classic
-    /// v1 JSON frames on every link.
-    pub fn codec(mut self, version: u8) -> Self {
-        self.codec_version = version;
         self
     }
 
@@ -189,7 +174,6 @@ struct Counters {
     queue_depth_hwm: AtomicU64,
     frames_coalesced: AtomicU64,
     bytes_saved: AtomicU64,
-    codec_v2_frames: AtomicU64,
 }
 
 impl Counters {
@@ -211,7 +195,6 @@ impl Counters {
         s.queue_depth_hwm = self.queue_depth_hwm.load(Ordering::Relaxed);
         s.frames_coalesced = self.frames_coalesced.load(Ordering::Relaxed);
         s.bytes_saved = self.bytes_saved.load(Ordering::Relaxed);
-        s.codec_v2_frames = self.codec_v2_frames.load(Ordering::Relaxed);
         s
     }
 }
@@ -303,12 +286,6 @@ struct PeerShared {
     ever_connected: AtomicBool,
     /// One-shot fail-stop latch.
     failed: AtomicBool,
-    /// Highest envelope codec the peer advertised in its Hello (1 until
-    /// heard from; a classic 4-byte Hello also means 1). The writer thread
-    /// consults this each flush, so a link upgrades to v2 mid-stream as
-    /// soon as the peer's Hello arrives — safe because every frame names
-    /// its own codec.
-    peer_codec: AtomicU8,
 }
 
 impl PeerShared {
@@ -317,7 +294,6 @@ impl PeerShared {
             last_seen: Mutex::new(Instant::now()),
             ever_connected: AtomicBool::new(false),
             failed: AtomicBool::new(false),
-            peer_codec: AtomicU8::new(1),
         }
     }
 }
@@ -626,8 +602,12 @@ fn accept_loop(
 }
 
 /// Reads frames off one accepted connection. The first frame must be a
-/// `Hello` identifying the dialing peer; afterwards `Data` frames become
-/// inbox messages and `Ping`s only refresh liveness.
+/// `Hello` identifying the dialing peer and naming a codec this build
+/// speaks; afterwards `DataV2`/`Batch` frames become inbox messages and
+/// `Ping`s only refresh liveness. Anything else — a Hello of a codec-1
+/// peer, the reserved frame kind 2, a broken header — is counted in
+/// `frames_rejected` and closes this connection, leaving the other links
+/// alone.
 fn reader_loop(
     stream: TcpStream,
     events: Sender<TransportEvent<Envelope>>,
@@ -661,7 +641,7 @@ fn reader_loop(
                     // site, `n` the frame payload size in bytes.
                     if let Some(from) = peer.or_else(|| {
                         matches!(frame.kind, FrameKind::Hello)
-                            .then(|| decode_hello_any(&frame.payload).ok())
+                            .then(|| decode_hello(&frame.payload).ok())
                             .flatten()
                             .map(|(site, _)| site)
                     }) {
@@ -673,35 +653,24 @@ fn reader_loop(
                         );
                     }
                     match frame.kind {
-                        FrameKind::Hello => match decode_hello_any(&frame.payload) {
-                            Ok((site, codec)) => {
+                        FrameKind::Hello => match decode_hello(&frame.payload) {
+                            Ok((site, _max_codec)) => {
                                 peer = Some(site);
                                 touch(site);
-                                // The Hello names the dialer's highest codec;
-                                // our writer to that peer reads it per flush
-                                // and upgrades the link mid-stream.
-                                if let Some(shared) = peers.get(&site) {
-                                    shared.peer_codec.store(codec, Ordering::Relaxed);
-                                }
                             }
                             Err(_) => {
                                 bump(&counters.frames_rejected);
                                 return;
                             }
                         },
-                        FrameKind::Data | FrameKind::DataV2 => {
+                        FrameKind::DataV2 => {
                             let Some(from) = peer else {
                                 // Data before Hello: protocol violation.
                                 bump(&counters.frames_rejected);
                                 return;
                             };
                             touch(from);
-                            let decoded = if matches!(frame.kind, FrameKind::Data) {
-                                decode_envelope(&frame.payload)
-                            } else {
-                                decode_envelope_v2(&frame.payload)
-                            };
-                            match decoded {
+                            match decode_envelope_v2(&frame.payload) {
                                 Ok(env) => {
                                     emit_env_recv(&trace, &env);
                                     let _ = events.send(TransportEvent::Message { from, msg: env });
@@ -782,11 +751,6 @@ fn interruptible_sleep(total: Duration, shutdown: &AtomicBool) {
     }
 }
 
-/// Writes the buffered envelopes out — one `DataV2` (single) or `Batch`
-/// (several) frame when the link speaks codec 2, one classic JSON `Data`
-/// frame per envelope otherwise. Written envelopes leave `batch`; on an
-/// I/O error the unwritten tail stays put (for the reconnect carry-over)
-/// and `false` is returned.
 /// Per-envelope causal send trace: one `MsgSend` carrying the envelope's
 /// span context and subject VT, emitted alongside the frame-level event
 /// (whose `n` is the wire byte count). Span-less envelopes (heartbeats,
@@ -818,10 +782,39 @@ fn emit_env_recv(trace: &TraceSink, env: &Envelope) {
     }
 }
 
+/// How long an outbound link must have carried no envelopes before the
+/// next ones are preceded by a [`peer_hung_up`] probe. A peer cannot die,
+/// restart and ask for anything in less, and a link that wrote more
+/// recently learns of a dead peer from the write error itself — so a busy
+/// link never pays for the probe.
+const PROBE_AFTER_QUIET: Duration = Duration::from_millis(5);
+
+/// Whether the peer has closed or reset this outbound connection. A peer
+/// never writes on a connection it accepted, so anything readable here is
+/// an EOF or an error. Asked before envelopes are written to a link that
+/// has been quiet: the first write into a socket whose peer has died still
+/// "succeeds", and what it carried — a restarted peer's `RejoinAck`, say —
+/// would be lost with no one to resend it.
+fn peer_hung_up(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
+    let gone = match stream.peek(&mut [0u8; 1]) {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+        Err(_) => true,
+    };
+    stream.set_nonblocking(false).is_err() || gone
+}
+
+/// Writes the buffered envelopes out as one frame: `DataV2` for a single
+/// envelope, `Batch` for several. Written envelopes leave `batch`; if the
+/// write fails they stay put (for the reconnect carry-over) and `false` is
+/// returned.
 fn flush_envelopes(
     stream: &mut TcpStream,
     batch: &mut Vec<Envelope>,
-    use_v2: bool,
     peer: SiteId,
     counters: &Counters,
     trace: &TraceSink,
@@ -830,62 +823,35 @@ fn flush_envelopes(
     if batch.is_empty() {
         return true;
     }
-    if use_v2 {
-        let parts: Vec<Vec<u8>> = batch.iter().map(encode_envelope_v2).collect();
-        let unbatched: usize = parts.iter().map(|p| HEADER_LEN + p.len()).sum();
-        let n_envs = parts.len();
-        let (kind, payload) = if n_envs == 1 {
-            (
-                FrameKind::DataV2,
-                parts.into_iter().next().expect("one part"),
-            )
-        } else {
-            (FrameKind::Batch, encode_batch_parts(&parts))
-        };
-        match write_frame(stream, kind, &payload) {
-            Ok(n) => {
-                bump(&counters.frames_out);
-                bump(&counters.codec_v2_frames);
-                if n_envs > 1 {
-                    add(&counters.frames_coalesced, (n_envs - 1) as u64);
-                    // Headers elided minus the batch's own length prefixes.
-                    add(&counters.bytes_saved, unbatched.saturating_sub(n) as u64);
-                }
-                add(&counters.bytes_out, n as u64);
-                trace.emit(TraceKind::MsgSend, None, Some(peer.0), Some(n as u64));
-                for env in batch.iter() {
-                    emit_env_send(trace, peer, env);
-                }
-                batch_sizes.lock().record(n_envs as u64);
-                batch.clear();
-                true
-            }
-            Err(_) => false,
-        }
+    let parts: Vec<Vec<u8>> = batch.iter().map(encode_envelope_v2).collect();
+    let unbatched: usize = parts.iter().map(|p| HEADER_LEN + p.len()).sum();
+    let n_envs = parts.len();
+    let (kind, payload) = if n_envs == 1 {
+        (
+            FrameKind::DataV2,
+            parts.into_iter().next().expect("one part"),
+        )
     } else {
-        while !batch.is_empty() {
-            let payload = match encode_envelope(&batch[0]) {
-                Ok(p) => p,
-                // An unencodable envelope can never succeed: count it out.
-                Err(_) => {
-                    bump(&counters.sends_dropped);
-                    batch.remove(0);
-                    continue;
-                }
-            };
-            match write_frame(stream, FrameKind::Data, &payload) {
-                Ok(n) => {
-                    bump(&counters.frames_out);
-                    add(&counters.bytes_out, n as u64);
-                    trace.emit(TraceKind::MsgSend, None, Some(peer.0), Some(n as u64));
-                    emit_env_send(trace, peer, &batch[0]);
-                    batch_sizes.lock().record(1);
-                    batch.remove(0);
-                }
-                Err(_) => return false,
+        (FrameKind::Batch, encode_batch_parts(&parts))
+    };
+    match write_frame(stream, kind, &payload) {
+        Ok(n) => {
+            bump(&counters.frames_out);
+            if n_envs > 1 {
+                add(&counters.frames_coalesced, (n_envs - 1) as u64);
+                // Headers elided minus the batch's own length prefixes.
+                add(&counters.bytes_saved, unbatched.saturating_sub(n) as u64);
             }
+            add(&counters.bytes_out, n as u64);
+            trace.emit(TraceKind::MsgSend, None, Some(peer.0), Some(n as u64));
+            for env in batch.iter() {
+                emit_env_send(trace, peer, env);
+            }
+            batch_sizes.lock().record(n_envs as u64);
+            batch.clear();
+            true
         }
-        true
+        Err(_) => false,
     }
 }
 
@@ -949,14 +915,7 @@ fn writer_loop(
         };
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        // A codec-1 site announces itself with the classic 4-byte Hello so
-        // strict pre-v2 peers accept it; v2-capable sites use the 5-byte
-        // form carrying their highest codec.
-        let hello: Vec<u8> = if cfg.codec_version >= 2 {
-            encode_hello_v2(cfg.site, cfg.codec_version).to_vec()
-        } else {
-            encode_hello(cfg.site).to_vec()
-        };
+        let hello = encode_hello_v2(cfg.site, CODEC_VERSION);
         match write_frame(&mut stream, FrameKind::Hello, &hello) {
             Ok(n) => {
                 bump(&counters.frames_out);
@@ -974,21 +933,18 @@ fn writer_loop(
         had_conn = true;
         shared.ever_connected.store(true, Ordering::Relaxed);
         let conn_start = Instant::now();
+        let mut last_flush = conn_start;
 
         // Flush envelopes the previous connection stranded, if any.
-        {
-            let use_v2 = cfg.codec_version >= 2 && shared.peer_codec.load(Ordering::Relaxed) >= 2;
-            if !flush_envelopes(
-                &mut stream,
-                &mut pending,
-                use_v2,
-                peer,
-                &counters,
-                &cfg.trace,
-                &batch_sizes,
-            ) {
-                continue 'link;
-            }
+        if !flush_envelopes(
+            &mut stream,
+            &mut pending,
+            peer,
+            &counters,
+            &cfg.trace,
+            &batch_sizes,
+        ) {
+            continue 'link;
         }
 
         // --- pump phase: outbox drains + heartbeats + silence watchdog ---
@@ -999,13 +955,12 @@ fn writer_loop(
             match outbox.recv_timeout(cfg.heartbeat_interval) {
                 Ok(env) => {
                     pending.push(env);
-                    let use_v2 =
-                        cfg.codec_version >= 2 && shared.peer_codec.load(Ordering::Relaxed) >= 2;
-                    if use_v2 && cfg.batch_max > 1 {
+                    let woke = Instant::now();
+                    if cfg.batch_max > 1 {
                         // Nagle-style linger: pick up ride-alongs already in
                         // (or just arriving on) the queue, bounded by count
                         // and a microsecond budget.
-                        let deadline = Instant::now() + cfg.batch_delay;
+                        let deadline = woke + cfg.batch_delay;
                         while pending.len() < cfg.batch_max {
                             match outbox.try_recv() {
                                 Some(more) => pending.push(more),
@@ -1014,18 +969,21 @@ fn writer_loop(
                             }
                         }
                     }
-                    if !flush_envelopes(
-                        &mut stream,
-                        &mut pending,
-                        use_v2,
-                        peer,
-                        &counters,
-                        &cfg.trace,
-                        &batch_sizes,
-                    ) {
+                    let quiet = woke.duration_since(last_flush) >= PROBE_AFTER_QUIET;
+                    if (quiet && peer_hung_up(&stream))
+                        || !flush_envelopes(
+                            &mut stream,
+                            &mut pending,
+                            peer,
+                            &counters,
+                            &cfg.trace,
+                            &batch_sizes,
+                        )
+                    {
                         // Unwritten envelopes stay for the next connection.
                         continue 'link;
                     }
+                    last_flush = woke;
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     // Watchdog: if the peer has been silent too long on the
@@ -1168,6 +1126,62 @@ mod tests {
         let before = a.stats().sends_dropped;
         ea.send(SiteId(2), env(SiteId(1), SiteId(2)));
         assert!(a.stats().sends_dropped > 0 || before > 0);
+        a.shutdown();
+    }
+
+    #[test]
+    fn hang_up_probe_sees_a_closed_peer_and_nothing_else() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialed = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!peer_hung_up(&dialed), "open and silent is not hung up");
+        // The probe leaves the socket blocking: a read with nothing to
+        // read runs into its timeout instead of returning at once.
+        dialed
+            .set_read_timeout(Some(Duration::from_millis(30)))
+            .unwrap();
+        let t0 = Instant::now();
+        assert!((&dialed).read(&mut [0u8; 1]).is_err());
+        assert!(t0.elapsed() >= Duration::from_millis(20));
+        drop(accepted);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !peer_hung_up(&dialed) {
+            assert!(Instant::now() < deadline, "close never seen");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn first_envelope_after_the_peer_died_is_carried_to_the_new_connection() {
+        // Site 2 is a bare listener: it takes site 1's connection, reads
+        // the Hello and closes — a peer that died. An envelope sent a
+        // moment later, before any heartbeat has touched the dead socket,
+        // must arrive on the connection site 1 dials next, not vanish
+        // into the old one.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let b_addr = listener.local_addr().unwrap();
+        let a_addr: SocketAddr = format!("127.0.0.1:{}", reserve_port()).parse().unwrap();
+        let mut a =
+            TcpMesh::start(TcpConfig::new(SiteId(1), a_addr).peer(SiteId(2), b_addr)).unwrap();
+        let read_frames = |stream: &mut TcpStream, want: usize| -> Vec<FrameKind> {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            (0..want)
+                .map(|_| crate::wire::read_frame(stream).expect("frame").kind)
+                .collect()
+        };
+        let (mut first, _) = listener.accept().unwrap();
+        assert_eq!(read_frames(&mut first, 1), vec![FrameKind::Hello]);
+        drop(first);
+        std::thread::sleep(PROBE_AFTER_QUIET * 4);
+        a.endpoint().send(SiteId(2), env(SiteId(1), SiteId(2)));
+        let (mut second, _) = listener.accept().unwrap();
+        assert_eq!(
+            read_frames(&mut second, 2),
+            vec![FrameKind::Hello, FrameKind::DataV2]
+        );
+        assert_eq!(a.stats().reconnects, 1);
         a.shutdown();
     }
 

@@ -7,75 +7,70 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     4  magic  = b"DCAF"
-//!      4     1  protocol version (1 for v1 kinds, 2 for v2 kinds)
-//!      5     1  frame kind (1 Hello, 2 Data, 3 Ping, 4 DataV2, 5 Batch)
+//!      4     1  protocol version (1 for Hello/Ping, 2 for DataV2/Batch;
+//!               a kind is accepted under its own version only)
+//!      5     1  frame kind (1 Hello, 3 Ping, 4 DataV2, 5 Batch; 2 reserved)
 //!      6     4  payload length, u32 little-endian
 //!     10     4  CRC-32 (IEEE) of the payload, u32 little-endian
 //!     14   len  payload bytes
 //! ```
 //!
-//! Two payload codecs coexist:
+//! There is one payload codec: the compact binary encoding of
+//! [`decaf_core::codec`] (tag bytes for enum variants, LEB128 varints,
+//! length-prefixed strings), which the write-ahead log uses too. A `DataV2`
+//! payload is one envelope; a `Batch` payload coalesces many into one
+//! frame. The names keep their `V2`/`v2` suffix — it is the codec's version
+//! number, the one a Hello announces. Frame kind 2 carried the JSON codec
+//! that version replaced; the byte stays reserved and a frame bearing it is
+//! rejected like any unknown kind.
 //!
-//! * **v1** (`Data`): a strict JSON encoding of an `Envelope`, byte-for-byte
-//!   what serde-JSON produced in earlier releases, hand-rolled here so the
-//!   hot path carries no serializer framework overhead. Peers that predate
-//!   v2 speak only this.
-//! * **v2** (`DataV2`, `Batch`): a compact binary encoding — tag bytes for
-//!   enum variants, LEB128 varints for integers, length-prefixed strings —
-//!   with the same zero-external-deps discipline as `decaf-trace`'s JSONL
-//!   codec. A `Batch` payload coalesces many envelopes into one frame.
+//! A Hello payload identifies the connecting peer — 4-byte little-endian
+//! site id — and names, in a fifth byte, the highest codec version it
+//! speaks. This build speaks exactly [`CODEC_VERSION`]; a Hello without the
+//! byte or naming a lower version is refused ([`decode_hello`]). The byte
+//! is what a later codec would negotiate on. Ping (heartbeat) payloads are
+//! empty.
 //!
-//! Codec choice is negotiated per link via the Hello frame: a v2-capable
-//! peer appends a fifth byte (its maximum codec version) to the classic
-//! 4-byte little-endian site id. Old peers ignore nothing — they simply
-//! send 4 bytes — so [`decode_hello_any`] maps a short Hello to codec 1 and
-//! both sides fall back to v1 JSON on that link.
-//!
-//! Hello payloads identify the connecting peer; Ping (heartbeat) payloads
-//! are empty.
-//!
-//! Malformed input — wrong magic, unknown version or kind, oversized
-//! length, CRC mismatch, or an undecodable payload — is rejected with a
-//! [`WireError`], never a panic, so a byte stream from a hostile or
-//! corrupted peer cannot take a site down.
+//! Malformed input — wrong magic, unknown kind, a version other than the
+//! kind's, oversized length, CRC mismatch, or an undecodable payload — is
+//! rejected with a [`WireError`], never a panic, so a byte stream from a
+//! hostile or corrupted peer cannot take a site down.
 //!
 //! # Example
 //!
 //! ```
 //! use decaf_net::wire::{encode_frame, FrameKind, FrameReader};
 //!
-//! let bytes = encode_frame(FrameKind::Data, b"payload");
+//! let bytes = encode_frame(FrameKind::DataV2, b"payload");
 //! let mut reader = FrameReader::new();
 //! reader.feed(&bytes[..5]); // arbitrary fragmentation is fine
 //! assert!(reader.next_frame().unwrap().is_none());
 //! reader.feed(&bytes[5..]);
 //! let frame = reader.next_frame().unwrap().unwrap();
-//! assert_eq!(frame.kind, FrameKind::Data);
+//! assert_eq!(frame.kind, FrameKind::DataV2);
 //! assert_eq!(frame.payload, b"payload");
 //! ```
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use decaf_core::codec::{self, crc32};
 use decaf_core::Envelope;
 use decaf_vt::SiteId;
 
 /// Magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"DCAF";
 
-/// Wire protocol version for the original frame kinds (Hello/Data/Ping).
-///
-/// Kept at 1 so pre-v2 peers accept everything we send them; the
-/// golden-frame snapshot test in `tests/wire_codec.rs` guards against
+/// Wire protocol version stamped on the control frame kinds (Hello/Ping);
+/// the golden-frame snapshots in `tests/wire_codec_v2.rs` guard against
 /// accidental drift.
 pub const PROTOCOL_VERSION: u8 = 1;
 
-/// Wire protocol version stamped on v2 frame kinds (DataV2/Batch).
-///
-/// v1-only peers reject these with [`WireError::UnsupportedVersion`] — a
-/// backstop that cannot trigger in practice, because v2 frames are only
-/// sent on links whose Hello negotiated codec ≥ 2.
+/// Wire protocol version stamped on the data frame kinds (DataV2/Batch).
 pub const PROTOCOL_VERSION_V2: u8 = 2;
+
+/// The envelope codec version this build speaks and announces in its Hello.
+pub const CODEC_VERSION: u8 = 2;
 
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 14;
@@ -88,16 +83,14 @@ pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameKind {
-    /// Connection preamble: identifies the dialing site (4-byte LE id,
-    /// optionally followed by a codec-version byte; see [`encode_hello_v2`]).
+    /// Connection preamble: identifies the dialing site (4-byte LE id
+    /// followed by a codec-version byte; see [`encode_hello_v2`]).
     Hello,
-    /// A v1 JSON encoded [`Envelope`].
-    Data,
     /// Heartbeat/keepalive; empty payload.
     Ping,
-    /// A single [`Envelope`] in the compact binary v2 codec.
+    /// A single binary-encoded [`Envelope`].
     DataV2,
-    /// Multiple v2-encoded [`Envelope`]s coalesced into one frame.
+    /// Multiple binary-encoded [`Envelope`]s coalesced into one frame.
     Batch,
 }
 
@@ -105,7 +98,6 @@ impl FrameKind {
     fn to_byte(self) -> u8 {
         match self {
             FrameKind::Hello => 1,
-            FrameKind::Data => 2,
             FrameKind::Ping => 3,
             FrameKind::DataV2 => 4,
             FrameKind::Batch => 5,
@@ -115,7 +107,7 @@ impl FrameKind {
     fn from_byte(b: u8) -> Option<FrameKind> {
         match b {
             1 => Some(FrameKind::Hello),
-            2 => Some(FrameKind::Data),
+            // 2 is reserved: it was the JSON data frame of codec 1.
             3 => Some(FrameKind::Ping),
             4 => Some(FrameKind::DataV2),
             5 => Some(FrameKind::Batch),
@@ -126,7 +118,7 @@ impl FrameKind {
     /// The protocol version byte stamped on frames of this kind.
     pub fn wire_version(self) -> u8 {
         match self {
-            FrameKind::Hello | FrameKind::Data | FrameKind::Ping => PROTOCOL_VERSION,
+            FrameKind::Hello | FrameKind::Ping => PROTOCOL_VERSION,
             FrameKind::DataV2 | FrameKind::Batch => PROTOCOL_VERSION_V2,
         }
     }
@@ -156,7 +148,7 @@ pub struct FrameView<'a> {
 pub enum WireError {
     /// The first four bytes were not [`MAGIC`].
     BadMagic([u8; 4]),
-    /// The version byte named no supported protocol version.
+    /// The version byte was not the one frames of this kind carry.
     UnsupportedVersion(u8),
     /// The kind byte named no known [`FrameKind`].
     UnknownKind(u8),
@@ -169,8 +161,8 @@ pub enum WireError {
         /// CRC computed over the received payload.
         found: u32,
     },
-    /// A payload failed to decode (e.g. invalid JSON for a Data frame, or
-    /// a Hello payload of the wrong size).
+    /// A payload failed to decode (e.g. a truncated envelope, or a Hello
+    /// payload of the wrong size or naming an unsupported codec).
     Codec(String),
 }
 
@@ -181,7 +173,7 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported protocol version {v} (want {PROTOCOL_VERSION} or {PROTOCOL_VERSION_V2})"
+                    "unsupported protocol version {v} (control frames carry {PROTOCOL_VERSION}, data frames {PROTOCOL_VERSION_V2})"
                 )
             }
             WireError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
@@ -200,42 +192,6 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-///
-/// In-tree implementation: the container policy forbids new external
-/// dependencies, and 30 lines of const-fn table generation beat a crate.
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// Computes the CRC-32 (IEEE) checksum of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
-    }
-    !crc
-}
 
 /// Encodes one frame into a fresh byte vector.
 ///
@@ -383,10 +339,10 @@ fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(FrameKind, u32, u32), WireError
     if h[..4] != MAGIC {
         return Err(WireError::BadMagic([h[0], h[1], h[2], h[3]]));
     }
-    if h[4] != PROTOCOL_VERSION && h[4] != PROTOCOL_VERSION_V2 {
+    let kind = FrameKind::from_byte(h[5]).ok_or(WireError::UnknownKind(h[5]))?;
+    if h[4] != kind.wire_version() {
         return Err(WireError::UnsupportedVersion(h[4]));
     }
-    let kind = FrameKind::from_byte(h[5]).ok_or(WireError::UnknownKind(h[5]))?;
     let len = u32::from_le_bytes([h[6], h[7], h[8], h[9]]);
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversized(len));
@@ -436,63 +392,35 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
     Ok(Frame { kind, payload })
 }
 
-/// Serializes an [`Envelope`] into a v1 Data-frame payload.
-///
-/// The output is the strict JSON form historical peers expect (identical to
-/// the serde-JSON bytes of earlier releases — see the golden payload test
-/// in `tests/wire_codec.rs`), produced by the in-tree encoder so the hot
-/// path does not pay for a serializer framework.
-///
-/// # Errors
-///
-/// Returns [`WireError::Codec`] if serialization fails (it cannot for the
-/// in-tree `Envelope`; the `Result` is kept for signature stability).
-pub fn encode_envelope(env: &Envelope) -> Result<Vec<u8>, WireError> {
-    Ok(json::encode(env).into_bytes())
-}
-
-/// Deserializes a v1 Data-frame payload back into an [`Envelope`].
-///
-/// Accepts any field order and ignores unknown fields, matching the
-/// tolerance of the serde-based decoder it replaces.
-///
-/// # Errors
-///
-/// Returns [`WireError::Codec`] on invalid JSON or a shape mismatch.
-pub fn decode_envelope(payload: &[u8]) -> Result<Envelope, WireError> {
-    json::decode(payload).map_err(WireError::Codec)
-}
-
-/// Serializes an [`Envelope`] into a compact binary v2 DataV2-frame
-/// payload: tag bytes for variants, LEB128 varints for integers,
-/// length-prefixed strings.
+/// Serializes an [`Envelope`] into a DataV2-frame payload: tag bytes for
+/// variants, LEB128 varints for integers, length-prefixed strings.
 pub fn encode_envelope_v2(env: &Envelope) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    bin::envelope(&mut out, env);
+    codec::envelope(&mut out, env);
     out
 }
 
-/// Deserializes a v2 DataV2-frame payload back into an [`Envelope`].
+/// Deserializes a DataV2-frame payload back into an [`Envelope`].
 ///
 /// # Errors
 ///
 /// Returns [`WireError::Codec`] on truncation, trailing bytes, an unknown
 /// tag, or invalid UTF-8 in a string.
 pub fn decode_envelope_v2(payload: &[u8]) -> Result<Envelope, WireError> {
-    bin::decode_envelope(payload).map_err(WireError::Codec)
+    codec::decode_envelope(payload).map_err(WireError::Codec)
 }
 
 /// Serializes a run of [`Envelope`]s into one Batch-frame payload: a
 /// varint count, then each envelope as a varint byte length followed by
-/// its v2 binary encoding.
+/// its binary encoding.
 pub fn encode_batch(envs: &[Envelope]) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 * envs.len().max(1));
-    bin::put_varint(&mut out, envs.len() as u64);
+    codec::put_varint(&mut out, envs.len() as u64);
     let mut scratch = Vec::with_capacity(64);
     for env in envs {
         scratch.clear();
-        bin::envelope(&mut scratch, env);
-        bin::put_varint(&mut out, scratch.len() as u64);
+        codec::envelope(&mut scratch, env);
+        codec::put_varint(&mut out, scratch.len() as u64);
         out.extend_from_slice(&scratch);
     }
     out
@@ -505,9 +433,9 @@ pub fn encode_batch(envs: &[Envelope]) -> Vec<u8> {
 pub fn encode_batch_parts(parts: &[Vec<u8>]) -> Vec<u8> {
     let total: usize = parts.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total + 2 + 2 * parts.len());
-    bin::put_varint(&mut out, parts.len() as u64);
+    codec::put_varint(&mut out, parts.len() as u64);
     for p in parts {
-        bin::put_varint(&mut out, p.len() as u64);
+        codec::put_varint(&mut out, p.len() as u64);
         out.extend_from_slice(p);
     }
     out
@@ -521,2858 +449,37 @@ pub fn encode_batch_parts(parts: &[Vec<u8>]) -> Vec<u8> {
 /// prefix that disagrees with its envelope, or any per-envelope decode
 /// failure.
 pub fn decode_batch(payload: &[u8]) -> Result<Vec<Envelope>, WireError> {
-    bin::decode_batch(payload).map_err(WireError::Codec)
+    codec::decode_batch(payload).map_err(WireError::Codec)
 }
 
-/// Encodes a classic (v1) Hello payload: the dialing site's id, 4 bytes
-/// little-endian.
-pub fn encode_hello(site: SiteId) -> [u8; 4] {
-    site.0.to_le_bytes()
-}
-
-/// Encodes a v2 Hello payload: the 4-byte LE site id plus one byte naming
-/// the sender's maximum supported codec version.
-///
-/// Each side announces its maximum; the link speaks `min` of the two. A
-/// site configured for codec 1 sends the classic 4-byte form (so a strict
-/// v1 peer accepts it) while still *accepting* 5-byte Hellos from newer
-/// peers via [`decode_hello_any`] — that asymmetry is what lets a mixed
-/// v1/v2 mesh negotiate per link.
+/// Encodes a Hello payload: the 4-byte LE site id plus one byte naming the
+/// sender's maximum supported codec version.
 pub fn encode_hello_v2(site: SiteId, max_codec: u8) -> [u8; 5] {
     let id = site.0.to_le_bytes();
     [id[0], id[1], id[2], id[3], max_codec]
 }
 
-/// Decodes a classic Hello payload (strict: exactly 4 bytes).
+/// Decodes a Hello payload into the peer's site id and the maximum codec
+/// version it announced.
 ///
 /// # Errors
 ///
-/// Returns [`WireError::Codec`] if the payload is not exactly 4 bytes.
-pub fn decode_hello(payload: &[u8]) -> Result<SiteId, WireError> {
-    let bytes: [u8; 4] = payload.try_into().map_err(|_| {
-        WireError::Codec(format!("hello payload of {} bytes, want 4", payload.len()))
-    })?;
-    Ok(SiteId(u32::from_le_bytes(bytes)))
-}
-
-/// Decodes either Hello form, returning the peer's site id and its maximum
-/// codec version (a 4-byte classic Hello implies codec 1).
-///
-/// # Errors
-///
-/// Returns [`WireError::Codec`] if the payload is neither 4 nor 5 bytes,
-/// or names codec version 0.
-pub fn decode_hello_any(payload: &[u8]) -> Result<(SiteId, u8), WireError> {
-    match payload.len() {
-        4 => Ok((decode_hello(payload)?, 1)),
-        5 => {
-            let site = SiteId(u32::from_le_bytes([
-                payload[0], payload[1], payload[2], payload[3],
-            ]));
-            let codec = payload[4];
-            if codec == 0 {
-                return Err(WireError::Codec("hello names codec version 0".into()));
-            }
-            Ok((site, codec))
-        }
-        n => Err(WireError::Codec(format!(
-            "hello payload of {n} bytes, want 4 or 5"
-        ))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// v1 JSON codec
-// ---------------------------------------------------------------------------
-
-/// Strict JSON codec for [`Envelope`]s, byte-compatible with the serde-JSON
-/// encoding of earlier releases (struct fields in declaration order,
-/// externally tagged enums, newtypes as their inner value, integer-keyed
-/// maps as objects with decimal-string keys). Hand-rolled so the envelope
-/// hot path carries no serializer framework; the equivalence test in
-/// `tests/wire_codec_v2.rs` pins it against serde_json itself.
-mod json {
-    use decaf_core::{
-        AssocSnapshot, Blueprint, Delegate, Envelope, Message, NodeRef, ObjectAddr, ObjectName,
-        Path, PathElem, ReadItem, RelationId, ReplicationGraph, ScalarValue, SpanCtx, SubjectKind,
-        TreeSnapshot, TxnOutcome, TxnPropagate, UpdateItem, WireOp,
+/// Returns [`WireError::Codec`] if the payload is not exactly 5 bytes (the
+/// classic 4-byte Hello of a codec-1 peer included) or names a codec below
+/// [`CODEC_VERSION`]: there is no older encoding to fall back to.
+pub fn decode_hello(payload: &[u8]) -> Result<(SiteId, u8), WireError> {
+    let &[a, b, c, d, max_codec] = payload else {
+        return Err(WireError::Codec(format!(
+            "hello payload of {} bytes, want 5",
+            payload.len()
+        )));
     };
-    use decaf_vt::{SiteId, VirtualTime};
-
-    // ---- encoder ----------------------------------------------------------
-
-    pub(super) fn encode(env: &Envelope) -> String {
-        let mut out = String::with_capacity(128);
-        envelope(&mut out, env);
-        out
-    }
-
-    fn envelope(o: &mut String, e: &Envelope) {
-        o.push_str("{\"from\":");
-        uint(o, e.from.0 as u64);
-        o.push_str(",\"to\":");
-        uint(o, e.to.0 as u64);
-        o.push_str(",\"clock\":");
-        vt(o, &e.clock);
-        o.push_str(",\"msg\":");
-        message(o, &e.msg);
-        // Trailing optional field, skipped when absent — matches serde's
-        // skip_serializing_if, so span-less envelopes are byte-identical
-        // to the pre-span wire format and old peers skip the new key.
-        if let Some(s) = &e.span {
-            o.push_str(",\"span\":{\"origin\":");
-            uint(o, s.origin.0 as u64);
-            o.push_str(",\"seq\":");
-            uint(o, s.seq);
-            o.push_str(",\"hop\":");
-            uint(o, s.hop as u64);
-            o.push('}');
-        }
-        o.push('}');
-    }
-
-    fn uint(o: &mut String, v: u64) {
-        let mut buf = [0u8; 20];
-        let mut i = buf.len();
-        let mut v = v;
-        loop {
-            i -= 1;
-            buf[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        o.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ASCII"));
-    }
-
-    fn int(o: &mut String, v: i64) {
-        if v < 0 {
-            o.push('-');
-            uint(o, v.unsigned_abs());
-        } else {
-            uint(o, v as u64);
-        }
-    }
-
-    fn real(o: &mut String, v: f64) {
-        if !v.is_finite() {
-            o.push_str("null"); // serde_json writes null for non-finite floats
-            return;
-        }
-        let s = format!("{v}");
-        o.push_str(&s);
-        if !s.contains(['.', 'e', 'E']) {
-            o.push_str(".0");
-        }
-    }
-
-    fn string(o: &mut String, s: &str) {
-        o.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => o.push_str("\\\""),
-                '\\' => o.push_str("\\\\"),
-                '\u{08}' => o.push_str("\\b"),
-                '\t' => o.push_str("\\t"),
-                '\n' => o.push_str("\\n"),
-                '\u{0c}' => o.push_str("\\f"),
-                '\r' => o.push_str("\\r"),
-                c if (c as u32) < 0x20 => {
-                    o.push_str("\\u00");
-                    let n = c as u32;
-                    for shift in [4u32, 0] {
-                        let d = (n >> shift) & 0xF;
-                        o.push(char::from_digit(d, 16).expect("hex digit"));
-                    }
-                }
-                c => o.push(c),
-            }
-        }
-        o.push('"');
-    }
-
-    fn boolean(o: &mut String, b: bool) {
-        o.push_str(if b { "true" } else { "false" });
-    }
-
-    fn seq<T>(o: &mut String, items: impl IntoIterator<Item = T>, f: impl Fn(&mut String, T)) {
-        o.push('[');
-        for (i, it) in items.into_iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            f(o, it);
-        }
-        o.push(']');
-    }
-
-    fn opt<T>(o: &mut String, v: Option<T>, f: impl Fn(&mut String, T)) {
-        match v {
-            None => o.push_str("null"),
-            Some(v) => f(o, v),
-        }
-    }
-
-    fn vt(o: &mut String, t: &VirtualTime) {
-        o.push_str("{\"lamport\":");
-        uint(o, t.lamport);
-        o.push_str(",\"site\":");
-        uint(o, t.site.0 as u64);
-        o.push('}');
-    }
-
-    fn oname(o: &mut String, n: &ObjectName) {
-        o.push_str("{\"site\":");
-        uint(o, n.site.0 as u64);
-        o.push_str(",\"seq\":");
-        uint(o, n.seq);
-        o.push('}');
-    }
-
-    fn noderef(o: &mut String, n: &NodeRef) {
-        o.push_str("{\"site\":");
-        uint(o, n.site.0 as u64);
-        o.push_str(",\"object\":");
-        oname(o, &n.object);
-        o.push('}');
-    }
-
-    fn scalar(o: &mut String, s: &ScalarValue) {
-        match s {
-            ScalarValue::Int(v) => {
-                o.push_str("{\"Int\":");
-                int(o, *v);
-            }
-            ScalarValue::Real(v) => {
-                o.push_str("{\"Real\":");
-                real(o, *v);
-            }
-            ScalarValue::Str(v) => {
-                o.push_str("{\"Str\":");
-                string(o, v);
-            }
-        }
-        o.push('}');
-    }
-
-    fn blueprint(o: &mut String, b: &Blueprint) {
-        match b {
-            Blueprint::Int(v) => {
-                o.push_str("{\"Int\":");
-                int(o, *v);
-            }
-            Blueprint::Real(v) => {
-                o.push_str("{\"Real\":");
-                real(o, *v);
-            }
-            Blueprint::Str(v) => {
-                o.push_str("{\"Str\":");
-                string(o, v);
-            }
-            Blueprint::List(children) => {
-                o.push_str("{\"List\":");
-                seq(o, children, blueprint);
-            }
-            Blueprint::Tuple(children) => {
-                o.push_str("{\"Tuple\":");
-                seq(o, children, |o, (k, c): &(String, Blueprint)| {
-                    o.push('[');
-                    string(o, k);
-                    o.push(',');
-                    blueprint(o, c);
-                    o.push(']');
-                });
-            }
-        }
-        o.push('}');
-    }
-
-    fn path(o: &mut String, p: &Path) {
-        seq(o, &p.0, |o, e: &PathElem| match e {
-            PathElem::Index { index, tag } => {
-                o.push_str("{\"Index\":{\"index\":");
-                uint(o, *index as u64);
-                o.push_str(",\"tag\":");
-                vt(o, tag);
-                o.push_str("}}");
-            }
-            PathElem::Key(k) => {
-                o.push_str("{\"Key\":");
-                string(o, k);
-                o.push('}');
-            }
-        });
-    }
-
-    fn addr(o: &mut String, a: &ObjectAddr) {
-        match a {
-            ObjectAddr::Direct(n) => {
-                o.push_str("{\"Direct\":");
-                oname(o, n);
-            }
-            ObjectAddr::Indirect { root, path: p } => {
-                o.push_str("{\"Indirect\":{\"root\":");
-                oname(o, root);
-                o.push_str(",\"path\":");
-                path(o, p);
-                o.push('}');
-            }
-        }
-        o.push('}');
-    }
-
-    fn assoc(o: &mut String, a: &AssocSnapshot) {
-        o.push('{');
-        for (i, (RelationId(id), members, description)) in a.wire_parts().iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            // Integer map keys become decimal strings under serde_json.
-            o.push('"');
-            uint(o, *id);
-            o.push_str("\":{\"members\":");
-            seq(o, members, noderef);
-            o.push_str(",\"description\":");
-            string(o, description);
-            o.push('}');
-        }
-        o.push('}');
-    }
-
-    fn tree(o: &mut String, t: &TreeSnapshot) {
-        match t {
-            TreeSnapshot::Scalar(s) => {
-                o.push_str("{\"Scalar\":");
-                scalar(o, s);
-            }
-            TreeSnapshot::List(entries) => {
-                o.push_str("{\"List\":");
-                seq(
-                    o,
-                    entries,
-                    |o, (tag, child): &(VirtualTime, TreeSnapshot)| {
-                        o.push('[');
-                        vt(o, tag);
-                        o.push(',');
-                        tree(o, child);
-                        o.push(']');
-                    },
-                );
-            }
-            TreeSnapshot::Tuple(entries) => {
-                o.push_str("{\"Tuple\":");
-                seq(o, entries, |o, (k, child): &(String, TreeSnapshot)| {
-                    o.push('[');
-                    string(o, k);
-                    o.push(',');
-                    tree(o, child);
-                    o.push(']');
-                });
-            }
-            TreeSnapshot::Assoc(a) => {
-                o.push_str("{\"Assoc\":");
-                assoc(o, a);
-            }
-        }
-        o.push('}');
-    }
-
-    fn wireop(o: &mut String, w: &WireOp) {
-        match w {
-            WireOp::SetScalar(s) => {
-                o.push_str("{\"SetScalar\":");
-                scalar(o, s);
-            }
-            WireOp::ListInsert { index, child } => {
-                o.push_str("{\"ListInsert\":{\"index\":");
-                uint(o, *index as u64);
-                o.push_str(",\"child\":");
-                blueprint(o, child);
-                o.push('}');
-            }
-            WireOp::ListRemove { tag } => {
-                o.push_str("{\"ListRemove\":{\"tag\":");
-                vt(o, tag);
-                o.push('}');
-            }
-            WireOp::TuplePut { key, child } => {
-                o.push_str("{\"TuplePut\":{\"key\":");
-                string(o, key);
-                o.push_str(",\"child\":");
-                blueprint(o, child);
-                o.push('}');
-            }
-            WireOp::TupleRemove { key } => {
-                o.push_str("{\"TupleRemove\":{\"key\":");
-                string(o, key);
-                o.push('}');
-            }
-            WireOp::SetAssoc(a) => {
-                o.push_str("{\"SetAssoc\":");
-                assoc(o, a);
-            }
-            WireOp::SetTree(t) => {
-                o.push_str("{\"SetTree\":");
-                tree(o, t);
-            }
-        }
-        o.push('}');
-    }
-
-    fn update(o: &mut String, u: &UpdateItem) {
-        o.push_str("{\"addr\":");
-        addr(o, &u.addr);
-        o.push_str(",\"t_r\":");
-        vt(o, &u.t_r);
-        o.push_str(",\"t_g\":");
-        vt(o, &u.t_g);
-        o.push_str(",\"op\":");
-        wireop(o, &u.op);
-        o.push_str(",\"needs_check\":");
-        boolean(o, u.needs_check);
-        o.push('}');
-    }
-
-    fn read(o: &mut String, r: &ReadItem) {
-        o.push_str("{\"addr\":");
-        addr(o, &r.addr);
-        o.push_str(",\"t_r\":");
-        vt(o, &r.t_r);
-        o.push_str(",\"t_g\":");
-        vt(o, &r.t_g);
-        o.push_str(",\"hi\":");
-        opt(o, r.hi.as_ref(), vt);
-        o.push('}');
-    }
-
-    fn graph(o: &mut String, g: &ReplicationGraph) {
-        o.push_str("{\"nodes\":");
-        seq(o, g.nodes(), noderef);
-        o.push_str(",\"edges\":");
-        seq(
-            o,
-            g.edges(),
-            |o, (a, b, RelationId(r)): &(NodeRef, NodeRef, RelationId)| {
-                o.push('[');
-                noderef(o, a);
-                o.push(',');
-                noderef(o, b);
-                o.push(',');
-                uint(o, *r);
-                o.push(']');
-            },
-        );
-        o.push('}');
-    }
-
-    fn outcome(o: &mut String, v: &TxnOutcome) {
-        o.push_str(match v {
-            TxnOutcome::Committed => "\"Committed\"",
-            TxnOutcome::Aborted => "\"Aborted\"",
-        });
-    }
-
-    fn propagate(o: &mut String, p: &TxnPropagate) {
-        o.push_str("{\"txn\":");
-        vt(o, &p.txn);
-        o.push_str(",\"origin\":");
-        uint(o, p.origin.0 as u64);
-        o.push_str(",\"updates\":");
-        seq(o, &p.updates, update);
-        o.push_str(",\"reads\":");
-        seq(o, &p.reads, read);
-        o.push_str(",\"delegate\":");
-        opt(o, p.delegate.as_ref(), |o, d: &Delegate| {
-            o.push_str("{\"notify\":");
-            seq(o, &d.notify, |o, s: &SiteId| uint(o, s.0 as u64));
-            o.push('}');
-        });
-        o.push('}');
-    }
-
-    fn message(o: &mut String, m: &Message) {
-        match m {
-            Message::Txn(p) => {
-                o.push_str("{\"Txn\":");
-                propagate(o, p);
-                o.push('}');
-            }
-            Message::SnapshotConfirm {
-                subject,
-                origin,
-                reads,
-            } => {
-                o.push_str("{\"SnapshotConfirm\":{\"subject\":");
-                vt(o, subject);
-                o.push_str(",\"origin\":");
-                uint(o, origin.0 as u64);
-                o.push_str(",\"reads\":");
-                seq(o, reads, read);
-                o.push_str("}}");
-            }
-            Message::Confirm { subject, kind } | Message::Deny { subject, kind } => {
-                o.push_str(if matches!(m, Message::Confirm { .. }) {
-                    "{\"Confirm\":{\"subject\":"
-                } else {
-                    "{\"Deny\":{\"subject\":"
-                });
-                vt(o, subject);
-                o.push_str(",\"kind\":");
-                o.push_str(match kind {
-                    SubjectKind::Txn => "\"Txn\"",
-                    SubjectKind::Snapshot => "\"Snapshot\"",
-                });
-                o.push_str("}}");
-            }
-            Message::Commit { txn } => {
-                o.push_str("{\"Commit\":{\"txn\":");
-                vt(o, txn);
-                o.push_str("}}");
-            }
-            Message::Abort { txn } => {
-                o.push_str("{\"Abort\":{\"txn\":");
-                vt(o, txn);
-                o.push_str("}}");
-            }
-            Message::JoinRequest {
-                txn,
-                origin,
-                relation,
-                a_node,
-                a_graph,
-                b_object,
-                assoc_object,
-            } => {
-                o.push_str("{\"JoinRequest\":{\"txn\":");
-                vt(o, txn);
-                o.push_str(",\"origin\":");
-                uint(o, origin.0 as u64);
-                o.push_str(",\"relation\":");
-                uint(o, relation.0);
-                o.push_str(",\"a_node\":");
-                noderef(o, a_node);
-                o.push_str(",\"a_graph\":");
-                graph(o, a_graph);
-                o.push_str(",\"b_object\":");
-                oname(o, b_object);
-                o.push_str(",\"assoc_object\":");
-                opt(o, assoc_object.as_ref(), oname);
-                o.push_str("}}");
-            }
-            Message::JoinReply {
-                txn,
-                ok,
-                b_node,
-                merged,
-                b_value,
-                b_value_vt,
-                b_value_committed,
-                confirms_expected,
-                extra_affected,
-            } => {
-                o.push_str("{\"JoinReply\":{\"txn\":");
-                vt(o, txn);
-                o.push_str(",\"ok\":");
-                boolean(o, *ok);
-                o.push_str(",\"b_node\":");
-                noderef(o, b_node);
-                o.push_str(",\"merged\":");
-                graph(o, merged);
-                o.push_str(",\"b_value\":");
-                opt(o, b_value.as_ref(), tree);
-                o.push_str(",\"b_value_vt\":");
-                vt(o, b_value_vt);
-                o.push_str(",\"b_value_committed\":");
-                boolean(o, *b_value_committed);
-                o.push_str(",\"confirms_expected\":");
-                uint(o, *confirms_expected as u64);
-                o.push_str(",\"extra_affected\":");
-                seq(o, extra_affected, |o, s: &SiteId| uint(o, s.0 as u64));
-                o.push_str("}}");
-            }
-            Message::GraphUpdate {
-                txn,
-                origin,
-                target,
-                graph: g,
-                t_g,
-                needs_check,
-                adopt_value,
-                adopt_value_vt,
-            } => {
-                o.push_str("{\"GraphUpdate\":{\"txn\":");
-                vt(o, txn);
-                o.push_str(",\"origin\":");
-                uint(o, origin.0 as u64);
-                o.push_str(",\"target\":");
-                oname(o, target);
-                o.push_str(",\"graph\":");
-                graph(o, g);
-                o.push_str(",\"t_g\":");
-                vt(o, t_g);
-                o.push_str(",\"needs_check\":");
-                boolean(o, *needs_check);
-                o.push_str(",\"adopt_value\":");
-                opt(o, adopt_value.as_ref(), tree);
-                o.push_str(",\"adopt_value_vt\":");
-                vt(o, adopt_value_vt);
-                o.push_str("}}");
-            }
-            Message::OutcomeQuery { txn, asker } => {
-                o.push_str("{\"OutcomeQuery\":{\"txn\":");
-                vt(o, txn);
-                o.push_str(",\"asker\":");
-                uint(o, asker.0 as u64);
-                o.push_str("}}");
-            }
-            Message::OutcomeReport { txn, outcome: out } => {
-                o.push_str("{\"OutcomeReport\":{\"txn\":");
-                vt(o, txn);
-                o.push_str(",\"outcome\":");
-                opt(o, out.as_ref(), outcome);
-                o.push_str("}}");
-            }
-            Message::OutcomeDecision { txn, outcome: out } => {
-                o.push_str("{\"OutcomeDecision\":{\"txn\":");
-                vt(o, txn);
-                o.push_str(",\"outcome\":");
-                outcome(o, out);
-                o.push_str("}}");
-            }
-            Message::GraphPropose {
-                ballot,
-                coordinator,
-                target,
-                coord_target,
-                graph: g,
-                at,
-            } => {
-                o.push_str("{\"GraphPropose\":{\"ballot\":");
-                uint(o, *ballot);
-                o.push_str(",\"coordinator\":");
-                uint(o, coordinator.0 as u64);
-                o.push_str(",\"target\":");
-                oname(o, target);
-                o.push_str(",\"coord_target\":");
-                oname(o, coord_target);
-                o.push_str(",\"graph\":");
-                graph(o, g);
-                o.push_str(",\"at\":");
-                vt(o, at);
-                o.push_str("}}");
-            }
-            Message::GraphAck {
-                ballot,
-                coord_target,
-            } => {
-                o.push_str("{\"GraphAck\":{\"ballot\":");
-                uint(o, *ballot);
-                o.push_str(",\"coord_target\":");
-                oname(o, coord_target);
-                o.push_str("}}");
-            }
-            Message::Heartbeat => o.push_str("\"Heartbeat\""),
-            Message::GraphApply {
-                ballot,
-                target,
-                graph: g,
-                at,
-            } => {
-                o.push_str("{\"GraphApply\":{\"ballot\":");
-                uint(o, *ballot);
-                o.push_str(",\"target\":");
-                oname(o, target);
-                o.push_str(",\"graph\":");
-                graph(o, g);
-                o.push_str(",\"at\":");
-                vt(o, at);
-                o.push_str("}}");
-            }
-            Message::RejoinRequest {
-                frontier,
-                have,
-                serve,
-            } => {
-                o.push_str("{\"RejoinRequest\":{\"frontier\":");
-                vt(o, frontier);
-                o.push_str(",\"have\":");
-                seq(o, have, vt);
-                o.push_str(",\"serve\":");
-                boolean(o, *serve);
-                o.push_str("}}");
-            }
-            Message::RejoinAck { frontier, have } => {
-                o.push_str("{\"RejoinAck\":{\"frontier\":");
-                vt(o, frontier);
-                o.push_str(",\"have\":");
-                seq(o, have, vt);
-                o.push_str("}}");
-            }
-            Message::CatchUp { commits, rejoined } => {
-                o.push_str("{\"CatchUp\":{\"commits\":");
-                seq(o, commits, propagate);
-                o.push_str(",\"rejoined\":");
-                boolean(o, *rejoined);
-                o.push_str("}}");
-            }
-        }
-    }
-
-    // ---- decoder ----------------------------------------------------------
-
-    pub(super) fn decode(bytes: &[u8]) -> Result<Envelope, String> {
-        let mut p = P { b: bytes, i: 0 };
-        let env = d_envelope(&mut p)?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing bytes at offset {}", p.i));
-        }
-        Ok(env)
-    }
-
-    /// Cursor over the input bytes. Field loops live in free functions
-    /// ([`obj`], [`arr`], [`variant`]) because a closure that both reads
-    /// fields and fills locals needs the cursor passed back in.
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl<'a> P<'a> {
-        fn ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.b.get(self.i).copied()
-        }
-
-        fn eat(&mut self, c: u8) -> bool {
-            if self.peek() == Some(c) {
-                self.i += 1;
-                true
-            } else {
-                false
-            }
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.eat(c) {
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at offset {}", c as char, self.i))
-            }
-        }
-
-        fn lit(&mut self, s: &str) -> bool {
-            if self.b[self.i..].starts_with(s.as_bytes()) {
-                self.i += s.len();
-                true
-            } else {
-                false
-            }
-        }
-
-        fn try_null(&mut self) -> bool {
-            self.ws();
-            self.lit("null")
-        }
-
-        fn hex4(&mut self) -> Result<u32, String> {
-            let s = self
-                .b
-                .get(self.i..self.i + 4)
-                .ok_or("truncated \\u escape")?;
-            self.i += 4;
-            let s = std::str::from_utf8(s).map_err(|_| "bad \\u escape")?;
-            u32::from_str_radix(s, 16).map_err(|e| format!("bad \\u escape: {e}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.ws();
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let c = *self.b.get(self.i).ok_or("unterminated string")?;
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self.b.get(self.i).ok_or("unterminated escape")?;
-                        self.i += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'b' => out.push('\u{08}'),
-                            b'f' => out.push('\u{0c}'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let hi = self.hex4()?;
-                                let cp = if (0xD800..0xDC00).contains(&hi) {
-                                    if !(self.eat(b'\\') && self.eat(b'u')) {
-                                        return Err("lone high surrogate".into());
-                                    }
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err("invalid low surrogate".into());
-                                    }
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    hi
-                                };
-                                out.push(char::from_u32(cp).ok_or("invalid \\u escape")?);
-                            }
-                            e => return Err(format!("bad escape \\{}", e as char)),
-                        }
-                    }
-                    c if c < 0x20 => return Err("raw control character in string".into()),
-                    c if c < 0x80 => out.push(c as char),
-                    c => {
-                        let start = self.i - 1;
-                        let len = match c {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            0xF0..=0xF7 => 4,
-                            _ => return Err("invalid UTF-8 in string".into()),
-                        };
-                        let s = self.b.get(start..start + len).ok_or("truncated UTF-8")?;
-                        out.push_str(
-                            std::str::from_utf8(s).map_err(|_| "invalid UTF-8 in string")?,
-                        );
-                        self.i = start + len;
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<&'a str, String> {
-            self.ws();
-            let start = self.i;
-            self.eat(b'-');
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.i += 1;
-            }
-            if self.eat(b'.') {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.i += 1;
-                }
-            }
-            if matches!(self.peek(), Some(b'e' | b'E')) {
-                self.i += 1;
-                if matches!(self.peek(), Some(b'+' | b'-')) {
-                    self.i += 1;
-                }
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.i += 1;
-                }
-            }
-            if self.i == start {
-                return Err(format!("expected number at offset {start}"));
-            }
-            std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "bad number".to_string())
-        }
-
-        fn u64v(&mut self) -> Result<u64, String> {
-            let s = self.number()?;
-            s.parse().map_err(|e| format!("bad integer {s:?}: {e}"))
-        }
-
-        fn u32v(&mut self) -> Result<u32, String> {
-            let s = self.number()?;
-            s.parse().map_err(|e| format!("bad integer {s:?}: {e}"))
-        }
-
-        fn usizev(&mut self) -> Result<usize, String> {
-            let s = self.number()?;
-            s.parse().map_err(|e| format!("bad integer {s:?}: {e}"))
-        }
-
-        fn i64v(&mut self) -> Result<i64, String> {
-            let s = self.number()?;
-            s.parse().map_err(|e| format!("bad integer {s:?}: {e}"))
-        }
-
-        fn f64v(&mut self) -> Result<f64, String> {
-            let s = self.number()?;
-            s.parse().map_err(|e| format!("bad real {s:?}: {e}"))
-        }
-
-        fn boolv(&mut self) -> Result<bool, String> {
-            self.ws();
-            if self.lit("true") {
-                Ok(true)
-            } else if self.lit("false") {
-                Ok(false)
-            } else {
-                Err(format!("expected bool at offset {}", self.i))
-            }
-        }
-
-        /// Skips one complete JSON value (for unknown fields, matching the
-        /// serde decoder's ignore-unknown-fields tolerance).
-        fn skip(&mut self) -> Result<(), String> {
-            self.ws();
-            match self.peek().ok_or("unexpected end of input")? {
-                b'"' => {
-                    self.string()?;
-                }
-                b'{' => {
-                    self.i += 1;
-                    self.ws();
-                    if self.eat(b'}') {
-                        return Ok(());
-                    }
-                    loop {
-                        self.string()?;
-                        self.ws();
-                        self.expect(b':')?;
-                        self.skip()?;
-                        self.ws();
-                        if self.eat(b',') {
-                            self.ws();
-                            continue;
-                        }
-                        self.expect(b'}')?;
-                        break;
-                    }
-                }
-                b'[' => {
-                    self.i += 1;
-                    self.ws();
-                    if self.eat(b']') {
-                        return Ok(());
-                    }
-                    loop {
-                        self.skip()?;
-                        self.ws();
-                        if self.eat(b',') {
-                            self.ws();
-                            continue;
-                        }
-                        self.expect(b']')?;
-                        break;
-                    }
-                }
-                b't' | b'f' | b'n' => {
-                    if !(self.lit("true") || self.lit("false") || self.lit("null")) {
-                        return Err(format!("bad literal at offset {}", self.i));
-                    }
-                }
-                _ => {
-                    self.number()?;
-                }
-            }
-            Ok(())
-        }
-    }
-
-    fn obj(
-        p: &mut P,
-        mut field: impl FnMut(&mut P, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        p.ws();
-        p.expect(b'{')?;
-        p.ws();
-        if p.eat(b'}') {
-            return Ok(());
-        }
-        loop {
-            let key = p.string()?;
-            p.ws();
-            p.expect(b':')?;
-            field(p, &key)?;
-            p.ws();
-            if p.eat(b',') {
-                p.ws();
-                continue;
-            }
-            p.expect(b'}')?;
-            return Ok(());
-        }
-    }
-
-    fn arr(p: &mut P, mut item: impl FnMut(&mut P) -> Result<(), String>) -> Result<(), String> {
-        p.ws();
-        p.expect(b'[')?;
-        p.ws();
-        if p.eat(b']') {
-            return Ok(());
-        }
-        loop {
-            item(p)?;
-            p.ws();
-            if p.eat(b',') {
-                p.ws();
-                continue;
-            }
-            p.expect(b']')?;
-            return Ok(());
-        }
-    }
-
-    /// Decodes an externally tagged enum object `{"Variant": payload}`.
-    fn variant<T>(
-        p: &mut P,
-        f: impl FnOnce(&mut P, &str) -> Result<T, String>,
-    ) -> Result<T, String> {
-        p.ws();
-        p.expect(b'{')?;
-        let tag = p.string()?;
-        p.ws();
-        p.expect(b':')?;
-        let v = f(p, &tag)?;
-        p.ws();
-        p.expect(b'}')?;
-        Ok(v)
-    }
-
-    fn miss<T>(v: Option<T>, what: &str) -> Result<T, String> {
-        v.ok_or_else(|| format!("missing field {what}"))
-    }
-
-    fn d_site(p: &mut P) -> Result<SiteId, String> {
-        Ok(SiteId(p.u32v()?))
-    }
-
-    fn d_vt(p: &mut P) -> Result<VirtualTime, String> {
-        let (mut lamport, mut site) = (None, None);
-        obj(p, |p, k| {
-            match k {
-                "lamport" => lamport = Some(p.u64v()?),
-                "site" => site = Some(d_site(p)?),
-                _ => p.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(VirtualTime {
-            lamport: miss(lamport, "lamport")?,
-            site: miss(site, "site")?,
-        })
-    }
-
-    fn d_oname(p: &mut P) -> Result<ObjectName, String> {
-        let (mut site, mut seq) = (None, None);
-        obj(p, |p, k| {
-            match k {
-                "site" => site = Some(d_site(p)?),
-                "seq" => seq = Some(p.u64v()?),
-                _ => p.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(ObjectName {
-            site: miss(site, "site")?,
-            seq: miss(seq, "seq")?,
-        })
-    }
-
-    fn d_noderef(p: &mut P) -> Result<NodeRef, String> {
-        let (mut site, mut object) = (None, None);
-        obj(p, |p, k| {
-            match k {
-                "site" => site = Some(d_site(p)?),
-                "object" => object = Some(d_oname(p)?),
-                _ => p.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(NodeRef {
-            site: miss(site, "site")?,
-            object: miss(object, "object")?,
-        })
-    }
-
-    fn d_scalar(p: &mut P) -> Result<ScalarValue, String> {
-        variant(p, |p, tag| match tag {
-            "Int" => Ok(ScalarValue::Int(p.i64v()?)),
-            "Real" => Ok(ScalarValue::Real(p.f64v()?)),
-            "Str" => Ok(ScalarValue::Str(p.string()?)),
-            t => Err(format!("unknown ScalarValue variant {t:?}")),
-        })
-    }
-
-    fn d_blueprint(p: &mut P) -> Result<Blueprint, String> {
-        variant(p, |p, tag| match tag {
-            "Int" => Ok(Blueprint::Int(p.i64v()?)),
-            "Real" => Ok(Blueprint::Real(p.f64v()?)),
-            "Str" => Ok(Blueprint::Str(p.string()?)),
-            "List" => {
-                let mut children = Vec::new();
-                arr(p, |p| {
-                    children.push(d_blueprint(p)?);
-                    Ok(())
-                })?;
-                Ok(Blueprint::List(children))
-            }
-            "Tuple" => {
-                let mut children = Vec::new();
-                arr(p, |p| {
-                    p.ws();
-                    p.expect(b'[')?;
-                    let k = p.string()?;
-                    p.ws();
-                    p.expect(b',')?;
-                    let c = d_blueprint(p)?;
-                    p.ws();
-                    p.expect(b']')?;
-                    children.push((k, c));
-                    Ok(())
-                })?;
-                Ok(Blueprint::Tuple(children))
-            }
-            t => Err(format!("unknown Blueprint variant {t:?}")),
-        })
-    }
-
-    fn d_path(p: &mut P) -> Result<Path, String> {
-        let mut elems = Vec::new();
-        arr(p, |p| {
-            elems.push(variant(p, |p, tag| match tag {
-                "Index" => {
-                    let (mut index, mut vtag) = (None, None);
-                    obj(p, |p, k| {
-                        match k {
-                            "index" => index = Some(p.usizev()?),
-                            "tag" => vtag = Some(d_vt(p)?),
-                            _ => p.skip()?,
-                        }
-                        Ok(())
-                    })?;
-                    Ok(PathElem::Index {
-                        index: miss(index, "index")?,
-                        tag: miss(vtag, "tag")?,
-                    })
-                }
-                "Key" => Ok(PathElem::Key(p.string()?)),
-                t => Err(format!("unknown PathElem variant {t:?}")),
-            })?);
-            Ok(())
-        })?;
-        Ok(Path(elems))
-    }
-
-    fn d_addr(p: &mut P) -> Result<ObjectAddr, String> {
-        variant(p, |p, tag| match tag {
-            "Direct" => Ok(ObjectAddr::Direct(d_oname(p)?)),
-            "Indirect" => {
-                let (mut root, mut path) = (None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "root" => root = Some(d_oname(p)?),
-                        "path" => path = Some(d_path(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(ObjectAddr::Indirect {
-                    root: miss(root, "root")?,
-                    path: miss(path, "path")?,
-                })
-            }
-            t => Err(format!("unknown ObjectAddr variant {t:?}")),
-        })
-    }
-
-    fn d_assoc(p: &mut P) -> Result<AssocSnapshot, String> {
-        let mut rows = Vec::new();
-        obj(p, |p, key| {
-            let id: u64 = key
-                .parse()
-                .map_err(|e| format!("bad relation key {key:?}: {e}"))?;
-            let (mut members, mut description) = (None, None);
-            obj(p, |p, k| {
-                match k {
-                    "members" => {
-                        let mut ms = Vec::new();
-                        arr(p, |p| {
-                            ms.push(d_noderef(p)?);
-                            Ok(())
-                        })?;
-                        members = Some(ms);
-                    }
-                    "description" => description = Some(p.string()?),
-                    _ => p.skip()?,
-                }
-                Ok(())
-            })?;
-            rows.push((
-                RelationId(id),
-                miss(members, "members")?,
-                miss(description, "description")?,
-            ));
-            Ok(())
-        })?;
-        Ok(AssocSnapshot::from_wire_parts(rows))
-    }
-
-    fn d_tree(p: &mut P) -> Result<TreeSnapshot, String> {
-        variant(p, |p, tag| match tag {
-            "Scalar" => Ok(TreeSnapshot::Scalar(d_scalar(p)?)),
-            "List" => {
-                let mut entries = Vec::new();
-                arr(p, |p| {
-                    p.ws();
-                    p.expect(b'[')?;
-                    let t = d_vt(p)?;
-                    p.ws();
-                    p.expect(b',')?;
-                    let c = d_tree(p)?;
-                    p.ws();
-                    p.expect(b']')?;
-                    entries.push((t, c));
-                    Ok(())
-                })?;
-                Ok(TreeSnapshot::List(entries))
-            }
-            "Tuple" => {
-                let mut entries = Vec::new();
-                arr(p, |p| {
-                    p.ws();
-                    p.expect(b'[')?;
-                    let k = p.string()?;
-                    p.ws();
-                    p.expect(b',')?;
-                    let c = d_tree(p)?;
-                    p.ws();
-                    p.expect(b']')?;
-                    entries.push((k, c));
-                    Ok(())
-                })?;
-                Ok(TreeSnapshot::Tuple(entries))
-            }
-            "Assoc" => Ok(TreeSnapshot::Assoc(d_assoc(p)?)),
-            t => Err(format!("unknown TreeSnapshot variant {t:?}")),
-        })
-    }
-
-    fn d_wireop(p: &mut P) -> Result<WireOp, String> {
-        variant(p, |p, tag| match tag {
-            "SetScalar" => Ok(WireOp::SetScalar(d_scalar(p)?)),
-            "ListInsert" => {
-                let (mut index, mut child) = (None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "index" => index = Some(p.usizev()?),
-                        "child" => child = Some(d_blueprint(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(WireOp::ListInsert {
-                    index: miss(index, "index")?,
-                    child: miss(child, "child")?,
-                })
-            }
-            "ListRemove" => {
-                let mut tag_vt = None;
-                obj(p, |p, k| {
-                    match k {
-                        "tag" => tag_vt = Some(d_vt(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(WireOp::ListRemove {
-                    tag: miss(tag_vt, "tag")?,
-                })
-            }
-            "TuplePut" => {
-                let (mut key, mut child) = (None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "key" => key = Some(p.string()?),
-                        "child" => child = Some(d_blueprint(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(WireOp::TuplePut {
-                    key: miss(key, "key")?,
-                    child: miss(child, "child")?,
-                })
-            }
-            "TupleRemove" => {
-                let mut key = None;
-                obj(p, |p, k| {
-                    match k {
-                        "key" => key = Some(p.string()?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(WireOp::TupleRemove {
-                    key: miss(key, "key")?,
-                })
-            }
-            "SetAssoc" => Ok(WireOp::SetAssoc(d_assoc(p)?)),
-            "SetTree" => Ok(WireOp::SetTree(d_tree(p)?)),
-            t => Err(format!("unknown WireOp variant {t:?}")),
-        })
-    }
-
-    fn d_update(p: &mut P) -> Result<UpdateItem, String> {
-        let (mut addr, mut t_r, mut t_g, mut op, mut needs_check) = (None, None, None, None, None);
-        obj(p, |p, k| {
-            match k {
-                "addr" => addr = Some(d_addr(p)?),
-                "t_r" => t_r = Some(d_vt(p)?),
-                "t_g" => t_g = Some(d_vt(p)?),
-                "op" => op = Some(d_wireop(p)?),
-                "needs_check" => needs_check = Some(p.boolv()?),
-                _ => p.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(UpdateItem {
-            addr: miss(addr, "addr")?,
-            t_r: miss(t_r, "t_r")?,
-            t_g: miss(t_g, "t_g")?,
-            op: miss(op, "op")?,
-            needs_check: miss(needs_check, "needs_check")?,
-        })
-    }
-
-    fn d_read(p: &mut P) -> Result<ReadItem, String> {
-        let (mut addr, mut t_r, mut t_g, mut hi) = (None, None, None, None);
-        obj(p, |p, k| {
-            match k {
-                "addr" => addr = Some(d_addr(p)?),
-                "t_r" => t_r = Some(d_vt(p)?),
-                "t_g" => t_g = Some(d_vt(p)?),
-                "hi" => {
-                    hi = if p.try_null() {
-                        Some(None)
-                    } else {
-                        Some(Some(d_vt(p)?))
-                    }
-                }
-                _ => p.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(ReadItem {
-            addr: miss(addr, "addr")?,
-            t_r: miss(t_r, "t_r")?,
-            t_g: miss(t_g, "t_g")?,
-            // `#[serde(default)]`: absent means None.
-            hi: hi.unwrap_or(None),
-        })
-    }
-
-    fn d_sites(p: &mut P) -> Result<Vec<SiteId>, String> {
-        let mut out = Vec::new();
-        arr(p, |p| {
-            out.push(d_site(p)?);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    fn d_vts(p: &mut P) -> Result<Vec<VirtualTime>, String> {
-        let mut out = Vec::new();
-        arr(p, |p| {
-            out.push(d_vt(p)?);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    fn d_delegate(p: &mut P) -> Result<Delegate, String> {
-        let mut notify = None;
-        obj(p, |p, k| {
-            match k {
-                "notify" => notify = Some(d_sites(p)?),
-                _ => p.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(Delegate {
-            notify: miss(notify, "notify")?,
-        })
-    }
-
-    fn d_graph(p: &mut P) -> Result<ReplicationGraph, String> {
-        let mut nodes = Vec::new();
-        let mut edges = Vec::new();
-        obj(p, |p, k| {
-            match k {
-                "nodes" => arr(p, |p| {
-                    nodes.push(d_noderef(p)?);
-                    Ok(())
-                })?,
-                "edges" => arr(p, |p| {
-                    p.ws();
-                    p.expect(b'[')?;
-                    let a = d_noderef(p)?;
-                    p.ws();
-                    p.expect(b',')?;
-                    let b = d_noderef(p)?;
-                    p.ws();
-                    p.expect(b',')?;
-                    let r = RelationId(p.u64v()?);
-                    p.ws();
-                    p.expect(b']')?;
-                    edges.push((a, b, r));
-                    Ok(())
-                })?,
-                _ => p.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(ReplicationGraph::from_parts(nodes, edges))
-    }
-
-    fn d_outcome(p: &mut P) -> Result<TxnOutcome, String> {
-        match p.string()?.as_str() {
-            "Committed" => Ok(TxnOutcome::Committed),
-            "Aborted" => Ok(TxnOutcome::Aborted),
-            t => Err(format!("unknown TxnOutcome variant {t:?}")),
-        }
-    }
-
-    fn d_subject_kind(p: &mut P) -> Result<SubjectKind, String> {
-        match p.string()?.as_str() {
-            "Txn" => Ok(SubjectKind::Txn),
-            "Snapshot" => Ok(SubjectKind::Snapshot),
-            t => Err(format!("unknown SubjectKind variant {t:?}")),
-        }
-    }
-
-    fn d_propagate(p: &mut P) -> Result<TxnPropagate, String> {
-        let (mut txn, mut origin, mut updates, mut reads, mut delegate) =
-            (None, None, None, None, None);
-        obj(p, |p, k| {
-            match k {
-                "txn" => txn = Some(d_vt(p)?),
-                "origin" => origin = Some(d_site(p)?),
-                "updates" => {
-                    let mut us = Vec::new();
-                    arr(p, |p| {
-                        us.push(d_update(p)?);
-                        Ok(())
-                    })?;
-                    updates = Some(us);
-                }
-                "reads" => {
-                    let mut rs = Vec::new();
-                    arr(p, |p| {
-                        rs.push(d_read(p)?);
-                        Ok(())
-                    })?;
-                    reads = Some(rs);
-                }
-                "delegate" => {
-                    delegate = if p.try_null() {
-                        Some(None)
-                    } else {
-                        Some(Some(d_delegate(p)?))
-                    }
-                }
-                _ => p.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(TxnPropagate {
-            txn: miss(txn, "txn")?,
-            origin: miss(origin, "origin")?,
-            updates: miss(updates, "updates")?,
-            reads: miss(reads, "reads")?,
-            delegate: miss(delegate, "delegate")?,
-        })
-    }
-
-    #[allow(clippy::too_many_lines)] // one arm per protocol message
-    fn d_message(p: &mut P) -> Result<Message, String> {
-        p.ws();
-        if p.peek() == Some(b'"') {
-            return match p.string()?.as_str() {
-                "Heartbeat" => Ok(Message::Heartbeat),
-                t => Err(format!("unknown unit Message variant {t:?}")),
-            };
-        }
-        variant(p, |p, tag| match tag {
-            "Txn" => Ok(Message::Txn(d_propagate(p)?)),
-            "SnapshotConfirm" => {
-                let (mut subject, mut origin, mut reads) = (None, None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "subject" => subject = Some(d_vt(p)?),
-                        "origin" => origin = Some(d_site(p)?),
-                        "reads" => {
-                            let mut rs = Vec::new();
-                            arr(p, |p| {
-                                rs.push(d_read(p)?);
-                                Ok(())
-                            })?;
-                            reads = Some(rs);
-                        }
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::SnapshotConfirm {
-                    subject: miss(subject, "subject")?,
-                    origin: miss(origin, "origin")?,
-                    reads: miss(reads, "reads")?,
-                })
-            }
-            "Confirm" | "Deny" => {
-                let confirm = tag == "Confirm";
-                let (mut subject, mut kind) = (None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "subject" => subject = Some(d_vt(p)?),
-                        "kind" => kind = Some(d_subject_kind(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                let subject = miss(subject, "subject")?;
-                let kind = miss(kind, "kind")?;
-                Ok(if confirm {
-                    Message::Confirm { subject, kind }
-                } else {
-                    Message::Deny { subject, kind }
-                })
-            }
-            "Commit" | "Abort" => {
-                let commit = tag == "Commit";
-                let mut txn = None;
-                obj(p, |p, k| {
-                    match k {
-                        "txn" => txn = Some(d_vt(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                let txn = miss(txn, "txn")?;
-                Ok(if commit {
-                    Message::Commit { txn }
-                } else {
-                    Message::Abort { txn }
-                })
-            }
-            "JoinRequest" => {
-                let (mut txn, mut origin, mut relation, mut a_node) = (None, None, None, None);
-                let (mut a_graph, mut b_object, mut assoc_object) = (None, None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "txn" => txn = Some(d_vt(p)?),
-                        "origin" => origin = Some(d_site(p)?),
-                        "relation" => relation = Some(RelationId(p.u64v()?)),
-                        "a_node" => a_node = Some(d_noderef(p)?),
-                        "a_graph" => a_graph = Some(d_graph(p)?),
-                        "b_object" => b_object = Some(d_oname(p)?),
-                        "assoc_object" => {
-                            assoc_object = if p.try_null() {
-                                Some(None)
-                            } else {
-                                Some(Some(d_oname(p)?))
-                            }
-                        }
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::JoinRequest {
-                    txn: miss(txn, "txn")?,
-                    origin: miss(origin, "origin")?,
-                    relation: miss(relation, "relation")?,
-                    a_node: miss(a_node, "a_node")?,
-                    a_graph: miss(a_graph, "a_graph")?,
-                    b_object: miss(b_object, "b_object")?,
-                    assoc_object: miss(assoc_object, "assoc_object")?,
-                })
-            }
-            "JoinReply" => {
-                let (mut txn, mut ok, mut b_node, mut merged, mut b_value) =
-                    (None, None, None, None, None);
-                let (mut b_value_vt, mut b_value_committed, mut confirms_expected) =
-                    (None, None, None);
-                let mut extra_affected = None;
-                obj(p, |p, k| {
-                    match k {
-                        "txn" => txn = Some(d_vt(p)?),
-                        "ok" => ok = Some(p.boolv()?),
-                        "b_node" => b_node = Some(d_noderef(p)?),
-                        "merged" => merged = Some(d_graph(p)?),
-                        "b_value" => {
-                            b_value = if p.try_null() {
-                                Some(None)
-                            } else {
-                                Some(Some(d_tree(p)?))
-                            }
-                        }
-                        "b_value_vt" => b_value_vt = Some(d_vt(p)?),
-                        "b_value_committed" => b_value_committed = Some(p.boolv()?),
-                        "confirms_expected" => confirms_expected = Some(p.u32v()?),
-                        "extra_affected" => extra_affected = Some(d_sites(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::JoinReply {
-                    txn: miss(txn, "txn")?,
-                    ok: miss(ok, "ok")?,
-                    b_node: miss(b_node, "b_node")?,
-                    merged: miss(merged, "merged")?,
-                    b_value: miss(b_value, "b_value")?,
-                    b_value_vt: miss(b_value_vt, "b_value_vt")?,
-                    b_value_committed: miss(b_value_committed, "b_value_committed")?,
-                    confirms_expected: miss(confirms_expected, "confirms_expected")?,
-                    extra_affected: miss(extra_affected, "extra_affected")?,
-                })
-            }
-            "GraphUpdate" => {
-                let (mut txn, mut origin, mut target, mut graph) = (None, None, None, None);
-                let (mut t_g, mut needs_check, mut adopt_value, mut adopt_value_vt) =
-                    (None, None, None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "txn" => txn = Some(d_vt(p)?),
-                        "origin" => origin = Some(d_site(p)?),
-                        "target" => target = Some(d_oname(p)?),
-                        "graph" => graph = Some(d_graph(p)?),
-                        "t_g" => t_g = Some(d_vt(p)?),
-                        "needs_check" => needs_check = Some(p.boolv()?),
-                        "adopt_value" => {
-                            adopt_value = if p.try_null() {
-                                Some(None)
-                            } else {
-                                Some(Some(d_tree(p)?))
-                            }
-                        }
-                        "adopt_value_vt" => adopt_value_vt = Some(d_vt(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::GraphUpdate {
-                    txn: miss(txn, "txn")?,
-                    origin: miss(origin, "origin")?,
-                    target: miss(target, "target")?,
-                    graph: miss(graph, "graph")?,
-                    t_g: miss(t_g, "t_g")?,
-                    needs_check: miss(needs_check, "needs_check")?,
-                    adopt_value: miss(adopt_value, "adopt_value")?,
-                    // `#[serde(default)]`: absent means ZERO.
-                    adopt_value_vt: adopt_value_vt.unwrap_or(VirtualTime::ZERO),
-                })
-            }
-            "OutcomeQuery" => {
-                let (mut txn, mut asker) = (None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "txn" => txn = Some(d_vt(p)?),
-                        "asker" => asker = Some(d_site(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::OutcomeQuery {
-                    txn: miss(txn, "txn")?,
-                    asker: miss(asker, "asker")?,
-                })
-            }
-            "OutcomeReport" => {
-                let (mut txn, mut outcome) = (None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "txn" => txn = Some(d_vt(p)?),
-                        "outcome" => {
-                            outcome = if p.try_null() {
-                                Some(None)
-                            } else {
-                                Some(Some(d_outcome(p)?))
-                            }
-                        }
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::OutcomeReport {
-                    txn: miss(txn, "txn")?,
-                    outcome: miss(outcome, "outcome")?,
-                })
-            }
-            "OutcomeDecision" => {
-                let (mut txn, mut outcome) = (None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "txn" => txn = Some(d_vt(p)?),
-                        "outcome" => outcome = Some(d_outcome(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::OutcomeDecision {
-                    txn: miss(txn, "txn")?,
-                    outcome: miss(outcome, "outcome")?,
-                })
-            }
-            "GraphPropose" => {
-                let (mut ballot, mut coordinator, mut target) = (None, None, None);
-                let (mut coord_target, mut graph, mut at) = (None, None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "ballot" => ballot = Some(p.u64v()?),
-                        "coordinator" => coordinator = Some(d_site(p)?),
-                        "target" => target = Some(d_oname(p)?),
-                        "coord_target" => coord_target = Some(d_oname(p)?),
-                        "graph" => graph = Some(d_graph(p)?),
-                        "at" => at = Some(d_vt(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::GraphPropose {
-                    ballot: miss(ballot, "ballot")?,
-                    coordinator: miss(coordinator, "coordinator")?,
-                    target: miss(target, "target")?,
-                    coord_target: miss(coord_target, "coord_target")?,
-                    graph: miss(graph, "graph")?,
-                    at: miss(at, "at")?,
-                })
-            }
-            "GraphAck" => {
-                let (mut ballot, mut coord_target) = (None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "ballot" => ballot = Some(p.u64v()?),
-                        "coord_target" => coord_target = Some(d_oname(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::GraphAck {
-                    ballot: miss(ballot, "ballot")?,
-                    coord_target: miss(coord_target, "coord_target")?,
-                })
-            }
-            "GraphApply" => {
-                let (mut ballot, mut target, mut graph, mut at) = (None, None, None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "ballot" => ballot = Some(p.u64v()?),
-                        "target" => target = Some(d_oname(p)?),
-                        "graph" => graph = Some(d_graph(p)?),
-                        "at" => at = Some(d_vt(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::GraphApply {
-                    ballot: miss(ballot, "ballot")?,
-                    target: miss(target, "target")?,
-                    graph: miss(graph, "graph")?,
-                    at: miss(at, "at")?,
-                })
-            }
-            "RejoinRequest" => {
-                let (mut frontier, mut have, mut serve) = (None, None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "frontier" => frontier = Some(d_vt(p)?),
-                        "have" => have = Some(d_vts(p)?),
-                        "serve" => serve = Some(p.boolv()?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::RejoinRequest {
-                    frontier: miss(frontier, "frontier")?,
-                    have: miss(have, "have")?,
-                    serve: miss(serve, "serve")?,
-                })
-            }
-            "RejoinAck" => {
-                let (mut frontier, mut have) = (None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "frontier" => frontier = Some(d_vt(p)?),
-                        "have" => have = Some(d_vts(p)?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::RejoinAck {
-                    frontier: miss(frontier, "frontier")?,
-                    have: miss(have, "have")?,
-                })
-            }
-            "CatchUp" => {
-                let (mut commits, mut rejoined) = (None, None);
-                obj(p, |p, k| {
-                    match k {
-                        "commits" => {
-                            let mut cs = Vec::new();
-                            arr(p, |p| {
-                                cs.push(d_propagate(p)?);
-                                Ok(())
-                            })?;
-                            commits = Some(cs);
-                        }
-                        "rejoined" => rejoined = Some(p.boolv()?),
-                        _ => p.skip()?,
-                    }
-                    Ok(())
-                })?;
-                Ok(Message::CatchUp {
-                    commits: miss(commits, "commits")?,
-                    rejoined: miss(rejoined, "rejoined")?,
-                })
-            }
-            t => Err(format!("unknown Message variant {t:?}")),
-        })
-    }
-
-    fn d_envelope(p: &mut P) -> Result<Envelope, String> {
-        let (mut from, mut to, mut clock, mut msg, mut span) = (None, None, None, None, None);
-        obj(p, |p, k| {
-            match k {
-                "from" => from = Some(d_site(p)?),
-                "to" => to = Some(d_site(p)?),
-                "clock" => clock = Some(d_vt(p)?),
-                "msg" => msg = Some(d_message(p)?),
-                "span" => span = Some(d_span(p)?),
-                _ => p.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(Envelope {
-            from: miss(from, "from")?,
-            to: miss(to, "to")?,
-            clock: miss(clock, "clock")?,
-            msg: miss(msg, "msg")?,
-            span,
-        })
-    }
-
-    fn d_span(p: &mut P) -> Result<SpanCtx, String> {
-        let (mut origin, mut seq, mut hop) = (None, None, None);
-        obj(p, |p, k| {
-            match k {
-                "origin" => origin = Some(d_site(p)?),
-                "seq" => seq = Some(p.u64v()?),
-                "hop" => hop = Some(p.u32v()?),
-                _ => p.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(SpanCtx {
-            origin: miss(origin, "origin")?,
-            seq: miss(seq, "seq")?,
-            hop: miss(hop, "hop")?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// v2 binary codec
-// ---------------------------------------------------------------------------
-
-/// Compact binary codec for [`Envelope`]s: one tag byte per enum variant,
-/// LEB128 varints for unsigned integers, zigzag varints for signed ones,
-/// length-prefixed UTF-8 strings, and 8-byte little-endian IEEE bit
-/// patterns for reals (so non-finite values round-trip, unlike JSON).
-///
-/// The layout is strict and self-delimiting — decoding rejects unknown
-/// tags, truncation, and trailing bytes — and is pinned by golden byte
-/// snapshots in `tests/wire_codec_v2.rs`.
-mod bin {
-    use decaf_core::{
-        AssocSnapshot, Blueprint, Delegate, Envelope, Message, NodeRef, ObjectAddr, ObjectName,
-        Path, PathElem, ReadItem, RelationId, ReplicationGraph, ScalarValue, SpanCtx, SubjectKind,
-        TreeSnapshot, TxnOutcome, TxnPropagate, UpdateItem, WireOp,
-    };
-    use decaf_vt::{SiteId, VirtualTime};
-
-    // ---- primitives -------------------------------------------------------
-
-    pub(super) fn put_varint(o: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                o.push(byte);
-                return;
-            }
-            o.push(byte | 0x80);
-        }
-    }
-
-    fn put_str(o: &mut Vec<u8>, s: &str) {
-        put_varint(o, s.len() as u64);
-        o.extend_from_slice(s.as_bytes());
-    }
-
-    fn put_i64(o: &mut Vec<u8>, v: i64) {
-        // Zigzag: small magnitudes of either sign stay short.
-        put_varint(o, ((v << 1) ^ (v >> 63)) as u64);
-    }
-
-    fn put_f64(o: &mut Vec<u8>, v: f64) {
-        o.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn put_bool(o: &mut Vec<u8>, v: bool) {
-        o.push(u8::from(v));
-    }
-
-    fn put_opt<T>(o: &mut Vec<u8>, v: Option<T>, f: impl FnOnce(&mut Vec<u8>, T)) {
-        match v {
-            None => o.push(0),
-            Some(v) => {
-                o.push(1);
-                f(o, v);
-            }
-        }
-    }
-
-    // ---- encoder ----------------------------------------------------------
-
-    pub(super) fn envelope(o: &mut Vec<u8>, e: &Envelope) {
-        put_varint(o, e.from.0 as u64);
-        put_varint(o, e.to.0 as u64);
-        vt(o, &e.clock);
-        message(o, &e.msg);
-        // Trailing optional span section. Span-less envelopes keep the
-        // pre-span byte layout exactly (pinned by golden snapshots); the
-        // decoder parses a span iff bytes remain after the message, which
-        // is sound because every envelope is decoded from an exactly
-        // delimited slice (whole frame payload, or the batch's per-entry
-        // length prefix).
-        if let Some(s) = &e.span {
-            put_varint(o, s.origin.0 as u64);
-            put_varint(o, s.seq);
-            put_varint(o, s.hop as u64);
-        }
-    }
-
-    fn vt(o: &mut Vec<u8>, t: &VirtualTime) {
-        put_varint(o, t.lamport);
-        put_varint(o, t.site.0 as u64);
-    }
-
-    fn oname(o: &mut Vec<u8>, n: &ObjectName) {
-        put_varint(o, n.site.0 as u64);
-        put_varint(o, n.seq);
-    }
-
-    fn noderef(o: &mut Vec<u8>, n: &NodeRef) {
-        put_varint(o, n.site.0 as u64);
-        oname(o, &n.object);
-    }
-
-    fn scalar(o: &mut Vec<u8>, s: &ScalarValue) {
-        match s {
-            ScalarValue::Int(v) => {
-                o.push(0);
-                put_i64(o, *v);
-            }
-            ScalarValue::Real(v) => {
-                o.push(1);
-                put_f64(o, *v);
-            }
-            ScalarValue::Str(v) => {
-                o.push(2);
-                put_str(o, v);
-            }
-        }
-    }
-
-    fn blueprint(o: &mut Vec<u8>, b: &Blueprint) {
-        match b {
-            Blueprint::Int(v) => {
-                o.push(0);
-                put_i64(o, *v);
-            }
-            Blueprint::Real(v) => {
-                o.push(1);
-                put_f64(o, *v);
-            }
-            Blueprint::Str(v) => {
-                o.push(2);
-                put_str(o, v);
-            }
-            Blueprint::List(children) => {
-                o.push(3);
-                put_varint(o, children.len() as u64);
-                for c in children {
-                    blueprint(o, c);
-                }
-            }
-            Blueprint::Tuple(children) => {
-                o.push(4);
-                put_varint(o, children.len() as u64);
-                for (k, c) in children {
-                    put_str(o, k);
-                    blueprint(o, c);
-                }
-            }
-        }
-    }
-
-    fn path(o: &mut Vec<u8>, p: &Path) {
-        put_varint(o, p.0.len() as u64);
-        for e in &p.0 {
-            match e {
-                PathElem::Index { index, tag } => {
-                    o.push(0);
-                    put_varint(o, *index as u64);
-                    vt(o, tag);
-                }
-                PathElem::Key(k) => {
-                    o.push(1);
-                    put_str(o, k);
-                }
-            }
-        }
-    }
-
-    fn addr(o: &mut Vec<u8>, a: &ObjectAddr) {
-        match a {
-            ObjectAddr::Direct(n) => {
-                o.push(0);
-                oname(o, n);
-            }
-            ObjectAddr::Indirect { root, path: p } => {
-                o.push(1);
-                oname(o, root);
-                path(o, p);
-            }
-        }
-    }
-
-    fn assoc(o: &mut Vec<u8>, a: &AssocSnapshot) {
-        let rows = a.wire_parts();
-        put_varint(o, rows.len() as u64);
-        for (RelationId(id), members, description) in &rows {
-            put_varint(o, *id);
-            put_varint(o, members.len() as u64);
-            for m in members {
-                noderef(o, m);
-            }
-            put_str(o, description);
-        }
-    }
-
-    fn tree(o: &mut Vec<u8>, t: &TreeSnapshot) {
-        match t {
-            TreeSnapshot::Scalar(s) => {
-                o.push(0);
-                scalar(o, s);
-            }
-            TreeSnapshot::List(entries) => {
-                o.push(1);
-                put_varint(o, entries.len() as u64);
-                for (tag, child) in entries {
-                    vt(o, tag);
-                    tree(o, child);
-                }
-            }
-            TreeSnapshot::Tuple(entries) => {
-                o.push(2);
-                put_varint(o, entries.len() as u64);
-                for (k, child) in entries {
-                    put_str(o, k);
-                    tree(o, child);
-                }
-            }
-            TreeSnapshot::Assoc(a) => {
-                o.push(3);
-                assoc(o, a);
-            }
-        }
-    }
-
-    fn wireop(o: &mut Vec<u8>, w: &WireOp) {
-        match w {
-            WireOp::SetScalar(s) => {
-                o.push(0);
-                scalar(o, s);
-            }
-            WireOp::ListInsert { index, child } => {
-                o.push(1);
-                put_varint(o, *index as u64);
-                blueprint(o, child);
-            }
-            WireOp::ListRemove { tag } => {
-                o.push(2);
-                vt(o, tag);
-            }
-            WireOp::TuplePut { key, child } => {
-                o.push(3);
-                put_str(o, key);
-                blueprint(o, child);
-            }
-            WireOp::TupleRemove { key } => {
-                o.push(4);
-                put_str(o, key);
-            }
-            WireOp::SetAssoc(a) => {
-                o.push(5);
-                assoc(o, a);
-            }
-            WireOp::SetTree(t) => {
-                o.push(6);
-                tree(o, t);
-            }
-        }
-    }
-
-    fn update(o: &mut Vec<u8>, u: &UpdateItem) {
-        addr(o, &u.addr);
-        vt(o, &u.t_r);
-        vt(o, &u.t_g);
-        wireop(o, &u.op);
-        put_bool(o, u.needs_check);
-    }
-
-    fn read(o: &mut Vec<u8>, r: &ReadItem) {
-        addr(o, &r.addr);
-        vt(o, &r.t_r);
-        vt(o, &r.t_g);
-        put_opt(o, r.hi.as_ref(), vt);
-    }
-
-    fn sites(o: &mut Vec<u8>, xs: &[SiteId]) {
-        put_varint(o, xs.len() as u64);
-        for s in xs {
-            put_varint(o, s.0 as u64);
-        }
-    }
-
-    fn vts(o: &mut Vec<u8>, xs: &[VirtualTime]) {
-        put_varint(o, xs.len() as u64);
-        for t in xs {
-            vt(o, t);
-        }
-    }
-
-    fn graph(o: &mut Vec<u8>, g: &ReplicationGraph) {
-        let nodes: Vec<&NodeRef> = g.nodes().collect();
-        put_varint(o, nodes.len() as u64);
-        for n in nodes {
-            noderef(o, n);
-        }
-        let edges: Vec<_> = g.edges().collect();
-        put_varint(o, edges.len() as u64);
-        for (a, b, RelationId(r)) in edges {
-            noderef(o, a);
-            noderef(o, b);
-            put_varint(o, *r);
-        }
-    }
-
-    fn outcome(o: &mut Vec<u8>, v: &TxnOutcome) {
-        o.push(match v {
-            TxnOutcome::Committed => 0,
-            TxnOutcome::Aborted => 1,
-        });
-    }
-
-    fn propagate(o: &mut Vec<u8>, p: &TxnPropagate) {
-        vt(o, &p.txn);
-        put_varint(o, p.origin.0 as u64);
-        put_varint(o, p.updates.len() as u64);
-        for u in &p.updates {
-            update(o, u);
-        }
-        put_varint(o, p.reads.len() as u64);
-        for r in &p.reads {
-            read(o, r);
-        }
-        put_opt(o, p.delegate.as_ref(), |o, d: &Delegate| {
-            sites(o, &d.notify);
-        });
-    }
-
-    fn message(o: &mut Vec<u8>, m: &Message) {
-        match m {
-            Message::Txn(p) => {
-                o.push(1);
-                propagate(o, p);
-            }
-            Message::SnapshotConfirm {
-                subject,
-                origin,
-                reads,
-            } => {
-                o.push(2);
-                vt(o, subject);
-                put_varint(o, origin.0 as u64);
-                put_varint(o, reads.len() as u64);
-                for r in reads {
-                    read(o, r);
-                }
-            }
-            Message::Confirm { subject, kind } | Message::Deny { subject, kind } => {
-                o.push(if matches!(m, Message::Confirm { .. }) {
-                    3
-                } else {
-                    4
-                });
-                vt(o, subject);
-                o.push(match kind {
-                    SubjectKind::Txn => 0,
-                    SubjectKind::Snapshot => 1,
-                });
-            }
-            Message::Commit { txn } => {
-                o.push(5);
-                vt(o, txn);
-            }
-            Message::Abort { txn } => {
-                o.push(6);
-                vt(o, txn);
-            }
-            Message::JoinRequest {
-                txn,
-                origin,
-                relation,
-                a_node,
-                a_graph,
-                b_object,
-                assoc_object,
-            } => {
-                o.push(7);
-                vt(o, txn);
-                put_varint(o, origin.0 as u64);
-                put_varint(o, relation.0);
-                noderef(o, a_node);
-                graph(o, a_graph);
-                oname(o, b_object);
-                put_opt(o, assoc_object.as_ref(), oname);
-            }
-            Message::JoinReply {
-                txn,
-                ok,
-                b_node,
-                merged,
-                b_value,
-                b_value_vt,
-                b_value_committed,
-                confirms_expected,
-                extra_affected,
-            } => {
-                o.push(8);
-                vt(o, txn);
-                put_bool(o, *ok);
-                noderef(o, b_node);
-                graph(o, merged);
-                put_opt(o, b_value.as_ref(), tree);
-                vt(o, b_value_vt);
-                put_bool(o, *b_value_committed);
-                put_varint(o, *confirms_expected as u64);
-                sites(o, extra_affected);
-            }
-            Message::GraphUpdate {
-                txn,
-                origin,
-                target,
-                graph: g,
-                t_g,
-                needs_check,
-                adopt_value,
-                adopt_value_vt,
-            } => {
-                o.push(9);
-                vt(o, txn);
-                put_varint(o, origin.0 as u64);
-                oname(o, target);
-                graph(o, g);
-                vt(o, t_g);
-                put_bool(o, *needs_check);
-                put_opt(o, adopt_value.as_ref(), tree);
-                vt(o, adopt_value_vt);
-            }
-            Message::OutcomeQuery { txn, asker } => {
-                o.push(10);
-                vt(o, txn);
-                put_varint(o, asker.0 as u64);
-            }
-            Message::OutcomeReport { txn, outcome: out } => {
-                o.push(11);
-                vt(o, txn);
-                put_opt(o, out.as_ref(), outcome);
-            }
-            Message::OutcomeDecision { txn, outcome: out } => {
-                o.push(12);
-                vt(o, txn);
-                outcome(o, out);
-            }
-            Message::GraphPropose {
-                ballot,
-                coordinator,
-                target,
-                coord_target,
-                graph: g,
-                at,
-            } => {
-                o.push(13);
-                put_varint(o, *ballot);
-                put_varint(o, coordinator.0 as u64);
-                oname(o, target);
-                oname(o, coord_target);
-                graph(o, g);
-                vt(o, at);
-            }
-            Message::GraphAck {
-                ballot,
-                coord_target,
-            } => {
-                o.push(14);
-                put_varint(o, *ballot);
-                oname(o, coord_target);
-            }
-            Message::Heartbeat => o.push(15),
-            Message::GraphApply {
-                ballot,
-                target,
-                graph: g,
-                at,
-            } => {
-                o.push(16);
-                put_varint(o, *ballot);
-                oname(o, target);
-                graph(o, g);
-                vt(o, at);
-            }
-            Message::RejoinRequest {
-                frontier,
-                have,
-                serve,
-            } => {
-                o.push(17);
-                vt(o, frontier);
-                vts(o, have);
-                put_bool(o, *serve);
-            }
-            Message::RejoinAck { frontier, have } => {
-                o.push(18);
-                vt(o, frontier);
-                vts(o, have);
-            }
-            Message::CatchUp { commits, rejoined } => {
-                o.push(19);
-                put_varint(o, commits.len() as u64);
-                for c in commits {
-                    propagate(o, c);
-                }
-                put_bool(o, *rejoined);
-            }
-        }
-    }
-
-    // ---- decoder ----------------------------------------------------------
-
-    pub(super) fn decode_envelope(bytes: &[u8]) -> Result<Envelope, String> {
-        let mut r = R { b: bytes, i: 0 };
-        let env = d_envelope(&mut r)?;
-        if r.i != r.b.len() {
-            return Err(format!("trailing bytes: consumed {} of {}", r.i, r.b.len()));
-        }
-        Ok(env)
-    }
-
-    pub(super) fn decode_batch(bytes: &[u8]) -> Result<Vec<Envelope>, String> {
-        let mut r = R { b: bytes, i: 0 };
-        let count = r.varint()?;
-        if count > bytes.len() as u64 {
-            // Each envelope costs at least one byte, so a count beyond the
-            // payload length is corrupt; reject before reserving memory.
-            return Err(format!("batch count {count} exceeds payload size"));
-        }
-        let mut out = Vec::with_capacity(count as usize);
-        for n in 0..count {
-            let len = r.varint()? as usize;
-            let body = r.slice(len)?;
-            out.push(decode_envelope(body).map_err(|e| format!("batch envelope {n}: {e}"))?);
-        }
-        if r.i != r.b.len() {
-            return Err(format!(
-                "trailing bytes after batch: consumed {} of {}",
-                r.i,
-                r.b.len()
-            ));
-        }
-        Ok(out)
-    }
-
-    struct R<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl<'a> R<'a> {
-        fn u8(&mut self) -> Result<u8, String> {
-            let v = *self.b.get(self.i).ok_or("unexpected end of input")?;
-            self.i += 1;
-            Ok(v)
-        }
-
-        fn slice(&mut self, n: usize) -> Result<&'a [u8], String> {
-            let s = self
-                .b
-                .get(self.i..self.i + n)
-                .ok_or("unexpected end of input")?;
-            self.i += n;
-            Ok(s)
-        }
-
-        fn varint(&mut self) -> Result<u64, String> {
-            let mut v = 0u64;
-            for shift in (0..64).step_by(7) {
-                let byte = self.u8()?;
-                let part = (byte & 0x7F) as u64;
-                if shift == 63 && part > 1 {
-                    return Err("varint overflows u64".into());
-                }
-                v |= part << shift;
-                if byte & 0x80 == 0 {
-                    return Ok(v);
-                }
-            }
-            Err("varint longer than 10 bytes".into())
-        }
-
-        fn varint_u32(&mut self) -> Result<u32, String> {
-            u32::try_from(self.varint()?).map_err(|_| "varint overflows u32".to_string())
-        }
-
-        fn varint_usize(&mut self) -> Result<usize, String> {
-            usize::try_from(self.varint()?).map_err(|_| "varint overflows usize".to_string())
-        }
-
-        fn i64v(&mut self) -> Result<i64, String> {
-            let z = self.varint()?;
-            Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-        }
-
-        fn f64v(&mut self) -> Result<f64, String> {
-            let s = self.slice(8)?;
-            let bits = u64::from_le_bytes(s.try_into().expect("slice has 8 bytes"));
-            Ok(f64::from_bits(bits))
-        }
-
-        fn boolv(&mut self) -> Result<bool, String> {
-            match self.u8()? {
-                0 => Ok(false),
-                1 => Ok(true),
-                b => Err(format!("bad bool byte {b}")),
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            let len = self.varint_usize()?;
-            let s = self.slice(len)?;
-            String::from_utf8(s.to_vec()).map_err(|_| "invalid UTF-8 in string".to_string())
-        }
-
-        /// Bounds a declared element count by the bytes actually remaining
-        /// (each element costs ≥ 1 byte), so a corrupt count cannot trigger
-        /// an absurd `Vec::with_capacity`.
-        fn count(&mut self) -> Result<usize, String> {
-            let n = self.varint_usize()?;
-            if n > self.b.len() - self.i {
-                return Err(format!("element count {n} exceeds remaining payload"));
-            }
-            Ok(n)
-        }
-
-        fn opt<T>(
-            &mut self,
-            f: impl FnOnce(&mut Self) -> Result<T, String>,
-        ) -> Result<Option<T>, String> {
-            match self.u8()? {
-                0 => Ok(None),
-                1 => Ok(Some(f(self)?)),
-                b => Err(format!("bad option byte {b}")),
-            }
-        }
-    }
-
-    fn d_site(r: &mut R) -> Result<SiteId, String> {
-        Ok(SiteId(r.varint_u32()?))
-    }
-
-    fn d_vt(r: &mut R) -> Result<VirtualTime, String> {
-        Ok(VirtualTime {
-            lamport: r.varint()?,
-            site: d_site(r)?,
-        })
-    }
-
-    fn d_oname(r: &mut R) -> Result<ObjectName, String> {
-        Ok(ObjectName {
-            site: d_site(r)?,
-            seq: r.varint()?,
-        })
-    }
-
-    fn d_noderef(r: &mut R) -> Result<NodeRef, String> {
-        Ok(NodeRef {
-            site: d_site(r)?,
-            object: d_oname(r)?,
-        })
-    }
-
-    fn d_scalar(r: &mut R) -> Result<ScalarValue, String> {
-        match r.u8()? {
-            0 => Ok(ScalarValue::Int(r.i64v()?)),
-            1 => Ok(ScalarValue::Real(r.f64v()?)),
-            2 => Ok(ScalarValue::Str(r.string()?)),
-            t => Err(format!("unknown ScalarValue tag {t}")),
-        }
-    }
-
-    fn d_blueprint(r: &mut R) -> Result<Blueprint, String> {
-        match r.u8()? {
-            0 => Ok(Blueprint::Int(r.i64v()?)),
-            1 => Ok(Blueprint::Real(r.f64v()?)),
-            2 => Ok(Blueprint::Str(r.string()?)),
-            3 => {
-                let n = r.count()?;
-                let mut children = Vec::with_capacity(n);
-                for _ in 0..n {
-                    children.push(d_blueprint(r)?);
-                }
-                Ok(Blueprint::List(children))
-            }
-            4 => {
-                let n = r.count()?;
-                let mut children = Vec::with_capacity(n);
-                for _ in 0..n {
-                    children.push((r.string()?, d_blueprint(r)?));
-                }
-                Ok(Blueprint::Tuple(children))
-            }
-            t => Err(format!("unknown Blueprint tag {t}")),
-        }
-    }
-
-    fn d_path(r: &mut R) -> Result<Path, String> {
-        let n = r.count()?;
-        let mut elems = Vec::with_capacity(n);
-        for _ in 0..n {
-            elems.push(match r.u8()? {
-                0 => PathElem::Index {
-                    index: r.varint_usize()?,
-                    tag: d_vt(r)?,
-                },
-                1 => PathElem::Key(r.string()?),
-                t => return Err(format!("unknown PathElem tag {t}")),
-            });
-        }
-        Ok(Path(elems))
-    }
-
-    fn d_addr(r: &mut R) -> Result<ObjectAddr, String> {
-        match r.u8()? {
-            0 => Ok(ObjectAddr::Direct(d_oname(r)?)),
-            1 => Ok(ObjectAddr::Indirect {
-                root: d_oname(r)?,
-                path: d_path(r)?,
-            }),
-            t => Err(format!("unknown ObjectAddr tag {t}")),
-        }
-    }
-
-    fn d_assoc(r: &mut R) -> Result<AssocSnapshot, String> {
-        let n = r.count()?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = RelationId(r.varint()?);
-            let m = r.count()?;
-            let mut members = Vec::with_capacity(m);
-            for _ in 0..m {
-                members.push(d_noderef(r)?);
-            }
-            rows.push((id, members, r.string()?));
-        }
-        Ok(AssocSnapshot::from_wire_parts(rows))
-    }
-
-    fn d_tree(r: &mut R) -> Result<TreeSnapshot, String> {
-        match r.u8()? {
-            0 => Ok(TreeSnapshot::Scalar(d_scalar(r)?)),
-            1 => {
-                let n = r.count()?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push((d_vt(r)?, d_tree(r)?));
-                }
-                Ok(TreeSnapshot::List(entries))
-            }
-            2 => {
-                let n = r.count()?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    entries.push((r.string()?, d_tree(r)?));
-                }
-                Ok(TreeSnapshot::Tuple(entries))
-            }
-            3 => Ok(TreeSnapshot::Assoc(d_assoc(r)?)),
-            t => Err(format!("unknown TreeSnapshot tag {t}")),
-        }
-    }
-
-    fn d_wireop(r: &mut R) -> Result<WireOp, String> {
-        match r.u8()? {
-            0 => Ok(WireOp::SetScalar(d_scalar(r)?)),
-            1 => Ok(WireOp::ListInsert {
-                index: r.varint_usize()?,
-                child: d_blueprint(r)?,
-            }),
-            2 => Ok(WireOp::ListRemove { tag: d_vt(r)? }),
-            3 => Ok(WireOp::TuplePut {
-                key: r.string()?,
-                child: d_blueprint(r)?,
-            }),
-            4 => Ok(WireOp::TupleRemove { key: r.string()? }),
-            5 => Ok(WireOp::SetAssoc(d_assoc(r)?)),
-            6 => Ok(WireOp::SetTree(d_tree(r)?)),
-            t => Err(format!("unknown WireOp tag {t}")),
-        }
-    }
-
-    fn d_update(r: &mut R) -> Result<UpdateItem, String> {
-        Ok(UpdateItem {
-            addr: d_addr(r)?,
-            t_r: d_vt(r)?,
-            t_g: d_vt(r)?,
-            op: d_wireop(r)?,
-            needs_check: r.boolv()?,
-        })
-    }
-
-    fn d_read(r: &mut R) -> Result<ReadItem, String> {
-        Ok(ReadItem {
-            addr: d_addr(r)?,
-            t_r: d_vt(r)?,
-            t_g: d_vt(r)?,
-            hi: r.opt(d_vt)?,
-        })
-    }
-
-    fn d_vts(r: &mut R) -> Result<Vec<VirtualTime>, String> {
-        let n = r.count()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(d_vt(r)?);
-        }
-        Ok(out)
-    }
-
-    fn d_sites(r: &mut R) -> Result<Vec<SiteId>, String> {
-        let n = r.count()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(d_site(r)?);
-        }
-        Ok(out)
-    }
-
-    fn d_graph(r: &mut R) -> Result<ReplicationGraph, String> {
-        let n = r.count()?;
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            nodes.push(d_noderef(r)?);
-        }
-        let m = r.count()?;
-        let mut edges = Vec::with_capacity(m);
-        for _ in 0..m {
-            edges.push((d_noderef(r)?, d_noderef(r)?, RelationId(r.varint()?)));
-        }
-        Ok(ReplicationGraph::from_parts(nodes, edges))
-    }
-
-    fn d_outcome(r: &mut R) -> Result<TxnOutcome, String> {
-        match r.u8()? {
-            0 => Ok(TxnOutcome::Committed),
-            1 => Ok(TxnOutcome::Aborted),
-            t => Err(format!("unknown TxnOutcome tag {t}")),
-        }
-    }
-
-    fn d_subject_kind(r: &mut R) -> Result<SubjectKind, String> {
-        match r.u8()? {
-            0 => Ok(SubjectKind::Txn),
-            1 => Ok(SubjectKind::Snapshot),
-            t => Err(format!("unknown SubjectKind tag {t}")),
-        }
-    }
-
-    fn d_propagate(r: &mut R) -> Result<TxnPropagate, String> {
-        let txn = d_vt(r)?;
-        let origin = d_site(r)?;
-        let n = r.count()?;
-        let mut updates = Vec::with_capacity(n);
-        for _ in 0..n {
-            updates.push(d_update(r)?);
-        }
-        let m = r.count()?;
-        let mut reads = Vec::with_capacity(m);
-        for _ in 0..m {
-            reads.push(d_read(r)?);
-        }
-        let delegate = r.opt(|r| {
-            Ok(Delegate {
-                notify: d_sites(r)?,
-            })
-        })?;
-        Ok(TxnPropagate {
-            txn,
-            origin,
-            updates,
-            reads,
-            delegate,
-        })
-    }
-
-    fn d_message(r: &mut R) -> Result<Message, String> {
-        match r.u8()? {
-            1 => Ok(Message::Txn(d_propagate(r)?)),
-            2 => {
-                let subject = d_vt(r)?;
-                let origin = d_site(r)?;
-                let n = r.count()?;
-                let mut reads = Vec::with_capacity(n);
-                for _ in 0..n {
-                    reads.push(d_read(r)?);
-                }
-                Ok(Message::SnapshotConfirm {
-                    subject,
-                    origin,
-                    reads,
-                })
-            }
-            3 => Ok(Message::Confirm {
-                subject: d_vt(r)?,
-                kind: d_subject_kind(r)?,
-            }),
-            4 => Ok(Message::Deny {
-                subject: d_vt(r)?,
-                kind: d_subject_kind(r)?,
-            }),
-            5 => Ok(Message::Commit { txn: d_vt(r)? }),
-            6 => Ok(Message::Abort { txn: d_vt(r)? }),
-            7 => Ok(Message::JoinRequest {
-                txn: d_vt(r)?,
-                origin: d_site(r)?,
-                relation: RelationId(r.varint()?),
-                a_node: d_noderef(r)?,
-                a_graph: d_graph(r)?,
-                b_object: d_oname(r)?,
-                assoc_object: r.opt(d_oname)?,
-            }),
-            8 => Ok(Message::JoinReply {
-                txn: d_vt(r)?,
-                ok: r.boolv()?,
-                b_node: d_noderef(r)?,
-                merged: d_graph(r)?,
-                b_value: r.opt(d_tree)?,
-                b_value_vt: d_vt(r)?,
-                b_value_committed: r.boolv()?,
-                confirms_expected: r.varint_u32()?,
-                extra_affected: d_sites(r)?,
-            }),
-            9 => Ok(Message::GraphUpdate {
-                txn: d_vt(r)?,
-                origin: d_site(r)?,
-                target: d_oname(r)?,
-                graph: d_graph(r)?,
-                t_g: d_vt(r)?,
-                needs_check: r.boolv()?,
-                adopt_value: r.opt(d_tree)?,
-                adopt_value_vt: d_vt(r)?,
-            }),
-            10 => Ok(Message::OutcomeQuery {
-                txn: d_vt(r)?,
-                asker: d_site(r)?,
-            }),
-            11 => Ok(Message::OutcomeReport {
-                txn: d_vt(r)?,
-                outcome: r.opt(d_outcome)?,
-            }),
-            12 => Ok(Message::OutcomeDecision {
-                txn: d_vt(r)?,
-                outcome: d_outcome(r)?,
-            }),
-            13 => Ok(Message::GraphPropose {
-                ballot: r.varint()?,
-                coordinator: d_site(r)?,
-                target: d_oname(r)?,
-                coord_target: d_oname(r)?,
-                graph: d_graph(r)?,
-                at: d_vt(r)?,
-            }),
-            14 => Ok(Message::GraphAck {
-                ballot: r.varint()?,
-                coord_target: d_oname(r)?,
-            }),
-            15 => Ok(Message::Heartbeat),
-            16 => Ok(Message::GraphApply {
-                ballot: r.varint()?,
-                target: d_oname(r)?,
-                graph: d_graph(r)?,
-                at: d_vt(r)?,
-            }),
-            17 => Ok(Message::RejoinRequest {
-                frontier: d_vt(r)?,
-                have: d_vts(r)?,
-                serve: r.boolv()?,
-            }),
-            18 => Ok(Message::RejoinAck {
-                frontier: d_vt(r)?,
-                have: d_vts(r)?,
-            }),
-            19 => {
-                let n = r.count()?;
-                let mut commits = Vec::with_capacity(n);
-                for _ in 0..n {
-                    commits.push(d_propagate(r)?);
-                }
-                Ok(Message::CatchUp {
-                    commits,
-                    rejoined: r.boolv()?,
-                })
-            }
-            t => Err(format!("unknown Message tag {t}")),
-        }
-    }
-
-    fn d_envelope(r: &mut R) -> Result<Envelope, String> {
-        let from = d_site(r)?;
-        let to = d_site(r)?;
-        let clock = d_vt(r)?;
-        let msg = d_message(r)?;
-        // Bytes past the message are the optional trailing span section;
-        // pre-span encoders never produce them.
-        let span = if r.i < r.b.len() {
-            Some(SpanCtx {
-                origin: d_site(r)?,
-                seq: r.varint()?,
-                hop: r.varint_u32()?,
-            })
-        } else {
-            None
-        };
-        Ok(Envelope {
-            from,
-            to,
-            clock,
-            msg,
-            span,
-        })
-    }
+    if max_codec < CODEC_VERSION {
+        return Err(WireError::Codec(format!(
+            "hello names codec {max_codec}, this build speaks {CODEC_VERSION}"
+        )));
+    }
+    Ok((SiteId(u32::from_le_bytes([a, b, c, d])), max_codec))
 }
 
 #[cfg(test)]
@@ -3399,19 +506,12 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vectors() {
-        // Standard IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn frame_roundtrip_via_reader() {
-        let bytes = encode_frame(FrameKind::Data, b"hello world");
+        let bytes = encode_frame(FrameKind::DataV2, b"hello world");
         let mut r = FrameReader::new();
         r.feed(&bytes);
         let f = r.next_frame().unwrap().unwrap();
-        assert_eq!(f.kind, FrameKind::Data);
+        assert_eq!(f.kind, FrameKind::DataV2);
         assert_eq!(f.payload, b"hello world");
         assert!(r.next_frame().unwrap().is_none());
         assert_eq!(r.buffered(), 0);
@@ -3420,14 +520,17 @@ mod tests {
     #[test]
     fn reader_handles_fragmentation_and_back_to_back_frames() {
         let mut stream = encode_frame(FrameKind::Ping, b"");
-        stream.extend_from_slice(&encode_frame(FrameKind::Data, b"x"));
+        stream.extend_from_slice(&encode_frame(FrameKind::DataV2, b"x"));
         let mut r = FrameReader::new();
         for chunk in stream.chunks(3) {
             r.feed(chunk);
         }
         assert_eq!(r.next_frame().unwrap().unwrap().kind, FrameKind::Ping);
         let f = r.next_frame().unwrap().unwrap();
-        assert_eq!((f.kind, f.payload.as_slice()), (FrameKind::Data, &b"x"[..]));
+        assert_eq!(
+            (f.kind, f.payload.as_slice()),
+            (FrameKind::DataV2, &b"x"[..])
+        );
     }
 
     #[test]
@@ -3437,13 +540,13 @@ mod tests {
         // out intact. 256 KiB in 1-byte feeds is visibly instant with the
         // rolling offset and takes minutes with drain-per-frame semantics.
         let payload: Vec<u8> = (0..256 * 1024).map(|i| (i % 251) as u8).collect();
-        let bytes = encode_frame(FrameKind::Data, &payload);
+        let bytes = encode_frame(FrameKind::DataV2, &payload);
         let mut r = FrameReader::new();
         for b in &bytes {
             r.feed(std::slice::from_ref(b));
         }
         let f = r.next_frame().unwrap().unwrap();
-        assert_eq!(f.kind, FrameKind::Data);
+        assert_eq!(f.kind, FrameKind::DataV2);
         assert_eq!(f.payload, payload);
         assert_eq!(r.buffered(), 0);
     }
@@ -3452,7 +555,7 @@ mod tests {
     fn reader_reclaims_consumed_prefix() {
         // After many popped frames, the consumed prefix must be reclaimed
         // rather than growing without bound.
-        let frame = encode_frame(FrameKind::Data, &[0u8; 8 * 1024]);
+        let frame = encode_frame(FrameKind::DataV2, &[0u8; 8 * 1024]);
         let mut r = FrameReader::new();
         for _ in 0..64 {
             r.feed(&frame);
@@ -3480,7 +583,7 @@ mod tests {
 
     #[test]
     fn bad_magic_poisons() {
-        let mut bytes = encode_frame(FrameKind::Data, b"p");
+        let mut bytes = encode_frame(FrameKind::DataV2, b"p");
         bytes[0] = b'X';
         let mut r = FrameReader::new();
         r.feed(&bytes);
@@ -3492,7 +595,7 @@ mod tests {
 
     #[test]
     fn version_kind_length_crc_rejections() {
-        let good = encode_frame(FrameKind::Data, b"payload");
+        let good = encode_frame(FrameKind::DataV2, b"payload");
 
         let mut v = good.clone();
         v[4] = 99;
@@ -3532,25 +635,45 @@ mod tests {
             r.feed(&bytes);
             assert_eq!(r.next_frame().unwrap().unwrap().kind, kind);
         }
-        for kind in [FrameKind::Hello, FrameKind::Data, FrameKind::Ping] {
+        for kind in [FrameKind::Hello, FrameKind::Ping] {
             assert_eq!(encode_frame(kind, b"")[4], PROTOCOL_VERSION);
+        }
+    }
+
+    #[test]
+    fn a_frame_kind_accepts_only_its_own_version_byte() {
+        for (kind, other) in [
+            (FrameKind::DataV2, PROTOCOL_VERSION),
+            (FrameKind::Batch, PROTOCOL_VERSION),
+            (FrameKind::Hello, PROTOCOL_VERSION_V2),
+            (FrameKind::Ping, PROTOCOL_VERSION_V2),
+        ] {
+            let mut bytes = encode_frame(kind, b"");
+            bytes[4] = other;
+            let mut r = FrameReader::new();
+            r.feed(&bytes);
+            assert_eq!(r.next_frame(), Err(WireError::UnsupportedVersion(other)));
         }
     }
 
     #[test]
     fn blocking_read_write_roundtrip() {
         let mut buf = Vec::new();
-        let n = write_frame(&mut buf, FrameKind::Hello, &encode_hello(SiteId(7))).unwrap();
+        let hello = encode_hello_v2(SiteId(7), CODEC_VERSION);
+        let n = write_frame(&mut buf, FrameKind::Hello, &hello).unwrap();
         assert_eq!(n, buf.len());
         let mut cursor = io::Cursor::new(buf);
         let f = read_frame(&mut cursor).unwrap();
         assert_eq!(f.kind, FrameKind::Hello);
-        assert_eq!(decode_hello(&f.payload).unwrap(), SiteId(7));
+        assert_eq!(
+            decode_hello(&f.payload).unwrap(),
+            (SiteId(7), CODEC_VERSION)
+        );
     }
 
     #[test]
     fn blocking_read_rejects_truncation_and_corruption() {
-        let bytes = encode_frame(FrameKind::Data, b"abcdef");
+        let bytes = encode_frame(FrameKind::DataV2, b"abcdef");
         // Truncated mid-payload.
         let mut cursor = io::Cursor::new(bytes[..bytes.len() - 2].to_vec());
         assert_eq!(
@@ -3569,80 +692,30 @@ mod tests {
     }
 
     #[test]
-    fn hello_payload_size_checked() {
-        assert!(decode_hello(&[1, 2, 3]).is_err());
-        assert_eq!(decode_hello(&encode_hello(SiteId(42))).unwrap(), SiteId(42));
-    }
-
-    #[test]
-    fn hello_negotiation_forms() {
-        // Classic 4-byte Hello implies codec 1.
+    fn hello_names_a_codec_this_build_speaks() {
         assert_eq!(
-            decode_hello_any(&encode_hello(SiteId(9))).unwrap(),
-            (SiteId(9), 1)
-        );
-        // Long Hello carries the advertised codec.
-        assert_eq!(
-            decode_hello_any(&encode_hello_v2(SiteId(9), 2)).unwrap(),
+            decode_hello(&encode_hello_v2(SiteId(9), 2)).unwrap(),
             (SiteId(9), 2)
         );
-        // Strict v1 decoding still rejects the long form (old peers would).
-        assert!(decode_hello(&encode_hello_v2(SiteId(9), 2)).is_err());
-        // Nonsense lengths and codec 0 are rejected.
-        assert!(decode_hello_any(&[1, 2, 3]).is_err());
-        assert!(decode_hello_any(&encode_hello_v2(SiteId(9), 0)).is_err());
-    }
-
-    #[test]
-    fn json_envelope_matches_historic_serde_bytes() {
-        // The pinned byte string serde_json produced for this envelope in
-        // earlier releases (also pinned in tests/wire_codec.rs): the
-        // hand-rolled encoder must never drift from it.
-        let env = commit_env();
-        let bytes = encode_envelope(&env).unwrap();
+        // A newer peer announcing a higher maximum still speaks ours.
         assert_eq!(
-            String::from_utf8(bytes.clone()).unwrap(),
-            r#"{"from":3,"to":1,"clock":{"lamport":42,"site":3},"msg":{"Commit":{"txn":{"lamport":41,"site":3}}}}"#
+            decode_hello(&encode_hello_v2(SiteId(9), 3)).unwrap(),
+            (SiteId(9), 3)
         );
-        assert_eq!(decode_envelope(&bytes).unwrap(), env);
+        // The classic 4-byte Hello and codecs below ours are refused, as
+        // is any other length.
+        assert!(decode_hello(&SiteId(9).0.to_le_bytes()).is_err());
+        assert!(decode_hello(&encode_hello_v2(SiteId(9), 1)).is_err());
+        assert!(decode_hello(&encode_hello_v2(SiteId(9), 0)).is_err());
+        assert!(decode_hello(&[1, 2, 3]).is_err());
+        assert!(decode_hello(b"too many bytes").is_err());
     }
 
     #[test]
-    fn json_decoder_tolerates_field_order_whitespace_and_unknown_fields() {
-        let reordered = br#" { "msg" : "Heartbeat" , "future_field" : [ 1 , { "x" : null } ] ,
-            "clock" : { "site" : 3 , "lamport" : 42 } , "to" : 1 , "from" : 3 } "#;
-        let env = decode_envelope(reordered).unwrap();
-        assert_eq!(env.from, SiteId(3));
-        assert_eq!(env.to, SiteId(1));
-        assert_eq!(env.clock, vt(42, 3));
-        assert_eq!(env.msg, Message::Heartbeat);
-    }
-
-    #[test]
-    fn json_decoder_rejects_malformed_input() {
-        for bad in [
-            &b"{"[..],
-            &b"[]"[..],
-            &br#"{"from":3}"#[..],
-            &br#"{"from":3,"to":1,"clock":{"lamport":42,"site":3},"msg":"Nope"}"#[..],
-            &br#"{"from":3,"to":1,"clock":{"lamport":42,"site":3},"msg":"Heartbeat"}x"#[..],
-        ] {
-            assert!(decode_envelope(bad).is_err(), "accepted {:?}", bad);
-        }
-    }
-
-    #[test]
-    fn v2_envelope_roundtrip_and_compactness() {
+    fn v2_envelope_roundtrip() {
         let env = commit_env();
         let v2 = encode_envelope_v2(&env);
         assert_eq!(decode_envelope_v2(&v2).unwrap(), env);
-        let v1 = encode_envelope(&env).unwrap();
-        assert!(
-            v2.len() * 4 < v1.len(),
-            "v2 ({} bytes) should be far smaller than v1 JSON ({} bytes)",
-            v2.len(),
-            v1.len()
-        );
     }
 
     #[test]

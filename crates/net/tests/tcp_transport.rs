@@ -1,18 +1,21 @@
-//! TCP mesh integration tests across codec versions: a classic codec-1
-//! (JSON-only) site and two codec-2 (binary + batching) sites form one
-//! mesh, and Hello negotiation downgrades each link independently so every
-//! envelope arrives intact regardless of which pair it crosses.
+//! TCP mesh integration tests: three sites form one mesh and every
+//! envelope arrives intact and in per-link order while the writers
+//! coalesce bursts into `Batch` frames; and a peer speaking the removed
+//! codec 1 is refused on its own connection without disturbing the rest.
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use decaf_core::codec::crc32;
 use decaf_core::{Envelope, Message};
 use decaf_net::tcp::{TcpConfig, TcpEndpoint, TcpMesh};
+use decaf_net::wire::{encode_frame, encode_hello_v2, FrameKind, MAGIC};
 use decaf_net::{TransportEndpoint, TransportEvent};
 use decaf_vt::{SiteId, VirtualTime};
 
 /// Envelopes each site sends to each of its two peers. Small enough to
-/// never brush the 4096-entry outbound queue, large enough that the v2
+/// never brush the 4096-entry outbound queue, large enough that the
 /// writers get real coalescing opportunities.
 const BURST: u64 = 40;
 
@@ -58,7 +61,7 @@ fn collect(ep: &TcpEndpoint, expected: usize, who: &str) -> Vec<(SiteId, Virtual
     got
 }
 
-/// The multiset of clocks `to` must observe from `from`.
+/// The clocks `to` must observe from `from`, in send order.
 fn expected_from(from: SiteId) -> Vec<(SiteId, VirtualTime)> {
     (0..BURST)
         .map(|seq| (from, VirtualTime::new(1000 * u64::from(from.0) + seq, from)))
@@ -66,7 +69,7 @@ fn expected_from(from: SiteId) -> Vec<(SiteId, VirtualTime)> {
 }
 
 #[test]
-fn mixed_version_mesh_converges() {
+fn three_site_mesh_delivers_in_link_order_and_coalesces() {
     let ports = [reserve_port(), reserve_port(), reserve_port()];
     let addrs: Vec<SocketAddr> = ports
         .iter()
@@ -74,47 +77,23 @@ fn mixed_version_mesh_converges() {
         .collect();
     let sites = [SiteId(1), SiteId(2), SiteId(3)];
 
-    let full_mesh = |mut cfg: TcpConfig, me: usize| {
-        for (i, &peer) in sites.iter().enumerate() {
-            if i != me {
-                cfg = cfg.peer(peer, addrs[i]);
+    // The long linger makes coalescing deterministic for the bursts below.
+    let mut meshes: Vec<TcpMesh> = (0..3)
+        .map(|me| {
+            let mut cfg =
+                TcpConfig::new(sites[me], addrs[me]).batching(64, Duration::from_millis(5));
+            for (i, &peer) in sites.iter().enumerate() {
+                if i != me {
+                    cfg = cfg.peer(peer, addrs[i]);
+                }
             }
-        }
-        TcpMesh::start(cfg).expect("bind")
-    };
+            TcpMesh::start(cfg).expect("bind")
+        })
+        .collect();
+    let eps: Vec<TcpEndpoint> = meshes.iter().map(TcpMesh::endpoint).collect();
 
-    // Site 1 predates the binary codec: it only speaks v1 JSON frames.
-    // Sites 2 and 3 default to codec 2 with batching; the long linger makes
-    // coalescing deterministic for the bursts below.
-    let mut m1 = full_mesh(TcpConfig::new(sites[0], addrs[0]).codec(1), 0);
-    let mut m2 = full_mesh(
-        TcpConfig::new(sites[1], addrs[1]).batching(64, Duration::from_millis(5)),
-        1,
-    );
-    let mut m3 = full_mesh(
-        TcpConfig::new(sites[2], addrs[2]).batching(64, Duration::from_millis(5)),
-        2,
-    );
-
-    let (e1, e2, e3) = (m1.endpoint(), m2.endpoint(), m3.endpoint());
-    let senders = [(sites[0], &e1), (sites[1], &e2), (sites[2], &e3)];
-
-    // Warm-up round: one envelope each way makes every link exchange its
-    // Hello, so by the time the burst below is flushed each writer knows
-    // whether its peer speaks the binary codec.
-    for (from, ep) in senders {
-        for &to in &sites {
-            if to != from {
-                ep.send(to, env(from, to, 0));
-            }
-        }
-    }
-    let mut got1 = collect(&e1, 2, "site 1 warm-up");
-    let mut got2 = collect(&e2, 2, "site 2 warm-up");
-    let mut got3 = collect(&e3, 2, "site 3 warm-up");
-
-    for seq in 1..BURST {
-        for (from, ep) in senders {
+    for seq in 0..BURST {
+        for (&from, ep) in sites.iter().zip(&eps) {
             for &to in &sites {
                 if to != from {
                     ep.send(to, env(from, to, seq));
@@ -122,83 +101,124 @@ fn mixed_version_mesh_converges() {
             }
         }
     }
-    let rest = 2 * (BURST as usize - 1);
-    got1.extend(collect(&e1, rest, "site 1"));
-    got2.extend(collect(&e2, rest, "site 2"));
-    got3.extend(collect(&e3, rest, "site 3"));
 
-    // Every site receives both peers' bursts, independent of which codec
-    // each link negotiated.
-    for (me, mut got, others) in [
-        ("site 1", got1, [sites[1], sites[2]]),
-        ("site 2", got2, [sites[0], sites[2]]),
-        ("site 3", got3, [sites[0], sites[1]]),
-    ] {
-        got.sort();
-        let mut want: Vec<_> = others.into_iter().flat_map(expected_from).collect();
-        want.sort();
-        assert_eq!(got, want, "{me}: wrong delivery multiset");
+    // Every site receives both peers' bursts, each link's in send order
+    // (the §3.4 reliable-FIFO link the engine assumes).
+    for (me, ep) in sites.iter().zip(&eps) {
+        let who = format!("site {}", me.0);
+        let got = collect(ep, 2 * BURST as usize, &who);
+        for &from in sites.iter().filter(|s| *s != me) {
+            let link: Vec<_> = got.iter().copied().filter(|(f, _)| *f == from).collect();
+            assert_eq!(
+                link,
+                expected_from(from),
+                "{who}: link from {from} reordered"
+            );
+        }
     }
 
-    // The v1 site never emitted a binary frame and never coalesced.
-    let s1 = m1.stats();
-    assert_eq!(s1.codec_v2_frames, 0, "v1-only site sent a v2 frame: {s1}");
-    assert_eq!(s1.frames_coalesced, 0, "v1-only site batched: {s1}");
-
-    // The v2 sites used the binary codec on their mutual link (negotiation
-    // dropped only the links that face site 1) and coalesced their bursts.
-    for (name, mesh) in [("site 2", &m2), ("site 3", &m3)] {
+    for (me, mesh) in sites.iter().zip(&meshes) {
         let s = mesh.stats();
-        assert!(s.codec_v2_frames > 0, "{name}: no v2 frames: {s}");
-        assert!(s.frames_coalesced > 0, "{name}: nothing coalesced: {s}");
-        assert!(s.bytes_saved > 0, "{name}: batching saved no bytes: {s}");
+        assert!(
+            s.frames_coalesced > 0,
+            "site {}: nothing coalesced: {s}",
+            me.0
+        );
+        assert!(
+            s.bytes_saved > 0,
+            "site {}: batching saved no bytes: {s}",
+            me.0
+        );
+        assert_eq!(s.frames_rejected, 0, "site {}: {s}", me.0);
         assert!(
             mesh.batch_histogram().count() > 0,
-            "{name}: batch histogram is empty"
+            "site {}: batch histogram is empty",
+            me.0
         );
     }
-
-    m1.shutdown();
-    m2.shutdown();
-    m3.shutdown();
+    for mesh in &mut meshes {
+        mesh.shutdown();
+    }
 }
 
-/// Two codec-1 peers on the modern build still interoperate — the
-/// downgrade path is symmetric, not just v2-talking-to-v1.
+/// A frame with an arbitrary kind byte, which `encode_frame` cannot make.
+fn raw_frame(version: u8, kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&[version, kind]);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Codec 1 is gone and nothing falls back to it: the classic 4-byte Hello,
+/// a Hello naming codec 1, and a kind-2 JSON data frame are each counted
+/// in `frames_rejected` and get their connection closed — no panic, and
+/// the link to a well-behaved peer keeps working throughout.
 #[test]
-fn v1_pair_round_trips() {
+fn codec_one_peers_are_refused_not_downgraded() {
     let (pa, pb) = (reserve_port(), reserve_port());
     let a_addr: SocketAddr = format!("127.0.0.1:{pa}").parse().unwrap();
     let b_addr: SocketAddr = format!("127.0.0.1:{pb}").parse().unwrap();
-    let mut a = TcpMesh::start(
-        TcpConfig::new(SiteId(1), a_addr)
-            .codec(1)
-            .peer(SiteId(2), b_addr),
-    )
-    .expect("bind a");
-    let mut b = TcpMesh::start(
-        TcpConfig::new(SiteId(2), b_addr)
-            .codec(1)
-            .peer(SiteId(1), a_addr),
-    )
-    .expect("bind b");
+    let mut a =
+        TcpMesh::start(TcpConfig::new(SiteId(1), a_addr).peer(SiteId(2), b_addr)).expect("bind a");
+    let mut b =
+        TcpMesh::start(TcpConfig::new(SiteId(2), b_addr).peer(SiteId(1), a_addr)).expect("bind b");
     let (ea, eb) = (a.endpoint(), b.endpoint());
 
-    ea.send(SiteId(2), env(SiteId(1), SiteId(2), 0));
-    let got = eb
-        .recv_timeout(Duration::from_secs(10))
-        .and_then(TransportEvent::into_message)
-        .expect("delivery");
-    assert_eq!(got.1, env(SiteId(1), SiteId(2), 0));
+    let round_trip = |seq: u64| {
+        eb.send(SiteId(1), env(SiteId(2), SiteId(1), seq));
+        let got = ea
+            .recv_timeout(Duration::from_secs(10))
+            .and_then(TransportEvent::into_message)
+            .expect("the good link still delivers");
+        assert_eq!(got.1, env(SiteId(2), SiteId(1), seq));
+    };
+    round_trip(0);
 
-    eb.send(SiteId(1), env(SiteId(2), SiteId(1), 0));
-    let back = ea
-        .recv_timeout(Duration::from_secs(10))
-        .and_then(TransportEvent::into_message)
-        .expect("reply");
-    assert_eq!(back.1, env(SiteId(2), SiteId(1), 0));
+    let json = br#"{"from":9,"to":1,"clock":{"lamport":1,"site":9},"msg":"Heartbeat"}"#;
+    let hello_then_json = [
+        encode_frame(FrameKind::Hello, &encode_hello_v2(SiteId(9), 2)),
+        raw_frame(1, 2, json),
+    ]
+    .concat();
+    let offenders: [(&str, Vec<u8>); 3] = [
+        (
+            "classic 4-byte hello",
+            encode_frame(FrameKind::Hello, &SiteId(9).0.to_le_bytes()),
+        ),
+        (
+            "hello naming codec 1",
+            encode_frame(FrameKind::Hello, &encode_hello_v2(SiteId(9), 1)),
+        ),
+        ("kind-2 data frame", hello_then_json),
+    ];
+    for (n, (what, bytes)) in offenders.iter().enumerate() {
+        let mut conn = TcpStream::connect(a_addr).expect("dial a");
+        conn.write_all(bytes).expect("write offending bytes");
+        // The reader rejects and returns, dropping its end: EOF here.
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut sink = [0u8; 16];
+        match conn.read(&mut sink) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("{what}: connection left open: {other:?}"),
+        }
+        assert_eq!(
+            a.stats().frames_rejected,
+            n as u64 + 1,
+            "{what}: not counted as rejected: {}",
+            a.stats()
+        );
+        round_trip(n as u64 + 1);
+    }
+    assert!(
+        ea.try_recv().is_none(),
+        "an offending frame reached the engine"
+    );
+    assert_eq!(a.stats().peers_failed, 0);
 
-    assert_eq!(a.stats().codec_v2_frames + b.stats().codec_v2_frames, 0);
     a.shutdown();
     b.shutdown();
 }

@@ -1,16 +1,23 @@
-//! Wire-codec v2 integration tests: every `Message` variant round-trips
-//! through the hand-rolled binary encoding under arbitrary stream chunking,
-//! golden byte snapshots pin the v2 layout, and a cross-version test checks
-//! that the v1 JSON and v2 binary codecs decode to identical envelopes.
+//! Wire-codec integration tests: every `Message` variant round-trips
+//! through the binary encoding under arbitrary stream chunking, malformed
+//! frames (truncation, corruption, bad magic/version/kind, oversized
+//! lengths) are rejected without a panic, and golden byte snapshots pin the
+//! frame header, the control frames and the codec-2 payload layout.
+
+use std::io::Cursor;
 
 use proptest::prelude::*;
 
+use decaf_core::codec::{crc32, MAX_NESTING};
 use decaf_core::{
     AssocSnapshot, Blueprint, Delegate, Envelope, Message, NodeRef, ObjectAddr, ObjectName, Path,
     PathElem, ReadItem, RelationId, ReplicationGraph, ScalarValue, SpanCtx, SubjectKind,
     TreeSnapshot, TxnOutcome, TxnPropagate, UpdateItem, WireOp,
 };
-use decaf_net::wire::{self, encode_frame, FrameKind, FrameReader};
+use decaf_net::wire::{
+    self, encode_frame, Frame, FrameKind, FrameReader, WireError, CODEC_VERSION, HEADER_LEN, MAGIC,
+    MAX_PAYLOAD, PROTOCOL_VERSION,
+};
 use decaf_vt::{SiteId, VirtualTime};
 
 fn vt(lamport: u64, site: u32) -> VirtualTime {
@@ -311,7 +318,7 @@ fn sample_envelopes() -> Vec<Envelope> {
         .collect()
 }
 
-// ---- deterministic coverage: every variant, both codecs ------------------
+// ---- deterministic coverage: every variant --------------------------------
 
 /// Every `Message` variant survives `encode_envelope_v2` →
 /// `decode_envelope_v2` unchanged.
@@ -322,39 +329,6 @@ fn every_message_variant_round_trips_through_v2() {
         let back = wire::decode_envelope_v2(&bytes).unwrap();
         assert_eq!(back, env, "v2 round trip mangled {:?}", env.msg);
     }
-}
-
-/// Cross-version agreement: for every variant, decoding the v1 JSON payload
-/// and the v2 binary payload of the same envelope produce identical
-/// `Envelope` values — a v1 peer and a v2 peer observe the same protocol.
-#[test]
-fn v1_json_and_v2_binary_decode_to_identical_envelopes() {
-    for env in sample_envelopes() {
-        let via_v1 = wire::decode_envelope(&wire::encode_envelope(&env).unwrap()).unwrap();
-        let via_v2 = wire::decode_envelope_v2(&wire::encode_envelope_v2(&env)).unwrap();
-        assert_eq!(via_v1, via_v2, "codec disagreement on {:?}", env.msg);
-        assert_eq!(via_v2, env);
-    }
-}
-
-/// The v2 payload never exceeds the JSON payload on any variant, and is
-/// strictly smaller in aggregate — the codec earns its complexity.
-#[test]
-fn v2_is_never_larger_than_v1() {
-    let mut v1_total = 0usize;
-    let mut v2_total = 0usize;
-    for env in sample_envelopes() {
-        let v1 = wire::encode_envelope(&env).unwrap().len();
-        let v2 = wire::encode_envelope_v2(&env).len();
-        assert!(
-            v2 <= v1,
-            "v2 ({v2} B) larger than v1 ({v1} B) on {:?}",
-            env.msg
-        );
-        v1_total += v1;
-        v2_total += v2;
-    }
-    assert!(v2_total * 2 < v1_total, "expected ≥2× aggregate compaction");
 }
 
 /// A Batch frame holding every variant plus one DataV2 frame per variant
@@ -790,6 +764,208 @@ proptest! {
         }
         prop_assert_eq!(&decoded, &envs);
     }
+
+    /// A truncated frame never yields; the reader waits for the rest.
+    #[test]
+    fn truncated_frames_do_not_yield(cut in 0usize..10) {
+        let payload = b"truncation probe";
+        let bytes = encode_frame(FrameKind::DataV2, payload);
+        let cut = cut.min(bytes.len().saturating_sub(1));
+        let mut reader = FrameReader::new();
+        reader.feed(&bytes[..bytes.len() - 1 - cut]);
+        prop_assert_eq!(reader.next_frame().unwrap(), None);
+        // Completing the bytes completes the frame.
+        reader.feed(&bytes[bytes.len() - 1 - cut..]);
+        let frame = reader.next_frame().unwrap().unwrap();
+        prop_assert_eq!(frame.payload.as_slice(), payload.as_slice());
+    }
+
+    /// Any single flipped payload bit is caught by the CRC.
+    #[test]
+    fn corrupt_payload_is_rejected(pos in 0usize..16, bit in 0u8..8) {
+        let mut bytes = encode_frame(FrameKind::DataV2, b"crc integrity 16");
+        let idx = HEADER_LEN + (pos % 16);
+        bytes[idx] ^= 1 << bit;
+        let mut reader = FrameReader::new();
+        reader.feed(&bytes);
+        prop_assert!(matches!(reader.next_frame(), Err(WireError::BadCrc { .. })));
+    }
+}
+
+// ---- malformed frames -------------------------------------------------------
+
+#[test]
+fn bad_magic_version_kind_and_oversized_are_rejected() {
+    let good = encode_frame(FrameKind::Ping, b"");
+
+    let mut bad_magic = good.clone();
+    bad_magic[0] = b'X';
+    let mut r = FrameReader::new();
+    r.feed(&bad_magic);
+    assert!(matches!(r.next_frame(), Err(WireError::BadMagic(_))));
+
+    // Version 1 is legal on control frames and 2 on data frames; anything
+    // else — the other kind's version included — must be rejected.
+    let mut bad_version = good.clone();
+    bad_version[4] = 99;
+    let mut r = FrameReader::new();
+    r.feed(&bad_version);
+    assert_eq!(r.next_frame(), Err(WireError::UnsupportedVersion(99)));
+
+    let mut bad_kind = good.clone();
+    bad_kind[5] = 0xEE;
+    let mut r = FrameReader::new();
+    r.feed(&bad_kind);
+    assert_eq!(r.next_frame(), Err(WireError::UnknownKind(0xEE)));
+
+    // Kind 2 was codec 1's JSON data frame. The byte stays reserved: a
+    // frame bearing it is refused, not decoded.
+    let mut reserved_kind = good.clone();
+    reserved_kind[5] = 2;
+    let mut r = FrameReader::new();
+    r.feed(&reserved_kind);
+    assert_eq!(r.next_frame(), Err(WireError::UnknownKind(2)));
+
+    // An absurd length field is rejected from the header alone — before
+    // any payload arrives, so no allocation can be provoked.
+    let mut oversized = good;
+    oversized[6..10].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+    let mut r = FrameReader::new();
+    r.feed(&oversized[..HEADER_LEN]);
+    assert_eq!(r.next_frame(), Err(WireError::Oversized(MAX_PAYLOAD + 1)));
+}
+
+/// After one malformed frame the stream is unrecoverable (framing is
+/// lost), so the reader stays poisoned even if valid bytes follow.
+#[test]
+fn reader_stays_poisoned_after_garbage() {
+    let mut r = FrameReader::new();
+    r.feed(b"not a frame at all");
+    assert!(r.next_frame().is_err());
+    r.feed(&encode_frame(FrameKind::Ping, b""));
+    assert!(r.next_frame().is_err(), "poisoned reader must not resync");
+}
+
+#[test]
+fn write_then_read_frame_round_trips_over_io() {
+    let mut buf = Vec::new();
+    wire::write_frame(&mut buf, FrameKind::DataV2, b"io round trip").unwrap();
+    wire::write_frame(&mut buf, FrameKind::Ping, b"").unwrap();
+    let mut cursor = Cursor::new(buf);
+    let a = wire::read_frame(&mut cursor).unwrap();
+    assert_eq!(
+        a,
+        Frame {
+            kind: FrameKind::DataV2,
+            payload: b"io round trip".to_vec()
+        }
+    );
+    let b = wire::read_frame(&mut cursor).unwrap();
+    assert_eq!(b.kind, FrameKind::Ping);
+    // EOF mid-header surfaces as an io error, not a panic.
+    assert!(wire::read_frame(&mut cursor).is_err());
+}
+
+#[test]
+fn corrupt_frame_over_io_is_invalid_data() {
+    let mut buf = Vec::new();
+    wire::write_frame(&mut buf, FrameKind::DataV2, b"corrupt me").unwrap();
+    let last = buf.len() - 1;
+    buf[last] ^= 0x01;
+    let err = wire::read_frame(&mut Cursor::new(buf)).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}
+
+#[test]
+fn garbage_payload_is_a_codec_error_not_a_panic() {
+    assert!(matches!(
+        wire::decode_envelope_v2(b"\xff\xfe not an envelope"),
+        Err(WireError::Codec(_))
+    ));
+    assert!(matches!(
+        wire::decode_batch(b"\xff\xff\xff\xff\x0f"),
+        Err(WireError::Codec(_))
+    ));
+    assert!(matches!(
+        wire::decode_hello(b"too many bytes"),
+        Err(WireError::Codec(_))
+    ));
+}
+
+#[test]
+fn composites_nest_to_the_codec_bound_and_no_deeper() {
+    // The decoder recurses into lists and tuples; a peer must not be able
+    // to walk it off the stack with a few bytes a level.
+    let insert = |levels: u32| {
+        let mut child = Blueprint::Int(1);
+        for _ in 0..levels {
+            child = Blueprint::List(vec![child]);
+        }
+        wire::encode_envelope_v2(&Envelope {
+            from: SiteId(1),
+            to: SiteId(2),
+            clock: vt(1, 1),
+            msg: Message::Txn(TxnPropagate {
+                txn: vt(1, 1),
+                origin: SiteId(1),
+                updates: vec![UpdateItem {
+                    addr: ObjectAddr::Direct(name(2, 0)),
+                    t_r: vt(1, 1),
+                    t_g: VirtualTime::ZERO,
+                    op: WireOp::ListInsert { index: 0, child },
+                    needs_check: false,
+                }],
+                reads: vec![],
+                delegate: None,
+            }),
+            span: None,
+        })
+    };
+    assert!(wire::decode_envelope_v2(&insert(MAX_NESTING)).is_ok());
+    assert!(matches!(
+        wire::decode_envelope_v2(&insert(MAX_NESTING + 1)),
+        Err(WireError::Codec(_))
+    ));
+}
+
+// ---- golden snapshots: the frame header and control frames ----------------
+//
+// If any of these bytes change, bump the protocol version — a silent layout
+// change would let two sites with different builds corrupt each other's
+// streams undetected.
+
+#[test]
+fn golden_ping_frame() {
+    assert_eq!(
+        encode_frame(FrameKind::Ping, b""),
+        [0x44, 0x43, 0x41, 0x46, 0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00],
+        "ping frame: magic 'DCAF' | version 1 | kind 3 | len 0 | crc 0"
+    );
+}
+
+#[test]
+fn golden_hello_frame() {
+    assert_eq!(
+        encode_frame(
+            FrameKind::Hello,
+            &wire::encode_hello_v2(SiteId(7), CODEC_VERSION)
+        ),
+        [
+            0x44, 0x43, 0x41, 0x46, 0x01, 0x01, 0x05, 0x00, 0x00, 0x00, 0x21, 0x4a, 0x0c, 0x9a,
+            0x07, 0x00, 0x00, 0x00, 0x02,
+        ],
+        "hello frame: magic | version 1 | kind 1 | len 5 | crc | site id LE | codec 2"
+    );
+}
+
+#[test]
+fn golden_header_constants() {
+    assert_eq!(MAGIC, *b"DCAF");
+    assert_eq!(PROTOCOL_VERSION, 1);
+    assert_eq!(CODEC_VERSION, 2);
+    assert_eq!(HEADER_LEN, 14);
+    // CRC-32 (IEEE) check value, the classic "123456789" vector.
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
 }
 
 // ---- golden snapshots: protocol version 2 is pinned ----------------------
@@ -964,12 +1140,10 @@ fn golden_v2_commit_payload_with_span() {
     assert_eq!(wire::decode_envelope_v2(&golden).unwrap(), env);
 }
 
-/// Mixed-fleet interop: a spanned v2 envelope is the span-less encoding
-/// plus a trailing section, so a pre-span build's bytes decode on a new
-/// build as `span: None`, and over v1 JSON the span is an extra object
-/// key that old decoders skip like any unknown key.
+/// A spanned envelope is the span-less encoding plus a trailing section, so
+/// span-less bytes decode as `span: None`.
 #[test]
-fn mixed_fleet_span_interop() {
+fn span_is_a_trailing_section() {
     let spanned = Envelope {
         span: Some(SpanCtx {
             origin: SiteId(3),
@@ -978,29 +1152,10 @@ fn mixed_fleet_span_interop() {
         }),
         ..golden_commit_env()
     };
-
-    // v2: old bytes = new bytes minus the trailing span section.
-    let old_bytes = wire::encode_envelope_v2(&golden_commit_env());
-    let new_bytes = wire::encode_envelope_v2(&spanned);
-    assert_eq!(&new_bytes[..old_bytes.len()], &old_bytes[..]);
-    assert_eq!(wire::decode_envelope_v2(&old_bytes).unwrap().span, None);
-
-    // v1 JSON: the span is one more key on the envelope object...
-    let spanless_json = wire::encode_envelope(&golden_commit_env()).unwrap();
-    let spanned_json = wire::encode_envelope(&spanned).unwrap();
-    let spanned_json = std::str::from_utf8(&spanned_json).unwrap();
-    assert!(spanned_json.contains("\"span\":{\"origin\":3,\"seq\":41,\"hop\":0}"));
-    assert!(!String::from_utf8(spanless_json).unwrap().contains("span"));
-    assert_eq!(
-        wire::decode_envelope(spanned_json.as_bytes()).unwrap(),
-        spanned
-    );
-
-    // ...and unknown keys are skipped, which is exactly how a pre-span
-    // decoder treats "span" — simulate one with a future extra key.
-    let future = spanned_json.replacen("\"span\"", "\"spam\"", 1);
-    let decoded = wire::decode_envelope(future.as_bytes()).unwrap();
-    assert_eq!(decoded, golden_commit_env());
+    let plain_bytes = wire::encode_envelope_v2(&golden_commit_env());
+    let spanned_bytes = wire::encode_envelope_v2(&spanned);
+    assert_eq!(&spanned_bytes[..plain_bytes.len()], &plain_bytes[..]);
+    assert_eq!(wire::decode_envelope_v2(&plain_bytes).unwrap().span, None);
 }
 
 #[test]
@@ -1018,22 +1173,26 @@ fn golden_v2_data_frame() {
             0xb7, 0x82, 0x98, 0x25, // CRC-32 of the payload, LE
             0x03, 0x01, 0x2a, 0x03, 0x05, 0x29, 0x03, // payload
         ],
-        "DataV2 frame: same 14-byte header as v1, version byte bumped to 2"
+        "DataV2 frame: the 14-byte header with version byte 2"
     );
 }
 
 #[test]
 fn golden_hello_v2() {
     assert_eq!(wire::encode_hello_v2(SiteId(7), 2), [0x07, 0, 0, 0, 0x02]);
-    // A v2 hello announces the sender's max codec in the fifth byte...
+    // A hello announces the sender's max codec in the fifth byte...
     assert_eq!(
-        wire::decode_hello_any(&[0x07, 0, 0, 0, 0x02]).unwrap(),
+        wire::decode_hello(&[0x07, 0, 0, 0, 0x02]).unwrap(),
         (SiteId(7), 2)
     );
-    // ...while a classic 4-byte hello implies codec 1, so old peers
-    // negotiate down without knowing negotiation exists.
-    assert_eq!(
-        wire::decode_hello_any(&[0x07, 0, 0, 0]).unwrap(),
-        (SiteId(7), 1)
-    );
+    // ...and a classic 4-byte hello, or one naming codec 1, is a peer this
+    // build has no encoding in common with.
+    assert!(matches!(
+        wire::decode_hello(&[0x07, 0, 0, 0]),
+        Err(WireError::Codec(_))
+    ));
+    assert!(matches!(
+        wire::decode_hello(&[0x07, 0, 0, 0, 0x01]),
+        Err(WireError::Codec(_))
+    ));
 }

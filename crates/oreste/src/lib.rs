@@ -31,12 +31,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use decaf_vt::{LamportClock, SiteId, VirtualTime};
 
 /// A high-level ORESTE operation on one named object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Change the object's color.
     SetColor(String),
@@ -116,7 +114,7 @@ impl OpSpec {
 }
 
 /// The replicated object's state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectState {
     /// Current color.
     pub color: String,
@@ -170,7 +168,7 @@ fn apply(state: &mut ObjectState, op: &Op) {
 }
 
 /// A timestamped operation in flight.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StampedOp {
     /// Unique virtual time (total order).
     pub vt: VirtualTime,

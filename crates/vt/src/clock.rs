@@ -1,7 +1,5 @@
 //! Per-site Lamport clock.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{SiteId, VirtualTime};
 
 /// A per-site Lamport clock that issues unique [`VirtualTime`]s.
@@ -30,7 +28,7 @@ use crate::{SiteId, VirtualTime};
 /// assert!(t2.lamport > 50, "local clock advanced past the witnessed VT");
 /// assert!(t1 < t2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LamportClock {
     site: SiteId,
     counter: u64,

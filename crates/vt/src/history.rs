@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::VirtualTime;
 
 /// One entry of a [`History`]: a value written at a virtual time, plus its
 /// commit status.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistoryEntry<T> {
     /// Virtual time of the transaction that wrote this value.
     pub vt: VirtualTime,
@@ -47,7 +45,7 @@ pub struct HistoryEntry<T> {
 /// assert!(h.has_write_in(vt(40), vt(100))); // the write at 60
 /// assert!(!h.has_write_in(vt(60), vt(100)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct History<T> {
     // Sorted by `vt`, ascending. Histories are short in practice (GC keeps
     // them near length 1), so a sorted Vec beats a tree map.

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::VirtualTime;
 
 /// A write-free reservation: the half-open region of virtual time `(lo, hi)`
@@ -13,7 +11,7 @@ use crate::VirtualTime;
 /// between `tR` and `tT` as write-free" (paper §3.1). A confirmed RL guess
 /// creates this reservation "so that no conflicting write will be made in
 /// the future".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reservation {
     /// VT of the value read (exclusive lower bound of the protected region).
     pub lo: VirtualTime,
@@ -74,7 +72,7 @@ impl fmt::Display for ReservationConflict {
 /// // The reserving transaction's own write at 100 is fine:
 /// assert!(rs.check_write(vt(100)).is_ok());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReservationSet {
     // Unsorted small vec; reservation counts stay tiny because commits GC
     // them promptly.

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a collaborating site.
 ///
 /// A *site* in DECAF is one running application instance (typically one
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(a < b);
 /// assert_eq!(a.to_string(), "S1");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SiteId(pub u32);
 
 impl fmt::Display for SiteId {
@@ -58,9 +54,7 @@ impl From<u32> for SiteId {
 /// let t3 = VirtualTime::new(101, SiteId(1));
 /// assert!(t1 < t2 && t2 < t3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualTime {
     /// Lamport counter component.
     pub lamport: u64,

@@ -1,7 +1,6 @@
 //! Persistence and recovery (§5.3): checkpoint a collaborative session to
-//! JSON, "crash", restore, and keep collaborating — then demonstrate the
-//! §3.4 rejoin-as-new-member path when the survivors repaired the crashed
-//! site away.
+//! bytes (the binary encoding the write-ahead log stores), "crash", restore,
+//! and keep collaborating with the membership intact.
 //!
 //! Run with: `cargo run -p decaf-apps --example checkpoint_restore`
 
@@ -34,22 +33,22 @@ fn main() {
         b.read_int_committed(ob)
     );
 
-    // Site 2 checkpoints to JSON — the durable state a persistence store
-    // would write.
+    // Site 2 checkpoints — the durable state a persistence store would
+    // write (`CommitLog::append_checkpoint` frames exactly these bytes).
     let cp = b.checkpoint().expect("quiescent");
-    let json = serde_json::to_string_pretty(&cp).expect("serializable");
+    let bytes = cp.to_bytes();
     println!(
-        "\nsite 2 checkpointed: {} bytes of JSON ({} objects)",
-        json.len(),
+        "\nsite 2 checkpointed: {} bytes ({} objects)",
+        bytes.len(),
         cp.object_count(),
     );
-    println!("checkpoint head:\n{}", &json[..json.len().min(300)]);
+    println!("checkpoint head: {:02x?}", &bytes[..bytes.len().min(24)]);
 
     // Crash...
     drop(b);
     println!("\nsite 2 'crashed'. restoring from the checkpoint...");
-    let parsed: Checkpoint = serde_json::from_str(&json).expect("deserializable");
-    let mut b = Site::restore(parsed);
+    let decoded = Checkpoint::from_bytes(&bytes).expect("own bytes decode");
+    let mut b = Site::restore(decoded);
     println!(
         "restored site 2 reads {:?} with a {}-member replication graph",
         b.read_int_committed(ob),

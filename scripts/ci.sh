@@ -20,6 +20,20 @@ if [[ "${1:-}" != "--no-fmt" ]]; then
     run cargo fmt --all --check
 fi
 
+# One encoding: the runtime crates carry no serializer (everything a site
+# writes goes through decaf_core::codec), and the JSON wire codec stays
+# deleted.
+for crate in vt core net gvt oreste; do
+    if grep -q serde "crates/$crate/Cargo.toml"; then
+        echo "FAIL: serde is back in crates/$crate/Cargo.toml" >&2
+        exit 1
+    fi
+done
+if [[ "$(grep -c 'mod json' crates/net/src/wire.rs)" != 0 ]]; then
+    echo "FAIL: crates/net/src/wire.rs has a 'mod json' again" >&2
+    exit 1
+fi
+
 # Lints are errors: the tree stays clippy-clean.
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -43,7 +57,8 @@ run cargo test -p decaf-apps --test tcp_transport --offline -q \
 # fixed sim workload must keep producing byte-identical JSONL traces.
 run cargo test -p decaf-net --test trace_golden --offline -q
 
-# Throughput bench smoke: the hot-path bench must run end to end, emit
+# Throughput bench smoke: the hot-path bench (two wire modes, v2 binary
+# and v2+batch, plus the CoW section) must run end to end, emit
 # well-formed JSON, and lose no envelopes (the bin itself exits non-zero
 # when delivered < sent; the checks below also pin the report's shape).
 echo "==> p1_throughput --json --smoke"

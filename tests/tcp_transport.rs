@@ -216,9 +216,11 @@ fn durable_site_recovers_from_sigkill_and_rejoins() {
     let _ = fs::remove_dir_all(&data_dir);
     fs::create_dir_all(&data_dir).expect("create data dir");
 
+    // Tagged logs: the kill test above runs concurrently in this process
+    // and names its site 1 and 2 logs without a tag.
     let mut survivors: Vec<Daemon> = (1..=2)
         .map(|i| {
-            let (mut cmd, log) = site_cmd(i, "", &addrs);
+            let (mut cmd, log) = site_cmd(i, "-durable", &addrs);
             cmd.args([
                 "--txns",
                 "3",
@@ -345,6 +347,45 @@ fn durable_site_recovers_from_sigkill_and_rejoins() {
         "victim run 1 log:\n{}",
         victim1.log_contents()
     );
+    let _ = fs::remove_dir_all(&data_dir);
+}
+
+/// A log written by WAL format 1 (JSON payloads) is refused by name, with a
+/// non-zero exit, and is left on disk exactly as it was — neither truncated
+/// as a torn tail nor overwritten by a fresh baseline.
+#[test]
+fn version_one_wal_is_refused_and_left_untouched() {
+    let data_dir =
+        std::env::temp_dir().join(format!("decaf-tcp-test-{}-v1-wal", std::process::id()));
+    let _ = fs::remove_dir_all(&data_dir);
+    fs::create_dir_all(&data_dir).expect("create data dir");
+
+    // One complete, CRC-valid format-1 frame: version 1 | kind 2
+    // (checkpoint) | length | CRC over those six bytes and the payload.
+    let payload = br#"{"site":1,"clock":{"site":1,"counter":0},"objects":[],"next_seq":0,"decided":[],"next_relation":0}"#;
+    let mut frame = vec![1u8, 2];
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut covered = frame.clone();
+    covered.extend_from_slice(payload);
+    frame.extend_from_slice(&decaf_core::codec::crc32(&covered).to_le_bytes());
+    frame.extend_from_slice(payload);
+    let wal = data_dir.join("wal.log");
+    fs::write(&wal, &frame).expect("write v1 log");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_decaf-site"))
+        .args(["--site", "1", "--listen", &reserve_addr(), "--txns", "1"])
+        .arg("--data-dir")
+        .arg(&data_dir)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run decaf-site");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "accepted a format-1 log: {stderr}");
+    assert!(
+        stderr.contains("wal frame has format version 1, this build reads 2"),
+        "stderr: {stderr}"
+    );
+    assert_eq!(fs::read(&wal).expect("log still there"), frame);
     let _ = fs::remove_dir_all(&data_dir);
 }
 

@@ -642,10 +642,7 @@ impl Site {
         }
         // Release any reservations this transaction holds here (it may have
         // been checked at this primary before the deny elsewhere).
-        for o in self.store.objects_mut() {
-            o.value_reservations.release(txn);
-            o.graph_reservations.release(txn);
-        }
+        self.store.release_reservations(txn);
         self.trace_emit(TraceKind::Rollback, Some(txn), None, None);
         self.events.push(EngineEvent::TxnAborted {
             vt: txn,

@@ -765,12 +765,7 @@ impl Site {
         // FIFO), so nothing above any live peer's horizon may be
         // collected. Everything below the horizon has provably reached
         // every replica, making retained-only checks exact.
-        let mut peers: BTreeSet<SiteId> = BTreeSet::new();
-        for obj in self.store.objects() {
-            if let Some(e) = obj.graphs.current() {
-                peers.extend(e.value.sites());
-            }
-        }
+        let mut peers = self.store.graph_sites();
         peers.remove(&self.id);
         for peer in peers {
             if self.failed_sites.contains(&peer) {
@@ -779,13 +774,7 @@ impl Site {
             let seen = self.last_seen_from.get(&peer).copied().unwrap_or(0);
             low = low.min(VirtualTime::new(seen, peer));
         }
-        let mut discarded = 0;
-        for obj in self.store.objects_mut() {
-            discarded += obj.values.gc(low);
-            discarded += obj.graphs.gc(low);
-            obj.value_reservations.gc(low);
-            obj.graph_reservations.gc(low);
-        }
+        let discarded = self.store.sweep(low);
         self.stats.gc_discarded += discarded as u64;
         // Record the sweep for the checker's straggler-view oracle. The
         // pessimistic frontier is recomputed here independently of the

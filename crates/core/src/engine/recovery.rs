@@ -178,12 +178,7 @@ impl Site {
     /// suffix. Returns the number of peers contacted; `0` means there is
     /// nobody to catch up from and the site is immediately live.
     pub fn begin_rejoin(&mut self) -> usize {
-        let mut peers: BTreeSet<SiteId> = BTreeSet::new();
-        for obj in self.store.objects() {
-            if let Some(e) = obj.graphs.current() {
-                peers.extend(e.value.sites());
-            }
-        }
+        let mut peers = self.store.graph_sites();
         peers.remove(&self.id);
         peers.retain(|p| !self.failed_sites.contains(p));
         if peers.is_empty() {
@@ -319,7 +314,7 @@ impl Site {
             }
             let mut updates = Vec::new();
             for (obj, t_r, op) in &rec.updates {
-                let Some(addr) = self.addr_for(*obj, dest) else {
+                let Some(addr) = self.store.addr_at(*obj, dest) else {
                     continue;
                 };
                 updates.push(UpdateItem {

@@ -6,13 +6,18 @@ use std::collections::{BTreeMap, BTreeSet};
 use decaf_trace::TraceKind;
 use decaf_vt::{SiteId, VirtualTime};
 
-use crate::message::{Message, ObjectAddr, ReadItem};
+use crate::message::{Message, ReadItem};
 use crate::object::ObjectName;
+use crate::store::GuessRoute;
 use crate::view::{
     OptSnap, PessSnap, SnapGuesses, UpdateNotification, View, ViewId, ViewMode, ViewProxy,
 };
 
 use super::{EngineEvent, Site};
+
+/// `(object, lo, hi)`: the interval of `object`'s history that a
+/// pessimistic snapshot guesses to be update-free.
+type PessInterval = (ObjectName, VirtualTime, VirtualTime);
 
 impl Site {
     /// Attaches a view object to one or more local model objects.
@@ -108,15 +113,6 @@ impl Site {
         };
         let attached: Vec<ObjectName> = proxy.attached.iter().copied().collect();
         let mut ts = proxy.pending_ts;
-        let mut read_set: Vec<ObjectName> = Vec::new();
-        for a in &attached {
-            for o in self.store.subtree(*a) {
-                if let Some(cur) = self.store.get(o).ok().and_then(|m| m.values.current()) {
-                    ts = ts.max(cur.vt);
-                }
-                read_set.push(o);
-            }
-        }
         let changed: Vec<ObjectName> = {
             let proxy = self.views.get_mut(&vid).expect("checked above");
             let dirty = std::mem::take(&mut proxy.dirty);
@@ -126,13 +122,22 @@ impl Site {
         if changed.is_empty() {
             return;
         }
+        let mut read_set: Vec<(ObjectName, Option<GuessRoute>)> = Vec::new();
+        for a in &attached {
+            read_set.extend(self.store.read_set(*a));
+        }
+        for (o, _) in &read_set {
+            if let Some(cur) = self.store.get(*o).ok().and_then(|m| m.values.current()) {
+                ts = ts.max(cur.vt);
+            }
+        }
 
         // Record the snapshot's reads and guesses.
         let token = self.clock.next();
         let mut guesses = SnapGuesses::default();
         let mut reads: Vec<(ObjectName, VirtualTime)> = Vec::new();
         let mut remote_batches: BTreeMap<SiteId, Vec<ReadItem>> = BTreeMap::new();
-        for o in &read_set {
+        for (o, route) in &read_set {
             let Some(entry) = self
                 .store
                 .get(*o)
@@ -147,9 +152,14 @@ impl Site {
             }
             if entry.0 < ts {
                 // RL guess: (value VT, ts) must be update-free (§4.1).
-                let Ok(primary) = self.store.primary_of(*o) else {
+                debug_assert_eq!(
+                    route.as_ref().map(|r| r.primary),
+                    self.store.primary_of(*o).ok()
+                );
+                let Some(route) = route else {
                     continue;
                 };
+                let primary = route.primary;
                 if primary.site == self.id {
                     // The local history is the primary history: value_at(ts)
                     // being the latest ≤ ts makes the interval locally
@@ -158,7 +168,8 @@ impl Site {
                         m.value_reservations.reserve(entry.0, ts, token);
                     }
                 } else {
-                    let addr = self.addr_for(*o, primary.site);
+                    let addr = route.addr();
+                    debug_assert_eq!(addr, self.store.addr_at(*o, primary.site));
                     if let Some(addr) = addr {
                         remote_batches
                             .entry(primary.site)
@@ -315,20 +326,33 @@ impl Site {
         }
     }
 
-    /// (Re-)issues the RL guesses of the pessimistic snapshot at `ts`:
-    /// for each watched object, the interval from its latest locally known
-    /// committed value up to `ts` (or up to the update's own `tR`, which
-    /// the transaction's confirmed reservation already covers) must be
-    /// update-free at the primary (§4.2).
-    /// The `(object, lo, hi)` intervals a snapshot at `ts` must verify:
-    /// from each watched object's latest committed value (strictly) below
-    /// `ts`, up to the update's own `tR` (covered by the transaction's
-    /// reservation) or up to `ts`.
+    /// The interval a snapshot at `ts` must verify for watched object `o`:
+    /// from its latest committed value (strictly) below `ts`, up to the
+    /// update's own `tR` (covered by the transaction's reservation) or up
+    /// to `ts`. `None` when that interval is empty.
+    fn pess_interval(
+        &self,
+        snap: &PessSnap,
+        ts: VirtualTime,
+        o: ObjectName,
+    ) -> Option<PessInterval> {
+        let lo = self
+            .store
+            .get(o)
+            .ok()
+            .and_then(|m| m.values.committed_before(ts).map(|e| e.vt))
+            .unwrap_or(VirtualTime::ZERO);
+        let hi = snap.coverage.get(&o).copied().unwrap_or(ts);
+        (lo < hi).then_some((o, lo, hi))
+    }
+
+    /// The `(object, lo, hi)` intervals ([`Site::pess_interval`]) of every
+    /// object the view watches, each with the route of its guess.
     fn pess_intervals(
         &self,
         vid: ViewId,
         ts: VirtualTime,
-    ) -> Vec<(ObjectName, VirtualTime, VirtualTime)> {
+    ) -> Vec<(PessInterval, Option<GuessRoute>)> {
         let Some(proxy) = self.views.get(&vid) else {
             return Vec::new();
         };
@@ -337,22 +361,20 @@ impl Site {
         };
         let mut out = Vec::new();
         for a in &proxy.attached {
-            for o in self.store.subtree(*a) {
-                let lo = self
-                    .store
-                    .get(o)
-                    .ok()
-                    .and_then(|m| m.values.committed_before(ts).map(|e| e.vt))
-                    .unwrap_or(VirtualTime::ZERO);
-                let hi = snap.coverage.get(&o).copied().unwrap_or(ts);
-                if lo < hi {
-                    out.push((o, lo, hi));
+            for (o, route) in self.store.read_set(*a) {
+                if let Some(interval) = self.pess_interval(snap, ts, o) {
+                    out.push((interval, route));
                 }
             }
         }
         out
     }
 
+    /// (Re-)issues the RL guesses of the pessimistic snapshot at `ts`:
+    /// for each watched object, the interval from its latest locally known
+    /// committed value up to `ts` (or up to the update's own `tR`, which
+    /// the transaction's confirmed reservation already covers) must be
+    /// update-free at the primary (§4.2).
     pub(crate) fn issue_pess_guesses(&mut self, vid: ViewId, ts: VirtualTime) {
         let Some(proxy) = self.views.get(&vid) else {
             return;
@@ -361,16 +383,21 @@ impl Site {
             return;
         };
         let old_token = snap.token;
-        let intervals = self.pess_intervals(vid, ts);
+        let routed = self.pess_intervals(vid, ts);
 
         let token = self.clock.next();
         let mut guesses = SnapGuesses::default();
         let mut remote_batches: BTreeMap<SiteId, Vec<ReadItem>> = BTreeMap::new();
-        for (o, lo, hi) in intervals.iter().map(|(o, l, h)| (*o, *l, *h)) {
-            let o = &o;
-            let Ok(primary) = self.store.primary_of(*o) else {
+        for ((o, lo, hi), route) in &routed {
+            let (lo, hi) = (*lo, *hi);
+            debug_assert_eq!(
+                route.as_ref().map(|r| r.primary),
+                self.store.primary_of(*o).ok()
+            );
+            let Some(route) = route else {
                 continue;
             };
+            let primary = route.primary;
             if primary.site == self.id {
                 // We are the primary: the serialization point. Any write in
                 // (lo, hi) is in our history; if one is present the guess
@@ -386,7 +413,9 @@ impl Site {
                     m.value_reservations.reserve(lo, hi, token);
                 }
             } else {
-                let Some(addr) = self.addr_for(*o, primary.site) else {
+                let addr = route.addr();
+                debug_assert_eq!(addr, self.store.addr_at(*o, primary.site));
+                let Some(addr) = addr else {
                     continue;
                 };
                 remote_batches
@@ -409,7 +438,7 @@ impl Site {
         if let Some(snap) = self.views.get_mut(&vid).and_then(|p| p.pess.get_mut(&ts)) {
             snap.token = token;
             snap.guesses = guesses;
-            snap.issued = intervals;
+            snap.issued = routed.into_iter().map(|(interval, _)| interval).collect();
         }
         for (site, items) in remote_batches {
             self.send(
@@ -726,7 +755,7 @@ impl Site {
                         .and_then(|p| p.pess.get(&ts))
                         .map(|s| s.issued.clone())
                         .unwrap_or_default();
-                    if fresh != stale {
+                    if !fresh.iter().map(|(interval, _)| interval).eq(&stale) {
                         self.stats.snapshot_reruns += 1;
                         self.issue_pess_guesses(vid, ts);
                         self.pump_pessimistic(vid);
@@ -754,21 +783,5 @@ impl Site {
             }
         }
         out
-    }
-
-    /// Wire address of `obj` from the perspective of `site` (for snapshot
-    /// CONFIRM-READ requests and catch-up streaming).
-    pub(crate) fn addr_for(&self, obj: ObjectName, site: SiteId) -> Option<ObjectAddr> {
-        let (root, path) = self.store.path_to(obj).ok()?;
-        let (graph, _) = self.store.effective_graph(root).ok()?;
-        let root_there = graph.node_at(site)?.object;
-        Some(if path.is_root() {
-            ObjectAddr::Direct(root_there)
-        } else {
-            ObjectAddr::Indirect {
-                root: root_there,
-                path,
-            }
-        })
     }
 }

@@ -315,6 +315,9 @@ pub(crate) struct ModelObject {
     /// the number of embeddings ever made — the same asymptotics as the
     /// orphaned child objects themselves.
     pub embeddings: BTreeMap<VirtualTime, ObjectName>,
+    /// Whether the store lists this object for its next sweep; the store
+    /// alone writes it (see [`Store`](crate::store::Store)).
+    pub unsettled: bool,
 }
 
 impl ModelObject {
@@ -329,6 +332,7 @@ impl ModelObject {
             parent: None,
             propagation: PropagationMode::Direct,
             embeddings: BTreeMap::new(),
+            unsettled: false,
         }
     }
 }

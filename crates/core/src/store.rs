@@ -1,7 +1,7 @@
 //! The per-site object store: model-object state, composite
 //! materialization, path resolution, and straggler re-folding.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use decaf_vt::{SiteId, VirtualTime};
@@ -34,12 +34,100 @@ impl From<DecafError> for ApplyBlocked {
 }
 
 /// The per-site collection of model objects.
+///
+/// Most objects of a long session are *settled*: one value, one graph, no
+/// reservations — a removed list child, an element nobody has written
+/// since the last sweep. Nothing in them can be collected or released, so
+/// the walks every commit pays for ([`Store::sweep`],
+/// [`Store::release_reservations`], [`Store::graph_sites`]) visit only the
+/// others: an object is listed in `unsettled` from its insertion or its
+/// first mutable access ([`Store::get_mut`]) until a sweep finds it
+/// settled again. The sites of the settled objects' graphs are kept as
+/// counts, since a settled object cannot change.
 #[derive(Debug)]
 pub(crate) struct Store {
     site: SiteId,
     objects: HashMap<ObjectName, ModelObject>,
+    /// Names of the objects whose `unsettled` flag is set. A destroyed
+    /// object's name stays until the next sweep drops it.
+    unsettled: Vec<ObjectName>,
+    /// For each site, how many settled objects' current graphs name it.
+    settled_graph_sites: BTreeMap<SiteId, usize>,
     next_seq: u64,
     pub selector: PrimarySelector,
+}
+
+/// Where the read guesses on one object are checked: the primary copy of
+/// the graph that governs it and, when that primary is another site, the
+/// object's address there.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct GuessRoute {
+    pub primary: NodeRef,
+    /// The effective root's replica at the primary site and the path down
+    /// from it; `None` at the primary itself, and when the path cannot be
+    /// built or the graph has no node there.
+    there: Option<(ObjectName, Path)>,
+}
+
+impl GuessRoute {
+    /// The object's wire address at the primary site.
+    pub fn addr(&self) -> Option<ObjectAddr> {
+        let (root, path) = self.there.clone()?;
+        Some(object_addr(root, path))
+    }
+
+    /// The route of an indirect child embedded under `elem`.
+    fn descend(&self, elem: PathElem) -> GuessRoute {
+        GuessRoute {
+            primary: self.primary,
+            there: self.there.as_ref().map(|(root, path)| {
+                let mut elems = path.0.clone();
+                elems.push(elem);
+                (*root, Path(elems))
+            }),
+        }
+    }
+}
+
+/// The wire address of the object `path` leads to from replica `root`.
+fn object_addr(root: ObjectName, path: Path) -> ObjectAddr {
+    if path.is_root() {
+        ObjectAddr::Direct(root)
+    } else {
+        ObjectAddr::Indirect { root, path }
+    }
+}
+
+/// Whether nothing in `obj` can be collected by a sweep or released by a
+/// rollback, whatever the low-water mark.
+fn is_settled(obj: &ModelObject) -> bool {
+    obj.values.len() <= 1
+        && obj.graphs.len() <= 1
+        && obj.value_reservations.is_empty()
+        && obj.graph_reservations.is_empty()
+}
+
+fn current_graph_sites(obj: &ModelObject) -> impl Iterator<Item = SiteId> + '_ {
+    obj.graphs
+        .current()
+        .into_iter()
+        .flat_map(|e| e.value.sites())
+}
+
+fn count_settled(counts: &mut BTreeMap<SiteId, usize>, obj: &ModelObject) {
+    for site in current_graph_sites(obj) {
+        *counts.entry(site).or_insert(0) += 1;
+    }
+}
+
+fn uncount_settled(counts: &mut BTreeMap<SiteId, usize>, obj: &ModelObject) {
+    for site in current_graph_sites(obj) {
+        let n = counts.get_mut(&site).expect("settled object was counted");
+        *n -= 1;
+        if *n == 0 {
+            counts.remove(&site);
+        }
+    }
 }
 
 impl Store {
@@ -47,6 +135,8 @@ impl Store {
         Store {
             site,
             objects: HashMap::new(),
+            unsettled: Vec::new(),
+            settled_graph_sites: BTreeMap::new(),
             next_seq: 0,
             selector: PrimarySelector::default(),
         }
@@ -64,10 +154,19 @@ impl Store {
             .ok_or(DecafError::NoSuchObject(name))
     }
 
+    /// Mutable access, which may unsettle the object: it is listed for the
+    /// next sweep (a flag test on every access after the first).
     pub fn get_mut(&mut self, name: ObjectName) -> Result<&mut ModelObject, DecafError> {
-        self.objects
+        let obj = self
+            .objects
             .get_mut(&name)
-            .ok_or(DecafError::NoSuchObject(name))
+            .ok_or(DecafError::NoSuchObject(name))?;
+        if !obj.unsettled {
+            obj.unsettled = true;
+            uncount_settled(&mut self.settled_graph_sites, obj);
+            self.unsettled.push(name);
+        }
+        Ok(obj)
     }
 
     pub fn contains(&self, name: ObjectName) -> bool {
@@ -78,8 +177,72 @@ impl Store {
         self.objects.values()
     }
 
-    pub fn objects_mut(&mut self) -> impl Iterator<Item = &mut ModelObject> {
-        self.objects.values_mut()
+    /// Every object on the `unsettled` list that still exists.
+    fn unsettled_objects(&self) -> impl Iterator<Item = &ModelObject> {
+        self.unsettled
+            .iter()
+            .filter_map(|name| self.objects.get(name))
+    }
+
+    /// The sites named by any object's current replication graph.
+    pub fn graph_sites(&self) -> BTreeSet<SiteId> {
+        let mut sites: BTreeSet<SiteId> = self.settled_graph_sites.keys().copied().collect();
+        for obj in self.unsettled_objects() {
+            sites.extend(current_graph_sites(obj));
+        }
+        debug_assert_eq!(
+            sites,
+            self.objects()
+                .flat_map(current_graph_sites)
+                .collect::<BTreeSet<_>>(),
+            "settled-object site counts disagree with the full walk"
+        );
+        sites
+    }
+
+    /// Garbage-collects every history and reservation set below `low`;
+    /// returns the number of history entries discarded. Objects the sweep
+    /// leaves settled come off the list.
+    pub fn sweep(&mut self, low: VirtualTime) -> usize {
+        let mut discarded = 0;
+        let mut listed = std::mem::take(&mut self.unsettled);
+        listed.retain(|name| {
+            let Some(obj) = self.objects.get_mut(name) else {
+                return false; // destroyed since it was listed
+            };
+            discarded += obj.values.gc(low);
+            discarded += obj.graphs.gc(low);
+            obj.value_reservations.gc(low);
+            obj.graph_reservations.gc(low);
+            obj.unsettled = !is_settled(obj);
+            if !obj.unsettled {
+                count_settled(&mut self.settled_graph_sites, obj);
+            }
+            obj.unsettled
+        });
+        self.unsettled = listed;
+        // The full walk would have found nothing more.
+        debug_assert!(self.objects().all(|o| o.unsettled || is_settled(o)));
+        discarded
+    }
+
+    /// Releases the reservations transaction `owner` holds on any object.
+    pub fn release_reservations(&mut self, owner: VirtualTime) {
+        for name in &self.unsettled {
+            if let Some(obj) = self.objects.get_mut(name) {
+                obj.value_reservations.release(owner);
+                obj.graph_reservations.release(owner);
+            }
+        }
+        debug_assert!(self.objects().all(|o| o.unsettled || is_settled(o)));
+    }
+
+    /// Adds `obj` (under a name the store does not hold) unsettled.
+    fn insert(&mut self, mut obj: ModelObject) {
+        obj.unsettled = true;
+        self.unsettled.push(obj.name);
+        let replaced = self.objects.insert(obj.name, obj);
+        debug_assert!(replaced.is_none(), "object names are allocated once");
     }
 
     /// Name-allocation counter (persistence support).
@@ -94,7 +257,7 @@ impl Store {
 
     /// Installs a fully-formed object (persistence support).
     pub fn insert_object(&mut self, obj: ModelObject) {
-        self.objects.insert(obj.name, obj);
+        self.insert(obj);
     }
 
     /// Creates a standalone (root, direct-mode) object with a committed
@@ -107,7 +270,7 @@ impl Store {
             VirtualTime::ZERO,
             ReplicationGraph::singleton(NodeRef::new(self.site, name)),
         );
-        self.objects.insert(name, obj);
+        self.insert(obj);
         name
     }
 
@@ -138,7 +301,7 @@ impl Store {
                 }
             }
             Blueprint::Tuple(children) => {
-                let entries: std::collections::BTreeMap<String, ObjectName> = children
+                let entries: BTreeMap<String, ObjectName> = children
                     .iter()
                     .map(|(k, c)| (k.clone(), self.instantiate(c, vt, name)))
                     .collect();
@@ -152,7 +315,7 @@ impl Store {
         obj.parent = Some(parent);
         obj.propagation = PropagationMode::Indirect;
         obj.values.insert(vt, value);
-        self.objects.insert(name, obj);
+        self.insert(obj);
         name
     }
 
@@ -171,7 +334,7 @@ impl Store {
         obj.parent = Some(parent);
         obj.propagation = PropagationMode::Indirect;
         obj.values.insert(vt, value);
-        self.objects.insert(name, obj);
+        self.insert(obj);
         name
     }
 
@@ -197,7 +360,7 @@ impl Store {
                 }
             }
             TreeSnapshot::Tuple(children) => {
-                let entries: std::collections::BTreeMap<String, ObjectName> = children
+                let entries: BTreeMap<String, ObjectName> = children
                     .iter()
                     .map(|(k, c)| (k.clone(), self.instantiate_tree(c, vt, owner)))
                     .collect();
@@ -676,7 +839,7 @@ impl Store {
         op: TupleOp,
     ) -> Result<(), ApplyBlocked> {
         let obj = self.get_mut(target)?;
-        let base: Arc<std::collections::BTreeMap<String, ObjectName>> = obj
+        let base: Arc<BTreeMap<String, ObjectName>> = obj
             .values
             .iter()
             .rev()
@@ -816,7 +979,7 @@ impl Store {
         let Ok(obj) = self.get_mut(target) else {
             return;
         };
-        let base: Arc<std::collections::BTreeMap<String, ObjectName>> = obj
+        let base: Arc<BTreeMap<String, ObjectName>> = obj
             .values
             .iter()
             .rev()
@@ -853,7 +1016,9 @@ impl Store {
                 .collect(),
             None => return,
         };
-        self.objects.remove(&name);
+        if let Some(gone) = self.objects.remove(&name).filter(|o| !o.unsettled) {
+            uncount_settled(&mut self.settled_graph_sites, &gone);
+        }
         for c in children {
             self.destroy_subtree(c);
         }
@@ -880,6 +1045,77 @@ impl Store {
                 frontier.push(c);
             }
         }
+        out
+    }
+
+    /// `name`'s effective root as `site` names it, and the path down from
+    /// there; `None` when the path cannot be built or the governing graph
+    /// has no node at `site`.
+    fn root_and_path_at(&self, name: ObjectName, site: SiteId) -> Option<(ObjectName, Path)> {
+        let (root, path) = self.path_to(name).ok()?;
+        let (graph, _) = self.effective_graph(root).ok()?;
+        Some((graph.node_at(site)?.object, path))
+    }
+
+    /// Wire address of `name` from the perspective of `site` (for snapshot
+    /// CONFIRM-READ requests and catch-up streaming).
+    pub fn addr_at(&self, name: ObjectName, site: SiteId) -> Option<ObjectAddr> {
+        let (root, path) = self.root_and_path_at(name, site)?;
+        Some(object_addr(root, path))
+    }
+
+    /// Where `name`'s read guesses go, found the long way: up the `parent`
+    /// links to the effective root, then down again for the path.
+    fn guess_route(&self, name: ObjectName) -> Option<GuessRoute> {
+        let primary = self.primary_of(name).ok()?;
+        let there = (primary.site != self.site)
+            .then(|| self.root_and_path_at(name, primary.site))
+            .flatten();
+        Some(GuessRoute { primary, there })
+    }
+
+    /// [`Store::subtree`] of `name`, in the same order, each object with
+    /// the route of its read guesses (`None` where [`Store::primary_of`]
+    /// fails). An indirect child inherits the route of the composite it
+    /// was reached from, one path element longer, so a whole read set
+    /// costs one traversal; only the attachment point, children that
+    /// propagate directly, and children whose `parent` link points
+    /// elsewhere go the long way.
+    pub fn read_set(&self, name: ObjectName) -> Vec<(ObjectName, Option<GuessRoute>)> {
+        let mut out = vec![(name, self.guess_route(name))];
+        let mut frontier = vec![0];
+        while let Some(at) = frontier.pop() {
+            let cur = out[at].0;
+            let children: Vec<(PathElem, ObjectName)> =
+                match self.objects.get(&cur).and_then(|o| o.values.current()) {
+                    Some(e) => match &e.value {
+                        ObjectValue::List { entries, .. } => entries
+                            .iter()
+                            .enumerate()
+                            .map(|(index, e)| (PathElem::Index { index, tag: e.tag }, e.child))
+                            .collect(),
+                        ObjectValue::Tuple { entries, .. } => entries
+                            .iter()
+                            .map(|(k, c)| (PathElem::Key(k.clone()), *c))
+                            .collect(),
+                        _ => Vec::new(),
+                    },
+                    None => Vec::new(),
+                };
+            for (elem, child) in children {
+                let inherits = self.objects.get(&child).is_some_and(|c| {
+                    c.parent == Some(cur) && c.propagation == PropagationMode::Indirect
+                });
+                let route = if inherits {
+                    out[at].1.as_ref().map(|r| r.descend(elem))
+                } else {
+                    self.guess_route(child)
+                };
+                frontier.push(out.len());
+                out.push((child, route));
+            }
+        }
+        debug_assert!(out.iter().map(|(o, _)| *o).eq(self.subtree(name)));
         out
     }
 
@@ -921,7 +1157,7 @@ fn fold_list_op(state: &mut Vec<ListEntry>, op: &ListOp) {
     }
 }
 
-fn fold_tuple_op(state: &mut std::collections::BTreeMap<String, ObjectName>, op: &TupleOp) {
+fn fold_tuple_op(state: &mut BTreeMap<String, ObjectName>, op: &TupleOp) {
     match op {
         TupleOp::Put { key, child } => {
             state.insert(key.clone(), *child);
@@ -1422,5 +1658,140 @@ mod embedding_tests {
         let tree = s.subtree(l);
         assert_eq!(tree.len(), 4, "root + inner list + two ints: {tree:?}");
         assert_eq!(tree[0], l, "root first");
+    }
+
+    /// `l` replicated at site 2 too, whose copy (the greater node) is the
+    /// primary under `MaxNode`.
+    fn replicate_at_site_2(s: &mut Store, l: ObjectName) -> ObjectName {
+        let there = ObjectName::new(SiteId(2), 7);
+        let (here, peer) = (NodeRef::new(SiteId(1), l), NodeRef::new(SiteId(2), there));
+        let graph = ReplicationGraph::singleton(here).joined_with(
+            &ReplicationGraph::singleton(peer),
+            here,
+            peer,
+            crate::collab::RelationId(1),
+        );
+        s.get_mut(l).unwrap().graphs.insert_committed(vt(1), graph);
+        s.selector = PrimarySelector::MaxNode;
+        there
+    }
+
+    #[test]
+    fn read_set_routes_equal_the_long_way_for_every_object() {
+        let (mut s, l) = list_store();
+        let there = replicate_at_site_2(&mut s, l);
+        let row = |n| {
+            Blueprint::Tuple(vec![
+                ("a".into(), Blueprint::Int(n)),
+                ("b".into(), Blueprint::List(vec![Blueprint::Int(n)])),
+            ])
+        };
+        for (i, at) in [10, 20, 30].into_iter().enumerate() {
+            let op = WireOp::ListInsert {
+                index: usize::MAX,
+                child: row(i as i64),
+            };
+            s.apply_wire_op(l, vt(at), &op).unwrap();
+        }
+        let rows: Vec<ObjectName> = s
+            .get(l)
+            .unwrap()
+            .values
+            .current()
+            .unwrap()
+            .value
+            .as_list()
+            .unwrap()
+            .iter()
+            .map(|e| e.child)
+            .collect();
+        // One row collaborates on its own (its subtree is governed by its
+        // own graph, primary here); another's parent link points at a
+        // composite that does not hold it, so it has no path.
+        let own = s.get_mut(rows[1]).unwrap();
+        own.propagation = PropagationMode::Direct;
+        own.graphs.insert_committed(
+            VirtualTime::ZERO,
+            ReplicationGraph::singleton(NodeRef::new(SiteId(1), rows[1])),
+        );
+        s.get_mut(rows[2]).unwrap().parent = Some(rows[0]);
+
+        let set = s.read_set(l);
+        assert_eq!(
+            set.iter().map(|(o, _)| *o).collect::<Vec<_>>(),
+            s.subtree(l),
+            "subtree order"
+        );
+        assert_eq!(set.len(), 1 + 3 * 4);
+        let mut remote = 0;
+        for (o, route) in &set {
+            assert_eq!(
+                route.as_ref().map(|r| r.primary),
+                s.primary_of(*o).ok(),
+                "{o}"
+            );
+            let route = route.as_ref().expect("every object has a primary");
+            if route.primary.site != SiteId(1) {
+                remote += 1;
+                assert_eq!(route.addr(), s.addr_at(*o, SiteId(2)), "{o}");
+            }
+        }
+        assert_eq!(remote, 1 + 4 + 4, "all but the row with its own graph");
+        assert_eq!(s.addr_at(rows[2], SiteId(2)), None);
+        assert_eq!(
+            set[0].1.as_ref().unwrap().addr(),
+            Some(ObjectAddr::Direct(there))
+        );
+    }
+
+    #[test]
+    fn settled_objects_leave_the_sweep_list_and_come_back_when_touched() {
+        let (mut s, l) = list_store();
+        replicate_at_site_2(&mut s, l);
+        for at in [10, 20] {
+            let op = WireOp::ListInsert {
+                index: usize::MAX,
+                child: Blueprint::Int(at as i64),
+            };
+            s.apply_wire_op(l, vt(at), &op).unwrap();
+        }
+        assert_eq!(s.unsettled.len(), 3, "everything is listed on insert");
+        let both: BTreeSet<SiteId> = [SiteId(1), SiteId(2)].into();
+        assert_eq!(s.graph_sites(), both);
+
+        // Uncommitted history stays; the children are settled already.
+        assert_eq!(s.sweep(vt(100)), 1, "the graph before the join");
+        assert_eq!(s.unsettled, vec![l]);
+        for at in [10, 20] {
+            s.get_mut(l).unwrap().values.mark_committed(vt(at));
+        }
+        assert_eq!(s.sweep(vt(100)), 2, "the list values before the last");
+        assert!(s.unsettled.is_empty());
+        assert_eq!(
+            s.graph_sites(),
+            both,
+            "now from the settled objects' counts"
+        );
+        assert_eq!(s.sweep(vt(200)), 0);
+
+        // A reservation unsettles its object until it is released or
+        // collected; nothing else is walked meanwhile.
+        let child = s.subtree(l)[1];
+        s.get_mut(child)
+            .unwrap()
+            .value_reservations
+            .reserve(vt(10), vt(150), vt(151));
+        assert_eq!(s.unsettled, vec![child]);
+        s.sweep(vt(120));
+        assert_eq!(s.unsettled, vec![child], "the reservation is still live");
+        s.release_reservations(vt(151));
+        assert_eq!(s.get(child).unwrap().value_reservations.len(), 0);
+        s.sweep(vt(120));
+        assert!(s.unsettled.is_empty());
+
+        // A settled object's sites go with it when it is destroyed.
+        s.destroy_subtree(l);
+        assert!(s.graph_sites().is_empty());
+        assert_eq!(s.sweep(vt(300)), 0);
     }
 }

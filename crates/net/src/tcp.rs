@@ -13,13 +13,25 @@
 //!   are read-only (the dialer identifies itself with a `Hello` frame).
 //!   With both directions dialing, `A → B` traffic always flows on the
 //!   connection `A` initiated, which preserves per-link FIFO — the ordering
-//!   assumption the engine's straggler handling relies on.
+//!   assumption the engine's straggler handling relies on. The accept
+//!   thread sleeps in `accept()` and hands each connection to a reader at
+//!   once, so a site is reachable from the moment it binds; a dial that
+//!   comes before the peer's bind is refused and repeated 1 ms later, then
+//!   2, 4, … ms (see *Failure mapping*), so a session's links are up a few
+//!   round trips after its last site has started.
 //! * **Liveness** — per-peer writer threads send heartbeat `Ping` frames
 //!   when idle; readers track the last time each peer was heard from.
-//! * **Failure mapping** — a broken or silent link triggers reconnection
-//!   with exponential backoff and jitter. When reconnection is exhausted
-//!   (or a never-seen peer misses its connect deadline), the peer is
-//!   declared fail-stopped and a single [`TransportEvent::SiteFailed`] is
+//! * **Failure mapping** — there are two re-dial schedules, and which one
+//!   a peer is on depends only on whether this site has ever had a
+//!   connection to it. A peer that **was connected** and whose link broke
+//!   or fell silent is on the failure-detection schedule: re-dialled after
+//!   `reconnect_base`, doubling to `reconnect_cap` (±25 % jitter), and
+//!   declared fail-stopped after `max_reconnect_attempts` consecutive
+//!   failures. A peer that was **never connected** is assumed to be
+//!   starting: its ladder begins at 1 ms and doubles to the same cap with
+//!   the same jitter, and it is declared fail-stopped only when
+//!   `connect_deadline` has passed since this mesh started. Either way a
+//!   fail-stopped peer yields a single [`TransportEvent::SiteFailed`],
 //!   delivered locally — the ISIS-style notification the paper assumes the
 //!   communication layer provides (§3.4). The site loop hands it to
 //!   [`Site::notify_site_failed`](decaf_core::Site::notify_site_failed).
@@ -48,7 +60,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -85,15 +97,21 @@ pub struct TcpConfig {
     /// Silence from a previously heard peer after which the link is torn
     /// down and re-dialed (default 3 s).
     pub heartbeat_timeout: Duration,
-    /// First reconnect backoff step (default 50 ms); doubles per attempt.
+    /// First backoff step when re-dialling a peer that **was connected**
+    /// (default 50 ms); doubles per attempt. A peer that has never been
+    /// connected is re-dialled from 1 ms instead (or from this value, if
+    /// it is smaller), doubling likewise.
     pub reconnect_base: Duration,
-    /// Backoff ceiling (default 1 s).
+    /// Backoff ceiling, for both kinds of peer (default 1 s).
     pub reconnect_cap: Duration,
     /// Consecutive failed reconnect attempts to a previously connected
     /// peer before it is declared fail-stopped (default 6).
     pub max_reconnect_attempts: u32,
     /// Grace period for a peer that has *never* been reached — start-up
-    /// races are not failures (default 20 s).
+    /// races are not failures (default 20 s). Counted from this mesh's
+    /// start; until it has passed such a peer is re-dialled on the 1 ms
+    /// ladder (see `reconnect_base`) however many dials fail, and
+    /// `max_reconnect_attempts` does not apply to it.
     pub connect_deadline: Duration,
     /// Bound of each per-peer outbound queue; overflow drops the message
     /// and counts `sends_dropped` (default 4096).
@@ -395,6 +413,10 @@ pub struct TcpMesh {
     batch_sizes: Arc<Mutex<Histogram>>,
     trace: TraceSink,
     shutdown: Arc<AtomicBool>,
+    /// The accept thread, which sleeps in `accept()` and is woken by
+    /// [`TcpMesh::shutdown`]; `None` once that has run.
+    accept: Option<JoinHandle<()>>,
+    /// The per-peer link threads.
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -416,7 +438,6 @@ impl TcpMesh {
     pub fn start(config: TcpConfig) -> std::io::Result<TcpMesh> {
         let listener = TcpListener::bind(config.listen)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let counters = Arc::new(Counters::default());
         let batch_sizes = Arc::new(Mutex::new(Histogram::new()));
@@ -438,22 +459,20 @@ impl TcpMesh {
         );
         let outboxes = Arc::new(outboxes);
 
-        let mut threads = Vec::new();
-
         // Accept thread: read-only inbound connections.
-        {
+        let accept = {
             let events = events_tx.clone();
             let shared = Arc::clone(&peer_shared);
             let counters = Arc::clone(&counters);
             let stop = Arc::clone(&shutdown);
             let trace = config.trace.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("decaf-tcp-accept-{}", config.site.0))
-                    .spawn(move || accept_loop(listener, events, shared, counters, trace, stop))
-                    .expect("spawn accept thread"),
-            );
-        }
+            std::thread::Builder::new()
+                .name(format!("decaf-tcp-accept-{}", config.site.0))
+                .spawn(move || accept_loop(listener, events, shared, counters, trace, stop))
+                .expect("spawn accept thread")
+        };
+
+        let mut threads = Vec::new();
 
         // Per-peer writer threads: dial, frame, heartbeat, reconnect.
         for (peer, (rx, shared)) in peers {
@@ -489,6 +508,7 @@ impl TcpMesh {
             batch_sizes,
             trace: config.trace,
             shutdown,
+            accept: Some(accept),
             threads,
         })
     }
@@ -536,6 +556,18 @@ impl TcpMesh {
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        // The accept thread sleeps in `accept()` and reads the flag only
+        // when a connection wakes it: dial our own listener. If that dial
+        // fails (descriptors exhausted, the bound address gone) the thread
+        // cannot be woken, and joining it would hang: it is left behind,
+        // and exits on the next connection anyone makes.
+        let woken = TcpStream::connect_timeout(&wake_addr(self.local_addr), WAKE_DIAL_TIMEOUT);
+        if woken.is_ok() || accept.is_finished() {
+            let _ = accept.join();
+        }
     }
 }
 
@@ -568,7 +600,26 @@ impl Drop for TcpMesh {
     }
 }
 
-/// Accepts inbound connections and spawns a reader per connection.
+/// How long [`TcpMesh::shutdown`] waits for its wake-up dial to the mesh's
+/// own listener before it gives the accept thread up.
+const WAKE_DIAL_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Where [`TcpMesh::shutdown`] dials to wake the accept thread: the bound
+/// address, or the bound port on loopback when the listener was bound to
+/// the unspecified address (which accepts, but cannot be dialled).
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    match bound.ip() {
+        ip if !ip.is_unspecified() => bound,
+        IpAddr::V4(_) => SocketAddr::new(Ipv4Addr::LOCALHOST.into(), bound.port()),
+        IpAddr::V6(_) => SocketAddr::new(Ipv6Addr::LOCALHOST.into(), bound.port()),
+    }
+}
+
+/// Accepts inbound connections and spawns a reader per connection, at
+/// once: the thread sleeps in `accept()`, so a site is reachable from the
+/// moment it binds. The shutdown flag is read after every wake-up —
+/// [`TcpMesh::shutdown`] sets it and then connects — and a connection
+/// accepted with the flag set is closed without a reader.
 /// Readers are detached: they exit on EOF, error, or the shutdown flag.
 fn accept_loop(
     listener: TcpListener,
@@ -578,8 +629,12 @@ fn accept_loop(
     trace: TraceSink,
     shutdown: Arc<AtomicBool>,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let events = events.clone();
                 let peers = Arc::clone(&peers);
@@ -590,12 +645,8 @@ fn accept_loop(
                     .name("decaf-tcp-reader".into())
                     .spawn(move || reader_loop(stream, events, peers, counters, trace, stop));
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // The connection died in the backlog, or the process is out of
+            // descriptors: nothing to hand on; do not spin on the latter.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -618,7 +669,6 @@ fn reader_loop(
 ) {
     let mut stream = stream;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(300)));
     let mut reader = FrameReader::new();
     let mut peer: Option<SiteId> = None;
@@ -855,9 +905,30 @@ fn flush_envelopes(
     }
 }
 
+/// First step of the re-dial ladder for a peer that has never been
+/// connected: such a peer is most likely a site that is starting too and
+/// has not bound yet, so the next dial follows within a round trip's
+/// order of magnitude, not a failure-detection interval.
+const FIRST_DIAL_STEP: Duration = Duration::from_millis(1);
+
+/// The wait (before jitter) after the `attempts`-th consecutive failed
+/// dial. A peer that was connected is on the failure-detection schedule:
+/// `reconnect_base` doubling to `reconnect_cap`. One that never was climbs
+/// to that same cap from [`FIRST_DIAL_STEP`].
+fn redial_step(cfg: &TcpConfig, was_connected: bool, attempts: u32) -> Duration {
+    let base = if was_connected {
+        cfg.reconnect_base
+    } else {
+        cfg.reconnect_base.min(FIRST_DIAL_STEP)
+    };
+    base.saturating_mul(1u32 << attempts.saturating_sub(1).min(16))
+        .min(cfg.reconnect_cap)
+}
+
 /// The per-peer link thread: dials the peer, writes `Hello` + data +
-/// heartbeat `Ping` frames, and reconnects with exponential backoff and
-/// jitter. Exhausted reconnection (or a missed initial-connect deadline)
+/// heartbeat `Ping` frames, and re-dials with exponential backoff and
+/// jitter ([`redial_step`]). Exhausted reconnection to a peer that was
+/// connected, or a never-connected peer's missed `connect_deadline`,
 /// declares the peer fail-stopped.
 #[allow(clippy::too_many_arguments)] // one thread entry point, never composed
 fn writer_loop(
@@ -893,7 +964,8 @@ fn writer_loop(
                 Ok(s) => break s,
                 Err(_) => {
                     attempts += 1;
-                    let exhausted = if had_conn || shared.ever_connected.load(Ordering::Relaxed) {
+                    let was_connected = had_conn || shared.ever_connected.load(Ordering::Relaxed);
+                    let exhausted = if was_connected {
                         attempts > cfg.max_reconnect_attempts
                     } else {
                         born.elapsed() > cfg.connect_deadline
@@ -902,10 +974,7 @@ fn writer_loop(
                         declare_failed(peer, &shared, &events, &counters, &cfg.trace);
                         return;
                     }
-                    let exp = cfg
-                        .reconnect_base
-                        .saturating_mul(1u32 << attempts.saturating_sub(1).min(16))
-                        .min(cfg.reconnect_cap);
+                    let exp = redial_step(&cfg, was_connected, attempts);
                     // ±25% jitter so a rebooted mesh doesn't thunder.
                     let jitter: f64 = rng.gen_range(0.75..=1.25);
                     let wait = Duration::from_secs_f64(exp.as_secs_f64() * jitter);
@@ -1183,6 +1252,157 @@ mod tests {
         );
         assert_eq!(a.stats().reconnects, 1);
         a.shutdown();
+    }
+
+    /// Starts site 1, then site 2 `b_late` later, with an envelope for
+    /// site 2 already queued at site 1; returns how long after site 2's
+    /// bind began that envelope reached it.
+    fn first_delivery_after_bind(b_late: Duration) -> Duration {
+        loop {
+            let a_addr: SocketAddr = format!("127.0.0.1:{}", reserve_port()).parse().unwrap();
+            let b_addr: SocketAddr = format!("127.0.0.1:{}", reserve_port()).parse().unwrap();
+            let mut a = TcpMesh::start(TcpConfig::new(SiteId(1), a_addr).peer(SiteId(2), b_addr))
+                .expect("bind a");
+            a.endpoint().send(SiteId(2), env(SiteId(1), SiteId(2)));
+            std::thread::sleep(b_late);
+            let bind = Instant::now();
+            // A reserved port is free, not held: while site 2 waited, a
+            // test running beside this one may have been handed it.
+            let Ok(mut b) =
+                TcpMesh::start(TcpConfig::new(SiteId(2), b_addr).peer(SiteId(1), a_addr))
+            else {
+                continue;
+            };
+            b.endpoint()
+                .recv_timeout(Duration::from_secs(10))
+                .and_then(TransportEvent::into_message)
+                .expect("delivery");
+            let took = bind.elapsed();
+            a.shutdown();
+            b.shutdown();
+            return took;
+        }
+    }
+
+    fn median_of_20(sample: impl Fn() -> Duration) -> Duration {
+        let mut all: Vec<Duration> = (0..20).map(|_| sample()).collect();
+        all.sort();
+        all[all.len() / 2]
+    }
+
+    #[test]
+    fn pairs_started_together_deliver_within_5_ms_of_bind() {
+        // Site 1's first dial finds nobody listening. A whole
+        // `reconnect_base` step from there would be 37 ms at the least.
+        let median = median_of_20(|| first_delivery_after_bind(Duration::ZERO));
+        assert!(median < Duration::from_millis(5), "median {median:?}");
+    }
+
+    #[test]
+    fn a_peer_that_binds_late_is_reached_within_10_ms_of_its_bind() {
+        let median = median_of_20(|| first_delivery_after_bind(Duration::from_millis(5)));
+        assert!(median < Duration::from_millis(10), "median {median:?}");
+    }
+
+    #[test]
+    fn a_connected_peer_is_redialled_on_the_failure_detection_schedule() {
+        let cfg = TcpConfig::new(SiteId(1), "127.0.0.1:0".parse().unwrap());
+        let ms = Duration::from_millis;
+        let steps = |was_connected| -> Vec<Duration> {
+            (1..=12)
+                .map(|n| redial_step(&cfg, was_connected, n))
+                .collect()
+        };
+        assert_eq!(
+            steps(true)[..7],
+            [50, 100, 200, 400, 800, 1000, 1000].map(ms)
+        );
+        assert_eq!(
+            steps(false),
+            [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000, 1000].map(ms)
+        );
+        // A configured base below the ladder's first step is kept.
+        let mut fast = cfg.clone();
+        fast.reconnect_base = Duration::from_micros(100);
+        assert_eq!(
+            redial_step(&fast, false, 1),
+            redial_step(&fast, true, 1),
+            "never-connected peers are not dialled slower than connected ones"
+        );
+    }
+
+    #[test]
+    fn wake_up_dial_goes_to_loopback_when_bound_to_the_unspecified_address() {
+        let addr = |s: &str| s.parse::<SocketAddr>().unwrap();
+        assert_eq!(wake_addr(addr("0.0.0.0:7")), addr("127.0.0.1:7"));
+        assert_eq!(wake_addr(addr("[::]:7")), addr("[::1]:7"));
+        assert_eq!(wake_addr(addr("127.0.0.1:7")), addr("127.0.0.1:7"));
+        assert_eq!(wake_addr(addr("192.0.2.1:7")), addr("192.0.2.1:7"));
+    }
+
+    /// `shutdown()` returned in time, and the accept thread is gone: its
+    /// listener no longer takes connections.
+    fn assert_shuts_down_promptly(mut mesh: TcpMesh) {
+        let dial = wake_addr(mesh.local_addr());
+        let t0 = Instant::now();
+        mesh.shutdown();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(300), "shutdown took {took:?}");
+        assert!(mesh.accept.is_none() && mesh.threads.is_empty());
+        assert!(
+            TcpStream::connect(dial).is_err(),
+            "the accept thread still holds the listener"
+        );
+        let t0 = Instant::now();
+        mesh.shutdown();
+        assert!(t0.elapsed() < Duration::from_millis(300), "second shutdown");
+    }
+
+    #[test]
+    fn shutdown_wakes_and_joins_the_accept_thread() {
+        for listen in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let cfg = TcpConfig::new(SiteId(1), listen.parse().unwrap());
+            assert_shuts_down_promptly(TcpMesh::start(cfg).unwrap());
+        }
+    }
+
+    #[test]
+    fn connection_arriving_after_the_shutdown_flag_gets_no_reader() {
+        let addr: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let mut m = TcpMesh::start(TcpConfig::new(SiteId(1), addr)).unwrap();
+        m.shutdown.store(true, Ordering::SeqCst);
+        // A peer's whole opening — Hello and an envelope — in one write,
+        // which may already find the connection closed.
+        let mut stream = TcpStream::connect(m.local_addr()).unwrap();
+        let mut opening = Vec::new();
+        let hello = encode_hello_v2(SiteId(2), CODEC_VERSION);
+        write_frame(&mut opening, FrameKind::Hello, &hello).unwrap();
+        let data = encode_envelope_v2(&env(SiteId(2), SiteId(1)));
+        write_frame(&mut opening, FrameKind::DataV2, &data).unwrap();
+        let _ = std::io::Write::write_all(&mut stream, &opening);
+        // The accept thread closes the connection and exits...
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert!(
+            matches!(stream.read(&mut [0u8; 1]), Ok(0) | Err(_)),
+            "connection was kept open"
+        );
+        let accept = m.accept.as_ref().expect("not shut down yet");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !accept.is_finished() {
+            assert!(Instant::now() < deadline, "accept thread still running");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // ...and nobody read what the connection carried.
+        let stats = m.stats();
+        assert_eq!((stats.frames_in, stats.bytes_in), (0, 0), "{stats}");
+        assert!(m.endpoint().try_recv().is_none());
+        // The listener is gone, so shutdown's own wake-up dial fails; it
+        // must still return.
+        let t0 = Instant::now();
+        m.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(2));
     }
 
     #[test]

@@ -53,6 +53,19 @@ run cargo test --workspace --offline -q
 run cargo test -p decaf-apps --test tcp_transport --offline -q \
     durable_site_recovers_from_sigkill_and_rejoins
 
+# The TCP mesh's accept thread sleeps in accept() and is woken by
+# shutdown's dial to its own listener. Ten rounds under a timeout, so a
+# shutdown that hangs or an accept/shutdown race that shows once in a few
+# runs fails CI instead of wedging it.
+echo "==> decaf-net tcp:: unit tests x10 (timeout 300 s)"
+run cargo test -p decaf-net --lib --offline --no-run -q
+for round in $(seq 1 10); do
+    if ! timeout 300 cargo test -p decaf-net --lib --offline -q tcp::; then
+        echo "FAIL: decaf-net tcp:: tests, round $round of 10 (exit 124 = hung)" >&2
+        exit 1
+    fi
+done
+
 # The deterministic-trace golden test is the observability contract: a
 # fixed sim workload must keep producing byte-identical JSONL traces.
 run cargo test -p decaf-net --test trace_golden --offline -q

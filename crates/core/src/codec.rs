@@ -8,6 +8,40 @@
 //! little-endian IEEE bit patterns for reals (so non-finite values
 //! round-trip).
 //!
+//! # Snapshot reads
+//!
+//! A [`Message::SnapshotConfirm`] carries one [`ReadItem`] per object its
+//! view snapshot guesses on — for a view over a list, one per element, in
+//! list order: the same root, the next index, read at the VT the element
+//! was embedded at, up to the same `hi`. In full such an item is some 25
+//! bytes, nearly all of them the preceding item's. Each item is therefore
+//! coded against its predecessor: a flag byte, then only the parts the
+//! flags do not cover, in this order.
+//!
+//! ```text
+//! bit   set means                                   clear: what follows
+//! 0x01  the address is one list index under the     the address in full
+//!       preceding item's root (the object a direct
+//!       address names, or an indirect one's root)
+//! 0x02  that index is the preceding item's + 1      the index (varint)
+//!       (with 0x01 only; the preceding item's
+//!       address is itself a single list index)
+//!       — with 0x01, the index's tag (a VT) follows here —
+//! 0x04  `t_r` is that tag (with 0x01 only)          `t_r`
+//! 0x08  `t_g` is `t_r`                              `t_g`
+//! 0x10  `hi` is the preceding item's                `hi` (option byte, VT)
+//! ```
+//!
+//! Flag byte 0 is the item exactly as a [`TxnPropagate`] carries it, which
+//! is what a direct object, a tuple field or a deeper path gets for its
+//! address; the first item has no predecessor and never sets 0x01 or 0x10.
+//! The encoder sets every bit that applies, so the element of a list walked
+//! in order costs its flag byte and its tag. The decoder rejects the other
+//! three bits, 0x02 or 0x04 without 0x01, 0x01 or 0x10 on the first item,
+//! 0x02 after an item that has no index, and an index past `usize::MAX`.
+//! [`TxnPropagate`]'s reads keep the full layout: a transaction reads few
+//! objects, and catch-up streams carry the same bytes.
+//!
 //! The layout is strict and self-delimiting — decoding rejects unknown
 //! tags, truncation, and trailing bytes, bounds every declared count by the
 //! bytes that remain before allocating for it, and follows composites no
@@ -329,6 +363,80 @@ fn read(o: &mut Vec<u8>, r: &ReadItem) {
     put_opt(o, r.hi.as_ref(), vt);
 }
 
+// The flag bits of a snapshot's read item (module docs, "Snapshot reads").
+
+/// The address is one list index under the preceding item's root.
+const READ_SAME_ROOT: u8 = 0x01;
+/// That index is the preceding item's plus one.
+const READ_NEXT_INDEX: u8 = 0x02;
+/// `t_r` is the index's tag.
+const READ_TR_IS_TAG: u8 = 0x04;
+/// `t_g` is `t_r`.
+const READ_TG_IS_TR: u8 = 0x08;
+/// `hi` is the preceding item's.
+const READ_HI_REPEATS: u8 = 0x10;
+const READ_FLAGS: u8 =
+    READ_SAME_ROOT | READ_NEXT_INDEX | READ_TR_IS_TAG | READ_TG_IS_TR | READ_HI_REPEATS;
+
+/// The root an address names, and its index and tag when the path below
+/// that root is exactly one list index.
+fn root_and_index(a: &ObjectAddr) -> (ObjectName, Option<(usize, VirtualTime)>) {
+    match a {
+        ObjectAddr::Direct(n) => (*n, None),
+        ObjectAddr::Indirect { root, path } => match path.0.as_slice() {
+            [PathElem::Index { index, tag }] => (*root, Some((*index, *tag))),
+            _ => (*root, None),
+        },
+    }
+}
+
+fn snapshot_reads(o: &mut Vec<u8>, reads: &[ReadItem]) {
+    put_varint(o, reads.len() as u64);
+    // The preceding item's root, its index if its path is one, and its `hi`.
+    let mut prev: Option<(ObjectName, Option<usize>, Option<VirtualTime>)> = None;
+    for r in reads {
+        let (root, index) = root_and_index(&r.addr);
+        let mut flags = 0;
+        if let (Some((index, tag)), Some((prev_root, prev_index, _))) = (index, prev) {
+            if prev_root == root {
+                flags |= READ_SAME_ROOT;
+                if prev_index.is_some_and(|i| i.checked_add(1) == Some(index)) {
+                    flags |= READ_NEXT_INDEX;
+                }
+                if r.t_r == tag {
+                    flags |= READ_TR_IS_TAG;
+                }
+            }
+        }
+        if r.t_g == r.t_r {
+            flags |= READ_TG_IS_TR;
+        }
+        if prev.is_some_and(|(_, _, hi)| hi == r.hi) {
+            flags |= READ_HI_REPEATS;
+        }
+        o.push(flags);
+        match index {
+            Some((index, tag)) if flags & READ_SAME_ROOT != 0 => {
+                if flags & READ_NEXT_INDEX == 0 {
+                    put_varint(o, index as u64);
+                }
+                vt(o, &tag);
+            }
+            _ => addr(o, &r.addr),
+        }
+        if flags & READ_TR_IS_TAG == 0 {
+            vt(o, &r.t_r);
+        }
+        if flags & READ_TG_IS_TR == 0 {
+            vt(o, &r.t_g);
+        }
+        if flags & READ_HI_REPEATS == 0 {
+            put_opt(o, r.hi.as_ref(), vt);
+        }
+        prev = Some((root, index.map(|(i, _)| i), r.hi));
+    }
+}
+
 fn sites(o: &mut Vec<u8>, xs: &[SiteId]) {
     put_varint(o, xs.len() as u64);
     for s in xs {
@@ -395,10 +503,7 @@ fn message(o: &mut Vec<u8>, m: &Message) {
             o.push(2);
             vt(o, subject);
             put_varint(o, origin.0 as u64);
-            put_varint(o, reads.len() as u64);
-            for r in reads {
-                read(o, r);
-            }
+            snapshot_reads(o, reads);
         }
         Message::Confirm { subject, kind } | Message::Deny { subject, kind } => {
             o.push(if matches!(m, Message::Confirm { .. }) {
@@ -892,6 +997,59 @@ fn d_read(r: &mut R) -> Result<ReadItem, String> {
     })
 }
 
+fn d_snapshot_reads(r: &mut R) -> Result<Vec<ReadItem>, String> {
+    let n = r.count()?;
+    let mut reads: Vec<ReadItem> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let flags = r.u8()?;
+        if flags & !READ_FLAGS != 0 {
+            return Err(format!("unknown read flag bits {flags:#04x}"));
+        }
+        if flags & READ_SAME_ROOT == 0 && flags & (READ_NEXT_INDEX | READ_TR_IS_TAG) != 0 {
+            return Err(format!(
+                "read flags {flags:#04x} name an index without a root"
+            ));
+        }
+        let prev = reads.last();
+        if prev.is_none() && flags & (READ_SAME_ROOT | READ_HI_REPEATS) != 0 {
+            return Err(format!(
+                "read flags {flags:#04x} repeat an item that is not there"
+            ));
+        }
+        let (addr, tag) = if flags & READ_SAME_ROOT != 0 {
+            let (root, prev_index) = root_and_index(&prev.expect("checked above").addr);
+            let index = if flags & READ_NEXT_INDEX == 0 {
+                r.varint_usize()?
+            } else {
+                prev_index
+                    .and_then(|(i, _)| i.checked_add(1))
+                    .ok_or("read index follows an item that has none")?
+            };
+            let tag = d_vt(r)?;
+            let path = Path(vec![PathElem::Index { index, tag }]);
+            (ObjectAddr::Indirect { root, path }, Some(tag))
+        } else {
+            (d_addr(r)?, None)
+        };
+        let t_r = match tag {
+            Some(tag) if flags & READ_TR_IS_TAG != 0 => tag,
+            _ => d_vt(r)?,
+        };
+        let t_g = if flags & READ_TG_IS_TR != 0 {
+            t_r
+        } else {
+            d_vt(r)?
+        };
+        let hi = if flags & READ_HI_REPEATS != 0 {
+            prev.expect("checked above").hi
+        } else {
+            r.opt(d_vt)?
+        };
+        reads.push(ReadItem { addr, t_r, t_g, hi });
+    }
+    Ok(reads)
+}
+
 fn d_vts(r: &mut R) -> Result<Vec<VirtualTime>, String> {
     let n = r.count()?;
     let mut out = Vec::with_capacity(n);
@@ -973,11 +1131,7 @@ fn d_message(r: &mut R) -> Result<Message, String> {
         2 => {
             let subject = d_vt(r)?;
             let origin = d_site(r)?;
-            let n = r.count()?;
-            let mut reads = Vec::with_capacity(n);
-            for _ in 0..n {
-                reads.push(d_read(r)?);
-            }
+            let reads = d_snapshot_reads(r)?;
             Ok(Message::SnapshotConfirm {
                 subject,
                 origin,
@@ -1539,6 +1693,124 @@ mod tests {
         vt(&mut bytes, &at);
         let mut r = R::new(&bytes);
         assert!(d_reservations(&mut r).is_err());
+    }
+
+    fn list_read(index: usize, tag: u64, hi: Option<u64>) -> ReadItem {
+        let tag = VirtualTime::new(tag, SiteId(1));
+        ReadItem {
+            addr: ObjectAddr::Indirect {
+                root: ObjectName::new(SiteId(1), 0),
+                path: Path(vec![PathElem::Index { index, tag }]),
+            },
+            t_r: tag,
+            t_g: tag,
+            hi: hi.map(|h| VirtualTime::new(h, SiteId(2))),
+        }
+    }
+
+    fn coded(reads: &[ReadItem]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        snapshot_reads(&mut bytes, reads);
+        assert_eq!(exact(&bytes, d_snapshot_reads).as_deref(), Ok(reads));
+        bytes
+    }
+
+    #[test]
+    fn snapshot_reads_repeat_what_the_preceding_item_said() {
+        let root = ObjectName::new(SiteId(1), 0);
+        // The list, its first three children, one written since it was
+        // embedded, a child further on with another `hi`, a tuple field.
+        let mut reads = vec![ReadItem {
+            addr: ObjectAddr::Direct(root),
+            ..list_read(0, 5, Some(50))
+        }];
+        reads.extend((0..3).map(|i| list_read(i, 10 + i as u64, Some(50))));
+        reads.push(ReadItem {
+            t_r: VirtualTime::new(40, SiteId(2)),
+            ..list_read(3, 13, Some(50))
+        });
+        reads.push(list_read(9, 19, None));
+        reads.push(ReadItem {
+            addr: ObjectAddr::Indirect {
+                root,
+                path: Path(vec![PathElem::Key("k".into())]),
+            },
+            ..list_read(0, 19, None)
+        });
+        let flags = [
+            READ_TG_IS_TR,
+            READ_SAME_ROOT | READ_TR_IS_TAG | READ_TG_IS_TR | READ_HI_REPEATS,
+            READ_FLAGS,
+            READ_FLAGS,
+            READ_SAME_ROOT | READ_NEXT_INDEX | READ_HI_REPEATS,
+            READ_SAME_ROOT | READ_TR_IS_TAG | READ_TG_IS_TR,
+            READ_TG_IS_TR | READ_HI_REPEATS,
+        ];
+        let bytes = coded(&reads);
+        // An item's coding depends on nothing after it, so item `k`'s flag
+        // byte sits where the coding of the first `k` items ends.
+        for (k, flags) in flags.into_iter().enumerate() {
+            let at = coded(&reads[..k]).len();
+            assert_eq!(bytes[at], flags, "flags of {:?}", reads[k]);
+        }
+        // A child that repeats everything is its flag byte and its tag.
+        let (third, fourth) = (coded(&reads[..3]).len(), coded(&reads[..4]).len());
+        assert_eq!(bytes[third..fourth], [READ_FLAGS, 12, 1]);
+    }
+
+    #[test]
+    fn snapshot_reads_are_decoded_strictly() {
+        let decode = |bytes: &[u8]| exact(bytes, d_snapshot_reads);
+        let pair = [list_read(0, 10, Some(50)), list_read(1, 11, Some(50))];
+        let good = coded(&pair);
+        assert_eq!(good[0], 2);
+        assert_eq!(good[good.len() - 3], READ_FLAGS);
+        // Truncation anywhere, and bytes left over.
+        for cut in 0..good.len() {
+            assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(decode(&[good.as_slice(), &[0]].concat()).is_err());
+        // A flag bit this codec does not define.
+        let mut bad = good.clone();
+        bad[1] |= 0x20;
+        assert!(decode(&bad).unwrap_err().contains("unknown read flag bits"));
+        // An item that repeats its predecessor, and has none.
+        for first in [READ_SAME_ROOT, READ_HI_REPEATS, READ_FLAGS] {
+            let mut bad = good.clone();
+            bad[1] = first | READ_TG_IS_TR;
+            let err = decode(&bad).unwrap_err();
+            assert!(err.contains("not there"), "{first:#x}: {err}");
+        }
+        // An index form without the address form it belongs to.
+        for lone in [READ_NEXT_INDEX, READ_TR_IS_TAG] {
+            let mut bad = good.clone();
+            bad[good.len() - 3] = lone;
+            assert!(decode(&bad).unwrap_err().contains("without a root"));
+        }
+        // "The next index" after an item that has no index.
+        let direct = ReadItem {
+            addr: ObjectAddr::Direct(ObjectName::new(SiteId(1), 0)),
+            ..list_read(0, 10, Some(50))
+        };
+        let mut bad = coded(&[direct, list_read(0, 11, Some(50))]);
+        let at = bad.len() - 4;
+        assert_eq!(
+            bad[at],
+            READ_SAME_ROOT | READ_TR_IS_TAG | READ_TG_IS_TR | READ_HI_REPEATS
+        );
+        bad[at] |= READ_NEXT_INDEX;
+        bad.remove(at + 1); // the index that flag says is not sent
+        assert!(decode(&bad).unwrap_err().contains("has none"));
+        // One past the largest index.
+        let mut bytes = coded(&[list_read(usize::MAX, 10, None), list_read(0, 11, None)]);
+        let at = bytes.len() - 4;
+        bytes[at] |= READ_NEXT_INDEX;
+        bytes.remove(at + 1);
+        assert!(decode(&bytes).is_err());
+        // A count the remaining bytes cannot hold allocates nothing.
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, 1 << 40);
+        assert!(decode(&bytes).unwrap_err().contains("exceeds remaining"));
     }
 
     #[test]

@@ -451,14 +451,13 @@ impl Site {
         reads: Vec<crate::message::ReadItem>,
     ) {
         match self.evaluate_snapshot_reads(subject, &reads) {
-            SnapVerdict::Confirm => {
+            SnapVerdict::Confirm(targets) => {
                 // Reserve every interval, then confirm.
-                for r in &reads {
-                    if let Ok(target) = self.resolve_now(&r.addr) {
-                        let hi = r.hi.unwrap_or(subject);
-                        if let Ok(o) = self.store.get_mut(target) {
-                            o.value_reservations.reserve(r.t_r, hi, subject);
-                        }
+                for (r, target) in reads.iter().zip(targets) {
+                    debug_assert_eq!(self.resolve_now(&r.addr).ok(), Some(target));
+                    let hi = r.hi.unwrap_or(subject);
+                    if let Ok(o) = self.store.get_mut(target) {
+                        o.value_reservations.reserve(r.t_r, hi, subject);
                     }
                 }
                 self.send(
@@ -494,10 +493,12 @@ impl Site {
         reads: &[crate::message::ReadItem],
     ) -> SnapVerdict {
         let mut park = false;
+        let mut targets = Vec::with_capacity(reads.len());
         for r in reads {
             let Ok(target) = self.resolve_now(&r.addr) else {
                 return SnapVerdict::Deny;
             };
+            targets.push(target);
             let hi = r.hi.unwrap_or(subject);
             let Ok(obj) = self.store.get(target) else {
                 return SnapVerdict::Deny;
@@ -514,7 +515,7 @@ impl Site {
         if park {
             SnapVerdict::Park
         } else {
-            SnapVerdict::Confirm
+            SnapVerdict::Confirm(targets)
         }
     }
 
@@ -657,7 +658,8 @@ impl Site {
 
 /// Verdict classes for snapshot CONFIRM-READ evaluation.
 enum SnapVerdict {
-    Confirm,
+    /// Every interval is clean; the objects the reads resolved to, in order.
+    Confirm(Vec<ObjectName>),
     Deny,
     Park,
 }

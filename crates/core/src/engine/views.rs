@@ -8,7 +8,7 @@ use decaf_vt::{SiteId, VirtualTime};
 
 use crate::message::{Message, ReadItem};
 use crate::object::ObjectName;
-use crate::store::GuessRoute;
+use crate::store::ReadSet;
 use crate::view::{
     OptSnap, PessSnap, SnapGuesses, UpdateNotification, View, ViewId, ViewMode, ViewProxy,
 };
@@ -122,69 +122,70 @@ impl Site {
         if changed.is_empty() {
             return;
         }
-        let mut read_set: Vec<(ObjectName, Option<GuessRoute>)> = Vec::new();
-        for a in &attached {
-            read_set.extend(self.store.read_set(*a));
-        }
-        for (o, _) in &read_set {
-            if let Some(cur) = self.store.get(*o).ok().and_then(|m| m.values.current()) {
-                ts = ts.max(cur.vt);
+        let set = self.store.read_set(attached);
+        for e in set.entries() {
+            if let Some((vt, _)) = e.current {
+                ts = ts.max(vt);
             }
         }
 
         // Record the snapshot's reads and guesses.
         let token = self.clock.next();
         let mut guesses = SnapGuesses::default();
-        let mut reads: Vec<(ObjectName, VirtualTime)> = Vec::new();
+        let mut reads: Vec<(ObjectName, VirtualTime)> = Vec::with_capacity(set.entries().len());
         let mut remote_batches: BTreeMap<SiteId, Vec<ReadItem>> = BTreeMap::new();
-        for (o, route) in &read_set {
-            let Some(entry) = self
-                .store
-                .get(*o)
-                .ok()
-                .and_then(|m| m.values.value_at(ts).map(|e| (e.vt, e.committed)))
-            else {
+        for (i, e) in set.entries().iter().enumerate() {
+            let o = e.object;
+            // `ts` is at or above every current VT, so what the snapshot
+            // reads of each object is its current value.
+            debug_assert_eq!(
+                e.current,
+                self.store
+                    .get(o)
+                    .ok()
+                    .and_then(|m| m.values.value_at(ts).map(|v| (v.vt, v.committed)))
+            );
+            let Some((t_r, committed)) = e.current else {
                 continue;
             };
-            reads.push((*o, entry.0));
-            if !entry.1 {
-                guesses.rc_waits.insert(entry.0);
+            reads.push((o, t_r));
+            if !committed {
+                guesses.rc_waits.insert(t_r);
             }
-            if entry.0 < ts {
+            if t_r < ts {
                 // RL guess: (value VT, ts) must be update-free (§4.1).
-                debug_assert_eq!(
-                    route.as_ref().map(|r| r.primary),
-                    self.store.primary_of(*o).ok()
-                );
-                let Some(route) = route else {
+                let primary = set.primary(i);
+                debug_assert_eq!(primary, self.store.primary_of(o).ok());
+                let Some(primary) = primary else {
                     continue;
                 };
-                let primary = route.primary;
                 if primary.site == self.id {
                     // The local history is the primary history: value_at(ts)
                     // being the latest ≤ ts makes the interval locally
                     // clean; reserve it against future stragglers.
-                    if let Ok(m) = self.store.get_mut(*o) {
-                        m.value_reservations.reserve(entry.0, ts, token);
+                    if let Ok(m) = self.store.get_mut(o) {
+                        m.value_reservations.reserve(t_r, ts, token);
                     }
                 } else {
-                    let addr = route.addr();
-                    debug_assert_eq!(addr, self.store.addr_at(*o, primary.site));
-                    if let Some(addr) = addr {
-                        remote_batches
-                            .entry(primary.site)
-                            .or_default()
-                            .push(ReadItem {
-                                addr,
-                                t_r: entry.0,
-                                t_g: entry.0,
-                                hi: Some(ts),
-                            });
-                    }
-                    guesses.outstanding.insert(primary.site);
+                    let addr = set.addr(i);
+                    debug_assert_eq!(addr, self.store.addr_at(o, primary.site));
+                    let Some(addr) = addr else {
+                        continue;
+                    };
+                    remote_batches
+                        .entry(primary.site)
+                        .or_default()
+                        .push(ReadItem {
+                            addr,
+                            t_r,
+                            t_g: t_r,
+                            hi: Some(ts),
+                        });
                 }
             }
         }
+        // The snapshot waits for the sites it asks, and no others.
+        guesses.outstanding.extend(remote_batches.keys());
 
         // Deliver the update notification (fast response first, §4.1).
         {
@@ -326,48 +327,46 @@ impl Site {
         }
     }
 
-    /// The interval a snapshot at `ts` must verify for watched object `o`:
-    /// from its latest committed value (strictly) below `ts`, up to the
-    /// update's own `tR` (covered by the transaction's reservation) or up
-    /// to `ts`. `None` when that interval is empty.
-    fn pess_interval(
-        &self,
-        snap: &PessSnap,
-        ts: VirtualTime,
-        o: ObjectName,
-    ) -> Option<PessInterval> {
-        let lo = self
-            .store
-            .get(o)
-            .ok()
-            .and_then(|m| m.values.committed_before(ts).map(|e| e.vt))
-            .unwrap_or(VirtualTime::ZERO);
-        let hi = snap.coverage.get(&o).copied().unwrap_or(ts);
-        (lo < hi).then_some((o, lo, hi))
-    }
-
-    /// The `(object, lo, hi)` intervals ([`Site::pess_interval`]) of every
-    /// object the view watches, each with the route of its guess.
+    /// The read set of the view's attachment points and, for each entry
+    /// whose interval is not empty, its index with the `(object, lo, hi)`
+    /// the snapshot at `ts` must verify: from the object's latest committed
+    /// value (strictly) below `ts`, up to the update's own `tR` (covered by
+    /// the transaction's reservation) or up to `ts`.
     fn pess_intervals(
         &self,
         vid: ViewId,
         ts: VirtualTime,
-    ) -> Vec<(PessInterval, Option<GuessRoute>)> {
+    ) -> (ReadSet, Vec<(usize, PessInterval)>) {
         let Some(proxy) = self.views.get(&vid) else {
-            return Vec::new();
+            return Default::default();
         };
         let Some(snap) = proxy.pess.get(&ts) else {
-            return Vec::new();
+            return Default::default();
         };
+        let set = self.store.read_set(proxy.attached.iter().copied());
         let mut out = Vec::new();
-        for a in &proxy.attached {
-            for (o, route) in self.store.read_set(*a) {
-                if let Some(interval) = self.pess_interval(snap, ts, o) {
-                    out.push((interval, route));
+        for (i, e) in set.entries().iter().enumerate() {
+            let o = e.object;
+            let committed_before = || {
+                self.store
+                    .get(o)
+                    .ok()
+                    .and_then(|m| m.values.committed_before(ts).map(|c| c.vt))
+            };
+            let lo = match e.current {
+                // The newest entry of all, committed and below `ts`.
+                Some((vt, true)) if vt < ts => {
+                    debug_assert_eq!(Some(vt), committed_before());
+                    vt
                 }
+                _ => committed_before().unwrap_or(VirtualTime::ZERO),
+            };
+            let hi = snap.coverage.get(&o).copied().unwrap_or(ts);
+            if lo < hi {
+                out.push((i, (o, lo, hi)));
             }
         }
-        out
+        (set, out)
     }
 
     /// (Re-)issues the RL guesses of the pessimistic snapshot at `ts`:
@@ -383,38 +382,32 @@ impl Site {
             return;
         };
         let old_token = snap.token;
-        let routed = self.pess_intervals(vid, ts);
+        let (set, intervals) = self.pess_intervals(vid, ts);
 
         let token = self.clock.next();
         let mut guesses = SnapGuesses::default();
         let mut remote_batches: BTreeMap<SiteId, Vec<ReadItem>> = BTreeMap::new();
-        for ((o, lo, hi), route) in &routed {
-            let (lo, hi) = (*lo, *hi);
-            debug_assert_eq!(
-                route.as_ref().map(|r| r.primary),
-                self.store.primary_of(*o).ok()
-            );
-            let Some(route) = route else {
+        for &(i, (o, lo, hi)) in &intervals {
+            let primary = set.primary(i);
+            debug_assert_eq!(primary, self.store.primary_of(o).ok());
+            let Some(primary) = primary else {
                 continue;
             };
-            let primary = route.primary;
             if primary.site == self.id {
                 // We are the primary: the serialization point. Any write in
                 // (lo, hi) is in our history; if one is present the guess
                 // fails until it resolves.
-                let dirty = self
-                    .store
-                    .get(*o)
-                    .map(|m| m.values.has_write_in(lo, hi))
-                    .unwrap_or(false);
-                if dirty {
+                let Ok(m) = self.store.get_mut(o) else {
+                    continue;
+                };
+                if m.values.has_write_in(lo, hi) {
                     guesses.denied = true;
-                } else if let Ok(m) = self.store.get_mut(*o) {
+                } else {
                     m.value_reservations.reserve(lo, hi, token);
                 }
             } else {
-                let addr = route.addr();
-                debug_assert_eq!(addr, self.store.addr_at(*o, primary.site));
+                let addr = set.addr(i);
+                debug_assert_eq!(addr, self.store.addr_at(o, primary.site));
                 let Some(addr) = addr else {
                     continue;
                 };
@@ -427,9 +420,9 @@ impl Site {
                         t_g: lo,
                         hi: Some(hi),
                     });
-                guesses.outstanding.insert(primary.site);
             }
         }
+        guesses.outstanding.extend(remote_batches.keys());
 
         if old_token != VirtualTime::ZERO {
             self.snap_tokens.remove(&old_token);
@@ -438,7 +431,10 @@ impl Site {
         if let Some(snap) = self.views.get_mut(&vid).and_then(|p| p.pess.get_mut(&ts)) {
             snap.token = token;
             snap.guesses = guesses;
-            snap.issued = routed.into_iter().map(|(interval, _)| interval).collect();
+            snap.issued = intervals
+                .into_iter()
+                .map(|(_, interval)| interval)
+                .collect();
         }
         for (site, items) in remote_batches {
             self.send(
@@ -748,14 +744,14 @@ impl Site {
                 // intervals, re-issue right away; otherwise the straggler's
                 // own arrival will trigger the revision (§4.2).
                 if let Some(ts) = denied_ts {
-                    let fresh = self.pess_intervals(vid, ts);
+                    let (_, fresh) = self.pess_intervals(vid, ts);
                     let stale = self
                         .views
                         .get(&vid)
                         .and_then(|p| p.pess.get(&ts))
                         .map(|s| s.issued.clone())
                         .unwrap_or_default();
-                    if !fresh.iter().map(|(interval, _)| interval).eq(&stale) {
+                    if !fresh.iter().map(|(_, interval)| interval).eq(&stale) {
                         self.stats.snapshot_reruns += 1;
                         self.issue_pess_guesses(vid, ts);
                         self.pump_pessimistic(vid);
@@ -783,5 +779,239 @@ impl Site {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::TxnError;
+    use crate::graph::NodeRef;
+    use crate::message::WireOp;
+    use crate::object::Blueprint;
+    use crate::txn::{Transaction, TxnCtx};
+    use crate::value::ScalarValue;
+    use crate::view::{RecordingView, ViewEvent};
+    use crate::wiring;
+
+    /// One gesture on a list: remove the element at `remove`, insert `insert`
+    /// at an index, overwrite the element at `write`.
+    #[derive(Default)]
+    struct Edit {
+        list: Option<ObjectName>,
+        remove: Option<usize>,
+        insert: Option<(usize, i64)>,
+        write: Option<(usize, i64)>,
+    }
+
+    impl Transaction for Edit {
+        fn execute(&mut self, ctx: &mut TxnCtx<'_>) -> Result<(), TxnError> {
+            let list = self.list.expect("a list");
+            if let Some(index) = self.remove {
+                ctx.list_remove(list, index)?;
+            }
+            if let Some((index, v)) = self.insert {
+                ctx.list_insert(list, index, Blueprint::Int(v))?;
+            }
+            if let Some((index, v)) = self.write {
+                let child = ctx.list_child(list, index)?;
+                ctx.write_int(child, v)?;
+            }
+            Ok(())
+        }
+    }
+
+    /// The snapshot CONFIRM-READ batches in `site`'s outbox, by destination.
+    fn sent_reads(site: &mut Site) -> BTreeMap<SiteId, Vec<ReadItem>> {
+        let mut out = BTreeMap::new();
+        for env in site.drain_outbox() {
+            if let Message::SnapshotConfirm { reads, .. } = env.msg {
+                let earlier = out.insert(env.to, reads);
+                assert!(earlier.is_none(), "one batch per primary site");
+            }
+        }
+        out
+    }
+
+    /// The batches of a snapshot over `points`, built the way the engine
+    /// built them before it had a flat read set: every object of every
+    /// subtree looked up on its own, `interval` giving the `(lo, hi)` to
+    /// guess for it.
+    fn reads_the_long_way(
+        site: &Site,
+        points: &[ObjectName],
+        interval: impl Fn(ObjectName) -> Option<(VirtualTime, VirtualTime)>,
+    ) -> BTreeMap<SiteId, Vec<ReadItem>> {
+        let mut out: BTreeMap<SiteId, Vec<ReadItem>> = BTreeMap::new();
+        for point in points {
+            for o in site.store.subtree(*point) {
+                let Some((lo, hi)) = interval(o) else {
+                    continue;
+                };
+                let primary = site.store.primary_of(o).expect("a primary").site;
+                if primary == site.id {
+                    continue;
+                }
+                out.entry(primary).or_default().push(ReadItem {
+                    addr: site.store.addr_at(o, primary).expect("an address"),
+                    t_r: lo,
+                    t_g: lo,
+                    hi: Some(hi),
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn snapshot_reads_equal_the_ones_built_the_long_way() {
+        let (mut a, mut b) = (Site::new(SiteId(1)), Site::new(SiteId(2)));
+        let (la, lb) = (a.create_list(), b.create_list());
+        wiring::wire_pair(&mut a, la, &mut b, lb);
+        let opt = b.attach_view(
+            Box::new(RecordingView::new(vec![])),
+            &[lb],
+            ViewMode::Optimistic,
+        );
+        let pess = b.attach_view(
+            Box::new(RecordingView::new(vec![])),
+            &[lb],
+            ViewMode::Pessimistic,
+        );
+        let edit = |list| Edit {
+            list: Some(list),
+            ..Default::default()
+        };
+        // Eighteen inserts from both sites, front, back and middle; two
+        // removes; one overwrite: sixteen elements, site 1 the primary.
+        for n in 0..18 {
+            let index = [0, usize::MAX, 3][n % 3];
+            let (site, list) = if n % 2 == 0 {
+                (&mut a, la)
+            } else {
+                (&mut b, lb)
+            };
+            site.execute(Box::new(Edit {
+                insert: Some((index, n as i64)),
+                ..edit(list)
+            }));
+            wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+        }
+        a.execute(Box::new(Edit {
+            remove: Some(0),
+            ..edit(la)
+        }));
+        b.execute(Box::new(Edit {
+            remove: Some(5),
+            write: Some((7, 70)),
+            ..edit(lb)
+        }));
+        wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+        assert_eq!(b.store.subtree(lb).len(), 1 + 16);
+        assert_eq!(b.list_children_current(lb).len(), 16);
+
+        // Everything committed: an optimistic snapshot guesses every object
+        // but the two the newest transaction wrote, the list and an element.
+        let check_opt = |b: &mut Site| {
+            b.drain_outbox();
+            b.views.get_mut(&opt).unwrap().dirty.insert(lb);
+            b.run_opt_snapshot(opt);
+            let ts = b.views[&opt].opt.as_ref().expect("guesses outstanding").ts;
+            let sent = sent_reads(b);
+            let long = reads_the_long_way(b, &[lb], |o| {
+                let read = b.store.get(o).unwrap().values.value_at(ts).unwrap().vt;
+                (read < ts).then_some((read, ts))
+            });
+            assert_eq!(sent, long);
+            sent[&SiteId(1)].len()
+        };
+        assert_eq!(check_opt(&mut b), 15);
+
+        // One uncommitted write: the optimistic snapshot reads it, the
+        // pessimistic one at its VT guesses up to the write's own `tR`.
+        b.execute(Box::new(Edit {
+            write: Some((4, 99)),
+            ..edit(lb)
+        }));
+        assert_eq!(check_opt(&mut b), 16, "all but the element just written");
+        let (&ts, snap) = b.views[&pess]
+            .pess
+            .iter()
+            .next()
+            .expect("a pending snapshot");
+        let coverage = snap.coverage.clone();
+        b.issue_pess_guesses(pess, ts);
+        let sent = sent_reads(&mut b);
+        let long = reads_the_long_way(&b, &[lb], |o| {
+            let values = &b.store.get(o).unwrap().values;
+            let lo = values
+                .committed_before(ts)
+                .map_or(VirtualTime::ZERO, |e| e.vt);
+            let hi = coverage.get(&o).copied().unwrap_or(ts);
+            (lo < hi).then_some((lo, hi))
+        });
+        assert_eq!(sent, long);
+        assert_eq!(sent[&SiteId(1)].len(), 17);
+        let issued = &b.views[&pess].pess[&ts].issued;
+        assert_eq!(issued.len(), 17, "what a deny compares against");
+    }
+
+    #[test]
+    fn optimistic_snapshot_does_not_wait_for_a_site_it_never_asked() {
+        // Site 2 holds a list whose primary copy is at site 1.
+        let mut site = Site::new(SiteId(2));
+        let l = site.create_list();
+        let there = NodeRef::new(SiteId(1), ObjectName::new(SiteId(1), 0));
+        let graph = wiring::replica_graph_over(&[there, NodeRef::new(SiteId(2), l)]);
+        site.install_replica_graph(l, graph);
+        let at = |n| VirtualTime::new(n, SiteId(2));
+        for n in 1..=3 {
+            let row = Blueprint::Tuple(vec![
+                ("a".into(), Blueprint::Int(n)),
+                ("b".into(), Blueprint::List(vec![Blueprint::Int(n)])),
+            ]);
+            let op = WireOp::ListInsert {
+                index: usize::MAX,
+                child: row,
+            };
+            site.store.apply_wire_op(l, at(n as u64), &op).unwrap();
+        }
+        let rows = site.list_children_current(l);
+        // The last row's `parent` names a composite that does not hold it:
+        // its primary is still site 1, but it has no address there.
+        site.store.get_mut(rows[2]).unwrap().parent = Some(rows[0]);
+        let watched = site.store.subtree(rows[2]);
+        assert_eq!(site.store.primary_of(rows[2]).unwrap().site, SiteId(1));
+        assert_eq!(site.store.addr_at(rows[2], SiteId(1)), None);
+
+        let view = RecordingView::new(vec![]);
+        let log = view.log();
+        let vid = site.attach_view(Box::new(view), &[rows[2]], ViewMode::Optimistic);
+        // A committed write to one of the row's fields: the snapshot reads
+        // the row's other objects below its `ts`.
+        let field = watched[1];
+        site.store
+            .apply_wire_op(field, at(10), &WireOp::SetScalar(ScalarValue::Int(7)))
+            .unwrap();
+        for o in &watched {
+            let values = &mut site.store.get_mut(*o).unwrap().values;
+            let written: Vec<VirtualTime> = values.iter().map(|e| e.vt).collect();
+            for vt in written {
+                values.mark_committed(vt);
+            }
+        }
+        site.schedule_optimistic(&[field]);
+
+        assert!(sent_reads(&mut site).is_empty(), "nothing to ask site 1");
+        assert!(
+            site.views[&vid].opt.is_none(),
+            "no answer to wait for: the snapshot has settled"
+        );
+        let log = log.lock().unwrap();
+        assert!(matches!(
+            log.as_slice(),
+            [ViewEvent::Update { .. }, ViewEvent::Commit]
+        ));
+        assert_eq!(site.stats().opt_commits, 1);
     }
 }

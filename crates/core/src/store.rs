@@ -2,6 +2,7 @@
 //! materialization, path resolution, and straggler re-folding.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use decaf_vt::{SiteId, VirtualTime};
@@ -47,7 +48,7 @@ impl From<DecafError> for ApplyBlocked {
 #[derive(Debug)]
 pub(crate) struct Store {
     site: SiteId,
-    objects: HashMap<ObjectName, ModelObject>,
+    objects: HashMap<ObjectName, ModelObject, BuildHasherDefault<NameHasher>>,
     /// Names of the objects whose `unsettled` flag is set. A destroyed
     /// object's name stays until the next sweep drops it.
     unsettled: Vec<ObjectName>,
@@ -57,35 +58,130 @@ pub(crate) struct Store {
     pub selector: PrimarySelector,
 }
 
-/// Where the read guesses on one object are checked: the primary copy of
-/// the graph that governs it and, when that primary is another site, the
-/// object's address there.
+/// The hasher of [`Store`]'s object map: one multiply per word, the two
+/// halves of the 128-bit product folded together. [`ObjectName`]s are
+/// allocated by sites (a site id and a counter), never taken from input, so
+/// the keyed SipHash of the default `HashMap` defends against nothing here
+/// — and without a per-process key the store's iteration order is the same
+/// in every run that builds the same store.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct NameHasher(u64);
+
+impl NameHasher {
+    fn mix(&mut self, word: u64) {
+        // An odd 64-bit constant (the golden ratio's fraction).
+        let m = u128::from(self.0 ^ word) * 0x9E37_79B9_7F4A_7C15_u128;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Where the read guesses on one object are checked, found the long way
+/// ([`Store::guess_route`]): the primary copy of the graph that governs it
+/// and, when that primary is another site, the object's address there.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct GuessRoute {
-    pub primary: NodeRef,
+struct GuessRoute {
+    primary: NodeRef,
     /// The effective root's replica at the primary site and the path down
     /// from it; `None` at the primary itself, and when the path cannot be
     /// built or the graph has no node there.
     there: Option<(ObjectName, Path)>,
 }
 
-impl GuessRoute {
-    /// The object's wire address at the primary site.
-    pub fn addr(&self) -> Option<ObjectAddr> {
-        let (root, path) = self.there.clone()?;
-        Some(object_addr(root, path))
+/// How one entry of a [`ReadSet`] finds its [`GuessRoute`].
+#[derive(Debug)]
+enum EntryRoute {
+    /// Looked up for this object itself; `None` where
+    /// [`Store::primary_of`] fails.
+    Own(Option<GuessRoute>),
+    /// An indirect child embedded under `elem` in the composite at entry
+    /// `from`: the same primary, the same root there, the path one
+    /// element longer.
+    Under { from: usize, elem: PathElem },
+}
+
+/// One object a view snapshot reads.
+#[derive(Debug)]
+pub(crate) struct ReadEntry {
+    pub object: ObjectName,
+    /// `(vt, committed)` of the object's current value entry; `None` for
+    /// an object with no value (or no longer in the store).
+    pub current: Option<(VirtualTime, bool)>,
+    route: EntryRoute,
+}
+
+/// The read set of a view snapshot ([`Store::read_set`]): every object
+/// under the view's attachment points, each with what a snapshot needs of
+/// it, built in one traversal. An entry costs one look-up in the store and
+/// no allocation (a tuple child clones its key); primaries and addresses
+/// are derived from the entries on demand.
+#[derive(Debug, Default)]
+pub(crate) struct ReadSet {
+    entries: Vec<ReadEntry>,
+}
+
+impl ReadSet {
+    pub fn entries(&self) -> &[ReadEntry] {
+        &self.entries
     }
 
-    /// The route of an indirect child embedded under `elem`.
-    fn descend(&self, elem: PathElem) -> GuessRoute {
-        GuessRoute {
-            primary: self.primary,
-            there: self.there.as_ref().map(|(root, path)| {
-                let mut elems = path.0.clone();
-                elems.push(elem);
-                (*root, Path(elems))
-            }),
+    /// The primary copy of the graph governing entry `i`
+    /// ([`Store::primary_of`]).
+    pub fn primary(&self, mut i: usize) -> Option<NodeRef> {
+        loop {
+            match &self.entries[i].route {
+                EntryRoute::Own(route) => return route.as_ref().map(|r| r.primary),
+                EntryRoute::Under { from, .. } => i = *from,
+            }
         }
+    }
+
+    /// Entry `i`'s wire address at its primary's site ([`Store::addr_at`]);
+    /// `None` when this site is the primary.
+    pub fn addr(&self, i: usize) -> Option<ObjectAddr> {
+        // Up to the entry that has its own route, counting the levels.
+        let (mut at, mut depth) = (i, 0);
+        let route = loop {
+            match &self.entries[at].route {
+                EntryRoute::Own(route) => break route.as_ref()?,
+                EntryRoute::Under { from, .. } => {
+                    depth += 1;
+                    at = *from;
+                }
+            }
+        };
+        let (root, path) = route.there.as_ref()?;
+        // The path is sent and queued as it is: no spare capacity.
+        let mut elems = Vec::with_capacity(path.0.len() + depth);
+        elems.extend_from_slice(&path.0);
+        let mut at = i;
+        while let EntryRoute::Under { from, elem } = &self.entries[at].route {
+            elems.push(elem.clone());
+            at = *from;
+        }
+        elems[path.0.len()..].reverse();
+        Some(object_addr(*root, Path(elems)))
     }
 }
 
@@ -134,7 +230,7 @@ impl Store {
     pub fn new(site: SiteId) -> Self {
         Store {
             site,
-            objects: HashMap::new(),
+            objects: HashMap::default(),
             unsettled: Vec::new(),
             settled_graph_sites: BTreeMap::new(),
             next_seq: 0,
@@ -487,7 +583,7 @@ impl Store {
             }
             ObjectAddr::Indirect { root, path } => {
                 let mut cur = *root;
-                if !self.contains(cur) {
+                if path.is_root() && !self.contains(cur) {
                     return Err(ApplyBlocked::Fatal(DecafError::NoSuchObject(cur)));
                 }
                 for elem in &path.0 {
@@ -499,14 +595,26 @@ impl Store {
                             // was concurrently *removed* must still resolve
                             // (§3.2.1: propagation proceeds "regardless of
                             // the order in which it has received other
-                            // structure-changing operations"), so fall back
-                            // to scanning the retained history.
+                            // structure-changing operations"), which the
+                            // embedding registry answers — as it does for a
+                            // child the hint is merely off for, without a
+                            // scan of the list. Only embeddings that never
+                            // went through a list op (a blueprint's
+                            // children) are missing from it.
+                            let scan = || entries.iter().find(|e| e.tag == *tag).map(|e| e.child);
                             let hit = entries
                                 .get(*index)
                                 .filter(|e| e.tag == *tag)
-                                .or_else(|| entries.iter().find(|e| e.tag == *tag))
                                 .map(|e| e.child)
-                                .or_else(|| self.find_list_child_by_tag(cur, *tag));
+                                .or_else(|| {
+                                    let known = obj.embeddings.get(tag).copied();
+                                    debug_assert!(
+                                        known.is_none() || scan().is_none_or(|c| Some(c) == known),
+                                        "registry and list disagree on the child tagged {tag}"
+                                    );
+                                    known
+                                })
+                                .or_else(scan);
                             match hit {
                                 Some(child) => child,
                                 None => return Err(ApplyBlocked::MissingDependency(Some(*tag))),
@@ -1074,49 +1182,77 @@ impl Store {
         Some(GuessRoute { primary, there })
     }
 
-    /// [`Store::subtree`] of `name`, in the same order, each object with
-    /// the route of its read guesses (`None` where [`Store::primary_of`]
-    /// fails). An indirect child inherits the route of the composite it
-    /// was reached from, one path element longer, so a whole read set
-    /// costs one traversal; only the attachment point, children that
-    /// propagate directly, and children whose `parent` link points
-    /// elsewhere go the long way.
-    pub fn read_set(&self, name: ObjectName) -> Vec<(ObjectName, Option<GuessRoute>)> {
-        let mut out = vec![(name, self.guess_route(name))];
-        let mut frontier = vec![0];
-        while let Some(at) = frontier.pop() {
-            let cur = out[at].0;
-            let children: Vec<(PathElem, ObjectName)> =
-                match self.objects.get(&cur).and_then(|o| o.values.current()) {
-                    Some(e) => match &e.value {
-                        ObjectValue::List { entries, .. } => entries
-                            .iter()
-                            .enumerate()
-                            .map(|(index, e)| (PathElem::Index { index, tag: e.tag }, e.child))
-                            .collect(),
-                        ObjectValue::Tuple { entries, .. } => entries
-                            .iter()
-                            .map(|(k, c)| (PathElem::Key(k.clone()), *c))
-                            .collect(),
-                        _ => Vec::new(),
-                    },
-                    None => Vec::new(),
-                };
-            for (elem, child) in children {
-                let inherits = self.objects.get(&child).is_some_and(|c| {
-                    c.parent == Some(cur) && c.propagation == PropagationMode::Indirect
-                });
-                let route = if inherits {
-                    out[at].1.as_ref().map(|r| r.descend(elem))
-                } else {
-                    self.guess_route(child)
-                };
-                frontier.push(out.len());
-                out.push((child, route));
+    /// The read set of a snapshot over the attachment points `points`:
+    /// [`Store::subtree`] of each in turn, in the same order. An indirect
+    /// child inherits the route of the composite it was reached from, so a
+    /// whole read set costs one traversal; only the attachment points,
+    /// children that propagate directly, and children whose `parent` link
+    /// points elsewhere go the long way ([`Store::guess_route`]).
+    pub fn read_set(&self, points: impl IntoIterator<Item = ObjectName>) -> ReadSet {
+        let mut out: Vec<ReadEntry> = Vec::new();
+        // Entries whose children are still to be listed.
+        let mut frontier: Vec<usize> = Vec::new();
+        for point in points {
+            let first = out.len();
+            self.list_read(&mut out, &mut frontier, point, None);
+            while let Some(at) = frontier.pop() {
+                let cur = out[at].object;
+                let value = self.objects.get(&cur).and_then(|o| o.values.current());
+                match value.map(|e| &e.value) {
+                    Some(ObjectValue::List { entries, .. }) => {
+                        out.reserve(entries.len());
+                        for (index, e) in entries.iter().enumerate() {
+                            let elem = PathElem::Index { index, tag: e.tag };
+                            self.list_read(&mut out, &mut frontier, e.child, Some((at, cur, elem)));
+                        }
+                    }
+                    Some(ObjectValue::Tuple { entries, .. }) => {
+                        out.reserve(entries.len());
+                        for (key, child) in entries.iter() {
+                            let elem = PathElem::Key(key.clone());
+                            self.list_read(&mut out, &mut frontier, *child, Some((at, cur, elem)));
+                        }
+                    }
+                    _ => {}
+                }
             }
+            debug_assert!(out[first..]
+                .iter()
+                .map(|e| e.object)
+                .eq(self.subtree(point)));
         }
-        debug_assert!(out.iter().map(|(o, _)| *o).eq(self.subtree(name)));
-        out
+        ReadSet { entries: out }
+    }
+
+    /// Appends the read-set entry of `name` — reached, unless it is an
+    /// attachment point, from the composite `cur` at entry `from` through
+    /// `elem` — and puts it on the frontier if it holds children of its
+    /// own (an object that holds none would add nothing when popped).
+    fn list_read(
+        &self,
+        out: &mut Vec<ReadEntry>,
+        frontier: &mut Vec<usize>,
+        name: ObjectName,
+        reached: Option<(usize, ObjectName, PathElem)>,
+    ) {
+        let obj = self.objects.get(&name);
+        let value = obj.and_then(|o| o.values.current());
+        let inherits = |cur| {
+            obj.is_some_and(|o| o.parent == Some(cur) && o.propagation == PropagationMode::Indirect)
+        };
+        let route = match reached {
+            Some((from, cur, elem)) if inherits(cur) => EntryRoute::Under { from, elem },
+            _ => EntryRoute::Own(self.guess_route(name)),
+        };
+        if let Some(ObjectValue::List { .. } | ObjectValue::Tuple { .. }) = value.map(|e| &e.value)
+        {
+            frontier.push(out.len());
+        }
+        out.push(ReadEntry {
+            object: name,
+            current: value.map(|e| (e.vt, e.committed)),
+            route,
+        });
     }
 
     /// All ancestors of `name` (nearest first), for ancestor view
@@ -1716,32 +1852,137 @@ mod embedding_tests {
         );
         s.get_mut(rows[2]).unwrap().parent = Some(rows[0]);
 
-        let set = s.read_set(l);
+        // A committed value and a fresh write among the uncommitted ones.
+        s.get_mut(l).unwrap().values.mark_committed(vt(30));
+        s.apply_wire_op(
+            s.subtree(rows[0])[1],
+            vt(40),
+            &WireOp::SetScalar(ScalarValue::Int(9)),
+        )
+        .unwrap();
+
+        let set = s.read_set([l]);
         assert_eq!(
-            set.iter().map(|(o, _)| *o).collect::<Vec<_>>(),
+            set.entries().iter().map(|e| e.object).collect::<Vec<_>>(),
             s.subtree(l),
             "subtree order"
         );
-        assert_eq!(set.len(), 1 + 3 * 4);
+        assert_eq!(set.entries().len(), 1 + 3 * 4);
         let mut remote = 0;
-        for (o, route) in &set {
-            assert_eq!(
-                route.as_ref().map(|r| r.primary),
-                s.primary_of(*o).ok(),
-                "{o}"
-            );
-            let route = route.as_ref().expect("every object has a primary");
-            if route.primary.site != SiteId(1) {
+        for (i, e) in set.entries().iter().enumerate() {
+            let o = e.object;
+            assert_eq!(set.primary(i), s.primary_of(o).ok(), "{o}");
+            let primary = set.primary(i).expect("every object has a primary");
+            if primary.site != SiteId(1) {
                 remote += 1;
-                assert_eq!(route.addr(), s.addr_at(*o, SiteId(2)), "{o}");
+                assert_eq!(set.addr(i), s.addr_at(o, SiteId(2)), "{o}");
             }
+            let current = s.get(o).unwrap().values.current();
+            assert_eq!(e.current, current.map(|c| (c.vt, c.committed)), "{o}");
         }
         assert_eq!(remote, 1 + 4 + 4, "all but the row with its own graph");
         assert_eq!(s.addr_at(rows[2], SiteId(2)), None);
-        assert_eq!(
-            set[0].1.as_ref().unwrap().addr(),
-            Some(ObjectAddr::Direct(there))
-        );
+        assert_eq!(set.addr(0), Some(ObjectAddr::Direct(there)));
+        let written: Vec<_> = set.entries().iter().filter_map(|e| e.current).collect();
+        assert_eq!(written.iter().filter(|c| **c == (vt(40), false)).count(), 1);
+        assert_eq!(set.entries()[0].current, Some((vt(30), true)));
+
+        // Two attachment points: one set, each point's subtree in turn.
+        let both = s.read_set([rows[0], l]);
+        let objects: Vec<ObjectName> = both.entries().iter().map(|e| e.object).collect();
+        assert_eq!(objects, [s.subtree(rows[0]), s.subtree(l)].concat());
+        for (i, e) in both.entries().iter().enumerate() {
+            assert_eq!(both.primary(i), s.primary_of(e.object).ok());
+            assert_eq!(both.addr(i), s.addr_at(e.object, SiteId(2)), "{}", e.object);
+        }
+    }
+
+    #[test]
+    fn resolve_finds_a_child_the_index_hint_misses_without_scanning() {
+        let (mut s, l) = list_store();
+        for at in 1..=8 {
+            let op = WireOp::ListInsert {
+                index: usize::MAX,
+                child: Blueprint::Int(at as i64),
+            };
+            s.apply_wire_op(l, vt(at * 10), &op).unwrap();
+        }
+        let children = s.subtree(l);
+        s.apply_wire_op(l, vt(100), &WireOp::ListRemove { tag: vt(20) })
+            .unwrap();
+        let at = |index: usize, tag: u64| ObjectAddr::Indirect {
+            root: l,
+            path: Path(vec![PathElem::Index {
+                index,
+                tag: vt(tag),
+            }]),
+        };
+        let entries = s.get(l).unwrap().values.current().unwrap();
+        let entries = entries.value.as_list().unwrap().to_vec();
+        // The hint is three places off: the registry names the child the
+        // scan of the list would have found.
+        let scanned = entries.iter().find(|e| e.tag == vt(60)).unwrap().child;
+        assert_eq!(s.find_list_child_by_tag(l, vt(60)), Some(scanned));
+        assert_eq!(s.resolve(&at(1, 60)), Ok(scanned));
+        assert_eq!(scanned, children[6]);
+        // A right hint is taken as it is.
+        assert_eq!(s.resolve(&at(4, 60)), Ok(scanned));
+        // The removed child is in no current entry and still resolves.
+        assert!(entries.iter().all(|e| e.tag != vt(20)));
+        assert_eq!(s.resolve(&at(1, 20)), Ok(children[2]));
+        // A blueprint's children were never embedded by a list op: no
+        // registry entry, found by the scan.
+        let op = WireOp::ListInsert {
+            index: 0,
+            child: Blueprint::List(vec![Blueprint::Int(0)]),
+        };
+        s.apply_wire_op(l, vt(110), &op).unwrap();
+        let inner = s.find_list_child_by_tag(l, vt(110)).unwrap();
+        assert_eq!(s.find_list_child_by_tag(inner, vt(110)), None);
+        let nested = ObjectAddr::Indirect {
+            root: l,
+            path: Path(vec![
+                PathElem::Index {
+                    index: 0,
+                    tag: vt(110),
+                },
+                PathElem::Index {
+                    index: 3,
+                    tag: vt(110),
+                },
+            ]),
+        };
+        assert_eq!(s.resolve(&nested), Ok(s.subtree(inner)[1]));
+        assert!(matches!(
+            s.resolve(&at(0, 999)),
+            Err(ApplyBlocked::MissingDependency(Some(t))) if t == vt(999)
+        ));
+    }
+
+    #[test]
+    fn name_hasher_spreads_the_names_sites_allocate() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        // Three sites' first 4 096 names: the map takes its bucket from the
+        // low bits of a hash and its control byte from the top seven.
+        let hasher = BuildHasherDefault::<NameHasher>::default();
+        let (mut low, mut high) = (vec![0u32; 1 << 12], [0u32; 128]);
+        for site in 1..=3 {
+            for seq in 0..4096 {
+                let h = hasher.hash_one(ObjectName::new(SiteId(site), seq));
+                low[(h & 0xfff) as usize] += 1;
+                high[(h >> 57) as usize] += 1;
+            }
+        }
+        // Twelve thousand balls in four thousand bins: a uniform hash leaves
+        // about one bin in twenty empty and fills none past a dozen or so.
+        assert!(low.iter().filter(|n| **n == 0).count() < 400);
+        assert!(*low.iter().max().unwrap() <= 16);
+        assert!(high.iter().all(|n| (48..=144).contains(n)), "{high:?}");
+        // The generic path hashes what the fixed-width ones do.
+        let (mut a, mut b) = (NameHasher::default(), NameHasher::default());
+        a.write(&7u64.to_le_bytes());
+        b.write_u64(7);
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! [`decaf_core::codec`] (tag bytes for enum variants, LEB128 varints,
 //! length-prefixed strings), which the write-ahead log uses too. A `DataV2`
 //! payload is one envelope; a `Batch` payload coalesces many into one
-//! frame. The names keep their `V2`/`v2` suffix — it is the codec's version
-//! number, the one a Hello announces. Frame kind 2 carried the JSON codec
-//! that version replaced; the byte stays reserved and a frame bearing it is
-//! rejected like any unknown kind.
+//! frame. The names keep their `V2`/`v2` suffix — the binary codec's first
+//! version number; the one this build speaks and a Hello announces is
+//! [`CODEC_VERSION`]. Frame kind 2 carried the JSON codec the binary one
+//! replaced; the byte stays reserved and a frame bearing it is rejected
+//! like any unknown kind.
 //!
 //! A Hello payload identifies the connecting peer — 4-byte little-endian
 //! site id — and names, in a fifth byte, the highest codec version it
@@ -70,7 +71,10 @@ pub const PROTOCOL_VERSION: u8 = 1;
 pub const PROTOCOL_VERSION_V2: u8 = 2;
 
 /// The envelope codec version this build speaks and announces in its Hello.
-pub const CODEC_VERSION: u8 = 2;
+/// Version 3 is version 2 with a snapshot's reads coded against each other
+/// ([`decaf_core::codec`], "Snapshot reads"); the bytes differ, so a
+/// version-2 peer is refused, not misread.
+pub const CODEC_VERSION: u8 = 3;
 
 /// Fixed frame header size in bytes.
 pub const HEADER_LEN: usize = 14;
@@ -694,17 +698,18 @@ mod tests {
     #[test]
     fn hello_names_a_codec_this_build_speaks() {
         assert_eq!(
-            decode_hello(&encode_hello_v2(SiteId(9), 2)).unwrap(),
-            (SiteId(9), 2)
+            decode_hello(&encode_hello_v2(SiteId(9), 3)).unwrap(),
+            (SiteId(9), 3)
         );
         // A newer peer announcing a higher maximum still speaks ours.
         assert_eq!(
-            decode_hello(&encode_hello_v2(SiteId(9), 3)).unwrap(),
-            (SiteId(9), 3)
+            decode_hello(&encode_hello_v2(SiteId(9), 4)).unwrap(),
+            (SiteId(9), 4)
         );
         // The classic 4-byte Hello and codecs below ours are refused, as
         // is any other length.
         assert!(decode_hello(&SiteId(9).0.to_le_bytes()).is_err());
+        assert!(decode_hello(&encode_hello_v2(SiteId(9), 2)).is_err());
         assert!(decode_hello(&encode_hello_v2(SiteId(9), 1)).is_err());
         assert!(decode_hello(&encode_hello_v2(SiteId(9), 0)).is_err());
         assert!(decode_hello(&[1, 2, 3]).is_err());

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use decaf_core::codec::crc32;
 use decaf_core::{Envelope, Message};
 use decaf_net::tcp::{TcpConfig, TcpEndpoint, TcpMesh};
-use decaf_net::wire::{encode_frame, encode_hello_v2, FrameKind, MAGIC};
+use decaf_net::wire::{encode_frame, encode_hello_v2, FrameKind, CODEC_VERSION, MAGIC};
 use decaf_net::{TransportEndpoint, TransportEvent};
 use decaf_vt::{SiteId, VirtualTime};
 
@@ -151,8 +151,9 @@ fn raw_frame(version: u8, kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Codec 1 is gone and nothing falls back to it: the classic 4-byte Hello,
-/// a Hello naming codec 1, and a kind-2 JSON data frame are each counted
+/// Codec 1 is gone and nothing falls back to it or to codec 2, whose
+/// snapshot reads this build would misread: the classic 4-byte Hello, a
+/// Hello naming codec 1 or 2, and a kind-2 JSON data frame are each counted
 /// in `frames_rejected` and get their connection closed — no panic, and
 /// the link to a well-behaved peer keeps working throughout.
 #[test]
@@ -178,11 +179,11 @@ fn codec_one_peers_are_refused_not_downgraded() {
 
     let json = br#"{"from":9,"to":1,"clock":{"lamport":1,"site":9},"msg":"Heartbeat"}"#;
     let hello_then_json = [
-        encode_frame(FrameKind::Hello, &encode_hello_v2(SiteId(9), 2)),
+        encode_frame(FrameKind::Hello, &encode_hello_v2(SiteId(9), CODEC_VERSION)),
         raw_frame(1, 2, json),
     ]
     .concat();
-    let offenders: [(&str, Vec<u8>); 3] = [
+    let offenders: [(&str, Vec<u8>); 4] = [
         (
             "classic 4-byte hello",
             encode_frame(FrameKind::Hello, &SiteId(9).0.to_le_bytes()),
@@ -190,6 +191,10 @@ fn codec_one_peers_are_refused_not_downgraded() {
         (
             "hello naming codec 1",
             encode_frame(FrameKind::Hello, &encode_hello_v2(SiteId(9), 1)),
+        ),
+        (
+            "hello naming codec 2",
+            encode_frame(FrameKind::Hello, &encode_hello_v2(SiteId(9), 2)),
         ),
         ("kind-2 data frame", hello_then_json),
     ];

@@ -488,6 +488,128 @@ fn arb_read() -> impl Strategy<Value = ReadItem> {
         .prop_map(|(addr, t_r, t_g, hi)| ReadItem { addr, t_r, t_g, hi })
 }
 
+/// One read of a snapshot walking composites, from small choices so that
+/// neighbours share roots, follow each other's indices and repeat `hi`s as
+/// often as they differ: which of two roots, the address's shape (direct,
+/// one list index, tuple key, two levels), the index, the tag, whether
+/// `t_r` is the tag and `t_g` is `t_r`, and one of three `hi`s.
+fn walk_read(
+    (root, shape, index, tag, tr_is_tag, tg_is_tr, hi): (u64, u8, usize, u64, bool, bool, u8),
+) -> ReadItem {
+    let (root, tag) = (name(1, root % 2), vt(10 + tag % 4, 1));
+    let elem = PathElem::Index { index, tag };
+    let addr = match shape % 4 {
+        0 => ObjectAddr::Direct(root),
+        1 => ObjectAddr::Indirect {
+            root,
+            path: Path(vec![elem]),
+        },
+        2 => ObjectAddr::Indirect {
+            root,
+            path: Path(vec![PathElem::Key(format!("k{index}"))]),
+        },
+        _ => ObjectAddr::Indirect {
+            root,
+            path: Path(vec![PathElem::Key("row".into()), elem]),
+        },
+    };
+    let t_r = if tr_is_tag {
+        tag
+    } else {
+        vt(20 + tag.lamport, 2)
+    };
+    ReadItem {
+        addr,
+        t_r,
+        t_g: if tg_is_tr { t_r } else { vt(5, 1) },
+        hi: [None, Some(vt(90, 2)), Some(vt(91, 3))][hi as usize % 3],
+    }
+}
+
+fn arb_walk_reads() -> impl Strategy<Value = Vec<ReadItem>> {
+    proptest::collection::vec(
+        (
+            0u64..2,
+            0u8..4,
+            0usize..4,
+            0u64..4,
+            any::<bool>(),
+            any::<bool>(),
+            0u8..3,
+        )
+            .prop_map(walk_read),
+        0..12,
+    )
+}
+
+fn snapshot_env(reads: Vec<ReadItem>) -> Envelope {
+    Envelope {
+        from: SiteId(2),
+        to: SiteId(1),
+        clock: vt(50, 2),
+        msg: Message::SnapshotConfirm {
+            subject: vt(49, 2),
+            origin: SiteId(2),
+            reads,
+        },
+        span: None,
+    }
+}
+
+/// The same walks as [`arb_walk_reads`], drawn from a fixed sequence, so
+/// the round trip also runs where the property-test runner is a stand-in.
+#[test]
+fn snapshot_reads_round_trip_over_scripted_walks() {
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut draw = move |below: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % below
+    };
+    let mut coded_short = 0;
+    for _ in 0..500 {
+        let reads: Vec<ReadItem> = (0..draw(12))
+            .map(|_| {
+                walk_read((
+                    draw(2),
+                    draw(4) as u8,
+                    draw(4) as usize,
+                    draw(4),
+                    draw(2) == 0,
+                    draw(2) == 0,
+                    draw(3) as u8,
+                ))
+            })
+            .collect();
+        let env = snapshot_env(reads.clone());
+        let bytes = wire::encode_envelope_v2(&env);
+        assert_eq!(wire::decode_envelope_v2(&bytes).unwrap(), env);
+        // Every cut is an error, never a shorter list.
+        for cut in 0..bytes.len() {
+            assert!(wire::decode_envelope_v2(&bytes[..cut]).is_err());
+        }
+        let full = wire::encode_envelope_v2(&txn_reading(reads));
+        coded_short += usize::from(bytes.len() < full.len());
+    }
+    assert!(coded_short > 400, "the walks exercise the short forms");
+}
+
+/// A transaction that only reads `reads`: the same items in the layout
+/// every item has outside a snapshot.
+fn txn_reading(reads: Vec<ReadItem>) -> Envelope {
+    Envelope {
+        msg: Message::Txn(TxnPropagate {
+            txn: vt(49, 2),
+            origin: SiteId(2),
+            updates: vec![],
+            reads,
+            delegate: None,
+        }),
+        ..snapshot_env(vec![])
+    }
+}
+
 fn arb_kind() -> impl Strategy<Value = SubjectKind> {
     prop_oneof![Just(SubjectKind::Txn), Just(SubjectKind::Snapshot)]
 }
@@ -744,6 +866,17 @@ proptest! {
         prop_assert_eq!(reader.buffered(), 0);
     }
 
+    /// A snapshot's reads are coded against each other; whatever the mix
+    /// of shapes, roots and `hi`s, they come back as they went in.
+    #[test]
+    fn snapshot_reads_round_trip(reads in arb_walk_reads(), full in proptest::collection::vec(arb_read(), 0..6)) {
+        for reads in [reads, full] {
+            let env = snapshot_env(reads);
+            let bytes = wire::encode_envelope_v2(&env);
+            prop_assert_eq!(wire::decode_envelope_v2(&bytes).unwrap(), env);
+        }
+    }
+
     /// The deterministic every-variant corpus also survives every chunk size
     /// the strategy picks — variant coverage and fragmentation composed.
     #[test]
@@ -951,10 +1084,10 @@ fn golden_hello_frame() {
             &wire::encode_hello_v2(SiteId(7), CODEC_VERSION)
         ),
         [
-            0x44, 0x43, 0x41, 0x46, 0x01, 0x01, 0x05, 0x00, 0x00, 0x00, 0x21, 0x4a, 0x0c, 0x9a,
-            0x07, 0x00, 0x00, 0x00, 0x02,
+            0x44, 0x43, 0x41, 0x46, 0x01, 0x01, 0x05, 0x00, 0x00, 0x00, 0xb7, 0x7a, 0x0b, 0xed,
+            0x07, 0x00, 0x00, 0x00, 0x03,
         ],
-        "hello frame: magic | version 1 | kind 1 | len 5 | crc | site id LE | codec 2"
+        "hello frame: magic | version 1 | kind 1 | len 5 | crc | site id LE | codec 3"
     );
 }
 
@@ -962,7 +1095,7 @@ fn golden_hello_frame() {
 fn golden_header_constants() {
     assert_eq!(MAGIC, *b"DCAF");
     assert_eq!(PROTOCOL_VERSION, 1);
-    assert_eq!(CODEC_VERSION, 2);
+    assert_eq!(CODEC_VERSION, 3);
     assert_eq!(HEADER_LEN, 14);
     // CRC-32 (IEEE) check value, the classic "123456789" vector.
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -1179,20 +1312,75 @@ fn golden_v2_data_frame() {
 
 #[test]
 fn golden_hello_v2() {
-    assert_eq!(wire::encode_hello_v2(SiteId(7), 2), [0x07, 0, 0, 0, 0x02]);
+    assert_eq!(wire::encode_hello_v2(SiteId(7), 3), [0x07, 0, 0, 0, 0x03]);
     // A hello announces the sender's max codec in the fifth byte...
     assert_eq!(
-        wire::decode_hello(&[0x07, 0, 0, 0, 0x02]).unwrap(),
-        (SiteId(7), 2)
+        wire::decode_hello(&[0x07, 0, 0, 0, 0x03]).unwrap(),
+        (SiteId(7), 3)
     );
-    // ...and a classic 4-byte hello, or one naming codec 1, is a peer this
-    // build has no encoding in common with.
+    // ...and a classic 4-byte hello, or one naming codec 1 or 2 (whose
+    // snapshot reads are laid out differently), is a peer this build has no
+    // encoding in common with.
     assert!(matches!(
         wire::decode_hello(&[0x07, 0, 0, 0]),
         Err(WireError::Codec(_))
     ));
-    assert!(matches!(
-        wire::decode_hello(&[0x07, 0, 0, 0, 0x01]),
-        Err(WireError::Codec(_))
-    ));
+    for older in [0x01, 0x02] {
+        assert!(matches!(
+            wire::decode_hello(&[0x07, 0, 0, 0, older]),
+            Err(WireError::Codec(_))
+        ));
+    }
+}
+
+/// The children of one list, as a snapshot over it reads them: each at the
+/// VT it was embedded at, up to the same `hi`.
+fn list_children_reads(children: usize, first_tag: u64, hi: VirtualTime) -> Vec<ReadItem> {
+    (0..children)
+        .map(|index| {
+            let tag = vt(first_tag + index as u64, 1 + index as u32 % 2);
+            ReadItem {
+                addr: ObjectAddr::Indirect {
+                    root: name(1, 0),
+                    path: Path(vec![PathElem::Index { index, tag }]),
+                },
+                t_r: tag,
+                t_g: tag,
+                hi: Some(hi),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn golden_v3_three_child_snapshot_payload() {
+    let env = snapshot_env(list_children_reads(3, 10, vt(48, 2)));
+    let golden = [
+        0x02, 0x01, 0x32, 0x02, // from 2 | to 1 | clock 50@2
+        0x02, 0x31, 0x02, 0x02, 0x03, // SnapshotConfirm | subject 49@2 | origin 2 | 3 reads
+        // The first read in full but for `t_g` = `t_r` (flag 0x08): an
+        // indirect address, root O1.0, one element, list index 0 tagged 10@1;
+        // t_r 10@1; hi Some(48@2).
+        0x08, 0x01, 0x01, 0x00, 0x01, 0x00, 0x00, 0x0a, 0x01, 0x0a, 0x01, 0x01, 0x30, 0x02,
+        // The next two: same root, next index, t_r the tag, t_g t_r, the
+        // same hi (flags 0x1f), leaving the tag.
+        0x1f, 0x0b, 0x02, //
+        0x1f, 0x0c, 0x01,
+    ];
+    assert_eq!(wire::encode_envelope_v2(&env), golden);
+    assert_eq!(wire::decode_envelope_v2(&golden).unwrap(), env);
+}
+
+/// What `duel_list3` sends per snapshot: the 256 elements of the shared
+/// list, embedded by 256 transactions some twenty thousand Lamport ticks in.
+#[test]
+fn a_256_child_snapshot_fits_in_1600_bytes() {
+    let reads = list_children_reads(256, 20_000, vt(21_000, 2));
+    let env = snapshot_env(reads.clone());
+    let bytes = wire::encode_envelope_v2(&env);
+    assert!(bytes.len() <= 1_600, "{} bytes", bytes.len());
+    assert_eq!(wire::decode_envelope_v2(&bytes).unwrap(), env);
+    // Each item in full, as codec 2 sent it and a transaction still does.
+    let full = wire::encode_envelope_v2(&txn_reading(reads));
+    assert!(full.len() >= 6_000, "{} bytes", full.len());
 }

@@ -66,6 +66,22 @@ for round in $(seq 1 10); do
     fi
 done
 
+# The engine's exactness cross-checks are debug assertions (a snapshot's
+# flat read set against Store::subtree, primary_of, addr_at and
+# value_at(ts); the embedding registry against the list scan; the primary's
+# resolved targets against a second resolve). A debug build of the
+# benchmark harness arms every one of them over a real three-site TCP
+# session with a 256-element list, conflicts and rollbacks, which the unit
+# fixtures do not have.
+echo "==> decaf-e2e duel_list3 --smoke, debug build (timeout 600 s)"
+run cargo build -p decaf-e2e -p decaf-apps --bin decaf-e2e --bin decaf-site --offline -q
+E2E_JSON="$(timeout 600 target/debug/decaf-e2e run --workload duel_list3 --smoke \
+    --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+if ! grep -q '"correct":true' <<<"$E2E_JSON" || ! grep -q '"failed":0[,}]' <<<"$E2E_JSON"; then
+    echo "FAIL: debug-build duel_list3 smoke run: $E2E_JSON" >&2
+    exit 1
+fi
+
 # The deterministic-trace golden test is the observability contract: a
 # fixed sim workload must keep producing byte-identical JSONL traces.
 run cargo test -p decaf-net --test trace_golden --offline -q

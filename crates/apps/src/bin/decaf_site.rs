@@ -4,8 +4,9 @@
 //!
 //! Every process hosts one [`Site`], one shared replicated integer counter
 //! (pre-wired across the mesh from the peer table, exactly the state a
-//! committed join would have produced), and a driver loop that pumps the
-//! sans-I/O engine against the socket mesh.
+//! committed join would have produced), and a [`Node`] — the site, its
+//! commit log and the one loop that drives them — pumped against the
+//! socket mesh.
 //!
 //! ```text
 //! decaf-site --site 1 --listen 127.0.0.1:7101 \
@@ -69,11 +70,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use decaf_core::{
-    wiring, CommitLog, NodeRef, ObjectName, Site, SiteConfig, SiteStats, TraceKind, TraceSink,
+    wiring, CommitLog, EngineEvent, NodeRef, ObjectName, Site, SiteConfig, SiteStats, TraceSink,
     Transaction, TransportStats, TxnCtx, TxnError, TxnHandle,
 };
 use decaf_net::tcp::{TcpConfig, TcpMesh};
-use decaf_net::{TransportEndpoint, TransportEvent};
+use decaf_net::Node;
 use decaf_trace::{metrics::PromText, Histogram};
 use decaf_vt::SiteId;
 
@@ -515,35 +516,37 @@ fn parse_args() -> Args {
     let mut data_dir = None;
     let mut metrics_listen = None;
 
+    /// A flag's value, or the usage error if it does not parse.
+    fn parsed<T: std::str::FromStr>(v: &str) -> T {
+        v.parse().unwrap_or_else(|_| usage())
+    }
+
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         let mut value = || argv.next().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--site" => site = value().parse().ok(),
-            "--listen" => listen = value().parse().ok(),
+            "--site" => site = Some(parsed(&value())),
+            "--listen" => listen = Some(parsed(&value())),
             "--peer" => {
                 let v = value();
                 let Some((id, addr)) = v.split_once('=') else {
                     usage();
                 };
-                let (Ok(id), Ok(addr)) = (id.parse::<u32>(), addr.parse::<SocketAddr>()) else {
-                    usage();
-                };
-                peers.insert(id, addr);
+                peers.insert(parsed(id), parsed(addr));
             }
-            "--txns" => txns = value().parse().unwrap_or_else(|_| usage()),
-            "--on-fail-txns" => on_fail_txns = value().parse().unwrap_or_else(|_| usage()),
-            "--phase1-target" => phase1_target = value().parse().ok(),
-            "--final-target" => final_target = value().parse().ok(),
-            "--linger-ms" => linger_ms = value().parse().unwrap_or_else(|_| usage()),
-            "--max-runtime-ms" => max_runtime_ms = value().parse().unwrap_or_else(|_| usage()),
+            "--txns" => txns = parsed(&value()),
+            "--on-fail-txns" => on_fail_txns = parsed(&value()),
+            "--phase1-target" => phase1_target = Some(parsed(&value())),
+            "--final-target" => final_target = Some(parsed(&value())),
+            "--linger-ms" => linger_ms = parsed(&value()),
+            "--max-runtime-ms" => max_runtime_ms = parsed(&value()),
             "--trace-out" => trace_out = Some(PathBuf::from(value())),
-            "--trace-buf" => trace_buf = value().parse().unwrap_or_else(|_| usage()),
-            "--summary-every-ms" => summary_every_ms = value().parse().unwrap_or_else(|_| usage()),
-            "--batch-max" => batch_max = value().parse().unwrap_or_else(|_| usage()),
-            "--batch-delay-us" => batch_delay_us = value().parse().unwrap_or_else(|_| usage()),
+            "--trace-buf" => trace_buf = parsed(&value()),
+            "--summary-every-ms" => summary_every_ms = parsed(&value()),
+            "--batch-max" => batch_max = parsed(&value()),
+            "--batch-delay-us" => batch_delay_us = parsed(&value()),
             "--data-dir" => data_dir = Some(PathBuf::from(value())),
-            "--metrics-listen" => metrics_listen = value().parse().ok(),
+            "--metrics-listen" => metrics_listen = Some(parsed(&value())),
             _ => usage(),
         }
     }
@@ -662,6 +665,10 @@ fn main() {
         site
     };
     site.set_trace_sink(trace.clone());
+    let mut node = match wal {
+        Some(log) => Node::durable(site, log),
+        None => Node::new(site),
+    };
 
     // --- transport: TCP mesh over the peer table ---
     let mut cfg = TcpConfig::new(site_id, args.listen)
@@ -688,14 +695,14 @@ fn main() {
     // while) doing new work: gestures submitted mid-rejoin are deferred
     // by the engine until every peer has acknowledged.
     if recovered {
-        let peers = site.begin_rejoin();
+        let peers = node.site.begin_rejoin();
         println!("rejoin peers={peers}");
     }
 
     // --- telemetry plane: live /metrics + /healthz scrape endpoint ---
     let telemetry = Arc::new(Mutex::new(Telemetry {
         recovered,
-        rejoining: site.is_rejoining(),
+        rejoining: node.site.is_rejoining(),
         durable: args.data_dir.is_some(),
         ..Telemetry::default()
     }));
@@ -721,17 +728,13 @@ fn main() {
     let mut finished_at: Option<Instant> = None;
     let summary_every = Duration::from_millis(args.summary_every_ms);
     let mut next_summary = start + summary_every;
-    // WAL bookkeeping (durable sites): fsync latency histogram in µs.
-    let mut fsync_hist = Histogram::new();
-    let mut wal_appends = 0u64;
-
     loop {
         if start.elapsed() > max_runtime {
             eprintln!(
                 "decaf-site {}: timeout after {:?}; committed={:?} transport: {}",
                 args.site,
                 start.elapsed(),
-                site.read_int_committed(obj),
+                node.site.read_int_committed(obj),
                 mesh.stats()
             );
             std::process::exit(1);
@@ -739,87 +742,56 @@ fn main() {
 
         // Submit work, paced like a user: next gesture once the previous
         // transaction's outcome is decided.
-        let prior_done = last.map(|h| site.txn_outcome(h).is_some()).unwrap_or(true);
+        let prior_done = last
+            .map(|h| node.site.txn_outcome(h).is_some())
+            .unwrap_or(true);
         if prior_done && finished_at.is_none() {
             if phase1_submitted < args.txns {
-                last = Some(site.execute(Box::new(Incr(obj))));
+                last = Some(node.site.execute(Box::new(Incr(obj))));
                 phase1_submitted += 1;
             } else if phase1_done
                 && !failed_sites.is_empty()
                 && phase2_submitted < args.on_fail_txns
             {
-                last = Some(site.execute(Box::new(Incr(obj))));
+                last = Some(node.site.execute(Box::new(Incr(obj))));
                 phase2_submitted += 1;
             }
         }
 
-        // Pump: engine outbox -> sockets, sockets -> engine.
-        for env in site.drain_outbox() {
-            endpoint.send(env.to, env);
-        }
-        // Block briefly for the first event (doubles as loop pacing), then
-        // drain whatever else arrived.
-        let mut events = Vec::new();
-        if let Some(first) = endpoint.recv_timeout(Duration::from_millis(1)) {
-            events.push(first);
-            while let Some(more) = endpoint.try_recv() {
-                events.push(more);
+        // One turn of the node loop. A durable node fsyncs every captured
+        // commit before that commit's broadcast leaves the process: a crash
+        // can tear the file tail, never lose an acknowledged commit. The
+        // 1 ms wait for the first event doubles as loop pacing.
+        let pumped = match node.pump(&endpoint, Duration::from_millis(1)) {
+            Ok(pumped) => pumped,
+            Err(e) => {
+                eprintln!("decaf-site {}: wal append: {e}", args.site);
+                std::process::exit(1);
+            }
+        };
+        for event in pumped.events {
+            if let EngineEvent::SiteFailureHandled { failed } = event {
+                println!("site-failed {}", failed.0);
+                failed_sites.push(failed);
             }
         }
-        for event in events {
-            match event {
-                TransportEvent::Message { msg, .. } => site.handle_message(msg),
-                TransportEvent::SiteFailed { failed } => {
-                    println!("site-failed {}", failed.0);
-                    site.notify_site_failed(failed);
-                    failed_sites.push(failed);
-                }
-            }
-        }
-        // Durable sites persist (fsync) every captured commit before the
-        // commit broadcasts below leave the process: a crash after this
-        // point can tear the file tail, never lose an acknowledged commit.
-        if let Some(log) = wal.as_mut() {
-            for rec in site.drain_wal() {
-                let before = log.len_bytes();
-                match log.append_commit(&rec) {
-                    Ok(latency) => {
-                        wal_appends += 1;
-                        fsync_hist.record(latency.as_micros() as u64);
-                        trace.emit(
-                            TraceKind::WalAppend,
-                            Some((rec.vt.lamport, rec.vt.site.0)),
-                            None,
-                            Some(log.len_bytes() - before),
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!("decaf-site {}: wal append: {e}", args.site);
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        for env in site.drain_outbox() {
-            endpoint.send(env.to, env);
-        }
-        let _ = site.drain_events();
+        let (wal_appends, fsync_hist) = node.wal_stats();
 
         // Refresh the scrape plane. Skipped entirely when no listener is
         // up — the lock is uncontended then, but why pay the copies.
         if args.metrics_listen.is_some() {
             let (commit_lat, view_lat, queue_depth) = trace.histograms();
             let mut t = telemetry.lock().expect("telemetry lock");
-            t.engine = site.stats();
+            t.engine = node.site.stats();
             t.transport = mesh.stats();
-            t.committed = site.read_int_committed(obj).unwrap_or(0);
-            t.rejoining = site.is_rejoining();
+            t.committed = node.site.read_int_committed(obj).unwrap_or(0);
+            t.rejoining = node.site.is_rejoining();
             t.commit_lat = commit_lat;
             t.view_lat = view_lat;
             t.queue_depth = queue_depth;
             t.fsync_us = fsync_hist.clone();
             t.wal_appends = wal_appends;
-            t.wal_bytes = wal.as_ref().map(CommitLog::len_bytes).unwrap_or(0);
+            t.wal_bytes = node.log().map_or(0, CommitLog::len_bytes);
         }
 
         // Periodic one-line histogram digest.
@@ -829,7 +801,7 @@ fn main() {
         }
 
         // Phase transitions.
-        let committed = site.read_int_committed(obj).unwrap_or(0);
+        let committed = node.site.read_int_committed(obj).unwrap_or(0);
         if !phase1_done && committed >= phase1_target {
             phase1_done = true;
             println!("phase1-done value={committed}");
@@ -857,7 +829,7 @@ fn main() {
                     t.frames_coalesced,
                     t.bytes_saved,
                 );
-                if let Some(log) = wal.as_ref() {
+                if let Some(log) = node.log() {
                     println!(
                         "wal-summary appends={wal_appends} bytes={} \
                          fsync-p50-us={} fsync-p99-us={} fsync-max-us={}",
@@ -868,7 +840,7 @@ fn main() {
                     );
                 }
                 println!("transport: {}", mesh.stats());
-                println!("engine: {}", site.stats());
+                println!("engine: {}", node.site.stats());
                 if trace.is_enabled() {
                     println!("trace-summary {}", trace.summary());
                 }
@@ -885,7 +857,10 @@ fn main() {
     // The committed counter at exit, after lingering: peers that stayed
     // up long enough print identical values here — the convergence
     // assertion the crash-restart integration test greps for.
-    println!("exit value={}", site.read_int_committed(obj).unwrap_or(0));
+    println!(
+        "exit value={}",
+        node.site.read_int_committed(obj).unwrap_or(0)
+    );
     mesh.shutdown();
 
     // Dump the retained trace after the mesh threads have joined, so the

@@ -2,8 +2,8 @@
 //!
 //! Two sections, matching the two halves of the hot-path overhaul:
 //!
-//! 1. **Wire throughput** (threaded substrate): a ring of real OS threads
-//!    exchanges protocol envelopes through [`decaf_net::threaded::ThreadedNet`],
+//! 1. **Wire throughput** (in-process ring): a ring of real OS threads
+//!    exchanges protocol envelopes through `std::sync::mpsc` channels,
 //!    frame-encoding each message exactly as the TCP transport does. Modes:
 //!    `v2` (per-envelope binary `DataV2` frames) and `v2+batch` (up to 64
 //!    envelopes coalesced into one `Batch` frame). Throughput counts
@@ -25,7 +25,7 @@
 //! Run: `cargo run --release -p decaf-bench --bin p1_throughput -- --json`
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use decaf_bench::print_table;
@@ -33,19 +33,17 @@ use decaf_core::{
     wiring, Blueprint, Envelope, Message, ObjectAddr, ObjectName, ScalarValue, Site, Transaction,
     TxnCtx, TxnError, TxnPropagate, UpdateItem, WireOp,
 };
-use decaf_net::threaded::ThreadedNet;
 use decaf_net::wire::{
     decode_batch, decode_envelope_v2, encode_batch_parts, encode_envelope_v2, encode_frame,
     FrameKind, FrameReader,
 };
-use decaf_net::TransportEvent;
 use decaf_vt::{SiteId, VirtualTime};
 
 /// Envelopes coalesced per `Batch` frame, mirroring `TcpConfig::batch_max`.
 const BATCH_MAX: usize = 64;
 
 // ===========================================================================
-// Section 1: wire throughput over the threaded substrate
+// Section 1: wire throughput round an in-process ring
 // ===========================================================================
 
 /// A representative protocol envelope: one-update transaction propagation
@@ -108,15 +106,16 @@ impl WireRow {
 /// envelopes to its successor while decoding the `per_site` envelopes
 /// arriving from its predecessor. Returns the measured row.
 fn run_wire(sites: usize, payload: usize, mode: WireMode, per_site: u64) -> WireRow {
-    let mut net: ThreadedNet<Vec<u8>> = ThreadedNet::new(sites, Duration::ZERO);
+    // One channel per site: thread i sends into its successor's, reads its own.
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..sites).map(|_| mpsc::channel::<Vec<u8>>()).unzip();
     let wire_bytes = Arc::new(AtomicU64::new(0));
     let frames = Arc::new(AtomicU64::new(0));
     let decoded = Arc::new(AtomicU64::new(0));
 
     let start = Instant::now();
     let mut handles = Vec::new();
-    for i in 0..sites {
-        let ep = net.endpoint(SiteId(i as u32));
+    for (i, inbox) in rxs.into_iter().enumerate() {
+        let to_next = txs[(i + 1) % sites].clone();
         let next = SiteId(((i + 1) % sites) as u32);
         let me = SiteId(i as u32);
         let wire_bytes = Arc::clone(&wire_bytes);
@@ -128,7 +127,7 @@ fn run_wire(sites: usize, payload: usize, mode: WireMode, per_site: u64) -> Wire
                 let frame = encode_frame(kind, payload);
                 wire_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
                 frames.fetch_add(1, Ordering::Relaxed);
-                ep.send(next, frame);
+                let _ = to_next.send(frame);
             };
             match mode {
                 WireMode::V2 => {
@@ -161,10 +160,8 @@ fn run_wire(sites: usize, payload: usize, mode: WireMode, per_site: u64) -> Wire
             let mut reader = FrameReader::new();
             let mut got: u64 = 0;
             while got < per_site {
-                let bytes = match ep.recv() {
-                    Ok(TransportEvent::Message { msg, .. }) => msg,
-                    Ok(TransportEvent::SiteFailed { .. }) => continue,
-                    Err(_) => break,
+                let Ok(bytes) = inbox.recv() else {
+                    break;
                 };
                 reader.feed(&bytes);
                 while let Ok(Some(frame)) = reader.next_frame() {
@@ -182,11 +179,11 @@ fn run_wire(sites: usize, payload: usize, mode: WireMode, per_site: u64) -> Wire
             decoded.fetch_add(got, Ordering::Relaxed);
         }));
     }
+    drop(txs); // a thread that dies early now fails its successor's recv
     for h in handles {
         let _ = h.join();
     }
     let elapsed = start.elapsed();
-    net.shutdown();
     WireRow {
         sites,
         payload,
@@ -415,7 +412,7 @@ fn main() {
         out.push_str(",\"sections\":[");
         json_table(
             &mut out,
-            "P1 wire throughput (threaded substrate)",
+            "P1 wire throughput (in-process ring)",
             &wire_headers,
             &wire_table,
         );
@@ -436,7 +433,7 @@ fn main() {
         println!("{out}");
     } else {
         print_table(
-            "P1 wire throughput (threaded substrate)",
+            "P1 wire throughput (in-process ring)",
             &wire_headers,
             &wire_table,
         );

@@ -680,14 +680,11 @@ pub fn a2_propagation(n_children: usize) -> A2Row {
             break;
         }
         if let Some(Event::Deliver { to, msg, .. }) = world.net.step() {
-            if let Some(s) = world.sites.get_mut(&to) {
-                s.handle_message(msg);
-            }
+            world.site(to).handle_message(msg);
         }
     }
 
-    let site1 = world.sites.get(&SiteId(1)).expect("site 1");
-    let graphs_indirect = site1.direct_graph_count() - (baseline_objects - 1) - 1;
+    let graphs_indirect = world.site(SiteId(1)).direct_graph_count() - (baseline_objects - 1) - 1;
     // -1 for the association object, minus pre-existing roots; what remains
     // is the composite's OWN graphs: exactly 1 with indirect propagation.
     let per_object = if n_children > 0 {
@@ -748,6 +745,7 @@ pub fn r1_recovery_in_window(log_commits: u64, missed: u64) -> R1Row {
 
 fn r1_restart(log_commits: u64, missed: u64, fail_stop: bool) -> R1Row {
     use decaf_core::{wiring, CommitLog, ObjectName, Site, Transaction, TxnCtx, TxnError};
+    use decaf_net::{Node, TransportEvent};
     use std::time::Instant;
 
     struct Incr(ObjectName);
@@ -758,12 +756,37 @@ fn r1_restart(log_commits: u64, missed: u64, fail_stop: bool) -> R1Row {
         }
     }
 
+    /// Carries everything the two nodes have to say to each other, in
+    /// process and at once, until neither has more.
+    fn settle(a: &mut Node, b: &mut Node) {
+        loop {
+            let mut moving = Vec::new();
+            for node in [&mut *a, &mut *b] {
+                node.flush(|env| moving.push(env)).expect("append commit");
+            }
+            if moving.is_empty() {
+                return;
+            }
+            for env in moving {
+                let to = if env.to == a.site.id() {
+                    &mut *a
+                } else {
+                    &mut *b
+                };
+                to.deliver(TransportEvent::Message {
+                    from: env.from,
+                    msg: env,
+                });
+            }
+        }
+    }
+
     let cfg = SiteConfig {
         durable: true,
         ..SiteConfig::default()
     };
-    let mut a = Site::with_config(SiteId(1), cfg.clone());
-    let mut b = Site::with_config(SiteId(2), cfg.clone());
+    let mut a = Site::with_config(SiteId(1), cfg);
+    let mut b = Site::with_config(SiteId(2), cfg);
     let oa = a.create_int(0);
     let ob = b.create_int(0);
     wiring::wire_pair(&mut a, oa, &mut b, ob);
@@ -776,47 +799,50 @@ fn r1_restart(log_commits: u64, missed: u64, fail_stop: bool) -> R1Row {
     let (mut log, _) = CommitLog::open(&dir).expect("open scratch WAL");
     log.append_checkpoint(&b.checkpoint().expect("freshly wired pair is quiescent"))
         .expect("baseline checkpoint");
+    // The survivor keeps no log; the victim's is the file.
+    let (mut a, mut b) = (Node::new(a), Node::durable(b, log));
 
     // Phase 1: both sites live, every commit fsynced to b's log.
     for _ in 0..log_commits {
-        b.execute(Box::new(Incr(ob)));
-        wiring::run_to_quiescence(&mut [&mut a, &mut b]);
-        for rec in b.drain_wal() {
-            log.append_commit(&rec).expect("append commit");
-        }
+        b.site.execute(Box::new(Incr(ob)));
+        settle(&mut a, &mut b);
     }
-    let wal_bytes = log.len_bytes();
-    drop(log);
+    let wal_bytes = b.log().expect("durable").len_bytes();
     drop(b); // crash: in-memory state gone, only the WAL survives
 
     // The survivor declares the failure and keeps committing, exactly the
     // state a SIGKILLed decaf-site finds on restart (past the reconnect
-    // window; inside it no fail-stop has been declared yet).
+    // window; inside it no fail-stop has been declared yet). What it sends
+    // meanwhile goes nowhere.
     if fail_stop {
-        a.notify_site_failed(SiteId(2));
-        let _ = a.drain_outbox();
+        a.deliver(TransportEvent::SiteFailed { failed: SiteId(2) });
+        a.flush(drop).expect("no log");
     }
     for _ in 0..missed {
-        a.execute(Box::new(Incr(oa)));
-        let _ = a.drain_outbox();
+        a.site.execute(Box::new(Incr(oa)));
+        a.flush(drop).expect("no log");
     }
 
     // Restart, local half: scan + CRC + checkpoint restore + replay.
     let t0 = Instant::now();
-    let (recovery, _log) = Site::recover(&dir, cfg).expect("recover from WAL");
+    let (recovery, log) = Site::recover(&dir, cfg).expect("recover from WAL");
     let replay_ms = t0.elapsed().as_secs_f64() * 1e3;
     let replayed = recovery.replayed;
-    let mut b = recovery.site;
+    let mut b = Node::durable(recovery.site, log);
 
     // Restart, networked half: rejoin handshake + catch-up stream.
     let t1 = Instant::now();
-    b.begin_rejoin();
-    wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+    b.site.begin_rejoin();
+    settle(&mut a, &mut b);
     let rejoin_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     let expect = Some((log_commits + missed) as i64);
-    assert_eq!(b.read_int_committed(ob), expect, "recovered site converged");
-    assert_eq!(a.read_int_committed(oa), expect, "survivor agrees");
+    assert_eq!(
+        b.site.read_int_committed(ob),
+        expect,
+        "recovered site converged"
+    );
+    assert_eq!(a.site.read_int_committed(oa), expect, "survivor agrees");
     let _ = std::fs::remove_dir_all(&dir);
     R1Row {
         log_commits,

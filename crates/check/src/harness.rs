@@ -15,6 +15,7 @@ use decaf_core::{
     TraceSink, ViewId, ViewLedgerEntry, ViewLedgerKind, ViewMode, WalRecord,
 };
 use decaf_net::sim::{LatencyModel, SimTime};
+use decaf_net::Node;
 use decaf_vt::{SiteId, VirtualTime};
 use decaf_workload::{
     BlindWrite, GuessHeavy, MixOp, ReadModifyWrite, SimWorld, TxnKind, TxnMix, WorldStep,
@@ -73,9 +74,10 @@ pub fn run_once(
         model = model.with_jitter(cfg.jitter, seed ^ 0x6a09_e667_f3bc_c909);
     }
     // Crash plans run durable sites: commits are captured as WAL records,
-    // persisted by the harness after every step, and restarts recover from
-    // them. Other plans keep durability off so their traces and hot paths
-    // are unchanged.
+    // appended to the node's log at every flush — before the commit's
+    // messages leave, as in the daemon — and restarts recover from them.
+    // Other plans keep durability off so their traces and hot paths are
+    // unchanged.
     let durable = plan.has_crashes();
     let site_cfg = SiteConfig {
         view_ledger: true,
@@ -85,8 +87,8 @@ pub fn run_once(
     };
     let mut world = SimWorld::with_config(cfg.sites, model, site_cfg);
     if let Some(m) = mutation {
-        for site in world.sites.values_mut() {
-            site.inject_test_mutation(m);
+        for node in world.nodes.values_mut() {
+            node.site.inject_test_mutation(m);
         }
     }
 
@@ -124,23 +126,20 @@ pub fn run_once(
     }
     // Per-site WAL images for crash plans: a byte buffer standing in for
     // the fsynced `wal.log` file, seeded with a baseline checkpoint taken
-    // at the post-wiring quiescent point. Commits queued before the
-    // baseline (wiring traffic) are discarded — recovery replays from the
+    // at the post-wiring quiescent point. Commits captured before the
+    // baseline (wiring traffic) went to no log — recovery replays from the
     // newest checkpoint anyway.
-    let mut wal_bytes: BTreeMap<SiteId, Vec<u8>> = BTreeMap::new();
     let mut wal_floor: BTreeMap<SiteId, usize> = BTreeMap::new();
     if durable {
-        let ids: Vec<SiteId> = locals.keys().copied().collect();
-        for id in ids {
-            let _ = world.site(id).drain_wal();
-            let cp = world
-                .site(id)
+        for id in locals.keys() {
+            let (mut site, _) = world.nodes.remove(id).expect("known site").into_parts();
+            let cp = site
                 .drain_and_checkpoint(16)
                 .expect("sites are quiescent after wiring");
             let mut buf = Vec::new();
             append_frame(&mut buf, &WalRecord::Checkpoint(Box::new(cp)));
-            wal_floor.insert(id, buf.len());
-            wal_bytes.insert(id, buf);
+            wal_floor.insert(*id, buf.len());
+            world.nodes.insert(*id, Node::durable(site, buf));
         }
     }
     let log_baseline = world.log.len();
@@ -202,7 +201,6 @@ pub fn run_once(
             hung = true;
             break;
         }
-        persist_wal(&mut world, &mut wal_bytes, &crashed);
         let WorldStep::Timer { site, token, .. } = ws else {
             continue;
         };
@@ -217,24 +215,22 @@ pub fn run_once(
             }
             // Stash the dying instance's ledgers, trace, and counters —
             // they belong to the run even though the object is replaced.
-            {
-                let old = world.site(id);
-                let st = old.stats();
-                committed_carry += st.txns_committed;
-                conflicts_carry += st.txns_aborted_conflict;
-                trace_stash.extend(old.trace_sink().drain());
-                let pess = old.view_ledger(pess_ids[&id]).unwrap_or_default();
-                pess_stash.entry(id.0).or_default().push(pess);
-                let opt = old.view_ledger(opt_ids[&id]).unwrap_or_default();
-                opt_stash.entry(id.0).or_default().push(opt);
-            }
+            let (old, log) = world.nodes.remove(&id).expect("known site").into_parts();
+            let st = old.stats();
+            committed_carry += st.txns_committed;
+            conflicts_carry += st.txns_aborted_conflict;
+            trace_stash.extend(old.trace_sink().drain());
+            let pess = old.view_ledger(pess_ids[&id]).unwrap_or_default();
+            pess_stash.entry(id.0).or_default().push(pess);
+            let opt = old.view_ledger(opt_ids[&id]).unwrap_or_default();
+            opt_stash.entry(id.0).or_default().push(opt);
             // Torn tail: chop `torn` bytes off the WAL (never into the
             // baseline checkpoint), then recover the longest valid record
             // prefix — exactly what `CommitLog::open` does on disk.
-            let buf = wal_bytes.get_mut(&id).expect("crash plans are durable");
+            let mut buf = log.expect("crash plans are durable");
             let cut = buf.len().saturating_sub(*torn as usize).max(wal_floor[&id]);
             buf.truncate(cut);
-            let scan = scan_wal(buf).expect("self-written log is schema-clean");
+            let scan = scan_wal(&buf).expect("self-written log is schema-clean");
             buf.truncate(scan.valid_len);
             recovered_vts
                 .entry(id.0)
@@ -269,7 +265,7 @@ pub fn run_once(
                 .trace_sink()
                 .set_now_ns(world.now().as_micros() * 1000);
             world.net.restart_site(id);
-            world.sites.insert(id, fresh);
+            world.nodes.insert(id, Node::durable(fresh, buf));
             world.site(id).begin_rejoin();
             crashed.remove(&id);
             // Resume the site's gesture stream where it left off (gestures
@@ -485,40 +481,21 @@ pub fn run_once(
     }
 }
 
-/// Drains every up site's queued WAL records into its byte image —
-/// the simulated equivalent of the fsync a durable site performs before
-/// acknowledging a commit. Crashed sites are skipped: whatever they had
-/// not yet persisted is exactly what a torn tail may lose.
-fn persist_wal(
-    world: &mut SimWorld,
-    wal: &mut BTreeMap<SiteId, Vec<u8>>,
-    crashed: &BTreeSet<SiteId>,
-) {
-    for (id, buf) in wal.iter_mut() {
-        if crashed.contains(id) {
-            continue;
-        }
-        for rec in world.site(*id).drain_wal() {
-            append_frame(buf, &WalRecord::Commit(rec));
-        }
-    }
-}
-
 /// Stamps every sink with the simulated time of the next event, then
 /// advances the world one step.
 fn stamped_step(world: &mut SimWorld) -> Option<WorldStep> {
     world.flush();
     let t = world.net.peek_time().unwrap_or_else(|| world.now());
     let ns = t.as_micros() * 1000;
-    for site in world.sites.values() {
-        site.trace_sink().set_now_ns(ns);
+    for node in world.nodes.values() {
+        node.site.trace_sink().set_now_ns(ns);
     }
     world.step()
 }
 
 /// Applies one fault action to the running world.
 fn apply_fault(world: &mut SimWorld, live: &mut BTreeSet<SiteId>, action: &FaultAction) {
-    let max = world.sites.len() as u32;
+    let max = world.nodes.len() as u32;
     match &action.kind {
         FaultKind::Partition { a, b } => {
             let ga: Vec<SiteId> = a

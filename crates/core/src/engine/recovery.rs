@@ -72,12 +72,6 @@ impl Site {
             };
             updates.push((*obj, *t_r, op));
         }
-        self.trace_emit(
-            TraceKind::WalAppend,
-            Some(vt),
-            None,
-            Some(updates.len() as u64),
-        );
         let rec = CommitRecord {
             vt,
             origin,

@@ -27,8 +27,8 @@
 //! [`Message`]s via [`Site::handle_message`], executes local
 //! [`Transaction`]s via [`Site::execute`], and emits outgoing messages
 //! through [`Site::drain_outbox`]. Any transport can carry the messages;
-//! the `decaf-net` crate provides a deterministic simulator and a threaded
-//! transport.
+//! the `decaf-net` crate provides a deterministic simulator, a TCP mesh,
+//! and the node loop that drives a site over either.
 //!
 //! # Quickstart
 //!

@@ -69,12 +69,6 @@ pub struct Envelope {
     pub span: Option<SpanCtx>,
 }
 
-impl decaf_trace::SpanCarrier for Envelope {
-    fn trace_span(&self) -> Option<(u32, u64, u32)> {
-        self.span.as_ref().map(SpanCtx::as_trace)
-    }
-}
-
 /// One element of a composite path.
 ///
 /// Paths name objects embedded in composites. List elements carry the VT at

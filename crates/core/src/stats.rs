@@ -129,11 +129,10 @@ impl fmt::Display for SiteStats {
 ///
 /// The engine itself is sans-I/O, so byte- and frame-level accounting lives
 /// with whichever substrate carries the [`Envelope`](crate::Envelope)s. The
-/// TCP mesh in `decaf-net` fills in every field; in-process transports
-/// (simulator, threaded) have no frames and leave the byte counters at
-/// zero. Snapshots are taken with `TcpMesh::stats()` and friends; this type
-/// is the plain-old-data exchange format, mirroring how [`SiteStats`]
-/// reports engine-level counters.
+/// TCP mesh in `decaf-net` fills in every field; the simulator has no
+/// frames and keeps no such counters. Snapshots are taken with
+/// `TcpMesh::stats()` and friends; this type is the plain-old-data exchange
+/// format, mirroring how [`SiteStats`] reports engine-level counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct TransportStats {

@@ -1,27 +1,27 @@
-//! Network substrates for DECAF replicas.
+//! Network substrates for DECAF replicas, and the loop that drives a site
+//! over them.
 //!
 //! The DECAF site engine ([`decaf-core`](https://docs.rs/decaf-core)) is
 //! *sans-I/O*: a site is a deterministic state machine that consumes
-//! messages and produces messages. This crate provides the three substrates
-//! that carry those messages:
+//! messages and produces messages. The paper runs that machine two ways,
+//! and this crate has one substrate for each:
 //!
 //! * [`sim`] — a deterministic discrete-event simulator with configurable
 //!   per-link latency, optional jitter, timers (for workload injection),
-//!   and ISIS-style fail-stop failure notification. All of the paper's
-//!   experiments run on this substrate, because it makes the analytic
-//!   latency claims (commit in `2t`/`3t`, §5.1) directly measurable.
-//! * [`threaded`] — a real multi-threaded transport (std threads +
-//!   crossbeam channels) with injected delays, used by integration tests
-//!   and examples to exercise the same engine under true parallelism.
+//!   partitions, crash-restart and ISIS-style fail-stop notification. It
+//!   makes the analytic latency claims (commit in `2t`/`3t`, §5.1) directly
+//!   measurable, and it is what `decaf-check` explores schedules on.
 //! * [`tcp`] — a real TCP mesh (std sockets + threads): one process per
 //!   site, length-prefixed CRC-checked frames ([`wire`]), heartbeats, and
 //!   reconnect with exponential backoff. Persistent peer loss is surfaced
 //!   as the §3.4 fail-stop notification, the way the paper's prototype ran
 //!   one JVM per user on a real LAN/WAN (§5.2).
 //!
-//! The three substrates are unified by the [`Transport`] /
-//! [`TransportEndpoint`] traits, so tests and examples can drive the same
-//! site loop over any of them.
+//! [`node`] is the loop between a site and either of them: deliver a
+//! [`TransportEvent`], persist, send, collect events — in that order,
+//! written once. The daemon and the TCP example call [`Node::pump`] on a
+//! [`TransportEndpoint`]; the simulator world and the checker call
+//! [`Node::deliver`] and [`Node::flush`] from their event loop.
 //!
 //! # Example
 //!
@@ -40,30 +40,6 @@
 //!     _ => unreachable!(),
 //! }
 //! ```
-//!
-//! Substrate-generic driving via the trait:
-//!
-//! ```
-//! use decaf_net::{Transport, TransportEndpoint, TransportEvent};
-//! use decaf_net::threaded::ThreadedNet;
-//! use decaf_vt::SiteId;
-//! use std::time::Duration;
-//!
-//! fn relay<T: Transport>(net: &T, from: SiteId, to: SiteId, msg: T::Msg)
-//! where
-//!     T::Msg: Clone,
-//! {
-//!     net.endpoint(from).send(to, msg);
-//! }
-//!
-//! let mut net: ThreadedNet<u8> = ThreadedNet::new(2, Duration::from_millis(1));
-//! relay(&net, SiteId(0), SiteId(1), 7u8);
-//! match net.endpoint(SiteId(1)).recv().unwrap() {
-//!     TransportEvent::Message { from, msg } => assert_eq!((from, msg), (SiteId(0), 7)),
-//!     other => panic!("unexpected {other:?}"),
-//! }
-//! net.shutdown();
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,10 +48,12 @@ use std::time::Duration;
 
 use decaf_vt::SiteId;
 
+pub mod node;
 pub mod sim;
 pub mod tcp;
-pub mod threaded;
 pub mod wire;
+
+pub use node::{Log, Node, Pumped};
 
 /// An event surfaced by a [`TransportEndpoint`].
 ///
@@ -84,8 +62,7 @@ pub mod wire;
 /// layer's failure detector has declared a peer fail-stopped — the ISIS
 /// model the paper assumes ("the underlying communication infrastructure
 /// provides notification of such failures ... as fail-stop failures",
-/// §3.4). A `SiteFailed` event is normally handed to
-/// [`Site::notify_site_failed`](decaf_core::Site::notify_site_failed).
+/// §3.4). [`Node::deliver`] hands either kind to the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportEvent<M> {
     /// A payload arrived from `from`.
@@ -114,10 +91,10 @@ impl<M> TransportEvent<M> {
 
 /// One site's handle onto a network substrate.
 ///
-/// Endpoints are the per-site I/O surface: a site loop repeatedly drains
-/// its engine's outbox into [`send`](TransportEndpoint::send) and feeds
-/// received [`TransportEvent`]s back into the engine. All methods take
-/// `&self` so an endpoint can be cloned/shared into a site's thread.
+/// Endpoints are the per-site I/O surface [`Node::pump`] drives: the
+/// engine's outbox goes into [`send`](TransportEndpoint::send) and received
+/// [`TransportEvent`]s go back into the engine. All methods take `&self` so
+/// an endpoint can be cloned/shared into a site's thread.
 pub trait TransportEndpoint {
     /// The payload type carried by this transport.
     type Msg;
@@ -133,42 +110,6 @@ pub trait TransportEndpoint {
     /// Non-blocking receive.
     fn try_recv(&self) -> Option<TransportEvent<Self::Msg>>;
 
-    /// Receive, waiting up to `timeout`. Virtual-time substrates (the
-    /// simulator) treat any timeout as "advance until something happens or
-    /// the network quiesces".
+    /// Receive, waiting up to `timeout`.
     fn recv_timeout(&self, timeout: Duration) -> Option<TransportEvent<Self::Msg>>;
-}
-
-/// A network substrate hosting DECAF sites.
-///
-/// Implemented by all three in-tree substrates:
-///
-/// * [`sim::SimTransport`] — deterministic virtual-time simulation;
-/// * [`threaded::ThreadedNet`] — in-process threads + channels;
-/// * [`tcp::TcpMesh`] — real sockets, one process per site (a mesh hosts
-///   exactly *one* site; [`endpoint`](Transport::endpoint) must be called
-///   with that site's id).
-///
-/// The trait covers the lifecycle that substrate-generic tests and
-/// examples need — obtaining per-site endpoints and tearing the network
-/// down. Substrate-specific controls (failure injection, timers, latency
-/// shaping, counters) stay on the concrete types.
-pub trait Transport {
-    /// The payload type carried by this transport.
-    type Msg;
-    /// The per-site handle type.
-    type Endpoint: TransportEndpoint<Msg = Self::Msg>;
-
-    /// The endpoint for `site`.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `site` is not hosted by this transport instance (out of
-    /// range for [`threaded::ThreadedNet`], not the local site for
-    /// [`tcp::TcpMesh`]).
-    fn endpoint(&self, site: SiteId) -> Self::Endpoint;
-
-    /// Flushes what can be flushed and releases the substrate's resources
-    /// (threads, sockets). Idempotent.
-    fn shutdown(&mut self);
 }

@@ -788,238 +788,6 @@ fn link_key(a: SiteId, b: SiteId) -> (SiteId, SiteId) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Transport-trait adapter
-// ---------------------------------------------------------------------------
-
-use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::Duration;
-
-use parking_lot::Mutex;
-
-use decaf_trace::{SpanCarrier, TraceKind, TraceSink};
-
-use crate::{Transport, TransportEndpoint, TransportEvent};
-
-/// Simulated time as the nanosecond timestamp a trace event carries.
-/// Traces stamped from virtual time are a pure function of the run, so
-/// golden tests can assert exact event sequences.
-fn sim_ns(t: SimTime) -> u64 {
-    t.as_micros().saturating_mul(1_000)
-}
-
-struct SimShared<M> {
-    net: SimNet<M>,
-    queues: HashMap<SiteId, VecDeque<TransportEvent<M>>>,
-    /// Per-site trace sinks; events are stamped with *simulated* time via
-    /// [`TraceSink::emit_at`] so traces are deterministic.
-    traces: HashMap<SiteId, TraceSink>,
-}
-
-impl<M: SpanCarrier> SimShared<M> {
-    /// Steps the simulator until `site`'s queue is non-empty or the network
-    /// quiesces, routing every surfaced event to its owner's queue. Timer
-    /// events are outside the [`Transport`] vocabulary and are discarded
-    /// (drive [`SimNet`] directly if the workload needs timers).
-    fn pump_for(&mut self, site: SiteId) -> Option<TransportEvent<M>> {
-        loop {
-            if let Some(ev) = self.queues.entry(site).or_default().pop_front() {
-                return Some(ev);
-            }
-            match self.net.step()? {
-                Event::Deliver { at, from, to, msg } => {
-                    if let Some(sink) = self.traces.get(&to) {
-                        let span = msg.trace_span();
-                        sink.emit_at_span(
-                            sim_ns(at),
-                            TraceKind::MsgRecv,
-                            span.map(|(o, s, _)| (s, o)),
-                            Some(from.0),
-                            None,
-                            span,
-                        );
-                    }
-                    self.queues
-                        .entry(to)
-                        .or_default()
-                        .push_back(TransportEvent::Message { from, msg });
-                }
-                Event::SiteFailed {
-                    at,
-                    observer,
-                    failed,
-                } => {
-                    if let Some(sink) = self.traces.get(&observer) {
-                        sink.emit_at(
-                            sim_ns(at),
-                            TraceKind::SiteFailed,
-                            None,
-                            Some(failed.0),
-                            None,
-                        );
-                    }
-                    self.queues
-                        .entry(observer)
-                        .or_default()
-                        .push_back(TransportEvent::SiteFailed { failed });
-                }
-                Event::Timer { .. } => {}
-            }
-        }
-    }
-}
-
-/// [`Transport`]-trait facade over a shared [`SimNet`].
-///
-/// The raw simulator is pull-based: one driver owns it and calls
-/// [`SimNet::step`]. This adapter instead hands out per-site
-/// [`SimEndpoint`]s whose `try_recv` transparently advances virtual time
-/// until an event for that site (or quiescence) is reached — the same
-/// endpoint-oriented shape as the threaded and TCP substrates, so
-/// substrate-generic tests can run deterministically.
-///
-/// `recv_timeout` ignores its wall-clock argument: the simulator lives in
-/// virtual time, so "waiting" just means stepping further.
-///
-/// # Example
-///
-/// ```
-/// use decaf_net::sim::{LatencyModel, SimTime, SimTransport};
-/// use decaf_net::{Transport, TransportEndpoint, TransportEvent};
-/// use decaf_vt::SiteId;
-///
-/// let net: SimTransport<u32> =
-///     SimTransport::new(LatencyModel::uniform(SimTime::from_millis(5)));
-/// let a = net.endpoint(SiteId(1));
-/// let b = net.endpoint(SiteId(2));
-/// a.send(SiteId(2), 7);
-/// assert_eq!(
-///     b.try_recv().and_then(TransportEvent::into_message),
-///     Some((SiteId(1), 7)),
-/// );
-/// ```
-pub struct SimTransport<M> {
-    shared: Arc<Mutex<SimShared<M>>>,
-}
-
-impl<M> fmt::Debug for SimTransport<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimTransport").finish_non_exhaustive()
-    }
-}
-
-impl<M> SimTransport<M> {
-    /// Creates a transport over a fresh simulator with `latency`.
-    pub fn new(latency: LatencyModel) -> Self {
-        SimTransport {
-            shared: Arc::new(Mutex::new(SimShared {
-                net: SimNet::new(latency),
-                queues: HashMap::new(),
-                traces: HashMap::new(),
-            })),
-        }
-    }
-
-    /// Installs `sink` as `site`'s trace sink. Send/receive/failure events
-    /// are stamped with **simulated** time, so a given workload always
-    /// produces byte-identical traces — the basis of the golden tests.
-    pub fn set_trace_sink(&self, site: SiteId, sink: TraceSink) {
-        self.shared.lock().traces.insert(site, sink);
-    }
-
-    /// Fail-stops `site`, notifying every site that has obtained an
-    /// endpoint (the registered membership).
-    pub fn fail_site(&self, site: SiteId) {
-        let mut shared = self.shared.lock();
-        let observers: Vec<SiteId> = shared.queues.keys().copied().collect();
-        shared.net.fail_site(site, observers);
-    }
-
-    /// Traffic counters of the underlying simulator.
-    pub fn stats(&self) -> NetStats {
-        self.shared.lock().net.stats()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.shared.lock().net.now()
-    }
-}
-
-impl<M: Clone + SpanCarrier> Transport for SimTransport<M> {
-    type Msg = M;
-    type Endpoint = SimEndpoint<M>;
-
-    fn endpoint(&self, site: SiteId) -> SimEndpoint<M> {
-        // Register the site so fail_site knows the membership.
-        self.shared.lock().queues.entry(site).or_default();
-        SimEndpoint {
-            site,
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    fn shutdown(&mut self) {}
-}
-
-/// One site's handle onto a [`SimTransport`].
-pub struct SimEndpoint<M> {
-    site: SiteId,
-    shared: Arc<Mutex<SimShared<M>>>,
-}
-
-impl<M> fmt::Debug for SimEndpoint<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimEndpoint")
-            .field("site", &self.site)
-            .finish()
-    }
-}
-
-impl<M> Clone for SimEndpoint<M> {
-    fn clone(&self) -> Self {
-        SimEndpoint {
-            site: self.site,
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<M: Clone + SpanCarrier> TransportEndpoint for SimEndpoint<M> {
-    type Msg = M;
-
-    fn site(&self) -> SiteId {
-        self.site
-    }
-
-    fn send(&self, to: SiteId, msg: M) {
-        let mut shared = self.shared.lock();
-        let from = self.site;
-        if let Some(sink) = shared.traces.get(&from) {
-            let span = msg.trace_span();
-            sink.emit_at_span(
-                sim_ns(shared.net.now()),
-                TraceKind::MsgSend,
-                span.map(|(o, s, _)| (s, o)),
-                Some(to.0),
-                None,
-                span,
-            );
-        }
-        shared.net.send(from, to, msg);
-    }
-
-    fn try_recv(&self) -> Option<TransportEvent<M>> {
-        self.shared.lock().pump_for(self.site)
-    }
-
-    fn recv_timeout(&self, _timeout: Duration) -> Option<TransportEvent<M>> {
-        // Virtual time: a timeout is just "advance until quiescence".
-        self.try_recv()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1418,39 +1186,6 @@ mod tests {
         };
         assert_eq!(run(7), run(7), "same seed, same duplicates");
         assert!(run(7) > 0, "p=0.5 over 32 sends should duplicate some");
-    }
-
-    #[test]
-    fn sim_transport_delivers_and_notifies_failures() {
-        use crate::{Transport, TransportEndpoint, TransportEvent};
-
-        let net: SimTransport<u32> =
-            SimTransport::new(LatencyModel::uniform(SimTime::from_millis(5)));
-        let a = net.endpoint(SiteId(1));
-        let b = net.endpoint(SiteId(2));
-        let c = net.endpoint(SiteId(3));
-        a.send(SiteId(2), 11);
-        a.send(SiteId(3), 12);
-        assert_eq!(
-            b.try_recv().and_then(TransportEvent::into_message),
-            Some((SiteId(1), 11))
-        );
-        // c's event was routed to its queue while b pumped the sim.
-        assert_eq!(
-            c.recv_timeout(std::time::Duration::from_secs(1))
-                .and_then(TransportEvent::into_message),
-            Some((SiteId(1), 12))
-        );
-        net.fail_site(SiteId(1));
-        for ep in [&b, &c] {
-            match ep.try_recv() {
-                Some(TransportEvent::SiteFailed { failed }) => assert_eq!(failed, SiteId(1)),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!(b.try_recv().is_none(), "network quiesced");
-        assert_eq!(net.stats().delivered, 2);
-        assert!(net.now() > SimTime::ZERO);
     }
 
     #[test]

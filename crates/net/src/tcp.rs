@@ -33,8 +33,8 @@
 //!   `connect_deadline` has passed since this mesh started. Either way a
 //!   fail-stopped peer yields a single [`TransportEvent::SiteFailed`],
 //!   delivered locally — the ISIS-style notification the paper assumes the
-//!   communication layer provides (§3.4). The site loop hands it to
-//!   [`Site::notify_site_failed`](decaf_core::Site::notify_site_failed).
+//!   communication layer provides (§3.4). [`Node::pump`](crate::Node::pump)
+//!   hands it to the engine.
 //! * **Counters** — byte/frame/reconnect/heartbeat accounting is exposed
 //!   as [`decaf_core::TransportStats`] via [`TcpMesh::stats`].
 //!
@@ -79,7 +79,7 @@ use crate::wire::{
     decode_batch, decode_envelope_v2, decode_hello, encode_batch_parts, encode_envelope_v2,
     encode_hello_v2, write_frame, FrameKind, FrameReader, CODEC_VERSION, HEADER_LEN,
 };
-use crate::{Transport, TransportEndpoint, TransportEvent};
+use crate::{TransportEndpoint, TransportEvent};
 
 /// Configuration of one site's TCP mesh endpoint.
 #[derive(Debug, Clone)]
@@ -568,29 +568,6 @@ impl TcpMesh {
         if woken.is_ok() || accept.is_finished() {
             let _ = accept.join();
         }
-    }
-}
-
-impl Transport for TcpMesh {
-    type Msg = Envelope;
-    type Endpoint = TcpEndpoint;
-
-    /// The endpoint for `site`.
-    ///
-    /// # Panics
-    ///
-    /// A mesh hosts exactly one site; panics if `site` is not it.
-    fn endpoint(&self, site: SiteId) -> TcpEndpoint {
-        assert_eq!(
-            site, self.site,
-            "a TcpMesh hosts exactly one site ({}); asked for {site}",
-            self.site
-        );
-        self.endpoint.clone()
-    }
-
-    fn shutdown(&mut self) {
-        TcpMesh::shutdown(self)
     }
 }
 
@@ -1403,16 +1380,5 @@ mod tests {
         let t0 = Instant::now();
         m.shutdown();
         assert!(t0.elapsed() < Duration::from_secs(2));
-    }
-
-    #[test]
-    fn endpoint_trait_panics_on_foreign_site() {
-        let port = reserve_port();
-        let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
-        let m = TcpMesh::start(TcpConfig::new(SiteId(1), addr)).unwrap();
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = Transport::endpoint(&m, SiteId(9));
-        }));
-        assert!(res.is_err());
     }
 }

@@ -58,8 +58,8 @@ pub enum TraceKind {
     /// released.
     RecoveryDone,
     /// A commit record was appended to the write-ahead log; `vt` is the
-    /// committed transaction, `n` the number of object updates captured
-    /// (engine capture) or the record's byte size (file append).
+    /// committed transaction, `n` the bytes the log grew by. One per
+    /// persisted commit, emitted where the append returns.
     WalAppend,
 }
 

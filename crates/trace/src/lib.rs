@@ -27,9 +27,7 @@
 //!   oracle;
 //! * [`metrics`] — Prometheus text exposition (counters, gauges, and the
 //!   log2 histograms as cumulative buckets) behind `decaf-site`'s live
-//!   `/metrics` endpoint;
-//! * [`SpanCarrier`] — how message-generic transports read the causal
-//!   span a payload carries.
+//!   `/metrics` endpoint.
 //!
 //! This crate intentionally has **zero dependencies** (not even
 //! `decaf-vt`): virtual times cross its API as plain `(lamport, site)`
@@ -61,12 +59,10 @@ mod event;
 mod hist;
 pub mod metrics;
 mod sink;
-mod span;
 pub mod stitch;
 
 pub use analyze::{Replay, SiteReplay};
 pub use event::{ParseError, TraceEvent, TraceKind};
 pub use hist::{HistSummary, Histogram, BUCKETS};
 pub use sink::{SinkSummary, TraceSink};
-pub use span::SpanCarrier;
 pub use stitch::{StitchReport, Stitcher};

@@ -156,6 +156,9 @@ pub struct StitchReport {
     pub critical_reexec: Histogram,
     /// Aggregate notify component.
     pub critical_notify: Histogram,
+    /// Commit → `WalAppend` delay of every append whose commit was traced
+    /// at the same site: one sample per persisted commit.
+    pub wal_delay_ns: Histogram,
     /// Human-readable anomaly flags, sorted.
     pub anomalies: Vec<String>,
     /// Completeness violations: committed VTs whose cross-site span has a
@@ -617,12 +620,11 @@ fn flag_anomalies(events: &[TraceEvent], report: &mut StitchReport) {
     }
 
     // WAL-fsync outliers: commit → WAL-append delays far beyond the median.
+    for &(_, _, d) in &wal_delays {
+        report.wal_delay_ns.record(d);
+    }
     if !wal_delays.is_empty() {
-        let mut h = Histogram::new();
-        for &(_, _, d) in &wal_delays {
-            h.record(d);
-        }
-        let p50 = h.quantile(0.5);
+        let p50 = report.wal_delay_ns.quantile(0.5);
         let threshold = (p50.saturating_mul(WAL_OUTLIER_FACTOR)).max(WAL_OUTLIER_FLOOR_NS);
         let outliers: Vec<&(u32, (u64, u32), u64)> = wal_delays
             .iter()

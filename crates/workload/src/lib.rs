@@ -5,8 +5,9 @@
 //! whiteboard/form scenario) and read-modify-writes — "under a range of
 //! artificially induced network delays". This crate provides:
 //!
-//! * [`SimWorld`] — glue between sans-I/O [`Site`]s and the deterministic
-//!   [`SimNet`] simulator, with timestamped engine-event capture;
+//! * [`SimWorld`] — [`Node`]s (a [`Site`] and, for a durable one, an
+//!   in-memory log) on the deterministic [`SimNet`] simulator, with
+//!   timestamped engine-event capture;
 //! * [`ArrivalProcess`] — seeded deterministic inter-arrival generators
 //!   (fixed-rate and exponential/Poisson);
 //! * [`LatencyTracker`] / [`NotificationTracker`] — commit and
@@ -23,10 +24,11 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use decaf_core::{
-    wiring, EngineEvent, Envelope, ObjectName, Site, SiteConfig, TraceKind, Transaction, TxnCtx,
-    TxnError,
+    wiring, EngineEvent, Envelope, ObjectName, Site, SiteConfig, SiteStats, TraceKind, Transaction,
+    TxnCtx, TxnError,
 };
 use decaf_net::sim::{Event, LatencyModel, SimNet, SimTime};
+use decaf_net::{Node, TransportEvent};
 use decaf_vt::{SiteId, VirtualTime};
 
 /// A blind write setting an integer (the whiteboard/form workload: "in an
@@ -169,8 +171,9 @@ pub enum WorldStep {
 pub struct SimWorld {
     /// The simulated network.
     pub net: SimNet<Envelope>,
-    /// The sites, keyed by id (ids are `1..=n`).
-    pub sites: BTreeMap<SiteId, Site>,
+    /// The nodes, keyed by site id (ids are `1..=n`). A durable node's log
+    /// is a byte image of `wal.log`.
+    pub nodes: BTreeMap<SiteId, Node<Vec<u8>>>,
     /// Timestamped engine events captured so far.
     pub log: Vec<StampedEvent>,
 }
@@ -183,12 +186,12 @@ impl SimWorld {
 
     /// Creates `n` sites with an explicit engine configuration.
     pub fn with_config(n: u32, latency: LatencyModel, config: SiteConfig) -> Self {
-        let sites = (1..=n)
-            .map(|i| (SiteId(i), Site::with_config(SiteId(i), config)))
+        let nodes = (1..=n)
+            .map(|i| (SiteId(i), Node::new(Site::with_config(SiteId(i), config))))
             .collect();
         SimWorld {
             net: SimNet::new(latency),
-            sites,
+            nodes,
             log: Vec::new(),
         }
     }
@@ -196,13 +199,9 @@ impl SimWorld {
     /// Creates one replicated integer across **all** sites, returning each
     /// site's local object name (index = site id - 1).
     pub fn wire_int(&mut self, initial: i64) -> Vec<ObjectName> {
-        let objs: Vec<ObjectName> = self
-            .sites
-            .values_mut()
-            .map(|s| s.create_int(initial))
-            .collect();
+        let objs: Vec<ObjectName> = self.sites_mut().map(|s| s.create_int(initial)).collect();
         let mut parts: Vec<(&mut Site, ObjectName)> =
-            self.sites.values_mut().zip(objs.iter().copied()).collect();
+            self.sites_mut().zip(objs.iter().copied()).collect();
         wiring::wire_replicas(&mut parts);
         objs
     }
@@ -215,13 +214,12 @@ impl SimWorld {
     ) -> BTreeMap<SiteId, ObjectName> {
         let mut objs = BTreeMap::new();
         for id in members {
-            let site = self.sites.get_mut(id).expect("unknown site");
-            objs.insert(*id, site.create_int(initial));
+            objs.insert(*id, self.site(*id).create_int(initial));
         }
         let mut parts: Vec<(&mut Site, ObjectName)> = Vec::new();
-        for (id, site) in self.sites.iter_mut() {
+        for (id, node) in self.nodes.iter_mut() {
             if let Some(obj) = objs.get(id) {
-                parts.push((site, *obj));
+                parts.push((&mut node.site, *obj));
             }
         }
         wiring::wire_replicas(&mut parts);
@@ -234,7 +232,12 @@ impl SimWorld {
     ///
     /// Panics on an unknown id.
     pub fn site(&mut self, id: SiteId) -> &mut Site {
-        self.sites.get_mut(&id).expect("unknown site")
+        &mut self.nodes.get_mut(&id).expect("unknown site").site
+    }
+
+    /// Every site, in id order (for wiring replicas across them).
+    pub fn sites_mut(&mut self) -> impl Iterator<Item = &mut Site> {
+        self.nodes.values_mut().map(|n| &mut n.site)
     }
 
     /// Schedules a workload timer.
@@ -244,40 +247,34 @@ impl SimWorld {
 
     /// Fail-stops `site`, notifying all other sites.
     pub fn fail_site(&mut self, site: SiteId) {
-        let observers: Vec<SiteId> = self.sites.keys().copied().filter(|s| *s != site).collect();
+        let observers: Vec<SiteId> = self.nodes.keys().copied().filter(|s| *s != site).collect();
         self.net.fail_site(site, observers);
     }
 
-    /// Collects every site's outbox into the network and its events into
-    /// the log.
+    /// One [`Node::flush`] per node: commit records into its log, its
+    /// outbox into the network, its events into [`log`](SimWorld::log).
     ///
     /// Each departing envelope is traced as a span-carrying `MsgSend` on
     /// the sender's sink (a no-op for the default disabled sink), stamped
-    /// with simulated time — the same contract as the
-    /// [`SimTransport`](decaf_net::sim::SimTransport) facade, so traces
-    /// from either driver stitch identically.
+    /// with simulated time; [`step`](SimWorld::step) traces the matching
+    /// `MsgRecv`. These are the only virtual-time transport events.
     pub fn flush(&mut self) {
         let now = self.net.now();
-        for (id, site) in self.sites.iter_mut() {
-            for env in site.drain_outbox() {
-                let span = env.span.map(|s| s.as_trace());
-                site.trace_sink().emit_at_span(
-                    now.as_micros().saturating_mul(1_000),
-                    TraceKind::MsgSend,
-                    span.map(|(o, s, _)| (s, o)),
-                    Some(env.to.0),
-                    None,
-                    span,
-                );
-                self.net.send(env.from, env.to, env);
-            }
-            for event in site.drain_events() {
-                self.log.push(StampedEvent {
+        let net = &mut self.net;
+        for (id, node) in self.nodes.iter_mut() {
+            let sink = node.site.trace_sink().clone();
+            let events = node
+                .flush(|env| {
+                    trace_hop(&sink, TraceKind::MsgSend, now, env.to, &env);
+                    net.send(env.from, env.to, env);
+                })
+                .expect("appending to an in-memory log cannot fail");
+            self.log
+                .extend(events.into_iter().map(|event| StampedEvent {
                     at: now,
                     site: *id,
                     event,
-                });
-            }
+                }));
         }
     }
 
@@ -287,17 +284,9 @@ impl SimWorld {
         let event = self.net.step()?;
         let step = match event {
             Event::Deliver { at, from, to, msg } => {
-                if let Some(site) = self.sites.get_mut(&to) {
-                    let span = msg.span.map(|s| s.as_trace());
-                    site.trace_sink().emit_at_span(
-                        at.as_micros().saturating_mul(1_000),
-                        TraceKind::MsgRecv,
-                        span.map(|(o, s, _)| (s, o)),
-                        Some(from.0),
-                        None,
-                        span,
-                    );
-                    site.handle_message(msg);
+                if let Some(node) = self.nodes.get_mut(&to) {
+                    trace_hop(node.site.trace_sink(), TraceKind::MsgRecv, at, from, &msg);
+                    node.deliver(TransportEvent::Message { from, msg });
                 }
                 WorldStep::Delivered { at }
             }
@@ -307,8 +296,8 @@ impl SimWorld {
                 observer,
                 failed,
             } => {
-                if let Some(site) = self.sites.get_mut(&observer) {
-                    site.notify_site_failed(failed);
+                if let Some(node) = self.nodes.get_mut(&observer) {
+                    node.deliver(TransportEvent::SiteFailed { failed });
                 }
                 WorldStep::Failure {
                     site: observer,
@@ -345,29 +334,34 @@ impl SimWorld {
         self.net.now()
     }
 
-    /// Sum of a per-site statistic over all sites.
-    pub fn total_stats(&self) -> decaf_core::SiteStats {
-        let mut out = decaf_core::SiteStats::default();
-        for s in self.sites.values() {
-            let st = s.stats();
-            out.txns_started += st.txns_started;
-            out.txns_committed += st.txns_committed;
-            out.txns_aborted_conflict += st.txns_aborted_conflict;
-            out.txns_aborted_user += st.txns_aborted_user;
-            out.retries += st.retries;
-            out.opt_notifications += st.opt_notifications;
-            out.opt_commits += st.opt_commits;
-            out.pess_notifications += st.pess_notifications;
-            out.lost_updates += st.lost_updates;
-            out.update_inconsistencies += st.update_inconsistencies;
-            out.read_inconsistencies += st.read_inconsistencies;
-            out.msgs_sent += st.msgs_sent;
-            out.msgs_received += st.msgs_received;
-            out.gc_discarded += st.gc_discarded;
-            out.snapshot_reruns += st.snapshot_reruns;
+    /// Every site's statistics folded into one total.
+    pub fn total_stats(&self) -> SiteStats {
+        let mut out = SiteStats::default();
+        for node in self.nodes.values() {
+            out.merge(&node.site.stats());
         }
         out
     }
+}
+
+/// Traces one end of an envelope's hop — `MsgSend` at the sender, `MsgRecv`
+/// at the receiver — at simulated time `at`, keyed by the envelope's span.
+fn trace_hop(
+    sink: &decaf_core::TraceSink,
+    kind: TraceKind,
+    at: SimTime,
+    peer: SiteId,
+    env: &Envelope,
+) {
+    let span = env.span.map(|s| s.as_trace());
+    sink.emit_at_span(
+        at.as_micros().saturating_mul(1_000),
+        kind,
+        span.map(|(o, s, _)| (s, o)),
+        Some(peer.0),
+        None,
+        span,
+    );
 }
 
 /// Tracks per-transaction latencies from origin execution to commit at
@@ -585,16 +579,26 @@ mod tests {
     fn total_stats_aggregates() {
         let mut world = SimWorld::new(2, LatencyModel::uniform(SimTime::from_millis(1)));
         let objs = world.wire_int(0);
-        let obj = objs[0];
-        world.site(SiteId(1)).execute(Box::new(BlindWrite {
-            object: obj,
-            value: 2,
-        }));
+        // A 16-slot ring at site 1 overflows, so the dropped-event counter
+        // is part of what must add up.
+        world
+            .site(SiteId(1))
+            .set_trace_sink(decaf_core::TraceSink::enabled(1, 16));
+        for value in 1..=8 {
+            world.site(SiteId(1)).execute(Box::new(BlindWrite {
+                object: objs[0],
+                value,
+            }));
+        }
         world.run_to_quiescence();
         let total = world.total_stats();
-        assert_eq!(total.txns_started, 1);
-        assert_eq!(total.txns_committed, 1);
+        assert_eq!(total.txns_started, 8);
+        assert_eq!(total.txns_committed, 8);
         assert!(total.msgs_sent >= 2);
+        assert!(total.trace_events_dropped > 0);
+        let mut merged = world.site(SiteId(1)).stats();
+        merged.merge(&world.site(SiteId(2)).stats());
+        assert_eq!(total, merged, "the total is the merge of the sites' stats");
     }
 }
 

@@ -112,7 +112,7 @@ fn main() {
     let form1 = world.site(SiteId(1)).create_tuple();
     let form2 = world.site(SiteId(2)).create_tuple();
     {
-        let mut iter = world.sites.values_mut();
+        let mut iter = world.sites_mut();
         let s1 = iter.next().expect("site 1");
         let s2 = iter.next().expect("site 2");
         decaf_core::wiring::wire_pair(s1, form1, s2, form2);

@@ -68,7 +68,7 @@ fn main() {
     let b1 = world.site(SiteId(1)).create_real(100.0);
     let b2 = world.site(SiteId(2)).create_real(100.0);
     {
-        let mut iter = world.sites.values_mut();
+        let mut iter = world.sites_mut();
         let s1 = iter.next().expect("site 1");
         let s2 = iter.next().expect("site 2");
         decaf_core::wiring::wire_pair(s1, a1, s2, a2);

@@ -15,9 +15,9 @@
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
-use decaf_core::{wiring, Envelope, ObjectName, Site, Transaction, TxnCtx, TxnError};
+use decaf_core::{wiring, ObjectName, Site, Transaction, TxnCtx, TxnError};
 use decaf_net::tcp::{TcpConfig, TcpMesh};
-use decaf_net::{TransportEndpoint, TransportEvent};
+use decaf_net::Node;
 use decaf_vt::SiteId;
 
 struct Incr(ObjectName);
@@ -58,7 +58,7 @@ fn main() {
     }
 
     let mut handles = Vec::new();
-    for (idx, (mut site, obj)) in sites.into_iter().zip(objs).enumerate() {
+    for (idx, (site, obj)) in sites.into_iter().zip(objs).enumerate() {
         let mut cfg = TcpConfig::new(site.id(), addrs[idx]);
         for (pidx, &addr) in addrs.iter().enumerate() {
             if pidx != idx {
@@ -68,37 +68,34 @@ fn main() {
         handles.push(std::thread::spawn(move || {
             let mut mesh = TcpMesh::start(cfg).expect("start mesh");
             let endpoint = mesh.endpoint();
+            let mut node: Node = Node::new(site);
             let mut done = 0i64;
             let mut last: Option<decaf_core::TxnHandle> = None;
             let mut idle = 0u32;
             loop {
                 // Submit work, paced on the previous gesture's outcome.
-                let prior_done = last.map(|h| site.txn_outcome(h).is_some()).unwrap_or(true);
+                let prior_done = last
+                    .map(|h| node.site.txn_outcome(h).is_some())
+                    .unwrap_or(true);
                 if done < INCREMENTS_EACH && prior_done {
-                    last = Some(site.execute(Box::new(Incr(obj))));
+                    last = Some(node.site.execute(Box::new(Incr(obj))));
                     done += 1;
                 }
-                // Engine outbox -> sockets, sockets -> engine.
-                for env in site.drain_outbox() {
-                    endpoint.send(env.to, env);
-                }
-                let mut got = false;
-                if let Some(first) = endpoint.recv_timeout(Duration::from_millis(1)) {
-                    got = true;
-                    dispatch(&mut site, first);
-                    while let Some(more) = endpoint.try_recv() {
-                        dispatch(&mut site, more);
-                    }
-                }
-                for env in site.drain_outbox() {
-                    endpoint.send(env.to, env);
-                }
-                let _ = site.drain_events();
+                // The node loop the daemon runs: engine outbox -> sockets,
+                // sockets -> engine, waiting up to 1 ms for traffic.
+                let got = node
+                    .pump(&endpoint, Duration::from_millis(1))
+                    .expect("no log, no append to fail")
+                    .received;
 
                 // Quit once everything we can observe has settled.
                 let target = i64::from(USERS) * INCREMENTS_EACH;
-                let committed = site.read_int_committed(obj).unwrap_or(0);
-                if done >= INCREMENTS_EACH && committed >= target && !got && site.is_quiescent() {
+                let committed = node.site.read_int_committed(obj).unwrap_or(0);
+                if done >= INCREMENTS_EACH
+                    && committed >= target
+                    && got == 0
+                    && node.site.is_quiescent()
+                {
                     idle += 1;
                     // Linger so slower peers can still converge off us.
                     if idle > 500 {
@@ -108,10 +105,10 @@ fn main() {
                     idle = 0;
                 }
             }
-            let value = site.read_int_committed(obj);
+            let value = node.site.read_int_committed(obj);
             let stats = mesh.stats();
             mesh.shutdown();
-            (site.id(), value, stats)
+            (node.site.id(), value, stats)
         }));
     }
 
@@ -128,11 +125,4 @@ fn main() {
         "all replicas must commit {expect:?}: {values:?}"
     );
     println!("\nAll {USERS} replicas converged over real TCP sockets.");
-}
-
-fn dispatch(site: &mut Site, event: TransportEvent<Envelope>) {
-    match event {
-        TransportEvent::Message { msg, .. } => site.handle_message(msg),
-        TransportEvent::SiteFailed { failed } => site.notify_site_failed(failed),
-    }
 }

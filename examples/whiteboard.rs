@@ -67,13 +67,10 @@ fn main() {
     let mut world = SimWorld::new(3, LatencyModel::uniform(SimTime::from_millis(60)));
 
     // One board replica per site, wired together.
-    let boards: Vec<ObjectName> = world.sites.values_mut().map(Site::create_list).collect();
+    let boards: Vec<ObjectName> = world.sites_mut().map(Site::create_list).collect();
     {
-        let mut parts: Vec<(&mut Site, ObjectName)> = world
-            .sites
-            .values_mut()
-            .zip(boards.iter().copied())
-            .collect();
+        let mut parts: Vec<(&mut Site, ObjectName)> =
+            world.sites_mut().zip(boards.iter().copied()).collect();
         decaf_core::wiring::wire_replicas(&mut parts);
     }
     for (i, (user, _)) in USERS.iter().enumerate() {

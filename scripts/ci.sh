@@ -34,6 +34,25 @@ if [[ "$(grep -c 'mod json' crates/net/src/wire.rs)" != 0 ]]; then
     exit 1
 fi
 
+# One node loop, two substrates: the threaded substrate, the simulator's
+# endpoint facade and the Transport trait stay deleted, and nothing outside
+# decaf_net::node drives a Site's queues by hand (tests/end_to_end_sim.rs
+# injects a fail-stop notice directly; that is fault injection, not a loop).
+if [[ -e crates/net/src/threaded.rs ]]; then
+    echo "FAIL: crates/net/src/threaded.rs is back" >&2
+    exit 1
+fi
+if grep -rnE 'SimTransport|trait Transport ' crates/net/src; then
+    echo "FAIL: SimTransport or the Transport trait is back under crates/net/src" >&2
+    exit 1
+fi
+if grep -nE '(handle_message|notify_site_failed|drain_outbox|drain_wal)\(' \
+    crates/apps/src/bin/decaf_site.rs crates/workload/src/*.rs crates/check/src/*.rs \
+    examples/tcp_mesh.rs tests/*.rs | grep -v '^tests/end_to_end_sim.rs:.*notify_site_failed('; then
+    echo "FAIL: a Site is driven by hand outside decaf_net::node (use Node::deliver/flush/pump)" >&2
+    exit 1
+fi
+
 # Lints are errors: the tree stays clippy-clean.
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -84,12 +103,13 @@ fi
 
 # The deterministic-trace golden test is the observability contract: a
 # fixed sim workload must keep producing byte-identical JSONL traces.
-run cargo test -p decaf-net --test trace_golden --offline -q
+run cargo test -p decaf-workload --test trace_golden --offline -q
 
 # Throughput bench smoke: the hot-path bench (two wire modes, v2 binary
-# and v2+batch, plus the CoW section) must run end to end, emit
-# well-formed JSON, and lose no envelopes (the bin itself exits non-zero
-# when delivered < sent; the checks below also pin the report's shape).
+# and v2+batch, round an in-process channel ring, plus the CoW section)
+# must run end to end, emit well-formed JSON, and lose no envelopes (the
+# bin itself exits non-zero when delivered < sent; the checks below also
+# pin the report's shape).
 echo "==> p1_throughput --json --smoke"
 P1_JSON="$(cargo run -p decaf-bench --bin p1_throughput --release --offline -q -- --json --smoke)"
 if command -v python3 >/dev/null 2>&1; then

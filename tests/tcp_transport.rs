@@ -389,6 +389,32 @@ fn version_one_wal_is_refused_and_left_untouched() {
     let _ = fs::remove_dir_all(&data_dir);
 }
 
+/// A number or address that does not parse is a usage error (exit 2), not
+/// a silent fall-back to the default.
+#[test]
+fn unparseable_flag_values_are_usage_errors() {
+    let addr = reserve_addr();
+    let ok = ["--site", "1", "--listen", addr.as_str()];
+    for flag in [
+        "--site",
+        "--listen",
+        "--phase1-target",
+        "--final-target",
+        "--metrics-listen",
+    ] {
+        // The bad value comes last, so it overrides a good one before it.
+        let out = Command::new(env!("CARGO_BIN_EXE_decaf-site"))
+            .args(ok)
+            .args([flag, "x"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run decaf-site");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} x: {stderr}");
+        assert!(stderr.contains("usage: decaf-site"), "{flag} x: {stderr}");
+    }
+}
+
 #[test]
 fn single_site_mesh_runs_standalone() {
     // Degenerate deployment: one process, no peers. The daemon must still

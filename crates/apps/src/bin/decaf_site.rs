@@ -207,6 +207,12 @@ fn render_metrics(site: u32, t: &Telemetry) -> String {
         e.msgs_sent,
     );
     p.counter(
+        "decaf_snapshot_requests_retired_total",
+        "Snapshot CONFIRM-READ requests retired before they left the site.",
+        l,
+        e.snapshot_requests_retired,
+    );
+    p.counter(
         "decaf_msgs_received_total",
         "Protocol messages received.",
         l,

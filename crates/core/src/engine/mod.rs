@@ -215,6 +215,15 @@ pub struct Site {
     pub(crate) clock: LamportClock,
     pub(crate) store: Store,
     pub(crate) outbox: Vec<Envelope>,
+    /// Two clock readings that bound the snapshot tokens whose CONFIRM-READ
+    /// can still be in the outbox: above the reading at the last
+    /// [`Site::drain_outbox`], at or below the reading when the newest
+    /// request was queued (0 when none has been since). A token is a clock
+    /// value, minted before its request is queued, so `retire_snapshot` does
+    /// not look for one outside the two: no per-token state, and nothing to
+    /// do on a site whose snapshots never ask.
+    pub(crate) outbox_drained_at: u64,
+    pub(crate) snap_requested_at: u64,
     pub(crate) events: Vec<EngineEvent>,
     pub(crate) stats: SiteStats,
     /// Structured trace sink; the default disabled sink makes every emit
@@ -306,6 +315,8 @@ impl Site {
             clock: LamportClock::new(id),
             store,
             outbox: Vec::new(),
+            outbox_drained_at: 0,
+            snap_requested_at: 0,
             events: Vec::new(),
             stats: SiteStats::default(),
             trace: decaf_trace::TraceSink::disabled(),
@@ -397,6 +408,14 @@ impl Site {
 
     /// Removes and returns the messages this site wants delivered.
     pub fn drain_outbox(&mut self) -> Vec<Envelope> {
+        // No CONFIRM-READ leaves for a snapshot this site no longer holds
+        // (`retire_snapshot`, DESIGN §8).
+        debug_assert!(self.outbox.iter().all(|env| match &env.msg {
+            Message::SnapshotConfirm { subject, .. } => self.snap_tokens.contains_key(subject),
+            _ => true,
+        }));
+        self.outbox_drained_at = self.clock.counter();
+        self.snap_requested_at = 0;
         std::mem::take(&mut self.outbox)
     }
 
@@ -424,6 +443,12 @@ impl Site {
             self.dispatch(self.id, msg);
             return;
         }
+        // Counted here and un-counted if `retire_snapshot` takes the
+        // envelope back, so `msgs_sent` is what left. `silent_received` is
+        // not restored for a retired envelope: that delays one heartbeat by
+        // at most eight messages, whereas resetting at the drain instead
+        // would add heartbeats (each a `run_gc` at the peer) inside every
+        // batch of received messages.
         self.stats.msgs_sent += 1;
         self.silent_received.insert(to, 0);
         // Stamp the causal trace context: the subject VT's owner is the

@@ -56,12 +56,52 @@ impl Site {
     pub fn detach_view(&mut self, id: ViewId) {
         if let Some(proxy) = self.views.remove(&id) {
             if let Some(snap) = proxy.opt {
-                self.snap_tokens.remove(&snap.token);
+                self.retire_snapshot(snap.token);
             }
             for (_, snap) in proxy.pess {
-                self.snap_tokens.remove(&snap.token);
+                self.retire_snapshot(snap.token);
             }
         }
+    }
+
+    /// Queues the CONFIRM-READ batches of the snapshot `token`, one per
+    /// primary site asked.
+    fn request_confirmation(
+        &mut self,
+        token: VirtualTime,
+        batches: BTreeMap<SiteId, Vec<ReadItem>>,
+    ) {
+        for (site, items) in batches {
+            self.snap_requested_at = self.clock.counter();
+            self.send(
+                site,
+                Message::SnapshotConfirm {
+                    subject: token,
+                    origin: self.id,
+                    reads: items,
+                },
+            );
+        }
+    }
+
+    /// Lets go of a snapshot token: a CONFIRM or DENY for it is ignored from
+    /// here on, and its CONFIRM-READ, if still queued, never leaves the site
+    /// — nobody holds the snapshot it asks for (DESIGN §8). The envelopes
+    /// that stay keep their order and their stamps. A token that was never
+    /// issued (`VirtualTime::ZERO`) or is gone already is a no-op.
+    fn retire_snapshot(&mut self, token: VirtualTime) {
+        let may_be_queued =
+            self.outbox_drained_at < token.lamport && token.lamport <= self.snap_requested_at;
+        if self.snap_tokens.remove(&token).is_none() || !may_be_queued {
+            return;
+        }
+        let queued = self.outbox.len();
+        self.outbox.retain(
+            |env| !matches!(env.msg, Message::SnapshotConfirm { subject, .. } if subject == token),
+        );
+        let retired = (queued - self.outbox.len()) as u64;
+        self.stats.msgs_sent = self.stats.msgs_sent.saturating_sub(retired);
+        self.stats.snapshot_requests_retired += retired;
     }
 
     /// The views whose attachment set covers `obj` (directly or as an
@@ -205,11 +245,7 @@ impl Site {
                     proxy.last_seen.insert(*o, cur.vt);
                 }
             }
-            // Discard the superseded uncommitted snapshot, if any (§4.1).
-            if let Some(old) = proxy.opt.take() {
-                self.snap_tokens.remove(&old.token);
-            }
-            proxy.opt = Some(OptSnap {
+            let superseded = proxy.opt.replace(OptSnap {
                 ts,
                 token,
                 guesses,
@@ -221,6 +257,11 @@ impl Site {
                     kind: crate::oracle::ViewLedgerKind::Update(ViewMode::Optimistic),
                 });
             }
+            // Discard the superseded uncommitted snapshot, if any (§4.1).
+            if let Some(old) = superseded {
+                self.retire_snapshot(old.token);
+            }
+            self.snap_tokens.insert(token, vid);
             self.stats.opt_notifications += 1;
             self.trace_emit(TraceKind::ViewOptimistic, Some(ts), None, Some(vid.0));
             self.events.push(EngineEvent::ViewUpdated {
@@ -234,16 +275,10 @@ impl Site {
             }
         }
 
-        self.snap_tokens.insert(token, vid);
-        for (site, items) in remote_batches {
-            self.send(
-                site,
-                Message::SnapshotConfirm {
-                    subject: token,
-                    origin: self.id,
-                    reads: items,
-                },
-            );
+        // A transaction the update method spawned may have written a
+        // watched object and superseded this snapshot before it asked.
+        if self.snap_tokens.contains_key(&token) {
+            self.request_confirmation(token, remote_batches);
         }
         self.maybe_commit_opt(vid);
     }
@@ -266,7 +301,7 @@ impl Site {
                 kind: crate::oracle::ViewLedgerKind::Commit,
             });
         }
-        self.snap_tokens.remove(&snap.token);
+        self.retire_snapshot(snap.token);
         self.stats.opt_commits += 1;
         self.trace_emit(TraceKind::ViewCommitted, Some(snap.ts), None, Some(vid.0));
         self.events.push(EngineEvent::ViewCommitted {
@@ -424,9 +459,7 @@ impl Site {
         }
         guesses.outstanding.extend(remote_batches.keys());
 
-        if old_token != VirtualTime::ZERO {
-            self.snap_tokens.remove(&old_token);
-        }
+        self.retire_snapshot(old_token);
         self.snap_tokens.insert(token, vid);
         if let Some(snap) = self.views.get_mut(&vid).and_then(|p| p.pess.get_mut(&ts)) {
             snap.token = token;
@@ -436,16 +469,7 @@ impl Site {
                 .map(|(_, interval)| interval)
                 .collect();
         }
-        for (site, items) in remote_batches {
-            self.send(
-                site,
-                Message::SnapshotConfirm {
-                    subject: token,
-                    origin: self.id,
-                    reads: items,
-                },
-            );
-        }
+        self.request_confirmation(token, remote_batches);
     }
 
     /// Delivers every deliverable pessimistic snapshot in VT order:
@@ -493,7 +517,7 @@ impl Site {
                     proxy.last_seen.insert(*o, cur.vt);
                 }
             }
-            self.snap_tokens.remove(&token);
+            self.retire_snapshot(token);
             self.stats.pess_notifications += 1;
             // Pessimistic delivery is already committed: one ViewCommitted
             // event, with no preceding optimistic delivery to pair against.
@@ -571,8 +595,12 @@ impl Site {
                             snap.committed = true;
                         }
                     }
-                    // The commit may change `lo` for denied guesses of the
-                    // earliest pending snapshot: revise and retry.
+                    // The commit may change `lo` for the denied guesses of
+                    // any pending snapshot, not only the earliest: revise and
+                    // retry all of them. Measured, the re-issue is almost
+                    // never idle: 129 of 16 128 in a 20 s `duel_list3` run
+                    // and 0 of 82 279 in `saturate3` asked for unchanged
+                    // intervals.
                     let revise: Vec<VirtualTime> = proxy
                         .pess
                         .iter()
@@ -650,9 +678,7 @@ impl Site {
                     // and revise any denied guesses (the purge may have
                     // cleared their intervals).
                     if let Some(snap) = proxy.pess.remove(&vt) {
-                        if snap.token != VirtualTime::ZERO {
-                            self.snap_tokens.remove(&snap.token);
-                        }
+                        self.retire_snapshot(snap.token);
                     }
                     let Some(proxy) = self.views.get_mut(&vid) else {
                         continue;
@@ -787,7 +813,7 @@ mod tests {
     use super::*;
     use crate::error::TxnError;
     use crate::graph::NodeRef;
-    use crate::message::WireOp;
+    use crate::message::{Envelope, WireOp};
     use crate::object::Blueprint;
     use crate::txn::{Transaction, TxnCtx};
     use crate::value::ScalarValue;
@@ -954,6 +980,216 @@ mod tests {
         assert_eq!(sent[&SiteId(1)].len(), 17);
         let issued = &b.views[&pess].pess[&ts].issued;
         assert_eq!(issued.len(), 17, "what a deny compares against");
+    }
+
+    /// Site 1 with the primary copy of a three-element list and site 2 with
+    /// a replica of it, everything committed and both outboxes empty.
+    fn primary_and_replica() -> (Site, ObjectName, Site, ObjectName) {
+        let (mut a, mut b) = (Site::new(SiteId(1)), Site::new(SiteId(2)));
+        let (la, lb) = (a.create_list(), b.create_list());
+        wiring::wire_pair(&mut a, la, &mut b, lb);
+        for n in 0..3 {
+            a.execute(append(la, n));
+        }
+        wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+        assert_eq!(b.primary_of(lb).unwrap().site, SiteId(1));
+        (a, la, b, lb)
+    }
+
+    fn append(list: ObjectName, v: i64) -> Box<Edit> {
+        Box::new(Edit {
+            list: Some(list),
+            insert: Some((usize::MAX, v)),
+            ..Default::default()
+        })
+    }
+
+    /// Hands everything `from` has queued to `to`, which drains nothing.
+    fn deliver(from: &mut Site, to: &mut Site) {
+        for env in from.drain_outbox() {
+            to.handle_message(env);
+        }
+    }
+
+    /// Drains `from` into `to`, checks `msgs_sent` grew by what left, and
+    /// returns the tokens of the snapshot requests among it.
+    fn forward_requests(from: &mut Site, sent_before: u64, to: &mut Site) -> Vec<VirtualTime> {
+        let out = from.drain_outbox();
+        assert_eq!(from.stats().msgs_sent - sent_before, out.len() as u64);
+        let mut tokens = Vec::new();
+        for env in out {
+            if let Message::SnapshotConfirm { subject, .. } = env.msg {
+                tokens.push(subject);
+            }
+            to.handle_message(env);
+        }
+        tokens
+    }
+
+    #[test]
+    fn superseded_optimistic_request_never_leaves() {
+        let (mut a, la, mut b, lb) = primary_and_replica();
+        let view = RecordingView::new(vec![]);
+        let log = view.log();
+        let vid = b.attach_view(Box::new(view), &[lb], ViewMode::Optimistic);
+        let sent = b.stats().msgs_sent;
+
+        // Two updates (and their commits) handled before one drain: each
+        // takes a snapshot that guesses the older elements unchanged.
+        a.execute(append(la, 3));
+        a.execute(append(la, 4));
+        deliver(&mut a, &mut b);
+        assert_eq!(b.stats().opt_notifications, 2);
+        let held = b.views[&vid].opt.as_ref().expect("awaiting site 1").token;
+        assert_eq!(forward_requests(&mut b, sent, &mut a), [held]);
+        assert_eq!(b.stats().snapshot_requests_retired, 1);
+
+        // What the view sees is what it saw when both requests left.
+        wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+        assert!(matches!(
+            log.lock().unwrap().as_slice(),
+            [
+                ViewEvent::Update { .. },
+                ViewEvent::Update { .. },
+                ViewEvent::Commit
+            ]
+        ));
+        assert!(b.snap_tokens.is_empty());
+    }
+
+    #[test]
+    fn aborted_or_reissued_pessimistic_request_never_leaves() {
+        let (mut a, la, mut b, lb) = primary_and_replica();
+        let view = RecordingView::new(vec![]);
+        let log = view.log();
+        let vid = b.attach_view(Box::new(view), &[lb], ViewMode::Pessimistic);
+        let sent = b.stats().msgs_sent;
+
+        // An update arrives and is aborted before the drain.
+        a.execute(append(la, 3));
+        let update = a
+            .drain_outbox()
+            .into_iter()
+            .find(|env| matches!(env.msg, Message::Txn(_)))
+            .expect("the update");
+        let (txn, clock) = (update.msg.witnessed_vt().expect("its VT"), update.clock);
+        b.handle_message(update);
+        assert_eq!(b.views[&vid].pess.len(), 1);
+        assert_eq!(b.snap_tokens.len(), 1);
+        b.handle_message(Envelope {
+            from: SiteId(1),
+            to: SiteId(2),
+            clock,
+            msg: Message::Abort { txn },
+            span: None,
+        });
+        assert!(b.views[&vid].pess.is_empty());
+        assert_eq!(forward_requests(&mut b, sent, &mut a), []);
+        assert_eq!(b.stats().snapshot_requests_retired, 1);
+
+        // The next one is re-issued before the drain: only the re-issue goes.
+        let sent = b.stats().msgs_sent;
+        a.execute(append(la, 4));
+        deliver(&mut a, &mut b);
+        let (&ts, snap) = b.views[&vid].pess.iter().next().expect("awaiting site 1");
+        let first = snap.token;
+        b.issue_pess_guesses(vid, ts);
+        let second = b.views[&vid].pess[&ts].token;
+        assert_ne!(first, second);
+        assert_eq!(forward_requests(&mut b, sent, &mut a), [second]);
+        assert_eq!(b.stats().snapshot_requests_retired, 2);
+
+        wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+        assert_eq!(log.lock().unwrap().len(), 1, "the committed append");
+        assert!(b.snap_tokens.is_empty());
+    }
+
+    #[test]
+    fn detached_view_request_never_leaves() {
+        let (mut a, la, mut b, lb) = primary_and_replica();
+        let views = [ViewMode::Optimistic, ViewMode::Pessimistic]
+            .map(|mode| b.attach_view(Box::new(RecordingView::new(vec![])), &[lb], mode));
+        let sent = b.stats().msgs_sent;
+        a.execute(append(la, 3));
+        deliver(&mut a, &mut b);
+        assert_eq!(b.snap_tokens.len(), 2);
+        for vid in views {
+            b.detach_view(vid);
+        }
+        assert_eq!(forward_requests(&mut b, sent, &mut a), []);
+        assert_eq!(b.stats().snapshot_requests_retired, 2);
+        assert!(b.snap_tokens.is_empty());
+    }
+
+    #[test]
+    fn drained_request_is_not_looked_for() {
+        let (mut a, la, mut b, lb) = primary_and_replica();
+        let view = RecordingView::new(vec![]);
+        let log = view.log();
+        let vid = b.attach_view(Box::new(view), &[lb], ViewMode::Optimistic);
+        a.execute(append(la, 3));
+        deliver(&mut a, &mut b);
+        let first = b.views[&vid].opt.as_ref().expect("awaiting site 1").token;
+        let left = b.drain_outbox();
+        assert!(matches!(
+            left.as_slice(),
+            [Envelope { msg: Message::SnapshotConfirm { subject, .. }, .. }] if *subject == first
+        ));
+        // Put a copy back where the request cannot be: no request has been
+        // queued since the drain, so the supersede does not search the outbox.
+        b.outbox.extend(left.iter().cloned());
+        let sent = b.stats().msgs_sent;
+        a.execute(append(la, 4));
+        deliver(&mut a, &mut b);
+        assert!(!b.snap_tokens.contains_key(&first));
+        assert!(matches!(
+            b.outbox.first(),
+            Some(Envelope { msg: Message::SnapshotConfirm { subject, .. }, .. }) if *subject == first
+        ));
+        assert_eq!(b.stats().snapshot_requests_retired, 0);
+        b.outbox.remove(0);
+        let second = b.views[&vid].opt.as_ref().expect("awaiting site 1").token;
+
+        // The first request's CONFIRM comes back late and is ignored.
+        for env in left {
+            a.handle_message(env);
+        }
+        deliver(&mut a, &mut b);
+        assert_eq!(b.views[&vid].opt.as_ref().map(|s| s.token), Some(second));
+        assert_eq!(log.lock().unwrap().len(), 2, "two updates, no commit yet");
+        assert_eq!(forward_requests(&mut b, sent, &mut a), [second]);
+        wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+        assert_eq!(log.lock().unwrap().last(), Some(&ViewEvent::Commit));
+    }
+
+    #[test]
+    fn snapshot_superseded_by_its_own_update_method_asks_nothing() {
+        /// Overwrites the first element, once, from inside `update`.
+        struct Echo(Option<ObjectName>);
+        impl View for Echo {
+            fn update(&mut self, n: &UpdateNotification<'_>) {
+                if let Some(list) = self.0.take() {
+                    n.initiate(Box::new(Edit {
+                        list: Some(list),
+                        write: Some((0, 9)),
+                        ..Default::default()
+                    }));
+                }
+            }
+        }
+        let (mut a, la, mut b, lb) = primary_and_replica();
+        let vid = b.attach_view(Box::new(Echo(Some(lb))), &[lb], ViewMode::Optimistic);
+        let sent = b.stats().msgs_sent;
+        a.execute(append(la, 3));
+        deliver(&mut a, &mut b);
+        // The write re-ran the snapshot before the first one had asked.
+        assert_eq!(b.stats().opt_notifications, 2);
+        let held = b.views[&vid].opt.as_ref().expect("awaiting site 1").token;
+        assert_eq!(b.snap_tokens.keys().collect::<Vec<_>>(), [&held]);
+        assert_eq!(forward_requests(&mut b, sent, &mut a), [held]);
+        wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+        assert_eq!(b.stats().opt_commits, 1);
+        assert!(b.snap_tokens.is_empty());
     }
 
     #[test]

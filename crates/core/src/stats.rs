@@ -44,8 +44,13 @@ pub struct SiteStats {
     pub update_inconsistencies: u64,
     /// Straggler-after-notification events on optimistic views.
     pub read_inconsistencies: u64,
-    /// Protocol messages sent by this site.
+    /// Protocol messages that left this site (a request taken back before
+    /// the outbox was drained is not counted).
     pub msgs_sent: u64,
+    /// Snapshot CONFIRM-READ requests taken out of the outbox because their
+    /// snapshot was superseded, delivered or dropped before they left. Over
+    /// `msgs_sent` it says how bursty the traffic to this site's views is.
+    pub snapshot_requests_retired: u64,
     /// Protocol messages received by this site.
     pub msgs_received: u64,
     /// History entries discarded by garbage collection.
@@ -94,6 +99,7 @@ impl SiteStats {
         self.update_inconsistencies += other.update_inconsistencies;
         self.read_inconsistencies += other.read_inconsistencies;
         self.msgs_sent += other.msgs_sent;
+        self.snapshot_requests_retired += other.snapshot_requests_retired;
         self.msgs_received += other.msgs_received;
         self.gc_discarded += other.gc_discarded;
         self.snapshot_reruns += other.snapshot_reruns;
@@ -107,7 +113,7 @@ impl fmt::Display for SiteStats {
             f,
             "txns {}/{} committed ({} conflict aborts, {} retries); \
              opt notif {} (+{} commits, {} lost, {} upd-inc, {} read-inc); \
-             pess notif {}; msgs {}/{}; trace dropped {}",
+             pess notif {}; msgs {}/{}; {} snapshot requests retired; trace dropped {}",
             self.txns_committed,
             self.txns_started,
             self.txns_aborted_conflict,
@@ -120,6 +126,7 @@ impl fmt::Display for SiteStats {
             self.pess_notifications,
             self.msgs_sent,
             self.msgs_received,
+            self.snapshot_requests_retired,
             self.trace_events_dropped,
         )
     }
@@ -276,9 +283,11 @@ mod tests {
         assert!(s.contains("trace dropped 7"), "{s}");
         let e = SiteStats {
             trace_events_dropped: 3,
+            snapshot_requests_retired: 4,
             ..Default::default()
         };
         assert!(e.to_string().contains("trace dropped 3"));
+        assert!(e.to_string().contains("; 4 snapshot requests retired;"));
     }
 
     #[test]
@@ -287,6 +296,7 @@ mod tests {
             txns_started: 4,
             txns_committed: 3,
             msgs_sent: 10,
+            snapshot_requests_retired: 2,
             trace_events_dropped: 1,
             ..Default::default()
         };
@@ -294,6 +304,7 @@ mod tests {
             txns_started: 6,
             txns_committed: 5,
             msgs_received: 2,
+            snapshot_requests_retired: 3,
             ..Default::default()
         };
         let mut sum = a;
@@ -302,6 +313,7 @@ mod tests {
         assert_eq!(sum.txns_committed, 8);
         assert_eq!(sum.msgs_sent, 10);
         assert_eq!(sum.msgs_received, 2);
+        assert_eq!(sum.snapshot_requests_retired, 5);
         assert_eq!(sum.trace_events_dropped, 1);
     }
 

@@ -462,7 +462,7 @@ impl NotificationTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decaf_core::ViewMode;
+    use decaf_core::{Message, ViewMode};
 
     #[test]
     fn fixed_rate_period() {
@@ -599,6 +599,78 @@ mod tests {
         let mut merged = world.site(SiteId(1)).stats();
         merged.merge(&world.site(SiteId(2)).stats());
         assert_eq!(total, merged, "the total is the merge of the sites' stats");
+    }
+
+    #[test]
+    fn a_burst_of_appends_asks_once_for_the_optimistic_view() {
+        struct Append(ObjectName, i64);
+        impl Transaction for Append {
+            fn execute(&mut self, ctx: &mut TxnCtx<'_>) -> Result<(), TxnError> {
+                ctx.list_insert(self.0, usize::MAX, decaf_core::Blueprint::Int(self.1))?;
+                Ok(())
+            }
+        }
+        let (primary, replica) = (SiteId(1), SiteId(2));
+        let mut world = SimWorld::new(2, LatencyModel::uniform(SimTime::from_millis(1)));
+        let lists: Vec<ObjectName> = world.sites_mut().map(|s| s.create_list()).collect();
+        let mut parts: Vec<_> = world.sites_mut().zip(lists.iter().copied()).collect();
+        wiring::wire_replicas(&mut parts);
+        // One element already there, so that every snapshot of what follows
+        // reads something older than itself and has a guess to ask about.
+        world.site(primary).execute(Box::new(Append(lists[0], -1)));
+        world.run_to_quiescence();
+        for mode in [ViewMode::Optimistic, ViewMode::Pessimistic] {
+            let view = Box::new(decaf_core::RecordingView::new(vec![]));
+            world.site(replica).attach_view(view, &lists[1..], mode);
+        }
+
+        // 64 appends at the primary reach the replica as one batch: every
+        // update and commit is delivered before the replica flushes.
+        for v in 0..64 {
+            world.site(primary).execute(Box::new(Append(lists[0], v)));
+        }
+        world.flush();
+        while let Some(Event::Deliver { from, to, msg, .. }) = world.net.step() {
+            assert_eq!(to, replica);
+            let node = world.nodes.get_mut(&to).expect("the replica");
+            node.deliver(TransportEvent::Message { from, msg });
+        }
+        let stats = world.site(replica).stats();
+        assert_eq!(stats.opt_notifications, 64);
+        assert_eq!(stats.snapshot_requests_retired, 63);
+        // One request for the optimistic snapshot that is still held, one
+        // for each pending pessimistic snapshot.
+        let mut requests = 0;
+        let (net, node) = (&mut world.net, world.nodes.get_mut(&replica).unwrap());
+        node.flush(|env| {
+            requests += usize::from(matches!(env.msg, Message::SnapshotConfirm { .. }));
+            net.send(env.from, env.to, env);
+        })
+        .expect("no log to fail");
+        assert_eq!(requests, 1 + 64);
+        assert_eq!(world.site(replica).stats().msgs_sent, stats.msgs_sent);
+
+        world.run_to_quiescence();
+        let notified: Vec<VirtualTime> = world
+            .log
+            .iter()
+            .filter_map(|e| match e.event {
+                EngineEvent::ViewUpdated {
+                    ts,
+                    mode: ViewMode::Pessimistic,
+                    ..
+                } => Some(ts),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(notified.len(), 64);
+        assert!(notified.windows(2).all(|w| w[0] < w[1]), "in VT order");
+        assert_eq!(world.site(replica).stats().opt_commits, 1);
+        for (site, list) in [(primary, lists[0]), (replica, lists[1])] {
+            assert_eq!(world.site(site).list_children_current(list).len(), 65);
+            let history = world.site(site).debug_history(list);
+            assert!(history.iter().all(|(_, committed)| *committed));
+        }
     }
 }
 

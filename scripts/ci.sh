@@ -91,13 +91,23 @@ done
 # resolved targets against a second resolve). A debug build of the
 # benchmark harness arms every one of them over a real three-site TCP
 # session with a 256-element list, conflicts and rollbacks, which the unit
-# fixtures do not have.
+# fixtures do not have. The same session arms Site::drain_outbox's check
+# that no CONFIRM-READ is queued for a snapshot the site no longer holds
+# (retire_snapshot, DESIGN.md §8): the 256-append fill supersedes a view's
+# snapshot many times between two drains, and the bouts roll back and
+# re-issue them. A site that trips an assertion may only cost the harness a
+# thread, so a panic line on stderr fails the block as well.
 echo "==> decaf-e2e duel_list3 --smoke, debug build (timeout 600 s)"
 run cargo build -p decaf-e2e -p decaf-apps --bin decaf-e2e --bin decaf-site --offline -q
+E2E_ERR="$(mktemp)"
 E2E_JSON="$(timeout 600 target/debug/decaf-e2e run --workload duel_list3 --smoke \
-    --seed 1 --seconds 3 --trace 0 | tail -n 1)"
-if ! grep -q '"correct":true' <<<"$E2E_JSON" || ! grep -q '"failed":0[,}]' <<<"$E2E_JSON"; then
-    echo "FAIL: debug-build duel_list3 smoke run: $E2E_JSON" >&2
+    --seed 1 --seconds 3 --trace 0 2>"$E2E_ERR" | tail -n 1)" || true
+cat "$E2E_ERR" >&2
+E2E_PANICS="$(grep -c 'panicked at' "$E2E_ERR" || true)"
+rm -f "$E2E_ERR"
+if [[ "$E2E_PANICS" != 0 ]] ||
+    ! grep -q '"correct":true' <<<"$E2E_JSON" || ! grep -q '"failed":0[,}]' <<<"$E2E_JSON"; then
+    echo "FAIL: debug-build duel_list3 smoke run ($E2E_PANICS panics): $E2E_JSON" >&2
     exit 1
 fi
 

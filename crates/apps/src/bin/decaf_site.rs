@@ -57,10 +57,6 @@
 //! protocol is still in flight after a recovery). Prints
 //! `metrics listening on ADDR` once bound; scrape with
 //! `curl http://ADDR/metrics`.
-//!
-//! Wire tuning: `--batch-max N` and `--batch-delay-us US` bound how many
-//! envelopes a writer may coalesce into one Batch frame and how long it may
-//! linger collecting them; `--batch-max 1` disables batching.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -484,6 +480,10 @@ fn start_metrics_plane(
         .map(|_| bound)
 }
 
+/// Events the trace ring retains (`--trace-out`, `--summary-every-ms`);
+/// the oldest are dropped beyond it.
+const TRACE_RING: usize = 65_536;
+
 #[derive(Debug)]
 struct Args {
     site: u32,
@@ -496,10 +496,7 @@ struct Args {
     linger_ms: u64,
     max_runtime_ms: u64,
     trace_out: Option<PathBuf>,
-    trace_buf: usize,
     summary_every_ms: u64,
-    batch_max: usize,
-    batch_delay_us: u64,
     data_dir: Option<PathBuf>,
     metrics_listen: Option<SocketAddr>,
 }
@@ -509,8 +506,7 @@ fn usage() -> ! {
         "usage: decaf-site --site <id> --listen <addr> [--peer <id>=<addr>]... \\\n\
          \x20                [--txns N] [--on-fail-txns K] [--phase1-target V] \\\n\
          \x20                [--final-target V] [--linger-ms MS] [--max-runtime-ms MS] \\\n\
-         \x20                [--trace-out PATH] [--trace-buf N] [--summary-every-ms MS] \\\n\
-         \x20                [--batch-max N] [--batch-delay-us US] \\\n\
+         \x20                [--trace-out PATH] [--summary-every-ms MS] \\\n\
          \x20                [--data-dir DIR] [--metrics-listen ADDR]"
     );
     std::process::exit(2);
@@ -527,10 +523,7 @@ fn parse_args() -> Args {
     let mut linger_ms = 1500u64;
     let mut max_runtime_ms = 120_000u64;
     let mut trace_out = None;
-    let mut trace_buf = 65_536usize;
     let mut summary_every_ms = 0u64;
-    let mut batch_max = 64usize;
-    let mut batch_delay_us = 200u64;
     let mut data_dir = None;
     let mut metrics_listen = None;
 
@@ -559,10 +552,7 @@ fn parse_args() -> Args {
             "--linger-ms" => linger_ms = parsed(&value()),
             "--max-runtime-ms" => max_runtime_ms = parsed(&value()),
             "--trace-out" => trace_out = Some(PathBuf::from(value())),
-            "--trace-buf" => trace_buf = parsed(&value()),
             "--summary-every-ms" => summary_every_ms = parsed(&value()),
-            "--batch-max" => batch_max = parsed(&value()),
-            "--batch-delay-us" => batch_delay_us = parsed(&value()),
             "--data-dir" => data_dir = Some(PathBuf::from(value())),
             "--metrics-listen" => metrics_listen = Some(parsed(&value())),
             _ => usage(),
@@ -582,10 +572,7 @@ fn parse_args() -> Args {
         linger_ms,
         max_runtime_ms,
         trace_out,
-        trace_buf,
         summary_every_ms,
-        batch_max,
-        batch_delay_us,
         data_dir,
         metrics_listen,
     }
@@ -597,7 +584,7 @@ fn main() {
 
     // --- tracing: one sink shared by the engine and the transport ---
     let trace = if args.trace_out.is_some() || args.summary_every_ms > 0 {
-        TraceSink::enabled(args.site, args.trace_buf)
+        TraceSink::enabled(args.site, TRACE_RING)
     } else {
         TraceSink::disabled()
     };
@@ -656,7 +643,7 @@ fn main() {
         } else {
             let mut site = Site::with_config(site_id, site_cfg);
             init_counter(&mut site, obj, &ids);
-            let cp = match site.drain_and_checkpoint(16) {
+            let cp = match site.drain_and_checkpoint() {
                 Ok(cp) => cp,
                 Err(e) => {
                     eprintln!("decaf-site {}: baseline checkpoint: {e:?}", args.site);
@@ -689,9 +676,7 @@ fn main() {
     };
 
     // --- transport: TCP mesh over the peer table ---
-    let mut cfg = TcpConfig::new(site_id, args.listen)
-        .trace(trace.clone())
-        .batching(args.batch_max, Duration::from_micros(args.batch_delay_us));
+    let mut cfg = TcpConfig::new(site_id, args.listen).trace(trace.clone());
     for (&id, &addr) in &args.peers {
         cfg = cfg.peer(SiteId(id), addr);
     }

@@ -40,7 +40,8 @@ use decaf_net::wire::{
 use decaf_trace::json::Value;
 use decaf_vt::{SiteId, VirtualTime};
 
-/// Envelopes coalesced per `Batch` frame, mirroring `TcpConfig::batch_max`.
+/// Envelopes coalesced per `Batch` frame, as many as a TCP mesh writer
+/// coalesces at most (`BATCH_MAX` in `crates/net/src/tcp.rs`).
 const BATCH_MAX: usize = 64;
 
 // ===========================================================================

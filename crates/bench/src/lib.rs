@@ -486,12 +486,12 @@ pub fn e5_scalability(k: usize, t_ms: u64, sweep_ms: u64) -> E5Row {
         }
         let deadline = SimTime::from_secs(600);
         loop {
-            // Flush outboxes.
-            for s in sites.values_mut() {
-                for env in s.drain_outbox() {
+            // Flush outboxes (the baseline's own engine, not a decaf Site).
+            for gvt in sites.values_mut() {
+                for env in gvt.drain_outbox() {
                     net.send(env.from, env.to, env);
                 }
-                for ev in s.drain_events() {
+                for ev in gvt.drain_events() {
                     if let GvtEvent::Committed { vt, .. } = ev {
                         if let Some(start) = exec_at.get(&vt) {
                             commit_lat.push(net.now().saturating_sub(*start));
@@ -504,13 +504,13 @@ pub fn e5_scalability(k: usize, t_ms: u64, sweep_ms: u64) -> E5Row {
             }
             match net.step() {
                 Some(Event::Deliver { to, msg, .. }) => {
-                    if let Some(s) = sites.get_mut(&to) {
-                        s.handle_message(msg);
+                    if let Some(gvt) = sites.get_mut(&to) {
+                        gvt.handle_message(msg);
                     }
                 }
                 Some(Event::Timer { site, .. }) => {
-                    if let Some(s) = sites.get_mut(&site) {
-                        s.start_sweep();
+                    if let Some(gvt) = sites.get_mut(&site) {
+                        gvt.start_sweep();
                     }
                     net.set_timer(site, sweep_period, 1);
                 }
@@ -631,26 +631,28 @@ pub fn a2_propagation(n_children: usize) -> A2Row {
         .expect("invitation");
     let list2 = world.site(SiteId(2)).create_list();
 
-    // Measure the join's graph bytes as what the wire carries.
+    // Measure the join's graph bytes as what the wire carries: each node
+    // loop counts its envelopes as it hands them to the network. (The
+    // world's own `step` flushes again after a delivery, uncounted, so the
+    // delivery is made here.)
     world.site(SiteId(2)).join(invitation, list2).expect("join");
     let mut join_bytes = 0usize;
     loop {
-        let mut moved = false;
-        for site in [SiteId(1), SiteId(2)] {
-            for env in world.site(site).drain_outbox() {
-                moved = true;
+        let net = &mut world.net;
+        for node in world.nodes.values_mut() {
+            node.flush(|env| {
                 join_bytes += decaf_net::wire::encode_envelope_v2(&env).len();
-                world.net.send(env.from, env.to, env);
+                net.send(env.from, env.to, env);
+            })
+            .expect("a node without a log appends nothing");
+        }
+        match world.net.step() {
+            Some(Event::Deliver { from, to, msg, .. }) => {
+                let node = world.nodes.get_mut(&to).expect("one of the two sites");
+                node.deliver(decaf_net::TransportEvent::Message { from, msg });
             }
-        }
-        if !moved && world.net.peek_time().is_none() {
-            break;
-        }
-        if world.net.peek_time().is_none() {
-            break;
-        }
-        if let Some(Event::Deliver { to, msg, .. }) = world.net.step() {
-            world.site(to).handle_message(msg);
+            Some(_) => {}
+            None => break,
         }
     }
 

@@ -134,7 +134,7 @@ pub fn run_once(
         for id in locals.keys() {
             let (mut site, _) = world.nodes.remove(id).expect("known site").into_parts();
             let cp = site
-                .drain_and_checkpoint(16)
+                .drain_and_checkpoint()
                 .expect("sites are quiescent after wiring");
             let mut buf = Vec::new();
             append_frame(&mut buf, &WalRecord::Checkpoint(Box::new(cp)));

@@ -186,11 +186,7 @@ impl Site {
         if graph.len() <= 1 {
             return Ok(vt); // not collaborating
         }
-        let primary = self
-            .store
-            .selector
-            .primary(&graph)
-            .ok_or(DecafError::UnknownRelation)?;
+        let primary = graph.primary().ok_or(DecafError::UnknownRelation)?;
         let mut affected = BTreeSet::new();
         for node in graph.nodes() {
             if node.site == self.id {
@@ -338,7 +334,7 @@ impl Site {
             Err(_) => return,
         };
         let merged = g_b.joined_with(&a_graph, a_node, b_node, relation);
-        let old_primary = self.store.selector.primary(&g_b);
+        let old_primary = g_b.primary();
 
         // B's value travels back for adoption by A's side.
         let (b_value, b_value_vt, b_value_committed) = {
@@ -441,7 +437,7 @@ impl Site {
                     // Propagate to association replicas, if any; its
                     // primary also confirms to A.
                     if let Some(g) = assoc_graph {
-                        let assoc_primary = self.store.selector.primary(&g);
+                        let assoc_primary = g.primary();
                         for node in g.nodes() {
                             if node.site == self.id {
                                 continue;
@@ -550,7 +546,7 @@ impl Site {
             .effective_graph(local)
             .map(|(g, _)| g.clone())
             .unwrap_or_default();
-        let a_primary = self.store.selector.primary(&old_graph);
+        let a_primary = old_graph.primary();
         if let Ok(obj) = self.store.get_mut(local) {
             obj.graphs.insert(txn, merged.clone());
         }

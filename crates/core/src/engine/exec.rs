@@ -133,7 +133,7 @@ impl Site {
                 conflict = true;
                 break;
             };
-            let primary = match self.store.selector.primary(graph) {
+            let primary = match graph.primary() {
                 Some(p) => p.site,
                 None => {
                     conflict = true;

@@ -196,7 +196,7 @@ impl Site {
             if !graph.contains(self_node) {
                 continue;
             }
-            let Some(old_primary) = self.store.selector.primary(&graph) else {
+            let Some(old_primary) = graph.primary() else {
                 continue;
             };
             if self.failed_sites.contains(&old_primary.site) {

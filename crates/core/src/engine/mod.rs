@@ -15,7 +15,7 @@ use decaf_vt::{LamportClock, SiteId, VirtualTime};
 
 use crate::collab::{GraphTxn, JoinOp};
 use crate::error::DecafError;
-use crate::graph::{NodeRef, PrimarySelector, ReplicationGraph};
+use crate::graph::{NodeRef, ReplicationGraph};
 use crate::message::{Envelope, Message, TxnPropagate};
 use crate::object::{ObjectKind, ObjectName, ObjectValue};
 use crate::stats::SiteStats;
@@ -31,8 +31,6 @@ pub(crate) type Authorizer = Box<dyn Fn(&crate::collab::Invitation, NodeRef) -> 
 /// Tuning knobs for a [`Site`].
 #[derive(Debug, Clone, Copy)]
 pub struct SiteConfig {
-    /// Primary-copy selection function (must be identical at every site).
-    pub selector: PrimarySelector,
     /// How many times a conflict-aborted transaction is automatically
     /// re-executed before giving up (paper §2.4 implies unbounded; a budget
     /// keeps livelock detectable in experiments).
@@ -55,7 +53,6 @@ pub struct SiteConfig {
 impl Default for SiteConfig {
     fn default() -> Self {
         SiteConfig {
-            selector: PrimarySelector::default(),
             retry_budget: 64,
             delegate_enabled: true,
             view_ledger: false,
@@ -308,13 +305,11 @@ impl Site {
 
     /// Creates a site with an explicit configuration.
     pub fn with_config(id: SiteId, config: SiteConfig) -> Self {
-        let mut store = Store::new(id);
-        store.selector = config.selector;
         Site {
             id,
             config,
             clock: LamportClock::new(id),
-            store,
+            store: Store::new(id),
             outbox: Vec::new(),
             outbox_drained_at: 0,
             snap_requested_at: 0,
@@ -362,11 +357,6 @@ impl Site {
         let mut stats = self.stats;
         stats.trace_events_dropped = self.trace.dropped();
         stats
-    }
-
-    /// Resets the statistics counters (e.g. after a benchmark warm-up).
-    pub fn reset_stats(&mut self) {
-        self.stats = SiteStats::default();
     }
 
     /// Installs a trace sink; engine events (transaction lifecycle, view

@@ -787,26 +787,6 @@ impl Site {
             }
         }
     }
-
-    /// Dumps pending pessimistic snapshot states (debugging/tests):
-    /// `(view, ts, committed, denied, outstanding, rc_waits)`.
-    #[doc(hidden)]
-    pub fn debug_pess_snapshots(&self) -> Vec<(ViewId, VirtualTime, bool, bool, usize, usize)> {
-        let mut out = Vec::new();
-        for proxy in self.views.values() {
-            for (ts, snap) in &proxy.pess {
-                out.push((
-                    proxy.id,
-                    *ts,
-                    snap.committed,
-                    snap.guesses.denied,
-                    snap.guesses.outstanding.len(),
-                    snap.guesses.rc_waits.len(),
-                ));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

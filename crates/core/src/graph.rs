@@ -31,53 +31,6 @@ impl fmt::Display for NodeRef {
     }
 }
 
-/// The strategy mapping a replication graph to its primary copy.
-///
-/// "There is a function which maps replication graphs to a selected node in
-/// that graph. The node is called the *primary copy* and the site of that
-/// node is called the *primary site*" (§3). Crucially it is a *pure
-/// function* — "there is no negotiation for primary copy... no phase during
-/// which updates are not possible because a primary site is being chosen"
-/// (§3.3). The selector is pluggable so the `a1_delegate` ablation can
-/// control primary placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum PrimarySelector {
-    /// The node with the smallest `(site, object)` key (the default).
-    #[default]
-    MinNode,
-    /// The node with the largest `(site, object)` key.
-    MaxNode,
-    /// A deterministic hash of the node set picks the node, spreading
-    /// primaries across sites when many independent graphs exist.
-    Rendezvous,
-}
-
-impl PrimarySelector {
-    /// Applies the selection function to `graph`.
-    ///
-    /// Returns `None` only for an empty graph.
-    pub fn primary(self, graph: &ReplicationGraph) -> Option<NodeRef> {
-        match self {
-            PrimarySelector::MinNode => graph.nodes.iter().next().copied(),
-            PrimarySelector::MaxNode => graph.nodes.iter().next_back().copied(),
-            PrimarySelector::Rendezvous => graph
-                .nodes
-                .iter()
-                .max_by_key(|n| {
-                    // FNV-1a over the node bytes; deterministic across runs.
-                    let mut h: u64 = 0xcbf29ce484222325;
-                    for b in [n.site.0 as u64, n.object.site.0 as u64, n.object.seq] {
-                        h ^= b;
-                        h = h.wrapping_mul(0x100000001b3);
-                    }
-                    (h, **n)
-                })
-                .copied(),
-        }
-    }
-}
-
 /// A replication graph: "a connected multigraph whose nodes are references
 /// to model objects, and whose multi-edges are the replication relations
 /// built by the users" (§3).
@@ -88,17 +41,25 @@ impl PrimarySelector {
 /// graph a multigraph (two objects may be joined through several
 /// relationships).
 ///
+/// "There is a function which maps replication graphs to a selected node in
+/// that graph. The node is called the *primary copy* and the site of that
+/// node is called the *primary site*" (§3). Here that function is
+/// [`primary`](Self::primary): the least node. It is a pure function of
+/// the graph, so "there is no negotiation for primary copy... no phase
+/// during which updates are not possible because a primary site is being
+/// chosen" (§3.3).
+///
 /// # Example
 ///
 /// ```
-/// use decaf_core::{NodeRef, ObjectName, PrimarySelector, RelationId, ReplicationGraph};
+/// use decaf_core::{NodeRef, ObjectName, RelationId, ReplicationGraph};
 /// use decaf_vt::SiteId;
 ///
 /// let a = NodeRef::new(SiteId(1), ObjectName::new(SiteId(1), 0));
 /// let b = NodeRef::new(SiteId(2), ObjectName::new(SiteId(2), 0));
 /// let g = ReplicationGraph::singleton(a).joined_with(&ReplicationGraph::singleton(b), a, b, RelationId(7));
 /// assert_eq!(g.sites().collect::<Vec<_>>(), vec![SiteId(1), SiteId(2)]);
-/// assert_eq!(PrimarySelector::MinNode.primary(&g), Some(a));
+/// assert_eq!(g.primary(), Some(a));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplicationGraph {
@@ -131,6 +92,12 @@ impl ReplicationGraph {
     /// Whether `node` participates in this graph.
     pub fn contains(&self, node: NodeRef) -> bool {
         self.nodes.contains(&node)
+    }
+
+    /// The primary copy: the least `(site, object)` node. `None` only for
+    /// an empty graph.
+    pub fn primary(&self) -> Option<NodeRef> {
+        self.nodes.iter().next().copied()
     }
 
     /// Iterates the nodes in ascending order.
@@ -300,7 +267,7 @@ mod tests {
         let g = ReplicationGraph::singleton(node(1, 5));
         assert_eq!(g.len(), 1);
         assert!(g.is_connected());
-        assert_eq!(PrimarySelector::MinNode.primary(&g), Some(node(1, 5)));
+        assert_eq!(g.primary(), Some(node(1, 5)));
     }
 
     #[test]
@@ -316,14 +283,15 @@ mod tests {
     }
 
     #[test]
-    fn primary_selectors_are_deterministic_functions() {
-        let (g, a, _, c) = three_chain();
-        assert_eq!(PrimarySelector::MinNode.primary(&g), Some(a));
-        assert_eq!(PrimarySelector::MaxNode.primary(&g), Some(c));
-        let r1 = PrimarySelector::Rendezvous.primary(&g);
-        let r2 = PrimarySelector::Rendezvous.primary(&g.clone());
-        assert_eq!(r1, r2, "pure function of the graph");
-        assert!(g.contains(r1.unwrap()));
+    fn primary_is_the_least_node_whatever_the_join_order() {
+        let (g, a, b, c) = three_chain();
+        assert_eq!(g.primary(), Some(a));
+        let reversed = ReplicationGraph::singleton(c)
+            .joined_with(&ReplicationGraph::singleton(b), c, b, RelationId(2))
+            .joined_with(&ReplicationGraph::singleton(a), b, a, RelationId(1));
+        assert_eq!(reversed, g);
+        assert_eq!(reversed.primary(), Some(a));
+        assert_eq!(ReplicationGraph::default().primary(), None);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub mod wiring;
 pub use collab::{Invitation, RelationId, RelationInfo};
 pub use engine::{EngineEvent, Site, SiteConfig};
 pub use error::{DecafError, TxnError};
-pub use graph::{NodeRef, PrimarySelector, ReplicationGraph};
+pub use graph::{NodeRef, ReplicationGraph};
 pub use message::{
     AssocSnapshot, Delegate, Envelope, Message, ObjectAddr, Path, PathElem, ReadItem, SpanCtx,
     SubjectKind, TreeSnapshot, TxnPropagate, UpdateItem, WireOp,

@@ -206,11 +206,6 @@ impl Site {
         self.views.get(&id).map(|p| p.ledger.clone())
     }
 
-    /// Every attached view with its mode.
-    pub fn view_modes(&self) -> Vec<(ViewId, ViewMode)> {
-        self.views.iter().map(|(id, p)| (*id, p.mode)).collect()
-    }
-
     /// The most recent GC sweep's watermark record, or `None` if no sweep
     /// has run yet.
     pub fn gc_watermark(&self) -> Option<GcWatermark> {

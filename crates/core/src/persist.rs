@@ -204,7 +204,7 @@ impl Site {
         site
     }
 
-    /// Runs bounded local drain passes (buffered stragglers, parked
+    /// Runs up to 16 local drain passes (buffered stragglers, parked
     /// snapshot evaluations, post-repair retries) and checkpoints as soon
     /// as the site is quiescent, so callers don't hand-roll the loop
     /// around [`Site::checkpoint`].
@@ -225,9 +225,9 @@ impl Site {
     /// # Errors
     ///
     /// Fails with [`CheckpointError::NotQuiescent`] if the site still has
-    /// in-flight work after `max_steps` passes.
-    pub fn drain_and_checkpoint(&mut self, max_steps: u32) -> Result<Checkpoint, CheckpointError> {
-        for _ in 0..max_steps.max(1) {
+    /// in-flight work after those 16 passes.
+    pub fn drain_and_checkpoint(&mut self) -> Result<Checkpoint, CheckpointError> {
+        for _ in 0..DRAIN_PASSES {
             if self.is_quiescent() {
                 return self.checkpoint();
             }
@@ -239,6 +239,10 @@ impl Site {
         Err(CheckpointError::NotQuiescent)
     }
 }
+
+/// How many local drain passes [`Site::drain_and_checkpoint`] runs before
+/// it gives up on quiescence.
+const DRAIN_PASSES: u32 = 16;
 
 // ---------------------------------------------------------------------------
 // Write-ahead commit log

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use decaf_vt::{SiteId, VirtualTime};
 
 use crate::error::DecafError;
-use crate::graph::{NodeRef, PrimarySelector, ReplicationGraph};
+use crate::graph::{NodeRef, ReplicationGraph};
 use crate::message::{AssocSnapshot, ObjectAddr, Path, PathElem, TreeSnapshot, WireOp};
 use crate::object::{
     Blueprint, ListEntry, ListOp, ModelObject, ObjectKind, ObjectName, ObjectValue,
@@ -55,7 +55,6 @@ pub(crate) struct Store {
     /// For each site, how many settled objects' current graphs name it.
     settled_graph_sites: BTreeMap<SiteId, usize>,
     next_seq: u64,
-    pub selector: PrimarySelector,
 }
 
 /// The hasher of [`Store`]'s object map: one multiply per word, the two
@@ -235,7 +234,6 @@ impl Store {
             unsettled: Vec::new(),
             settled_graph_sites: BTreeMap::new(),
             next_seq: 0,
-            selector: PrimarySelector::default(),
         }
     }
 
@@ -667,9 +665,7 @@ impl Store {
     /// The primary copy of the graph governing `name`.
     pub fn primary_of(&self, name: ObjectName) -> Result<NodeRef, DecafError> {
         let (graph, _) = self.effective_graph(name)?;
-        self.selector
-            .primary(graph)
-            .ok_or(DecafError::UnknownRelation)
+        graph.primary().ok_or(DecafError::UnknownRelation)
     }
 
     // ---- reading --------------------------------------------------------
@@ -1705,7 +1701,11 @@ mod embedding_tests {
     }
 
     fn list_store() -> (Store, ObjectName) {
-        let mut s = Store::new(SiteId(1));
+        list_store_at(SiteId(1))
+    }
+
+    fn list_store_at(site: SiteId) -> (Store, ObjectName) {
+        let mut s = Store::new(site);
         let l = s.create_root(ObjectKind::List, ObjectValue::empty_list());
         (s, l)
     }
@@ -1797,11 +1797,12 @@ mod embedding_tests {
         assert_eq!(tree[0], l, "root first");
     }
 
-    /// `l` replicated at site 2 too, whose copy (the greater node) is the
-    /// primary under `MaxNode`.
+    /// `l`, of a store at site 3, replicated at site 2 too, whose copy (the
+    /// least node) is the primary.
     fn replicate_at_site_2(s: &mut Store, l: ObjectName) -> ObjectName {
         let there = ObjectName::new(SiteId(2), 7);
-        let (here, peer) = (NodeRef::new(SiteId(1), l), NodeRef::new(SiteId(2), there));
+        let (here, peer) = (NodeRef::new(s.site, l), NodeRef::new(SiteId(2), there));
+        assert!(peer < here, "the copy at site 2 is the primary");
         let graph = ReplicationGraph::singleton(here).joined_with(
             &ReplicationGraph::singleton(peer),
             here,
@@ -1809,13 +1810,12 @@ mod embedding_tests {
             crate::collab::RelationId(1),
         );
         s.get_mut(l).unwrap().graphs.insert_committed(vt(1), graph);
-        s.selector = PrimarySelector::MaxNode;
         there
     }
 
     #[test]
     fn read_set_routes_equal_the_long_way_for_every_object() {
-        let (mut s, l) = list_store();
+        let (mut s, l) = list_store_at(SiteId(3));
         let there = replicate_at_site_2(&mut s, l);
         let row = |n| {
             Blueprint::Tuple(vec![
@@ -1849,7 +1849,7 @@ mod embedding_tests {
         own.propagation = PropagationMode::Direct;
         own.graphs.insert_committed(
             VirtualTime::ZERO,
-            ReplicationGraph::singleton(NodeRef::new(SiteId(1), rows[1])),
+            ReplicationGraph::singleton(NodeRef::new(SiteId(3), rows[1])),
         );
         s.get_mut(rows[2]).unwrap().parent = Some(rows[0]);
 
@@ -1874,7 +1874,7 @@ mod embedding_tests {
             let o = e.object;
             assert_eq!(set.primary(i), s.primary_of(o).ok(), "{o}");
             let primary = set.primary(i).expect("every object has a primary");
-            if primary.site != SiteId(1) {
+            if primary.site != SiteId(3) {
                 remote += 1;
                 assert_eq!(set.addr(i), s.addr_at(o, SiteId(2)), "{o}");
             }
@@ -1988,7 +1988,7 @@ mod embedding_tests {
 
     #[test]
     fn settled_objects_leave_the_sweep_list_and_come_back_when_touched() {
-        let (mut s, l) = list_store();
+        let (mut s, l) = list_store_at(SiteId(3));
         replicate_at_site_2(&mut s, l);
         for at in [10, 20] {
             let op = WireOp::ListInsert {
@@ -1998,7 +1998,7 @@ mod embedding_tests {
             s.apply_wire_op(l, vt(at), &op).unwrap();
         }
         assert_eq!(s.unsettled.len(), 3, "everything is listed on insert");
-        let both: BTreeSet<SiteId> = [SiteId(1), SiteId(2)].into();
+        let both: BTreeSet<SiteId> = [SiteId(2), SiteId(3)].into();
         assert_eq!(s.graph_sites(), both);
 
         // Uncommitted history stays; the children are settled already.

@@ -141,7 +141,7 @@ fn originator_failure_after_commit_seen_commits_everywhere() {
 
 #[test]
 fn primary_failure_repairs_graph_by_consensus_and_retries() {
-    // The primary (site 1, MinNode) fails while site 3 has a transaction
+    // The primary (site 1, the least node) fails while site 3 has a transaction
     // awaiting its confirmation. Survivors run the consensus repair; the
     // transaction is retried after the repair and commits under the new
     // primary.

@@ -29,7 +29,7 @@ impl Transaction for SetInt {
 /// retried — not silently merged.
 #[test]
 fn stale_write_after_commit_and_gc_is_denied() {
-    let mut a = Site::new(SiteId(1)); // primary (MinNode)
+    let mut a = Site::new(SiteId(1)); // primary (the least node)
     let mut b = Site::new(SiteId(2));
     let oa = a.create_int(0);
     let ob = b.create_int(0);

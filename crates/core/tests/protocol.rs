@@ -3,7 +3,7 @@
 //! retry, delegation, and garbage collection.
 
 use decaf_core::{
-    wiring, Envelope, Message, ObjectName, PrimarySelector, Site, SiteConfig, Transaction, TxnCtx,
+    wiring, Envelope, Message, NodeRef, ObjectName, Site, SiteConfig, Transaction, TxnCtx,
     TxnError, TxnOutcome,
 };
 use decaf_vt::SiteId;
@@ -71,7 +71,7 @@ fn two_site_update_reaches_replica_and_commits() {
 
 #[test]
 fn update_from_non_primary_site_commits_too() {
-    // Primary (MinNode) is site 1; originate at site 2.
+    // The primary (the least node) is site 1; originate at site 2.
     let (mut a, mut b, oa, ob) = pair();
     assert_eq!(a.primary_of(oa).unwrap().site, SiteId(1));
     let h = b.execute(Box::new(SetInt(ob, 7)));
@@ -392,26 +392,26 @@ fn retries_exhausted_surfaces_abort() {
 }
 
 #[test]
-fn primary_selector_variants_agree_across_sites() {
-    for selector in [
-        PrimarySelector::MinNode,
-        PrimarySelector::MaxNode,
-        PrimarySelector::Rendezvous,
-    ] {
-        let cfg = SiteConfig {
-            selector,
-            ..SiteConfig::default()
-        };
-        let mut a = Site::with_config(SiteId(1), cfg);
-        let mut b = Site::with_config(SiteId(2), cfg);
+fn both_sites_of_a_pair_agree_the_primary_is_the_least_node() {
+    // Whichever side starts the join, both end with the same graph and
+    // its least node, site 1's copy, as the primary.
+    for site_2_invites in [false, true] {
+        let mut a = Site::new(SiteId(1));
+        let mut b = Site::new(SiteId(2));
         let oa = a.create_int(0);
         let ob = b.create_int(0);
-        wiring::wire_pair(&mut a, oa, &mut b, ob);
-        assert_eq!(
-            a.primary_of(oa).unwrap(),
-            b.primary_of(ob).unwrap(),
-            "selector {selector:?} must be a pure function of the graph"
-        );
+        if site_2_invites {
+            wiring::wire_pair(&mut b, ob, &mut a, oa);
+        } else {
+            wiring::wire_pair(&mut a, oa, &mut b, ob);
+        }
+        let graph = a.replication_graph(oa).unwrap();
+        assert_eq!(graph, b.replication_graph(ob).unwrap());
+        let least = NodeRef::new(SiteId(1), oa);
+        assert_eq!(graph.nodes().next(), Some(&least));
+        assert_eq!(graph.primary(), Some(least));
+        assert_eq!(a.primary_of(oa).unwrap(), least);
+        assert_eq!(b.primary_of(ob).unwrap(), least);
         let h = b.execute(Box::new(SetInt(ob, 1)));
         pump(&mut a, &mut b);
         assert_eq!(b.txn_outcome(h), Some(TxnOutcome::Committed));

@@ -350,7 +350,7 @@ fn records_after(ops: &[Op]) -> Vec<WalRecord> {
     let mut records = Vec::new();
     for site in [&mut a, &mut b] {
         records.extend(site.drain_wal().into_iter().map(WalRecord::Commit));
-        let cp = site.drain_and_checkpoint(16).expect("settled pair");
+        let cp = site.drain_and_checkpoint().expect("settled pair");
         records.push(WalRecord::Checkpoint(Box::new(cp)));
     }
     records
@@ -685,7 +685,7 @@ fn drain_and_checkpoint_reaches_quiescence_locally() {
     site.execute(Box::new(Incr(counter)));
     // A lone site commits locally; any parked work drains without a peer.
     let cp = site
-        .drain_and_checkpoint(16)
+        .drain_and_checkpoint()
         .expect("single site reaches quiescence");
     assert_eq!(cp.site, SiteId(1));
     assert!(cp.object_count() >= 1);

@@ -73,7 +73,7 @@ fn seed_frames() -> Vec<Vec<u8>> {
         wiring::run_to_quiescence(&mut [&mut a, &mut b]);
     }
     let commit = a.drain_wal().pop().expect("four commits logged");
-    let cp = a.drain_and_checkpoint(16).expect("settled");
+    let cp = a.drain_and_checkpoint().expect("settled");
     [
         WalRecord::Commit(commit),
         WalRecord::Checkpoint(Box::new(cp)),

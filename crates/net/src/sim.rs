@@ -106,28 +106,24 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// Per-link message latency model.
+/// The network's message latency model.
 ///
 /// The paper's performance analysis is parameterized by "the average network
 /// latency of a single point-to-point message, `t` ms" (§5.1.1). The model
-/// supports a uniform `t`, per-link overrides, and optional bounded uniform
-/// jitter from a seeded RNG.
+/// is that uniform `t` on every link, with optional bounded uniform jitter
+/// from a seeded RNG.
 ///
 /// # Example
 ///
 /// ```
 /// use decaf_net::sim::{LatencyModel, SimTime};
-/// use decaf_vt::SiteId;
 ///
-/// let mut m = LatencyModel::uniform(SimTime::from_millis(20))
-///     .with_link(SiteId(1), SiteId(2), SimTime::from_millis(5));
-/// assert_eq!(m.sample(SiteId(1), SiteId(2)), SimTime::from_millis(5));
-/// assert_eq!(m.sample(SiteId(1), SiteId(3)), SimTime::from_millis(20));
+/// let mut m = LatencyModel::uniform(SimTime::from_millis(20));
+/// assert_eq!(m.sample(), SimTime::from_millis(20));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LatencyModel {
-    default: SimTime,
-    links: HashMap<(SiteId, SiteId), SimTime>,
+    base: SimTime,
     /// Jitter as a fraction of the base latency (0.0 = none).
     jitter_frac: f64,
     rng: SplitMix64,
@@ -137,19 +133,10 @@ impl LatencyModel {
     /// Every message takes exactly `t`, matching the paper's analysis.
     pub fn uniform(t: SimTime) -> Self {
         LatencyModel {
-            default: t,
-            links: HashMap::new(),
+            base: t,
             jitter_frac: 0.0,
             rng: SplitMix64::new(0),
         }
-    }
-
-    /// Overrides the latency of the (directed) pair `from -> to` and its
-    /// reverse.
-    pub fn with_link(mut self, a: SiteId, b: SiteId, t: SimTime) -> Self {
-        self.links.insert((a, b), t);
-        self.links.insert((b, a), t);
-        self
     }
 
     /// Adds symmetric uniform jitter of `frac` (e.g. `0.1` = ±10%) drawn
@@ -164,28 +151,15 @@ impl LatencyModel {
         self
     }
 
-    /// Samples the latency of one message on the link `from -> to`.
-    pub fn sample(&mut self, from: SiteId, to: SiteId) -> SimTime {
-        let base = *self.links.get(&(from, to)).unwrap_or(&self.default);
+    /// Samples the latency of one message, on whichever link.
+    pub fn sample(&mut self) -> SimTime {
         if self.jitter_frac == 0.0 {
-            return base;
+            return self.base;
         }
-        let us = base.as_micros() as f64;
+        let us = self.base.as_micros() as f64;
         let delta = self.rng.range(-self.jitter_frac..=self.jitter_frac);
         SimTime::from_micros((us * (1.0 + delta)).max(1.0) as u64)
     }
-}
-
-/// What happens to messages already in flight when a site fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailMode {
-    /// In-flight messages to and from the failed site are discarded
-    /// (strict fail-stop cut-off; the default).
-    #[default]
-    DropInFlight,
-    /// Messages the failed site sent before failing are still delivered;
-    /// messages addressed to it are discarded.
-    DeliverInFlight,
 }
 
 /// An event surfaced by [`SimNet::step`].
@@ -271,15 +245,11 @@ impl<M> Ord for Queued<M> {
 pub struct NetStats {
     /// Messages handed to [`SimNet::send`].
     pub sent: u64,
-    /// Messages delivered to a live site. With the duplication fault
-    /// enabled this can exceed `sent`.
+    /// Messages delivered to a live site.
     pub delivered: u64,
-    /// Messages discarded because an endpoint had failed or a link was
-    /// severed (per-link breakdown via [`SimNet::dropped_on`]).
+    /// Messages discarded because an endpoint had failed or crashed, or a
+    /// link was severed.
     pub dropped: u64,
-    /// Extra copies injected by the duplication fault
-    /// ([`SimNet::set_duplication`]); not counted in `sent`.
-    pub duplicated: u64,
 }
 
 /// The deterministic event-driven network.
@@ -317,7 +287,6 @@ pub struct SimNet<M> {
     crashed: HashSet<SiteId>,
     /// Messages parked while their destination is crashed, in send order.
     crash_parked: Vec<(SiteId, SiteId, M)>,
-    fail_mode: FailMode,
     /// Bidirectionally severed links (network partition). Messages sent
     /// while a link is down are dropped; in-flight messages still arrive.
     down_links: HashSet<(SiteId, SiteId)>,
@@ -329,10 +298,6 @@ pub struct SimNet<M> {
     /// Per-directed-link delivery-time floors keeping a heal's redelivered
     /// batch FIFO with respect to later sends on the same link.
     link_floor: HashMap<(SiteId, SiteId), SimTime>,
-    /// Per-(undirected)-link drop counters (see [`SimNet::dropped_on`]).
-    link_drops: HashMap<(SiteId, SiteId), u64>,
-    /// Message-duplication fault: probability plus a dedicated seeded RNG.
-    duplication: Option<(f64, SplitMix64)>,
     stats: NetStats,
 }
 
@@ -347,20 +312,12 @@ impl<M> SimNet<M> {
             failed: HashSet::new(),
             crashed: HashSet::new(),
             crash_parked: Vec::new(),
-            fail_mode: FailMode::default(),
             down_links: HashSet::new(),
             partition: None,
             parked: Vec::new(),
             link_floor: HashMap::new(),
-            link_drops: HashMap::new(),
-            duplication: None,
             stats: NetStats::default(),
         }
-    }
-
-    /// Sets the policy for in-flight messages on failure.
-    pub fn set_fail_mode(&mut self, mode: FailMode) {
-        self.fail_mode = mode;
     }
 
     /// Current simulated time (the time of the last event stepped).
@@ -373,27 +330,19 @@ impl<M> SimNet<M> {
         self.stats
     }
 
-    /// Whether `site` has fail-stopped.
-    pub fn is_failed(&self, site: SiteId) -> bool {
-        self.failed.contains(&site)
-    }
-
     /// Sends `msg` from `from` to `to`; it will be delivered after the
     /// link's sampled latency. Messages involving failed sites or a
     /// severed link are counted as dropped; messages crossing an active
     /// [`partition`](SimNet::partition) are parked until
     /// [`heal`](SimNet::heal).
-    pub fn send(&mut self, from: SiteId, to: SiteId, msg: M)
-    where
-        M: Clone,
-    {
+    pub fn send(&mut self, from: SiteId, to: SiteId, msg: M) {
         self.stats.sent += 1;
         if self.failed.contains(&from)
             || self.failed.contains(&to)
             || self.crashed.contains(&from)
             || self.down_links.contains(&link_key(from, to))
         {
-            self.drop_on_link(from, to);
+            self.stats.dropped += 1;
             return;
         }
         if self.crashed.contains(&to) {
@@ -408,15 +357,7 @@ impl<M> SimNet<M> {
             self.parked.push((from, to, msg));
             return;
         }
-        let dup = match &mut self.duplication {
-            Some((frac, rng)) => rng.chance(*frac).then(|| msg.clone()),
-            None => None,
-        };
         self.schedule_msg(from, to, msg);
-        if let Some(copy) = dup {
-            self.stats.duplicated += 1;
-            self.schedule_msg(from, to, copy);
-        }
     }
 
     /// Schedules one message delivery, clamping to the per-link FIFO
@@ -428,7 +369,7 @@ impl<M> SimNet<M> {
     /// stay behind the messages ahead of them — including a heal's
     /// redelivered batch, which maintains the same floor.
     fn schedule_msg(&mut self, from: SiteId, to: SiteId, msg: M) {
-        let mut at = self.now + self.latency.sample(from, to);
+        let mut at = self.now + self.latency.sample();
         if let Some(&floor) = self.link_floor.get(&(from, to)) {
             if at < floor {
                 at = floor;
@@ -436,18 +377,6 @@ impl<M> SimNet<M> {
         }
         self.link_floor.insert((from, to), at);
         self.push(at, Payload::Msg { from, to, msg });
-    }
-
-    fn drop_on_link(&mut self, from: SiteId, to: SiteId) {
-        self.stats.dropped += 1;
-        *self.link_drops.entry(link_key(from, to)).or_insert(0) += 1;
-    }
-
-    /// Messages dropped so far on the (undirected) link between `a` and
-    /// `b` — failed-endpoint and severed-link drops broken out per link;
-    /// the aggregate is [`NetStats::dropped`].
-    pub fn dropped_on(&self, a: SiteId, b: SiteId) -> u64 {
-        *self.link_drops.get(&link_key(a, b)).unwrap_or(&0)
     }
 
     /// Partitions the network into two groups: sends between the groups
@@ -488,7 +417,7 @@ impl<M> SimNet<M> {
         let parked = std::mem::take(&mut self.parked);
         for (from, to, msg) in parked {
             if self.failed.contains(&from) || self.failed.contains(&to) {
-                self.drop_on_link(from, to);
+                self.stats.dropped += 1;
                 continue;
             }
             if self.crashed.contains(&to) {
@@ -524,25 +453,6 @@ impl<M> SimNet<M> {
         }
     }
 
-    /// Enables the message-duplication fault: each send is delivered an
-    /// extra time with probability `frac`, with independently sampled
-    /// latency, drawn from a RNG seeded with `seed`. Pass `frac = 0.0` to
-    /// disable. Duplicates count in [`NetStats::duplicated`] and
-    /// [`NetStats::delivered`] but not [`NetStats::sent`]; note that the
-    /// DECAF engine assumes reliable (exactly-once) links, so this fault
-    /// is for transport-level testing.
-    pub fn set_duplication(&mut self, frac: f64, seed: u64) {
-        assert!(
-            (0.0..=1.0).contains(&frac),
-            "duplication fraction must be in [0,1]"
-        );
-        self.duplication = if frac > 0.0 {
-            Some((frac, SplitMix64::new(seed)))
-        } else {
-            None
-        };
-    }
-
     /// Schedules a timer for `site`, expiring `delay` after the current
     /// simulated time, carrying a caller-chosen `token`.
     pub fn set_timer(&mut self, site: SiteId, delay: SimTime, token: u64) {
@@ -573,54 +483,27 @@ impl<M> SimNet<M> {
 
     /// Fail-stops `site` now.
     ///
-    /// In-flight traffic is handled per [`FailMode`]; every site in
+    /// Messages in flight to or from it are cut off: a fail-stop site
+    /// neither receives nor is heard from again (§3.4). Every site in
     /// `observers` receives an [`Event::SiteFailed`] notification after the
     /// failed-link latency (modelling the communication layer's failure
     /// detector).
     pub fn fail_site(&mut self, site: SiteId, observers: impl IntoIterator<Item = SiteId>) {
         self.failed.insert(site);
-        // Discard queued deliveries involving the failed site: both
-        // directions in DropInFlight, inbound only in DeliverInFlight.
-        let drained = std::mem::take(&mut self.queue);
-        let mut kept = BinaryHeap::with_capacity(drained.len());
-        for q in drained {
-            let cut = match (&q.payload, self.fail_mode) {
-                (Payload::Msg { from, to, .. }, FailMode::DropInFlight) => {
-                    *from == site || *to == site
-                }
-                (Payload::Msg { to, .. }, FailMode::DeliverInFlight) => *to == site,
-                _ => false,
-            };
-            if cut {
-                if let Payload::Msg { from, to, .. } = &q.payload {
-                    let (from, to) = (*from, *to);
-                    self.drop_on_link(from, to);
-                }
-            } else {
-                kept.push(q);
-            }
-        }
-        self.queue = kept;
+        let involves_site = |from: &SiteId, to: &SiteId| *from == site || *to == site;
+        let before = self.queue.len() + self.parked.len();
+        self.queue.retain(
+            |q| !matches!(&q.payload, Payload::Msg { from, to, .. } if involves_site(from, to)),
+        );
         // Parked partition traffic involving the failed site will never be
         // deliverable; account for it now rather than at heal time.
-        let parked = std::mem::take(&mut self.parked);
-        self.parked = parked
-            .into_iter()
-            .filter(|(from, to, _)| {
-                if *from == site || *to == site {
-                    self.stats.dropped += 1;
-                    *self.link_drops.entry(link_key(*from, *to)).or_insert(0) += 1;
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
+        self.parked.retain(|(from, to, _)| !involves_site(from, to));
+        self.stats.dropped += (before - self.queue.len() - self.parked.len()) as u64;
         for observer in observers {
             if observer == site || self.failed.contains(&observer) {
                 continue;
             }
-            let delay = self.latency.sample(site, observer);
+            let delay = self.latency.sample();
             self.push(
                 self.now + delay,
                 Payload::FailNotice {
@@ -644,18 +527,10 @@ impl<M> SimNet<M> {
     /// to ignore application timers that fire for a crashed site.
     pub fn crash_site(&mut self, site: SiteId) {
         self.crashed.insert(site);
-        let drained = std::mem::take(&mut self.queue);
-        let mut kept = BinaryHeap::with_capacity(drained.len());
-        for q in drained {
-            match &q.payload {
-                Payload::Msg { from, to, .. } if *to == site => {
-                    let (from, to) = (*from, *to);
-                    self.drop_on_link(from, to);
-                }
-                _ => kept.push(q),
-            }
-        }
-        self.queue = kept;
+        let before = self.queue.len();
+        self.queue
+            .retain(|q| !matches!(&q.payload, Payload::Msg { to, .. } if *to == site));
+        self.stats.dropped += (before - self.queue.len()) as u64;
         // Partition-parked traffic addressed to the crashed site moves to
         // the crash queue so a heal during the outage cannot deliver it
         // early; it is released (and re-checked against any partition) at
@@ -685,7 +560,7 @@ impl<M> SimNet<M> {
             if to != site {
                 self.crash_parked.push((from, to, msg));
             } else if self.failed.contains(&from) {
-                self.drop_on_link(from, to);
+                self.stats.dropped += 1;
             } else if self.crosses_partition(from, to) {
                 self.parked.push((from, to, msg));
             } else {
@@ -708,10 +583,8 @@ impl<M> SimNet<M> {
             self.now = q.at;
             match q.payload {
                 Payload::Msg { from, to, msg } => {
-                    let from_dead =
-                        self.fail_mode == FailMode::DropInFlight && self.failed.contains(&from);
-                    if self.failed.contains(&to) || from_dead {
-                        self.drop_on_link(from, to);
+                    if self.failed.contains(&to) || self.failed.contains(&from) {
+                        self.stats.dropped += 1;
                         continue;
                     }
                     if self.crashed.contains(&to) {
@@ -838,23 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn per_link_override() {
-        let model = LatencyModel::uniform(SimTime::from_millis(50)).with_link(
-            SiteId(1),
-            SiteId(2),
-            SimTime::from_millis(5),
-        );
-        let mut n: SimNet<u32> = SimNet::new(model);
-        n.send(SiteId(1), SiteId(3), 0);
-        n.send(SiteId(2), SiteId(1), 1);
-        let first = n.step().unwrap();
-        assert!(
-            matches!(first, Event::Deliver { msg: 1, .. }),
-            "short link delivers first"
-        );
-    }
-
-    #[test]
     fn timers_interleave_with_messages() {
         let mut n = net(10);
         n.send(SiteId(1), SiteId(2), 7);
@@ -887,23 +743,32 @@ mod tests {
     }
 
     #[test]
-    fn deliver_in_flight_mode_keeps_outbound() {
+    fn failed_site_is_not_heard_from_again() {
+        // What the failing site already put on the wire is cut off too: a
+        // fail-stop site's last messages never race its failure notice.
         let mut n = net(10);
-        n.set_fail_mode(FailMode::DeliverInFlight);
-        n.send(SiteId(2), SiteId(1), 7); // from the failing site
-        n.fail_site(SiteId(2), []);
-        // step() still filters by the `from` check... in DeliverInFlight the
-        // queue keeps it, but delivery-time filtering must allow it.
-        let mut delivered = false;
+        n.send(SiteId(2), SiteId(1), 7); // in flight from the failing site
+        n.send(SiteId(3), SiteId(1), 8); // unrelated traffic
+        n.fail_site(SiteId(2), [SiteId(1)]);
+        assert_eq!(n.stats().dropped, 1, "counted when the site fails");
+        let mut got = Vec::new();
         while let Some(e) = n.step() {
-            if matches!(e, Event::Deliver { msg: 7, .. }) {
-                delivered = true;
+            match e {
+                Event::Deliver { from, msg, .. } => got.push((from, msg)),
+                Event::SiteFailed {
+                    observer, failed, ..
+                } => {
+                    assert_eq!((observer, failed), (SiteId(1), SiteId(2)));
+                }
+                Event::Timer { .. } => panic!("no timers were set"),
             }
         }
-        // Documented behaviour: DeliverInFlight retains the queue entry, but
-        // final delivery also requires the sender to be alive at delivery
-        // time only in DropInFlight mode.
-        assert!(delivered, "pre-failure sends delivered in DeliverInFlight");
+        assert_eq!(got, vec![(SiteId(3), 8)]);
+        assert_eq!(n.stats().delivered, 1);
+        // Nor can the failed site send anything new.
+        n.send(SiteId(2), SiteId(3), 9);
+        assert_eq!(n.stats().dropped, 2);
+        assert!(n.step().is_none());
     }
 
     #[test]
@@ -999,8 +864,8 @@ mod tests {
         let mut a = mk();
         let mut b = mk();
         for _ in 0..100 {
-            let la = a.sample(SiteId(1), SiteId(2));
-            let lb = b.sample(SiteId(1), SiteId(2));
+            let la = a.sample();
+            let lb = b.sample();
             assert_eq!(la, lb, "same seed, same samples");
             assert!(la >= SimTime::from_millis(80) && la <= SimTime::from_millis(120));
         }
@@ -1131,59 +996,8 @@ mod tests {
         n.fail_site(SiteId(2), []);
         assert_eq!(n.parked(), 0, "undeliverable parked traffic discarded");
         assert_eq!(n.stats().dropped, 2);
-        assert_eq!(n.dropped_on(SiteId(1), SiteId(2)), 2);
         n.heal();
         assert!(n.step().is_none());
-    }
-
-    #[test]
-    fn per_link_drop_counters_break_out_global_count() {
-        let mut n = net(10);
-        n.set_link_down(SiteId(1), SiteId(2));
-        n.send(SiteId(1), SiteId(2), 1); // dropped on 1-2
-        n.send(SiteId(2), SiteId(1), 2); // dropped on 1-2 (undirected)
-        n.fail_site(SiteId(3), []);
-        n.send(SiteId(4), SiteId(3), 3); // dropped on 3-4
-        assert_eq!(n.stats().dropped, 3);
-        assert_eq!(n.dropped_on(SiteId(1), SiteId(2)), 2);
-        assert_eq!(n.dropped_on(SiteId(3), SiteId(4)), 1);
-        assert_eq!(n.dropped_on(SiteId(1), SiteId(4)), 0);
-    }
-
-    #[test]
-    fn duplication_fault_injects_counted_extra_copies() {
-        let mut n = net(10);
-        n.set_duplication(1.0, 42);
-        for msg in 0..4 {
-            n.send(SiteId(1), SiteId(2), msg);
-        }
-        let mut delivered = Vec::new();
-        while let Some(Event::Deliver { msg, .. }) = n.step() {
-            delivered.push(msg);
-        }
-        assert_eq!(delivered.len(), 8, "every message delivered twice");
-        let s = n.stats();
-        assert_eq!((s.sent, s.duplicated, s.delivered), (4, 4, 8));
-        // Disable and confirm it stops.
-        n.set_duplication(0.0, 42);
-        n.send(SiteId(1), SiteId(2), 9);
-        assert!(matches!(n.step(), Some(Event::Deliver { msg: 9, .. })));
-        assert!(n.step().is_none());
-    }
-
-    #[test]
-    fn duplication_fault_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut n = net(5);
-            n.set_duplication(0.5, seed);
-            for msg in 0..32 {
-                n.send(SiteId(1), SiteId(2), msg);
-            }
-            while n.step().is_some() {}
-            n.stats().duplicated
-        };
-        assert_eq!(run(7), run(7), "same seed, same duplicates");
-        assert!(run(7) > 0, "p=0.5 over 32 sends should duplicate some");
     }
 
     #[test]

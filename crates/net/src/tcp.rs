@@ -20,21 +20,27 @@
 //!   2, 4, … ms (see *Failure mapping*), so a session's links are up a few
 //!   round trips after its last site has started.
 //! * **Liveness** — per-peer writer threads send heartbeat `Ping` frames
-//!   when idle; readers track the last time each peer was heard from.
+//!   after `HEARTBEAT_INTERVAL` (200 ms) idle; readers track the last time
+//!   each peer was heard from.
+//! * **Batching** — a writer woken by an envelope lingers `BATCH_DELAY`
+//!   (200 µs) for ride-alongs and writes up to `BATCH_MAX` (64) envelopes
+//!   as one `Batch` frame. Its queue holds `OUTBOUND_QUEUE` (4 096)
+//!   envelopes; a send to a full queue is dropped and counted.
 //! * **Failure mapping** — there are two re-dial schedules, and which one
 //!   a peer is on depends only on whether this site has ever had a
 //!   connection to it. A peer that **was connected** and whose link broke
-//!   or fell silent is on the failure-detection schedule: re-dialled after
-//!   `reconnect_base`, doubling to `reconnect_cap` (±25 % jitter), and
-//!   declared fail-stopped after `max_reconnect_attempts` consecutive
+//!   or fell silent (`HEARTBEAT_TIMEOUT`, 3 s) is on the failure-detection
+//!   schedule: re-dialled after `RECONNECT_BASE` (50 ms), doubling to
+//!   `RECONNECT_CAP` (1 s, ±25 % jitter seeded from the site id), and
+//!   declared fail-stopped after `MAX_RECONNECT_ATTEMPTS` (6) consecutive
 //!   failures. A peer that was **never connected** is assumed to be
-//!   starting: its ladder begins at 1 ms and doubles to the same cap with
-//!   the same jitter, and it is declared fail-stopped only when
-//!   `connect_deadline` has passed since this mesh started. Either way a
-//!   fail-stopped peer yields a single [`TransportEvent::SiteFailed`],
-//!   delivered locally — the ISIS-style notification the paper assumes the
-//!   communication layer provides (§3.4). [`Node::pump`](crate::Node::pump)
-//!   hands it to the engine.
+//!   starting: its ladder begins at `FIRST_DIAL_STEP` (1 ms) and doubles
+//!   to the same cap with the same jitter, and it is declared fail-stopped
+//!   only when `CONNECT_DEADLINE` (20 s) has passed since this mesh
+//!   started. Either way a fail-stopped peer yields a single
+//!   [`TransportEvent::SiteFailed`], delivered locally — the ISIS-style
+//!   notification the paper assumes the communication layer provides
+//!   (§3.4). [`Node::pump`](crate::Node::pump) hands it to the engine.
 //! * **Counters** — byte/frame/reconnect/heartbeat accounting is exposed
 //!   as [`decaf_core::TransportStats`] via [`TcpMesh::stats`].
 //!
@@ -78,7 +84,9 @@ use crate::wire::{
 };
 use crate::{TransportEndpoint, TransportEvent};
 
-/// Configuration of one site's TCP mesh endpoint.
+/// Configuration of one site's TCP mesh endpoint: who it is, where it
+/// listens, whom it dials and where it traces. Everything else about a link
+/// is fixed (see the [module docs](crate::tcp)).
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// This site's id (must be unique across the mesh).
@@ -88,41 +96,6 @@ pub struct TcpConfig {
     pub listen: SocketAddr,
     /// Peer address table: every other site in the mesh.
     pub peers: BTreeMap<SiteId, SocketAddr>,
-    /// Idle interval after which a heartbeat `Ping` is sent (default
-    /// 200 ms).
-    pub heartbeat_interval: Duration,
-    /// Silence from a previously heard peer after which the link is torn
-    /// down and re-dialed (default 3 s).
-    pub heartbeat_timeout: Duration,
-    /// First backoff step when re-dialling a peer that **was connected**
-    /// (default 50 ms); doubles per attempt. A peer that has never been
-    /// connected is re-dialled from 1 ms instead (or from this value, if
-    /// it is smaller), doubling likewise.
-    pub reconnect_base: Duration,
-    /// Backoff ceiling, for both kinds of peer (default 1 s).
-    pub reconnect_cap: Duration,
-    /// Consecutive failed reconnect attempts to a previously connected
-    /// peer before it is declared fail-stopped (default 6).
-    pub max_reconnect_attempts: u32,
-    /// Grace period for a peer that has *never* been reached — start-up
-    /// races are not failures (default 20 s). Counted from this mesh's
-    /// start; until it has passed such a peer is re-dialled on the 1 ms
-    /// ladder (see `reconnect_base`) however many dials fail, and
-    /// `max_reconnect_attempts` does not apply to it.
-    pub connect_deadline: Duration,
-    /// Bound of each per-peer outbound queue; overflow drops the message
-    /// and counts `sends_dropped` (default 4096).
-    pub outbound_queue: usize,
-    /// Seed for backoff jitter (default: derived from the site id).
-    pub jitter_seed: u64,
-    /// Most envelopes coalesced into one `Batch` frame (default 64); `1`
-    /// disables batching.
-    pub batch_max: usize,
-    /// How long a writer lingers draining its queue for ride-along
-    /// envelopes after the first one of a flush (default 200 µs) — a
-    /// Nagle-style delay with a microsecond budget, bounding the latency
-    /// cost of coalescing.
-    pub batch_delay: Duration,
     /// Trace sink for frame-level events (send/recv, heartbeats,
     /// reconnects, fail-stop declarations) and outbound queue depth. The
     /// default disabled sink makes every emit point one branch.
@@ -130,22 +103,12 @@ pub struct TcpConfig {
 }
 
 impl TcpConfig {
-    /// A config with the documented defaults and an empty peer table.
+    /// A config with an empty peer table and tracing off.
     pub fn new(site: SiteId, listen: SocketAddr) -> Self {
         TcpConfig {
             site,
             listen,
             peers: BTreeMap::new(),
-            heartbeat_interval: Duration::from_millis(200),
-            heartbeat_timeout: Duration::from_secs(3),
-            reconnect_base: Duration::from_millis(50),
-            reconnect_cap: Duration::from_secs(1),
-            max_reconnect_attempts: 6,
-            connect_deadline: Duration::from_secs(20),
-            outbound_queue: 4096,
-            jitter_seed: 0xDECAF ^ site.0 as u64,
-            batch_max: 64,
-            batch_delay: Duration::from_micros(200),
             trace: TraceSink::disabled(),
         }
     }
@@ -156,21 +119,47 @@ impl TcpConfig {
         self
     }
 
-    /// Tunes envelope batching (builder style): at most `max` envelopes per
-    /// `Batch` frame, lingering up to `delay` for ride-alongs. `max = 1`
-    /// disables batching.
-    pub fn batching(mut self, max: usize, delay: Duration) -> Self {
-        self.batch_max = max.max(1);
-        self.batch_delay = delay;
-        self
-    }
-
     /// Installs a trace sink (builder style).
     pub fn trace(mut self, sink: TraceSink) -> Self {
         self.trace = sink;
         self
     }
 }
+
+/// Idle interval after which a writer sends a heartbeat `Ping`.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
+
+/// Silence from a peer after which its link is torn down and re-dialled.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// First re-dial step for a peer that **was connected**; doubles per
+/// failed attempt up to [`RECONNECT_CAP`].
+const RECONNECT_BASE: Duration = Duration::from_millis(50);
+
+/// Ceiling of both re-dial ladders.
+const RECONNECT_CAP: Duration = Duration::from_secs(1);
+
+/// Consecutive failed re-dials of a previously connected peer before it is
+/// declared fail-stopped.
+const MAX_RECONNECT_ATTEMPTS: u32 = 6;
+
+/// Grace period, from this mesh's start, for a peer that has *never* been
+/// reached: start-up races are not failures. Until it has passed such a
+/// peer is re-dialled on the [`FIRST_DIAL_STEP`] ladder however many dials
+/// fail, and [`MAX_RECONNECT_ATTEMPTS`] does not apply to it.
+const CONNECT_DEADLINE: Duration = Duration::from_secs(20);
+
+/// Bound of each per-peer outbound queue; overflow drops the message and
+/// counts `sends_dropped`.
+const OUTBOUND_QUEUE: usize = 4096;
+
+/// Most envelopes coalesced into one `Batch` frame.
+const BATCH_MAX: usize = 64;
+
+/// How long a writer lingers draining its queue for ride-along envelopes
+/// after the first one of a flush — a Nagle-style delay with a microsecond
+/// budget, bounding the latency cost of coalescing.
+const BATCH_DELAY: Duration = Duration::from_micros(200);
 
 /// Atomic counter block shared by all mesh threads; snapshots into
 /// [`TransportStats`].
@@ -406,8 +395,8 @@ impl TransportEndpoint for TcpEndpoint {
 
 /// A running TCP mesh node: listener + per-peer link threads for one site.
 ///
-/// See the [module docs](crate::tcp) for the protocol; see
-/// [`TcpConfig`] for tuning.
+/// See the [module docs](crate::tcp) for the protocol and its fixed
+/// timings; see [`TcpConfig`] for what a site chooses.
 pub struct TcpMesh {
     site: SiteId,
     local_addr: SocketAddr,
@@ -450,7 +439,7 @@ impl TcpMesh {
         let mut outboxes = BTreeMap::new();
         let mut peers = BTreeMap::new();
         for &peer in config.peers.keys() {
-            let (tx, rx) = bounded_outbox(config.outbound_queue);
+            let (tx, rx) = bounded_outbox(OUTBOUND_QUEUE);
             outboxes.insert(peer, tx);
             peers.insert(peer, (rx, Arc::new(PeerShared::new())));
         }
@@ -893,22 +882,22 @@ const FIRST_DIAL_STEP: Duration = Duration::from_millis(1);
 
 /// The wait (before jitter) after the `attempts`-th consecutive failed
 /// dial. A peer that was connected is on the failure-detection schedule:
-/// `reconnect_base` doubling to `reconnect_cap`. One that never was climbs
-/// to that same cap from [`FIRST_DIAL_STEP`].
-fn redial_step(cfg: &TcpConfig, was_connected: bool, attempts: u32) -> Duration {
+/// [`RECONNECT_BASE`] doubling to [`RECONNECT_CAP`]. One that never was
+/// climbs to that same cap from [`FIRST_DIAL_STEP`].
+fn redial_step(was_connected: bool, attempts: u32) -> Duration {
     let base = if was_connected {
-        cfg.reconnect_base
+        RECONNECT_BASE
     } else {
-        cfg.reconnect_base.min(FIRST_DIAL_STEP)
+        FIRST_DIAL_STEP
     };
     base.saturating_mul(1u32 << attempts.saturating_sub(1).min(16))
-        .min(cfg.reconnect_cap)
+        .min(RECONNECT_CAP)
 }
 
 /// The per-peer link thread: dials the peer, writes `Hello` + data +
 /// heartbeat `Ping` frames, and re-dials with exponential backoff and
 /// jitter ([`redial_step`]). Exhausted reconnection to a peer that was
-/// connected, or a never-connected peer's missed `connect_deadline`,
+/// connected, or a never-connected peer's missed [`CONNECT_DEADLINE`],
 /// declares the peer fail-stopped.
 #[allow(clippy::too_many_arguments)] // one thread entry point, never composed
 fn writer_loop(
@@ -922,7 +911,8 @@ fn writer_loop(
     shutdown: Arc<AtomicBool>,
 ) {
     let addr = cfg.peers[&peer];
-    let mut rng = SplitMix64::new(cfg.jitter_seed ^ (peer.0 as u64).wrapping_mul(0x9E37));
+    let jitter_seed = 0xDECAF ^ cfg.site.0 as u64;
+    let mut rng = SplitMix64::new(jitter_seed ^ (peer.0 as u64).wrapping_mul(0x9E37));
     let born = Instant::now();
     let mut had_conn = false;
     // Envelopes popped from the outbox whose socket write failed. The
@@ -946,15 +936,15 @@ fn writer_loop(
                     attempts += 1;
                     let was_connected = had_conn || shared.ever_connected.load(Ordering::Relaxed);
                     let exhausted = if was_connected {
-                        attempts > cfg.max_reconnect_attempts
+                        attempts > MAX_RECONNECT_ATTEMPTS
                     } else {
-                        born.elapsed() > cfg.connect_deadline
+                        born.elapsed() > CONNECT_DEADLINE
                     };
                     if exhausted {
                         declare_failed(peer, &shared, &events, &counters, &cfg.trace);
                         return;
                     }
-                    let exp = redial_step(&cfg, was_connected, attempts);
+                    let exp = redial_step(was_connected, attempts);
                     // ±25% jitter so a rebooted mesh doesn't thunder.
                     let jitter = rng.range(0.75..=1.25);
                     let wait = Duration::from_secs_f64(exp.as_secs_f64() * jitter);
@@ -1001,21 +991,19 @@ fn writer_loop(
             if shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            match outbox.recv_timeout(cfg.heartbeat_interval) {
+            match outbox.recv_timeout(HEARTBEAT_INTERVAL) {
                 Ok(env) => {
                     pending.push(env);
                     let woke = Instant::now();
-                    if cfg.batch_max > 1 {
-                        // Nagle-style linger: pick up ride-alongs already in
-                        // (or just arriving on) the queue, bounded by count
-                        // and a microsecond budget.
-                        let deadline = woke + cfg.batch_delay;
-                        while pending.len() < cfg.batch_max {
-                            match outbox.try_recv() {
-                                Some(more) => pending.push(more),
-                                None if Instant::now() < deadline => std::thread::yield_now(),
-                                None => break,
-                            }
+                    // Nagle-style linger: pick up ride-alongs already in (or
+                    // just arriving on) the queue, bounded by count and a
+                    // microsecond budget.
+                    let deadline = woke + BATCH_DELAY;
+                    while pending.len() < BATCH_MAX {
+                        match outbox.try_recv() {
+                            Some(more) => pending.push(more),
+                            None if Instant::now() < deadline => std::thread::yield_now(),
+                            None => break,
                         }
                     }
                     let quiet = woke.duration_since(last_flush) >= PROBE_AFTER_QUIET;
@@ -1039,7 +1027,7 @@ fn writer_loop(
                     // inbound side, tear the link down and re-dial; the
                     // reconnect policy then decides whether it is dead.
                     let heard = (*lock(&shared.last_seen)).max(conn_start);
-                    if heard.elapsed() > cfg.heartbeat_timeout {
+                    if heard.elapsed() > HEARTBEAT_TIMEOUT {
                         bump(&counters.heartbeat_misses);
                         continue 'link;
                     }
@@ -1273,7 +1261,7 @@ mod tests {
     #[test]
     fn pairs_started_together_deliver_within_5_ms_of_bind() {
         // Site 1's first dial finds nobody listening. A whole
-        // `reconnect_base` step from there would be 37 ms at the least.
+        // `RECONNECT_BASE` step from there would be 37 ms at the least.
         let median = median_of_20(|| first_delivery_after_bind(Duration::ZERO));
         assert!(median < Duration::from_millis(5), "median {median:?}");
     }
@@ -1286,12 +1274,9 @@ mod tests {
 
     #[test]
     fn a_connected_peer_is_redialled_on_the_failure_detection_schedule() {
-        let cfg = TcpConfig::new(SiteId(1), "127.0.0.1:0".parse().unwrap());
         let ms = Duration::from_millis;
         let steps = |was_connected| -> Vec<Duration> {
-            (1..=12)
-                .map(|n| redial_step(&cfg, was_connected, n))
-                .collect()
+            (1..=12).map(|n| redial_step(was_connected, n)).collect()
         };
         assert_eq!(
             steps(true)[..7],
@@ -1301,14 +1286,13 @@ mod tests {
             steps(false),
             [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000, 1000].map(ms)
         );
-        // A configured base below the ladder's first step is kept.
-        let mut fast = cfg.clone();
-        fast.reconnect_base = Duration::from_micros(100);
-        assert_eq!(
-            redial_step(&fast, false, 1),
-            redial_step(&fast, true, 1),
-            "never-connected peers are not dialled slower than connected ones"
-        );
+        // The ladders are the constants: each starts at its own step and
+        // tops out at the shared cap, which a connected peer reaches
+        // within its attempt budget.
+        assert_eq!(steps(true)[0], RECONNECT_BASE);
+        assert_eq!(steps(false)[0], FIRST_DIAL_STEP);
+        assert_eq!(steps(false)[11], RECONNECT_CAP);
+        assert_eq!(redial_step(true, MAX_RECONNECT_ATTEMPTS), RECONNECT_CAP);
     }
 
     #[test]

@@ -77,30 +77,29 @@ fn three_site_mesh_delivers_in_link_order_and_coalesces() {
         .collect();
     let sites = [SiteId(1), SiteId(2), SiteId(3)];
 
-    // The long linger makes coalescing deterministic for the bursts below.
-    let mut meshes: Vec<TcpMesh> = (0..3)
-        .map(|me| {
-            let mut cfg =
-                TcpConfig::new(sites[me], addrs[me]).batching(64, Duration::from_millis(5));
-            for (i, &peer) in sites.iter().enumerate() {
-                if i != me {
-                    cfg = cfg.peer(peer, addrs[i]);
-                }
-            }
-            TcpMesh::start(cfg).expect("bind")
-        })
-        .collect();
-    let eps: Vec<TcpEndpoint> = meshes.iter().map(TcpMesh::endpoint).collect();
-
-    for seq in 0..BURST {
-        for (&from, ep) in sites.iter().zip(&eps) {
-            for &to in &sites {
-                if to != from {
-                    ep.send(to, env(from, to, seq));
-                }
+    // Each site queues its whole burst as soon as its mesh has started,
+    // before the next site binds: a writer finds its burst already queued
+    // when its link comes up, so even the fixed 200 µs linger coalesces it.
+    // (The last site's peers are up already; its writers still have a
+    // dial and a Hello to make while the burst is queued.)
+    let mut meshes = Vec::new();
+    for me in 0..3 {
+        let mut cfg = TcpConfig::new(sites[me], addrs[me]);
+        for (i, &peer) in sites.iter().enumerate() {
+            if i != me {
+                cfg = cfg.peer(peer, addrs[i]);
             }
         }
+        let mesh = TcpMesh::start(cfg).expect("bind");
+        let ep = mesh.endpoint();
+        for seq in 0..BURST {
+            for &to in sites.iter().filter(|&&to| to != sites[me]) {
+                ep.send(to, env(sites[me], to, seq));
+            }
+        }
+        meshes.push(mesh);
     }
+    let eps: Vec<TcpEndpoint> = meshes.iter().map(TcpMesh::endpoint).collect();
 
     // Every site receives both peers' bursts, each link's in send order
     // (the §3.4 reliable-FIFO link the engine assumes).

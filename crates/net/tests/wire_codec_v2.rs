@@ -18,6 +18,7 @@ use decaf_net::wire::{
     self, encode_frame, Frame, FrameKind, FrameReader, WireError, CODEC_VERSION, HEADER_LEN, MAGIC,
     MAX_PAYLOAD, PROTOCOL_VERSION,
 };
+use decaf_vt::rng::SplitMix64;
 use decaf_vt::{SiteId, VirtualTime};
 
 fn vt(lamport: u64, site: u32) -> VirtualTime {
@@ -560,13 +561,8 @@ fn snapshot_env(reads: Vec<ReadItem>) -> Envelope {
 /// the test can pin that the short forms are exercised.
 #[test]
 fn snapshot_reads_round_trip_over_scripted_walks() {
-    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
-    let mut draw = move |below: u64| {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (state >> 33) % below
-    };
+    let mut rng = SplitMix64::new(0x9E37_79B9_7F4A_7C15);
+    let mut draw = |below: u64| rng.below(below);
     let mut coded_short = 0;
     for _ in 0..500 {
         let reads: Vec<ReadItem> = (0..draw(12))

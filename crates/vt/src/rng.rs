@@ -1,9 +1,9 @@
 //! A seeded pseudo-random generator (splitmix64) with range and bool draws.
 //!
-//! Everything that draws randomness — simulated link jitter and
-//! duplication, the TCP mesh's reconnect jitter, the workload generators,
-//! the model checker's fault plans and the property runner — draws it from
-//! here, so a seed names one stream on every build.
+//! Everything that draws randomness — simulated link jitter, the TCP
+//! mesh's reconnect jitter, the workload generators, the model checker's
+//! fault plans and the property runner — draws it from here, so a seed
+//! names one stream on every build.
 //!
 //! ```
 //! use decaf_vt::rng::SplitMix64;

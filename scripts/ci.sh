@@ -50,7 +50,8 @@ fi
 # One node loop, two substrates: the threaded substrate, the simulator's
 # endpoint facade and the Transport trait stay deleted, and nothing outside
 # decaf_net::node drives a Site's queues by hand (tests/end_to_end_sim.rs
-# injects a fail-stop notice directly; that is fault injection, not a loop).
+# injects a fail-stop notice directly; that is fault injection, not a loop;
+# the E5 GVT baseline's sites, bound as `gvt`, are another engine).
 if [[ -e crates/net/src/threaded.rs ]]; then
     echo "FAIL: crates/net/src/threaded.rs is back" >&2
     exit 1
@@ -61,7 +62,9 @@ if grep -rnE 'SimTransport|trait Transport ' crates/net/src; then
 fi
 if grep -nE '(handle_message|notify_site_failed|drain_outbox|drain_wal)\(' \
     crates/apps/src/bin/decaf_site.rs crates/workload/src/*.rs crates/check/src/*.rs \
-    examples/tcp_mesh.rs tests/*.rs | grep -v '^tests/end_to_end_sim.rs:.*notify_site_failed('; then
+    crates/bench/src/*.rs crates/bench/src/bin/*.rs examples/tcp_mesh.rs tests/*.rs |
+    grep -v '^tests/end_to_end_sim.rs:.*notify_site_failed(' |
+    grep -vE '^crates/bench/src/lib.rs:.*\bgvt\.(drain_outbox|handle_message)\('; then
     echo "FAIL: a Site is driven by hand outside decaf_net::node (use Node::deliver/flush/pump)" >&2
     exit 1
 fi
@@ -136,6 +139,22 @@ fi
 # The deterministic-trace golden test is the observability contract: a
 # fixed sim workload must keep producing byte-identical JSONL traces.
 run cargo test -p decaf-workload --test trace_golden --offline -q
+
+# The paper tables are pinned: the nine deterministic table binaries (engine
+# + simulator only, no wall-clock timings) must print byte-identical JSON to
+# crates/bench/golden/<bin>.json. p1_throughput and r1_recovery print
+# timings and stay out. A change that moves a table on purpose regenerates
+# its golden with `target/release/<bin> --json > crates/bench/golden/<bin>.json`
+# and says why.
+echo "==> paper tables against crates/bench/golden"
+run cargo build -p decaf-bench --release --offline -q
+for bin in e1_commit_latency e2_view_latency e3_lost_updates e4_rollback_rate \
+    e5_scalability a1_delegate a2_propagation a3_transient_views o1_propagation; do
+    if ! target/release/"$bin" --json | cmp - "crates/bench/golden/$bin.json"; then
+        echo "FAIL: $bin --json differs from crates/bench/golden/$bin.json" >&2
+        exit 1
+    fi
+done
 
 # Throughput bench smoke: the hot-path bench (two wire modes, v2 binary
 # and v2+batch, round an in-process channel ring, plus the CoW section)

@@ -121,7 +121,9 @@ pub fn run_once(
         opt_ids.insert(*id, opt);
         pess_ids.insert(*id, pess);
         // Manual-clock sinks: the harness stamps simulated time before
-        // every step, so traces are byte-identical across same-seed runs.
+        // every step, so traces are byte-identical across same-seed runs,
+        // in one process or in many: the engine and the simulator keep no
+        // per-process hash key (DESIGN.md §8).
         site.set_trace_sink(TraceSink::enabled_manual(id.0, TRACE_CAPACITY));
     }
     // Per-site WAL images for crash plans: a byte buffer standing in for

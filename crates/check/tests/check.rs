@@ -60,6 +60,21 @@ fn same_seed_same_schedule_is_byte_identical() {
     assert_eq!(a.trace.join("\n"), b.trace.join("\n"));
 }
 
+/// Two sweeps over every fault class print the same report, counterexample
+/// traces included. Every engine and simulator container iterates in a
+/// fixed order (DESIGN.md §8), so nothing depends on a per-process hash key
+/// — which is new for each map even within one process.
+#[test]
+fn every_class_sweep_is_byte_identical_run_to_run() {
+    let opts = CheckOptions {
+        classes: FaultClasses::all(),
+        seeds: 300,
+        shrink: false,
+        ..CheckOptions::default()
+    };
+    assert_eq!(sweep(&opts).to_json(), sweep(&opts).to_json());
+}
+
 #[test]
 fn partition_heal_sweep_passes_all_oracles() {
     let opts = CheckOptions {

@@ -46,12 +46,14 @@ impl Site {
     /// so, the transaction is committed at all the sites; else, it is
     /// aborted" (§3.4). The lowest surviving replica site coordinates.
     fn resolve_in_doubt(&mut self, failed: SiteId) {
-        let in_doubt: Vec<VirtualTime> = self
+        let mut in_doubt: Vec<VirtualTime> = self
             .remote
             .iter()
             .filter(|(vt, r)| r.origin == failed && !self.decided.contains_key(vt))
             .map(|(vt, _)| *vt)
             .collect();
+        // `remote` is a hash map: resolve in VT order (DESIGN.md §8).
+        in_doubt.sort_unstable();
         for vt in in_doubt {
             // Every in-doubt survivor runs the query; duplicate rounds are
             // idempotent and always reach the same verdict because any

@@ -10,6 +10,7 @@ mod views;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use decaf_vt::{LamportClock, SiteId, VirtualTime};
 
@@ -27,6 +28,17 @@ use crate::view::{ViewId, ViewMode, ViewProxy};
 /// An installed authorization monitor (paper §1: "users may also code
 /// authorization monitors to restrict access to sensitive objects").
 pub(crate) type Authorizer = Box<dyn Fn(&crate::collab::Invitation, NodeRef) -> bool + Send>;
+
+/// The hasher of the engine's two large VT-keyed maps, `remote` and
+/// `decided`: std's SipHash under a zero key, the same in every process. A
+/// walk over either map whose order reaches behaviour sorts what it collects
+/// (DESIGN.md §8); every other engine container is a `BTreeMap`/`BTreeSet`
+/// and walks in key order.
+///
+/// Without a per-process key a peer could choose VTs that collide. The
+/// engine already trusts its peers' VTs and traffic: §3.4 has no Byzantine
+/// sites (the same argument as the store's `NameHasher` makes for names).
+pub(crate) type FixedState = BuildHasherDefault<DefaultHasher>;
 
 /// Tuning knobs for a [`Site`].
 #[derive(Debug, Clone, Copy)]
@@ -231,15 +243,15 @@ pub struct Site {
     pub(crate) next_handle: u64,
     /// Highest Lamport value seen on an envelope from each peer (FIFO
     /// links make this a safe pruning horizon for decided-outcome records).
-    pub(crate) last_seen_from: HashMap<SiteId, u64>,
+    pub(crate) last_seen_from: BTreeMap<SiteId, u64>,
     /// Reply-free messages received per peer since our last send to them;
     /// a heartbeat goes out when this passes the ack threshold so the
     /// peer's GC horizon keeps advancing.
-    pub(crate) silent_received: HashMap<SiteId, u32>,
-    pub(crate) pending: HashMap<VirtualTime, PendingTxn>,
-    pub(crate) handle_outcome: HashMap<u64, TxnOutcome>,
-    pub(crate) remote: HashMap<VirtualTime, RemoteTxn>,
-    pub(crate) decided: HashMap<VirtualTime, TxnOutcome>,
+    pub(crate) silent_received: BTreeMap<SiteId, u32>,
+    pub(crate) pending: BTreeMap<VirtualTime, PendingTxn>,
+    pub(crate) handle_outcome: BTreeMap<u64, TxnOutcome>,
+    pub(crate) remote: HashMap<VirtualTime, RemoteTxn, FixedState>,
+    pub(crate) decided: HashMap<VirtualTime, TxnOutcome, FixedState>,
     /// Messages whose application blocked on a missing structural
     /// dependency (§3.2.1), retried after each state change.
     pub(crate) buffered: Vec<(SiteId, TxnPropagate)>,
@@ -247,19 +259,19 @@ pub struct Site {
     pub(crate) views: BTreeMap<ViewId, ViewProxy>,
     pub(crate) next_view: u64,
     /// Snapshot token → owning view (Confirm/Deny routing).
-    pub(crate) snap_tokens: HashMap<VirtualTime, ViewId>,
+    pub(crate) snap_tokens: BTreeMap<VirtualTime, ViewId>,
 
     /// Snapshot CONFIRM-READ requests blocked only by *uncommitted* writes
     /// in their interval: parked until those writes decide (§4 deferral).
     pub(crate) parked_snaps: Vec<(VirtualTime, SiteId, Vec<crate::message::ReadItem>)>,
-    pub(crate) joins: HashMap<VirtualTime, JoinOp>,
-    pub(crate) graph_txns: HashMap<VirtualTime, GraphTxn>,
+    pub(crate) joins: BTreeMap<VirtualTime, JoinOp>,
+    pub(crate) graph_txns: BTreeMap<VirtualTime, GraphTxn>,
     pub(crate) next_relation: u64,
     pub(crate) authorizer: Option<Authorizer>,
 
     pub(crate) failed_sites: BTreeSet<SiteId>,
-    pub(crate) outcome_queries: HashMap<VirtualTime, OutcomeQueryState>,
-    pub(crate) consensus: HashMap<u64, ConsensusState>,
+    pub(crate) outcome_queries: BTreeMap<VirtualTime, OutcomeQueryState>,
+    pub(crate) consensus: BTreeMap<u64, ConsensusState>,
     pub(crate) next_ballot: u64,
     /// Transactions aborted by a primary failure, re-executed after the
     /// graph repair commits (§3.4).
@@ -317,24 +329,24 @@ impl Site {
             stats: SiteStats::default(),
             trace: decaf_trace::TraceSink::disabled(),
             next_handle: 0,
-            last_seen_from: HashMap::new(),
-            silent_received: HashMap::new(),
-            pending: HashMap::new(),
-            handle_outcome: HashMap::new(),
-            remote: HashMap::new(),
-            decided: HashMap::new(),
+            last_seen_from: BTreeMap::new(),
+            silent_received: BTreeMap::new(),
+            pending: BTreeMap::new(),
+            handle_outcome: BTreeMap::new(),
+            remote: HashMap::default(),
+            decided: HashMap::default(),
             buffered: Vec::new(),
             views: BTreeMap::new(),
             next_view: 0,
-            snap_tokens: HashMap::new(),
+            snap_tokens: BTreeMap::new(),
             parked_snaps: Vec::new(),
-            joins: HashMap::new(),
-            graph_txns: HashMap::new(),
+            joins: BTreeMap::new(),
+            graph_txns: BTreeMap::new(),
             next_relation: 0,
             authorizer: None,
             failed_sites: BTreeSet::new(),
-            outcome_queries: HashMap::new(),
-            consensus: HashMap::new(),
+            outcome_queries: BTreeMap::new(),
+            consensus: BTreeMap::new(),
             next_ballot: 0,
             retry_after_repair: Vec::new(),
             last_gc: None,
@@ -519,28 +531,11 @@ impl Site {
         obj.values.latest_committed()?.value.as_scalar()?.as_real()
     }
 
-    /// The current (possibly uncommitted) real value of `object`.
-    pub fn read_real_current(&self, object: ObjectName) -> Option<f64> {
-        let obj = self.store.get(object).ok()?;
-        obj.values.current()?.value.as_scalar()?.as_real()
-    }
-
     /// The latest committed string value of `object`, if any.
     pub fn read_str_committed(&self, object: ObjectName) -> Option<String> {
         let obj = self.store.get(object).ok()?;
         obj.values
             .latest_committed()?
-            .value
-            .as_scalar()?
-            .as_str()
-            .map(str::to_owned)
-    }
-
-    /// The current (possibly uncommitted) string value of `object`.
-    pub fn read_str_current(&self, object: ObjectName) -> Option<String> {
-        let obj = self.store.get(object).ok()?;
-        obj.values
-            .current()?
             .value
             .as_scalar()?
             .as_str()
@@ -573,16 +568,6 @@ impl Site {
                     .map(|m| m.iter().map(|(k, v)| (k.clone(), *v)).collect())
             })
             .unwrap_or_default()
-    }
-
-    /// Whether `object` exists at this site.
-    pub fn object_exists(&self, object: ObjectName) -> bool {
-        self.store.contains(object)
-    }
-
-    /// The kind of `object`, if it exists here.
-    pub fn object_kind(&self, object: ObjectName) -> Option<ObjectKind> {
-        self.store.get(object).ok().map(|o| o.kind)
     }
 
     /// Number of value-history entries currently retained for `object`
@@ -711,7 +696,7 @@ impl Site {
         self.store.next_seq()
     }
 
-    pub(crate) fn decided_snapshot(&self) -> &HashMap<VirtualTime, TxnOutcome> {
+    pub(crate) fn decided_snapshot(&self) -> &HashMap<VirtualTime, TxnOutcome, FixedState> {
         &self.decided
     }
 
@@ -723,7 +708,10 @@ impl Site {
         self.clock = clock;
     }
 
-    pub(crate) fn restore_decided(&mut self, decided: HashMap<VirtualTime, TxnOutcome>) {
+    pub(crate) fn restore_decided(
+        &mut self,
+        decided: HashMap<VirtualTime, TxnOutcome, FixedState>,
+    ) {
         self.decided = decided;
     }
 

@@ -101,7 +101,7 @@ impl Site {
     /// decision, and witnesses the VT so the clock ends up strictly ahead
     /// of everything logged. No views exist yet at replay time, so this
     /// bypasses notification entirely.
-    pub fn replay_commit(&mut self, rec: &CommitRecord) {
+    pub(crate) fn replay_commit(&mut self, rec: &CommitRecord) {
         for (obj, _t_r, op) in &rec.updates {
             if let Ok(changed) = self.store.apply_wire_op(*obj, rec.vt, op) {
                 for c in changed {
@@ -126,7 +126,7 @@ impl Site {
     }
 
     /// The highest VT known committed at this site, if any.
-    pub fn committed_frontier(&self) -> Option<VirtualTime> {
+    pub(crate) fn committed_frontier(&self) -> Option<VirtualTime> {
         self.decided
             .iter()
             .filter(|(_, o)| **o == TxnOutcome::Committed)
@@ -384,12 +384,14 @@ impl Site {
     /// `from` — invoked when `from` completes a rejoin, i.e. after its
     /// reverse catch-up has committed everything it durably knew.
     fn abort_lost_from(&mut self, from: SiteId) {
-        let stale: Vec<VirtualTime> = self
+        let mut stale: Vec<VirtualTime> = self
             .remote
             .iter()
             .filter(|(vt, r)| r.origin == from && !self.decided.contains_key(vt))
             .map(|(vt, _)| *vt)
             .collect();
+        // `remote` is a hash map: abort in VT order (DESIGN.md §8).
+        stale.sort_unstable();
         for vt in stale {
             self.decided.insert(vt, TxnOutcome::Aborted);
             self.rollback_remote(vt);

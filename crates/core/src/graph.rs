@@ -90,7 +90,7 @@ impl ReplicationGraph {
     }
 
     /// Whether `node` participates in this graph.
-    pub fn contains(&self, node: NodeRef) -> bool {
+    pub(crate) fn contains(&self, node: NodeRef) -> bool {
         self.nodes.contains(&node)
     }
 
@@ -107,12 +107,12 @@ impl ReplicationGraph {
 
     /// Iterates the relation edges `(a, b, relation)` in ascending order,
     /// with `a < b` as maintained by [`joined_with`](Self::joined_with).
-    pub fn edges(&self) -> impl Iterator<Item = &(NodeRef, NodeRef, RelationId)> {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = &(NodeRef, NodeRef, RelationId)> {
         self.edges.iter()
     }
 
     /// Rebuilds a graph from the parts produced by [`nodes`](Self::nodes)
-    /// and [`edges`](Self::edges). Edge endpoints are normalized (`a < b`)
+    /// and `edges`. Edge endpoints are normalized (`a < b`)
     /// and added to the node set, so any well-formed part list round-trips.
     pub fn from_parts(
         nodes: impl IntoIterator<Item = NodeRef>,
@@ -146,7 +146,7 @@ impl ReplicationGraph {
 
     /// The node hosted at `site`, if any. (A site hosts at most one replica
     /// of a given logical object.)
-    pub fn node_at(&self, site: SiteId) -> Option<NodeRef> {
+    pub(crate) fn node_at(&self, site: SiteId) -> Option<NodeRef> {
         self.nodes.iter().find(|n| n.site == site).copied()
     }
 
@@ -175,7 +175,11 @@ impl ReplicationGraph {
     /// component containing `keep_perspective` is returned (leave semantics:
     /// each component carries on independently).
     #[must_use]
-    pub fn without_node(&self, node: NodeRef, keep_perspective: NodeRef) -> ReplicationGraph {
+    pub(crate) fn without_node(
+        &self,
+        node: NodeRef,
+        keep_perspective: NodeRef,
+    ) -> ReplicationGraph {
         let mut g = self.clone();
         g.nodes.remove(&node);
         g.edges.retain(|(a, b, _)| *a != node && *b != node);
@@ -185,7 +189,7 @@ impl ReplicationGraph {
     /// Removes every node hosted at `site` (fail-stop repair, §3.4),
     /// keeping the component of `keep_perspective`.
     #[must_use]
-    pub fn without_site(&self, site: SiteId, keep_perspective: NodeRef) -> ReplicationGraph {
+    pub(crate) fn without_site(&self, site: SiteId, keep_perspective: NodeRef) -> ReplicationGraph {
         let mut g = self.clone();
         g.nodes.retain(|n| n.site != site);
         g.edges.retain(|(a, b, _)| a.site != site && b.site != site);
@@ -194,7 +198,7 @@ impl ReplicationGraph {
 
     /// The connected component containing `node` (empty if absent).
     #[must_use]
-    pub fn component_of(&self, node: NodeRef) -> ReplicationGraph {
+    pub(crate) fn component_of(&self, node: NodeRef) -> ReplicationGraph {
         if !self.nodes.contains(&node) {
             return ReplicationGraph::default();
         }

@@ -96,8 +96,8 @@ pub enum PathElem {
 /// snapshot over a list sends one per object it reads, and the
 /// CONFIRM-READ carrying them is built on one thread and freed on another
 /// (a writer thread after encoding, the node thread after decoding). Two or
-/// more elements go in a `Vec`. Equality and hashing see only
-/// [`elems`](Path::elems), whatever the representation.
+/// more elements go in a `Vec`. Equality and hashing see only the
+/// elements (`elems`), whatever the representation.
 #[derive(Clone, Default)]
 pub struct Path(PathRepr);
 
@@ -117,12 +117,12 @@ impl Path {
     }
 
     /// Whether this path addresses the root itself.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         matches!(self.0, PathRepr::Root)
     }
 
     /// The elements, from the root down.
-    pub fn elems(&self) -> &[PathElem] {
+    pub(crate) fn elems(&self) -> &[PathElem] {
         match &self.0 {
             PathRepr::Root => &[],
             PathRepr::One(e) => std::slice::from_ref(e),
@@ -131,7 +131,7 @@ impl Path {
     }
 
     /// Appends one element below the path's last.
-    pub fn push(&mut self, elem: PathElem) {
+    pub(crate) fn push(&mut self, elem: PathElem) {
         self.0 = match std::mem::take(&mut self.0) {
             PathRepr::Root => PathRepr::One(elem),
             PathRepr::One(first) => PathRepr::Many(vec![first, elem]),
@@ -357,7 +357,7 @@ pub struct TxnPropagate {
 
 impl TxnPropagate {
     /// Whether the destination must reply with a Confirm/Deny verdict.
-    pub fn needs_reply(&self) -> bool {
+    pub(crate) fn needs_reply(&self) -> bool {
         !self.reads.is_empty() || self.updates.iter().any(|u| u.needs_check)
     }
 }

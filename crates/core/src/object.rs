@@ -115,7 +115,7 @@ impl Blueprint {
     }
 
     /// The object kind this blueprint instantiates.
-    pub fn kind(&self) -> ObjectKind {
+    pub(crate) fn kind(&self) -> ObjectKind {
         match self {
             Blueprint::Int(_) => ObjectKind::Int,
             Blueprint::Real(_) => ObjectKind::Real,
@@ -212,7 +212,7 @@ pub(crate) enum ObjectValue {
 
 impl ObjectValue {
     /// An empty list value (no entries, no pending ops).
-    pub fn empty_list() -> Self {
+    pub(crate) fn empty_list() -> Self {
         ObjectValue::List {
             entries: Arc::new(Vec::new()),
             ops: Vec::new(),
@@ -220,7 +220,7 @@ impl ObjectValue {
     }
 
     /// An empty tuple value.
-    pub fn empty_tuple() -> Self {
+    pub(crate) fn empty_tuple() -> Self {
         ObjectValue::Tuple {
             entries: Arc::new(BTreeMap::new()),
             ops: Vec::new(),
@@ -228,32 +228,32 @@ impl ObjectValue {
     }
 
     /// An empty association value.
-    pub fn empty_assoc() -> Self {
+    pub(crate) fn empty_assoc() -> Self {
         ObjectValue::Assoc(Arc::new(AssocState::new()))
     }
 
-    pub fn as_scalar(&self) -> Option<&ScalarValue> {
+    pub(crate) fn as_scalar(&self) -> Option<&ScalarValue> {
         match self {
             ObjectValue::Scalar(s) => Some(s),
             _ => None,
         }
     }
 
-    pub fn as_list(&self) -> Option<&[ListEntry]> {
+    pub(crate) fn as_list(&self) -> Option<&[ListEntry]> {
         match self {
             ObjectValue::List { entries, .. } => Some(entries.as_slice()),
             _ => None,
         }
     }
 
-    pub fn as_tuple(&self) -> Option<&BTreeMap<String, ObjectName>> {
+    pub(crate) fn as_tuple(&self) -> Option<&BTreeMap<String, ObjectName>> {
         match self {
             ObjectValue::Tuple { entries, .. } => Some(entries),
             _ => None,
         }
     }
 
-    pub fn as_assoc(&self) -> Option<&AssocState> {
+    pub(crate) fn as_assoc(&self) -> Option<&AssocState> {
         match self {
             ObjectValue::Assoc(a) => Some(a),
             _ => None,
@@ -262,7 +262,7 @@ impl ObjectValue {
 
     /// The list entries as a shared handle (CoW hot path: histories hand
     /// these around without copying the underlying vector).
-    pub fn list_arc(&self) -> Option<Arc<Vec<ListEntry>>> {
+    pub(crate) fn list_arc(&self) -> Option<Arc<Vec<ListEntry>>> {
         match self {
             ObjectValue::List { entries, .. } => Some(Arc::clone(entries)),
             _ => None,
@@ -270,7 +270,7 @@ impl ObjectValue {
     }
 
     /// The tuple entries as a shared handle (CoW hot path).
-    pub fn tuple_arc(&self) -> Option<Arc<BTreeMap<String, ObjectName>>> {
+    pub(crate) fn tuple_arc(&self) -> Option<Arc<BTreeMap<String, ObjectName>>> {
         match self {
             ObjectValue::Tuple { entries, .. } => Some(Arc::clone(entries)),
             _ => None,
@@ -321,7 +321,7 @@ pub(crate) struct ModelObject {
 }
 
 impl ModelObject {
-    pub fn new(name: ObjectName, kind: ObjectKind) -> Self {
+    pub(crate) fn new(name: ObjectName, kind: ObjectKind) -> Self {
         ModelObject {
             name,
             kind,

@@ -182,7 +182,7 @@ impl Site {
 
     /// Reconstructs a site from a checkpoint with an explicit engine
     /// configuration.
-    pub fn restore_with_config(cp: Checkpoint, config: SiteConfig) -> Site {
+    pub(crate) fn restore_with_config(cp: Checkpoint, config: SiteConfig) -> Site {
         let mut site = Site::with_config(cp.site, config);
         site.restore_clock(cp.clock);
         site.restore_decided(cp.decided.into_iter().collect());

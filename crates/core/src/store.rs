@@ -141,13 +141,13 @@ pub(crate) struct ReadSet {
 }
 
 impl ReadSet {
-    pub fn entries(&self) -> &[ReadEntry] {
+    pub(crate) fn entries(&self) -> &[ReadEntry] {
         &self.entries
     }
 
     /// The primary copy of the graph governing entry `i`
     /// ([`Store::primary_of`]).
-    pub fn primary(&self, mut i: usize) -> Option<NodeRef> {
+    pub(crate) fn primary(&self, mut i: usize) -> Option<NodeRef> {
         loop {
             match &self.entries[i].route {
                 EntryRoute::Own(route) => return route.as_ref().map(|r| r.primary),
@@ -158,7 +158,7 @@ impl ReadSet {
 
     /// Entry `i`'s wire address at its primary's site ([`Store::addr_at`]);
     /// `None` when this site is the primary.
-    pub fn addr(&self, i: usize) -> Option<ObjectAddr> {
+    pub(crate) fn addr(&self, i: usize) -> Option<ObjectAddr> {
         // Up to the entry that has its own route.
         let mut at = i;
         let route = loop {
@@ -227,7 +227,7 @@ fn uncount_settled(counts: &mut BTreeMap<SiteId, usize>, obj: &ModelObject) {
 }
 
 impl Store {
-    pub fn new(site: SiteId) -> Self {
+    pub(crate) fn new(site: SiteId) -> Self {
         Store {
             site,
             objects: HashMap::default(),
@@ -243,7 +243,7 @@ impl Store {
         n
     }
 
-    pub fn get(&self, name: ObjectName) -> Result<&ModelObject, DecafError> {
+    pub(crate) fn get(&self, name: ObjectName) -> Result<&ModelObject, DecafError> {
         self.objects
             .get(&name)
             .ok_or(DecafError::NoSuchObject(name))
@@ -251,7 +251,7 @@ impl Store {
 
     /// Mutable access, which may unsettle the object: it is listed for the
     /// next sweep (a flag test on every access after the first).
-    pub fn get_mut(&mut self, name: ObjectName) -> Result<&mut ModelObject, DecafError> {
+    pub(crate) fn get_mut(&mut self, name: ObjectName) -> Result<&mut ModelObject, DecafError> {
         let obj = self
             .objects
             .get_mut(&name)
@@ -264,11 +264,11 @@ impl Store {
         Ok(obj)
     }
 
-    pub fn contains(&self, name: ObjectName) -> bool {
+    pub(crate) fn contains(&self, name: ObjectName) -> bool {
         self.objects.contains_key(&name)
     }
 
-    pub fn objects(&self) -> impl Iterator<Item = &ModelObject> {
+    pub(crate) fn objects(&self) -> impl Iterator<Item = &ModelObject> {
         self.objects.values()
     }
 
@@ -280,7 +280,7 @@ impl Store {
     }
 
     /// The sites named by any object's current replication graph.
-    pub fn graph_sites(&self) -> BTreeSet<SiteId> {
+    pub(crate) fn graph_sites(&self) -> BTreeSet<SiteId> {
         let mut sites: BTreeSet<SiteId> = self.settled_graph_sites.keys().copied().collect();
         for obj in self.unsettled_objects() {
             sites.extend(current_graph_sites(obj));
@@ -298,7 +298,7 @@ impl Store {
     /// Garbage-collects every history and reservation set below `low`;
     /// returns the number of history entries discarded. Objects the sweep
     /// leaves settled come off the list.
-    pub fn sweep(&mut self, low: VirtualTime) -> usize {
+    pub(crate) fn sweep(&mut self, low: VirtualTime) -> usize {
         let mut discarded = 0;
         let mut listed = std::mem::take(&mut self.unsettled);
         listed.retain(|name| {
@@ -322,7 +322,7 @@ impl Store {
     }
 
     /// Releases the reservations transaction `owner` holds on any object.
-    pub fn release_reservations(&mut self, owner: VirtualTime) {
+    pub(crate) fn release_reservations(&mut self, owner: VirtualTime) {
         for name in &self.unsettled {
             if let Some(obj) = self.objects.get_mut(name) {
                 obj.value_reservations.release(owner);
@@ -341,23 +341,23 @@ impl Store {
     }
 
     /// Name-allocation counter (persistence support).
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Restores the name-allocation counter (persistence support).
-    pub fn set_next_seq(&mut self, seq: u64) {
+    pub(crate) fn set_next_seq(&mut self, seq: u64) {
         self.next_seq = seq;
     }
 
     /// Installs a fully-formed object (persistence support).
-    pub fn insert_object(&mut self, obj: ModelObject) {
+    pub(crate) fn insert_object(&mut self, obj: ModelObject) {
         self.insert(obj);
     }
 
     /// Creates a standalone (root, direct-mode) object with a committed
     /// initial value at `VirtualTime::ZERO`.
-    pub fn create_root(&mut self, kind: ObjectKind, value: ObjectValue) -> ObjectName {
+    pub(crate) fn create_root(&mut self, kind: ObjectKind, value: ObjectValue) -> ObjectName {
         let name = self.alloc_name();
         let mut obj = ModelObject::new(name, kind);
         obj.values.insert_committed(VirtualTime::ZERO, value);
@@ -371,7 +371,7 @@ impl Store {
 
     /// Instantiates `bp` (and its subtree) at `vt` as a child embedded
     /// under `parent` (indirect propagation by default, §3.2).
-    pub fn instantiate(
+    pub(crate) fn instantiate(
         &mut self,
         bp: &Blueprint,
         vt: VirtualTime,
@@ -416,7 +416,7 @@ impl Store {
 
     /// Instantiates a [`TreeSnapshot`] at `vt` (join-value adoption),
     /// preserving the snapshot's embedding tags.
-    pub fn instantiate_tree(
+    pub(crate) fn instantiate_tree(
         &mut self,
         snap: &TreeSnapshot,
         vt: VirtualTime,
@@ -469,7 +469,7 @@ impl Store {
     }
 
     /// Deep snapshot of `name`'s subtree as of `at` (`None` = current).
-    pub fn tree_snapshot(
+    pub(crate) fn tree_snapshot(
         &self,
         name: ObjectName,
         at: Option<VirtualTime>,
@@ -502,7 +502,7 @@ impl Store {
 
     /// Walks `parent` links up to the nearest direct-propagation object
     /// (the "effective root" whose replication graph governs `name`).
-    pub fn effective_root(&self, name: ObjectName) -> Result<ObjectName, DecafError> {
+    pub(crate) fn effective_root(&self, name: ObjectName) -> Result<ObjectName, DecafError> {
         let mut cur = name;
         loop {
             let obj = self.get(cur)?;
@@ -514,7 +514,7 @@ impl Store {
     }
 
     /// The VT-tagged path from `name`'s effective root down to `name`.
-    pub fn path_to(&self, name: ObjectName) -> Result<(ObjectName, Path), DecafError> {
+    pub(crate) fn path_to(&self, name: ObjectName) -> Result<(ObjectName, Path), DecafError> {
         let root = self.effective_root(name)?;
         let mut elems = Vec::new();
         let mut cur = name;
@@ -571,7 +571,7 @@ impl Store {
     /// tag has not been applied here yet, resolution blocks
     /// ([`ApplyBlocked::MissingDependency`]) until the structural straggler
     /// arrives (§3.2.1).
-    pub fn resolve(&self, addr: &ObjectAddr) -> Result<ObjectName, ApplyBlocked> {
+    pub(crate) fn resolve(&self, addr: &ObjectAddr) -> Result<ObjectName, ApplyBlocked> {
         match addr {
             ObjectAddr::Direct(name) => {
                 if self.contains(*name) {
@@ -641,7 +641,11 @@ impl Store {
     /// Finds the child a list embedded under `tag`, even if a later
     /// removal took it out of the current state, by scanning the retained
     /// history (materialized states and insert ops).
-    pub fn find_list_child_by_tag(&self, list: ObjectName, tag: VirtualTime) -> Option<ObjectName> {
+    pub(crate) fn find_list_child_by_tag(
+        &self,
+        list: ObjectName,
+        tag: VirtualTime,
+    ) -> Option<ObjectName> {
         let obj = self.objects.get(&list)?;
         obj.embeddings.get(&tag).copied()
     }
@@ -649,7 +653,7 @@ impl Store {
     /// The replication graph governing `name` (its own if direct, its
     /// effective root's if indirect), plus the VT at which that graph last
     /// changed (`tG`).
-    pub fn effective_graph(
+    pub(crate) fn effective_graph(
         &self,
         name: ObjectName,
     ) -> Result<(&ReplicationGraph, VirtualTime), DecafError> {
@@ -663,7 +667,7 @@ impl Store {
     }
 
     /// The primary copy of the graph governing `name`.
-    pub fn primary_of(&self, name: ObjectName) -> Result<NodeRef, DecafError> {
+    pub(crate) fn primary_of(&self, name: ObjectName) -> Result<NodeRef, DecafError> {
         let (graph, _) = self.effective_graph(name)?;
         graph.primary().ok_or(DecafError::UnknownRelation)
     }
@@ -671,7 +675,7 @@ impl Store {
     // ---- reading --------------------------------------------------------
 
     /// The scalar value of `name` as of `at` (`None` = current).
-    pub fn scalar_at(
+    pub(crate) fn scalar_at(
         &self,
         name: ObjectName,
         at: Option<VirtualTime>,
@@ -697,7 +701,7 @@ impl Store {
     ///
     /// Returns the list of objects whose value changed (for view
     /// notification).
-    pub fn apply_wire_op(
+    pub(crate) fn apply_wire_op(
         &mut self,
         target: ObjectName,
         vt: VirtualTime,
@@ -1000,7 +1004,7 @@ impl Store {
 
     /// Rolls back the write to `target` at `vt` (abort), destroying any
     /// children it created and re-folding composites.
-    pub fn purge_write(&mut self, target: ObjectName, vt: VirtualTime) {
+    pub(crate) fn purge_write(&mut self, target: ObjectName, vt: VirtualTime) {
         let Ok(obj) = self.get_mut(target) else {
             return;
         };
@@ -1106,7 +1110,7 @@ impl Store {
     }
 
     /// Removes an object and its entire (current) subtree from the store.
-    pub fn destroy_subtree(&mut self, name: ObjectName) {
+    pub(crate) fn destroy_subtree(&mut self, name: ObjectName) {
         let children: Vec<ObjectName> = match self.objects.get(&name) {
             Some(obj) => obj
                 .values
@@ -1131,7 +1135,7 @@ impl Store {
 
     /// `name` plus every object currently embedded (transitively) under it
     /// — the read set of a view snapshot attached at `name`.
-    pub fn subtree(&self, name: ObjectName) -> Vec<ObjectName> {
+    pub(crate) fn subtree(&self, name: ObjectName) -> Vec<ObjectName> {
         let mut out = vec![name];
         let mut frontier = vec![name];
         while let Some(cur) = frontier.pop() {
@@ -1164,7 +1168,7 @@ impl Store {
 
     /// Wire address of `name` from the perspective of `site` (for snapshot
     /// CONFIRM-READ requests and catch-up streaming).
-    pub fn addr_at(&self, name: ObjectName, site: SiteId) -> Option<ObjectAddr> {
+    pub(crate) fn addr_at(&self, name: ObjectName, site: SiteId) -> Option<ObjectAddr> {
         let (root, path) = self.root_and_path_at(name, site)?;
         Some(object_addr(root, path))
     }
@@ -1185,7 +1189,7 @@ impl Store {
     /// whole read set costs one traversal; only the attachment points,
     /// children that propagate directly, and children whose `parent` link
     /// points elsewhere go the long way ([`Store::guess_route`]).
-    pub fn read_set(&self, points: impl IntoIterator<Item = ObjectName>) -> ReadSet {
+    pub(crate) fn read_set(&self, points: impl IntoIterator<Item = ObjectName>) -> ReadSet {
         let mut out: Vec<ReadEntry> = Vec::new();
         // Entries whose children are still to be listed.
         let mut frontier: Vec<usize> = Vec::new();
@@ -1255,7 +1259,7 @@ impl Store {
     /// All ancestors of `name` (nearest first), for ancestor view
     /// notification ("a view attached to a composite receives notifications
     /// for changes to any of its children", §2.5).
-    pub fn ancestors(&self, name: ObjectName) -> Vec<ObjectName> {
+    pub(crate) fn ancestors(&self, name: ObjectName) -> Vec<ObjectName> {
         let mut out = Vec::new();
         let mut cur = name;
         while let Some(p) = self.objects.get(&cur).and_then(|o| o.parent) {

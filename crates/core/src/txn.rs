@@ -178,7 +178,7 @@ pub(crate) struct Recording {
 impl Recording {
     /// RC guesses: all distinct uncommitted writer VTs this txn read, plus
     /// explicit structural dependencies.
-    pub fn rc_dependencies(&self) -> BTreeSet<VirtualTime> {
+    pub(crate) fn rc_dependencies(&self) -> BTreeSet<VirtualTime> {
         self.reads
             .values()
             .filter_map(|r| r.rc)
@@ -200,12 +200,6 @@ pub struct TxnCtx<'a> {
 }
 
 impl<'a> TxnCtx<'a> {
-    /// The transaction's virtual time (exposed for diagnostics; application
-    /// logic should not depend on it).
-    pub fn vt(&self) -> VirtualTime {
-        self.vt
-    }
-
     fn record_read(&mut self, object: ObjectName) -> Result<(), TxnError> {
         if self.rec.write_meta.contains_key(&object) || self.rec.reads.contains_key(&object) {
             return Ok(()); // own write or already recorded

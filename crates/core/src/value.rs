@@ -22,7 +22,7 @@ pub enum ScalarValue {
 
 impl ScalarValue {
     /// The integer value, if this is an [`ScalarValue::Int`].
-    pub fn as_int(&self) -> Option<i64> {
+    pub(crate) fn as_int(&self) -> Option<i64> {
         match self {
             ScalarValue::Int(v) => Some(*v),
             _ => None,
@@ -30,7 +30,7 @@ impl ScalarValue {
     }
 
     /// The real value, if this is a [`ScalarValue::Real`].
-    pub fn as_real(&self) -> Option<f64> {
+    pub(crate) fn as_real(&self) -> Option<f64> {
         match self {
             ScalarValue::Real(v) => Some(*v),
             _ => None,
@@ -38,7 +38,7 @@ impl ScalarValue {
     }
 
     /// The string value, if this is a [`ScalarValue::Str`].
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             ScalarValue::Str(v) => Some(v),
             _ => None,

@@ -108,13 +108,8 @@ impl fmt::Debug for UpdateNotification<'_> {
 
 impl<'a> UpdateNotification<'a> {
     /// The objects that changed since this view's last notification.
-    pub fn changed(&self) -> &[ObjectName] {
+    pub(crate) fn changed(&self) -> &[ObjectName] {
         self.changed
-    }
-
-    /// Whether `object` is on the changed list.
-    pub fn has_changed(&self, object: ObjectName) -> bool {
-        self.changed.contains(&object)
     }
 
     /// Initiates a new transaction from within the update method ("the
@@ -254,7 +249,7 @@ pub(crate) struct SnapGuesses {
 }
 
 impl SnapGuesses {
-    pub fn settled(&self) -> bool {
+    pub(crate) fn settled(&self) -> bool {
         !self.denied && self.rc_waits.is_empty() && self.outstanding.is_empty()
     }
 }
@@ -338,7 +333,7 @@ impl fmt::Debug for ViewProxy {
 }
 
 impl ViewProxy {
-    pub fn new(
+    pub(crate) fn new(
         id: ViewId,
         mode: ViewMode,
         attached: BTreeSet<ObjectName>,

@@ -19,7 +19,7 @@
 //! inputs.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -278,26 +278,26 @@ pub struct SimNet<M> {
     seq: u64,
     queue: BinaryHeap<Queued<M>>,
     latency: LatencyModel,
-    failed: HashSet<SiteId>,
+    failed: BTreeSet<SiteId>,
     /// Sites transiently down (crash-restart, **without** fail-stop
     /// notification — the failure detector hasn't fired, or the site is
     /// expected back before it would). In-flight deliveries to a crashed
     /// site are lost with its process; *new* sends are parked per the
     /// sender's retrying transport and redelivered FIFO on restart.
-    crashed: HashSet<SiteId>,
+    crashed: BTreeSet<SiteId>,
     /// Messages parked while their destination is crashed, in send order.
     crash_parked: Vec<(SiteId, SiteId, M)>,
     /// Bidirectionally severed links (network partition). Messages sent
     /// while a link is down are dropped; in-flight messages still arrive.
-    down_links: HashSet<(SiteId, SiteId)>,
+    down_links: BTreeSet<(SiteId, SiteId)>,
     /// Active two-group partition, if any (see [`SimNet::partition`]).
-    partition: Option<(HashSet<SiteId>, HashSet<SiteId>)>,
+    partition: Option<(BTreeSet<SiteId>, BTreeSet<SiteId>)>,
     /// Messages parked while a partition separates their endpoints, in
     /// send order; redelivered FIFO on [`SimNet::heal`].
     parked: Vec<(SiteId, SiteId, M)>,
     /// Per-directed-link delivery-time floors keeping a heal's redelivered
     /// batch FIFO with respect to later sends on the same link.
-    link_floor: HashMap<(SiteId, SiteId), SimTime>,
+    link_floor: BTreeMap<(SiteId, SiteId), SimTime>,
     stats: NetStats,
 }
 
@@ -309,13 +309,13 @@ impl<M> SimNet<M> {
             seq: 0,
             queue: BinaryHeap::new(),
             latency,
-            failed: HashSet::new(),
-            crashed: HashSet::new(),
+            failed: BTreeSet::new(),
+            crashed: BTreeSet::new(),
             crash_parked: Vec::new(),
-            down_links: HashSet::new(),
+            down_links: BTreeSet::new(),
             partition: None,
             parked: Vec::new(),
-            link_floor: HashMap::new(),
+            link_floor: BTreeMap::new(),
             stats: NetStats::default(),
         }
     }
@@ -401,8 +401,8 @@ impl<M> SimNet<M> {
         if self.partition.is_some() {
             self.heal();
         }
-        let a: HashSet<SiteId> = group_a.iter().copied().collect();
-        let b: HashSet<SiteId> = group_b.iter().copied().collect();
+        let a: BTreeSet<SiteId> = group_a.iter().copied().collect();
+        let b: BTreeSet<SiteId> = group_b.iter().copied().collect();
         assert!(a.is_disjoint(&b), "partition groups must be disjoint");
         self.partition = Some((a, b));
     }

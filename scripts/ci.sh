@@ -78,6 +78,25 @@ if grep -nF 'value_reservations.reserve(' \
     exit 1
 fi
 
+# One order for engine state (DESIGN.md §8): the engine and the simulator
+# keep no hash container under a per-process key, so every run of the same
+# schedule repeats in every process. A std HashMap/HashSet there names its
+# fixed hasher in its type (the engine's FixedState or the store's
+# NameHasher); `new`, `from` and `with_capacity` exist only for the keyed
+# RandomState. message.rs's path-hash unit test hashes under a RandomState
+# on purpose and is the one exemption.
+KEYED="$(grep -rnE 'Hash(Map|Set)<|Hash(Map|Set)::(new|from|with_capacity)\b|RandomState' \
+    crates/core/src crates/net/src/sim.rs |
+    grep -vE 'Hash(Map|Set)<.*(FixedState|NameHasher)' |
+    grep -vE '^crates/core/src/message.rs:[0-9]+: +let hasher = std::collections::hash_map::RandomState::new\(\);$' ||
+    true)"
+if [[ -n "$KEYED" ]]; then
+    echo "FAIL: a per-process-keyed hash container in the engine or the simulator" \
+        "(use a BTreeMap/BTreeSet, or FixedState for a large hot map):" >&2
+    echo "$KEYED" >&2
+    exit 1
+fi
+
 # Lints are errors: the tree stays clippy-clean.
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -199,6 +218,28 @@ else
     echo "$CHECK_JSON" | grep -q '"ok":true'
     echo "$CHECK_JSON" | grep -q '"violations":0'
 fi
+
+# Every checker run repeats across processes: two processes sweeping every
+# fault class print the same bytes, counterexample traces included. The
+# sweep finds the known kill/crash defects (ROADMAP direction 7) and exits
+# 1 for them, so the gate compares the output and accepts exit 0 or 1; any
+# other status (a panic) fails it.
+echo "==> decaf-check --faults all --seeds 2000 --json, twice, byte-identical"
+SWEEP_DIR="$(mktemp -d)"
+for run in 1 2; do
+    status=0
+    target/release/decaf-check --faults all --seeds 2000 --json >"$SWEEP_DIR/$run.json" ||
+        status=$?
+    if [[ "$status" -gt 1 || ! -s "$SWEEP_DIR/$run.json" ]]; then
+        echo "FAIL: decaf-check --faults all sweep $run exited $status" >&2
+        exit 1
+    fi
+done
+if ! cmp "$SWEEP_DIR/1.json" "$SWEEP_DIR/2.json"; then
+    echo "FAIL: two decaf-check --faults all sweeps printed different reports" >&2
+    exit 1
+fi
+rm -rf "$SWEEP_DIR"
 
 # The frozen counterexample replays: same violations, byte-identical trace
 # (exit 0 only if it reproduces). It is a known open defect (ROADMAP

@@ -8,9 +8,8 @@
 //!
 //! Two tables: the restart inside the reconnect window (the survivor never
 //! declared the victim failed), then the restart after a declared
-//! fail-stop. The second asserts convergence like the first and so panics
-//! for as long as rejoin-after-fail-stop does not converge (CHANGES.md,
-//! PR 13) — it is printed last for that reason.
+//! fail-stop, where the survivor first re-admits the victim into the graph
+//! it repaired it out of. Both assert that the pair converges.
 
 use decaf_bench::{emit_table, r1_recovery, r1_recovery_in_window, R1Row};
 

@@ -715,43 +715,43 @@ pub fn r1_recovery_in_window(log_commits: u64, missed: u64) -> R1Row {
     r1_restart(log_commits, missed, false)
 }
 
-fn r1_restart(log_commits: u64, missed: u64, fail_stop: bool) -> R1Row {
-    use decaf_core::{wiring, CommitLog, ObjectName, Site, Transaction, TxnCtx, TxnError};
-    use decaf_net::{Node, TransportEvent};
-    use std::time::Instant;
+/// One read-modify-write gesture: the shared counter goes up by one.
+struct Incr(decaf_core::ObjectName);
 
-    struct Incr(ObjectName);
-    impl Transaction for Incr {
-        fn execute(&mut self, ctx: &mut TxnCtx<'_>) -> Result<(), TxnError> {
-            let v = ctx.read_int(self.0)?;
-            ctx.write_int(self.0, v + 1)
-        }
+impl decaf_core::Transaction for Incr {
+    fn execute(&mut self, ctx: &mut decaf_core::TxnCtx<'_>) -> Result<(), decaf_core::TxnError> {
+        let v = ctx.read_int(self.0)?;
+        ctx.write_int(self.0, v + 1)
     }
+}
 
-    /// Carries everything the two nodes have to say to each other, in
-    /// process and at once, until neither has more.
-    fn settle(a: &mut Node, b: &mut Node) {
-        loop {
-            let mut moving = Vec::new();
-            for node in [&mut *a, &mut *b] {
-                node.flush(|env| moving.push(env)).expect("append commit");
-            }
-            if moving.is_empty() {
-                return;
-            }
-            for env in moving {
-                let to = if env.to == a.site.id() {
-                    &mut *a
-                } else {
-                    &mut *b
-                };
-                to.deliver(TransportEvent::Message {
+/// Carries everything the nodes have to say to each other, in process and
+/// at once, until none has more. What is addressed to a node outside
+/// `nodes` (a crashed site) is lost.
+fn settle(nodes: &mut [&mut decaf_net::Node]) {
+    loop {
+        let mut moving = Vec::new();
+        for node in nodes.iter_mut() {
+            node.flush(|env| moving.push(env)).expect("append commit");
+        }
+        if moving.is_empty() {
+            return;
+        }
+        for env in moving {
+            if let Some(to) = nodes.iter_mut().find(|n| n.site.id() == env.to) {
+                to.deliver(decaf_net::TransportEvent::Message {
                     from: env.from,
                     msg: env,
                 });
             }
         }
     }
+}
+
+fn r1_restart(log_commits: u64, missed: u64, fail_stop: bool) -> R1Row {
+    use decaf_core::{wiring, CommitLog, Site};
+    use decaf_net::{Node, TransportEvent};
+    use std::time::Instant;
 
     let cfg = SiteConfig {
         durable: true,
@@ -777,7 +777,7 @@ fn r1_restart(log_commits: u64, missed: u64, fail_stop: bool) -> R1Row {
     // Phase 1: both sites live, every commit fsynced to b's log.
     for _ in 0..log_commits {
         b.site.execute(Box::new(Incr(ob)));
-        settle(&mut a, &mut b);
+        settle(&mut [&mut a, &mut b]);
     }
     let wal_bytes = b.log().expect("durable").len_bytes();
     drop(b); // crash: in-memory state gone, only the WAL survives
@@ -805,7 +805,7 @@ fn r1_restart(log_commits: u64, missed: u64, fail_stop: bool) -> R1Row {
     // Restart, networked half: rejoin handshake + catch-up stream.
     let t1 = Instant::now();
     b.site.begin_rejoin();
-    settle(&mut a, &mut b);
+    settle(&mut [&mut a, &mut b]);
     let rejoin_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     let expect = Some((log_commits + missed) as i64);
@@ -1097,5 +1097,116 @@ mod tests {
             large.wal_bytes > small.wal_bytes,
             "WAL grows with commits: {small:?} {large:?}"
         );
+    }
+
+    /// Three durable sites on the chain 1 - 2 - 3 commit, `victim` crashes,
+    /// the survivors declare it failed, repair their graph and commit on;
+    /// then the victim restarts from its WAL and rejoins. The survivors'
+    /// live primary must re-admit it (§3.4: it rejoins "as a new member"):
+    /// the catch-up reaches it, and so does a commit made at each site
+    /// afterwards.
+    fn restart_after_fail_stop_in_chain(victim: SiteId) {
+        use decaf_core::{wiring, CommitLog, Site};
+        use decaf_net::{Node, TransportEvent};
+
+        let cfg = SiteConfig {
+            durable: true,
+            ..SiteConfig::default()
+        };
+        let mut sites: Vec<Site> = (1..=3).map(|i| Site::with_config(SiteId(i), cfg)).collect();
+        let objs: Vec<_> = sites.iter_mut().map(|s| s.create_int(0)).collect();
+        {
+            let [s1, s2, s3] = &mut sites[..] else {
+                unreachable!()
+            };
+            wiring::wire_replicas(&mut [(s1, objs[0]), (s2, objs[1]), (s3, objs[2])]);
+        }
+        let dir = |site: &Site| {
+            std::env::temp_dir().join(format!(
+                "decaf-r1-chain-{}-{}-{}",
+                std::process::id(),
+                victim.0,
+                site.id().0
+            ))
+        };
+        let mut nodes: Vec<Node> = sites
+            .into_iter()
+            .map(|site| {
+                let _ = std::fs::remove_dir_all(dir(&site));
+                let (mut log, _) = CommitLog::open(&dir(&site)).expect("open scratch WAL");
+                log.append_checkpoint(&site.checkpoint().expect("freshly wired, quiescent"))
+                    .expect("baseline checkpoint");
+                Node::durable(site, log)
+            })
+            .collect();
+        let obj = |node: &Node| objs[node.site.id().0 as usize - 1];
+        let read = |nodes: &[Node]| -> Vec<Option<i64>> {
+            nodes
+                .iter()
+                .map(|n| n.site.read_int_committed(obj(n)))
+                .collect()
+        };
+        let commit_at = |nodes: &mut Vec<Node>, i: usize| {
+            let o = obj(&nodes[i]);
+            nodes[i].site.execute(Box::new(Incr(o)));
+            settle(&mut nodes.iter_mut().collect::<Vec<_>>());
+        };
+
+        // Every site commits once, all live.
+        for i in 0..3 {
+            commit_at(&mut nodes, i);
+        }
+        assert_eq!(read(&nodes), vec![Some(3); 3]);
+
+        // The crash: the victim's memory is gone, its WAL stays. The
+        // survivors declare the failure, repair, and commit once each.
+        let v = victim.0 as usize - 1;
+        let victim_dir = dir(&nodes.remove(v).site);
+        for node in nodes.iter_mut() {
+            node.deliver(TransportEvent::SiteFailed { failed: victim });
+        }
+        settle(&mut nodes.iter_mut().collect::<Vec<_>>());
+        for i in 0..2 {
+            commit_at(&mut nodes, i);
+        }
+
+        // The restart, past any reconnect window: recover and rejoin.
+        let (recovery, log) = Site::recover(&victim_dir, cfg).expect("recover from WAL");
+        let mut back = Node::durable(recovery.site, log);
+        assert_eq!(
+            back.site.begin_rejoin(),
+            2,
+            "victim {victim}: rejoin contacts both"
+        );
+        nodes.insert(v, back);
+        settle(&mut nodes.iter_mut().collect::<Vec<_>>());
+        assert_eq!(read(&nodes), vec![Some(5); 3], "victim {victim}: caught up");
+
+        // After the rejoin, one commit at each site reaches the other two.
+        for i in 0..3 {
+            commit_at(&mut nodes, i);
+            assert_eq!(
+                read(&nodes),
+                vec![Some(6 + i as i64); 3],
+                "victim {victim}: commit at site {} after the rejoin",
+                i + 1
+            );
+        }
+        for node in &nodes {
+            let _ = std::fs::remove_dir_all(dir(&node.site));
+        }
+    }
+
+    #[test]
+    fn restart_after_fail_stop_of_primary_rejoins() {
+        // Site 1 is the primary: the survivors repair through consensus.
+        restart_after_fail_stop_in_chain(SiteId(1));
+    }
+
+    #[test]
+    fn restart_after_fail_stop_of_chain_end_rejoins() {
+        // Site 3 ends the chain: the live primary, site 1, repairs. (Site
+        // 2's failure splits the survivors' graph: ROADMAP direction 7.)
+        restart_after_fail_stop_in_chain(SiteId(3));
     }
 }

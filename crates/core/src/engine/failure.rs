@@ -201,6 +201,10 @@ impl Site {
             let Some(old_primary) = graph.primary() else {
                 continue;
             };
+            self.repaired_out
+                .entry(failed)
+                .or_default()
+                .insert(obj, graph.clone());
             if self.failed_sites.contains(&old_primary.site) {
                 // Circularity: the primary needed to commit the graph update
                 // is gone — fall back to the consensus protocol (§3.4).
@@ -217,15 +221,66 @@ impl Site {
 
     /// Fast-path repair when this site hosts the live primary.
     fn primary_repair(&mut self, obj: ObjectName, graph: &ReplicationGraph, t_g: VirtualTime) {
-        let vt = self.clock.next();
-        let self_node = NodeRef::new(self.id, obj);
-        let mut alive_members: Vec<NodeRef> = Vec::new();
-        for node in graph.nodes() {
-            if !self.failed_sites.contains(&node.site) {
-                alive_members.push(*node);
+        let alive_members: Vec<NodeRef> = graph
+            .nodes()
+            .filter(|n| !self.failed_sites.contains(&n.site))
+            .copied()
+            .collect();
+        self.primary_graph_update(obj, t_g, &alive_members, |site, node| {
+            site.prune_failed(graph, node)
+        });
+    }
+
+    /// Re-admits `rejoiner`, back after a declared fail-stop, into every
+    /// graph it was repaired out of whose live primary this site is: §3.3's
+    /// graph merge at a fresh VT, which is what "join as a new member"
+    /// commits (§3.4). The new graph is the current one plus the rejoiner's
+    /// node, with the old edges between live nodes. Other survivors only
+    /// drop their record: the primary's `GraphUpdate` reaches them.
+    pub(crate) fn readmit(&mut self, rejoiner: SiteId) {
+        let Some(before) = self.repaired_out.remove(&rejoiner) else {
+            return;
+        };
+        for (obj, old) in before {
+            let Ok((graph, t_g)) = self.store.effective_graph(obj) else {
+                continue;
+            };
+            let Some(node) = old.node_at(rejoiner) else {
+                continue;
+            };
+            let is_primary = graph.primary().map(|p| p.site) == Some(self.id);
+            if !is_primary || graph.node_at(rejoiner).is_some() {
+                continue;
             }
+            let live = |n: &NodeRef| *n == node || graph.contains(*n);
+            let merged = ReplicationGraph::from_parts(
+                graph.nodes().copied().chain([node]),
+                graph
+                    .edges()
+                    .chain(old.edges().filter(|(a, b, _)| live(a) && live(b)))
+                    .copied(),
+            );
+            if !merged.is_connected() {
+                continue; // every old neighbour of the rejoiner is gone
+            }
+            let members: Vec<NodeRef> = merged.nodes().copied().collect();
+            self.primary_graph_update(obj, t_g, &members, |_, _| merged.clone());
         }
-        let my_graph = self.prune_failed(graph, self_node);
+    }
+
+    /// One graph-update transaction this site commits alone as the live
+    /// primary of `obj`'s graph (read at `t_g`): checked and reserved here,
+    /// installed as `graph_for(node)` at every node of `members`, and
+    /// committed at once, since no other member checks it.
+    fn primary_graph_update(
+        &mut self,
+        obj: ObjectName,
+        t_g: VirtualTime,
+        members: &[NodeRef],
+        graph_for: impl Fn(&Site, NodeRef) -> ReplicationGraph,
+    ) {
+        let vt = self.clock.next();
+        let my_graph = graph_for(self, NodeRef::new(self.id, obj));
         if !self.check_graph_and_reserve(obj, t_g, vt) {
             return; // a concurrent graph txn is in flight; it will settle
         }
@@ -233,12 +288,12 @@ impl Site {
             o.graphs.insert(vt, my_graph);
         }
         let mut affected = BTreeSet::new();
-        for node in &alive_members {
+        for node in members {
             if node.site == self.id {
                 continue;
             }
             affected.insert(node.site);
-            let their_graph = self.prune_failed(graph, *node);
+            let their_graph = graph_for(self, *node);
             self.send(
                 node.site,
                 Message::GraphUpdate {

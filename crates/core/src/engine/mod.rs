@@ -276,6 +276,11 @@ pub struct Site {
     /// Transactions aborted by a primary failure, re-executed after the
     /// graph repair commits (§3.4).
     pub(crate) retry_after_repair: Vec<(u64, Box<dyn Transaction>)>,
+    /// Per fail-stopped site, the graph of each local direct object as it
+    /// stood when a repair pruned the site out: where its replica sat and
+    /// which edges held it. Kept until the site rejoins, when the live
+    /// primary re-admits it ([`Site::readmit`]).
+    pub(crate) repaired_out: BTreeMap<SiteId, BTreeMap<ObjectName, ReplicationGraph>>,
 
     /// Bookkeeping of the most recent GC sweep, for the checker's
     /// straggler-view oracle (see [`crate::GcWatermark`]).
@@ -349,6 +354,7 @@ impl Site {
             consensus: BTreeMap::new(),
             next_ballot: 0,
             retry_after_repair: Vec::new(),
+            repaired_out: BTreeMap::new(),
             last_gc: None,
             mutation: None,
             committed_log: BTreeMap::new(),

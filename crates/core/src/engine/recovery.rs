@@ -13,10 +13,12 @@
 //!    committed frontier *and* its full committed-VT set (the frontier
 //!    alone is not a sound gap filter: a lower-VT commit may still have
 //!    been in flight when the site crashed).
-//! 2. Every peer re-sends propagate batches still awaiting the rejoiner's
-//!    verdict, the one peer asked to `serve` streams the missed committed
-//!    suffix as [`Message::CatchUp`], and all reply [`Message::RejoinAck`]
-//!    with their own committed sets.
+//! 2. A peer that had declared the rejoiner failed and repaired it out of
+//!    a graph it is the live primary of first re-admits it there
+//!    ([`Site::readmit`]). Then every peer re-sends propagate batches still
+//!    awaiting the rejoiner's verdict, the one peer asked to `serve`
+//!    streams the missed committed suffix as [`Message::CatchUp`], and all
+//!    reply [`Message::RejoinAck`] with their own committed sets.
 //! 3. Per ack, the rejoiner streams *its* durably-logged commits the peer
 //!    missed back as a `CatchUp` flagged `rejoined: true` — which also
 //!    tells the peer to abort any still-undecided remote transaction the
@@ -210,6 +212,10 @@ impl Site {
         serve: bool,
     ) {
         self.failed_sites.remove(&from);
+        // Back after a declared fail-stop: put it back into the graphs it
+        // was repaired out of first, so the catch-up below and every later
+        // commit address it through them.
+        self.readmit(from);
         // Re-send propagate batches still awaiting this peer's verdict:
         // its copy (and any vote it had formed) died with the crash.
         let resend: Vec<TxnPropagate> = self

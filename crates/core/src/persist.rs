@@ -12,9 +12,9 @@
 //! application closures that cannot (and should not) be serialized; the
 //! paper's failure model likewise has crashed clients "rejoin the
 //! collaboration by going through a join protocol as new members" (§3.4),
-//! so a recovering site either resumes from its checkpoint — if the
-//! collaboration has not repaired it away — or restores its private state
-//! and re-joins.
+//! so a recovering site resumes from its checkpoint and rejoins; if the
+//! collaboration has repaired it away meanwhile, the live primary merges it
+//! back into the graph first (see [`Site::begin_rejoin`]).
 //!
 //! On top of checkpoints sits the **write-ahead commit log**: an
 //! append-only file of CRC-framed, length-prefixed records (format

@@ -37,14 +37,16 @@
 //!
 //! Durability: `--data-dir DIR` makes the site crash-durable. On a fresh
 //! directory it writes a baseline checkpoint to `DIR/wal.log` and then
-//! appends (fsyncs) every committed transaction before its commit
-//! broadcast leaves the process. On a directory holding an existing log
+//! appends every committed transaction, and fsyncs, before its commit
+//! broadcast leaves the process: one fsync per turn of the node loop that
+//! appended, however many commits the turn appended. On a directory holding an existing log
 //! it *recovers*: newest checkpoint + committed suffix (any torn tail is
 //! truncated to the longest valid record prefix; a log in another format
 //! version is refused, exit 2, and left untouched), prints
 //! `recovered wal-records=N value=V`, and runs the §3.4 rejoin/catch-up
 //! protocol against its peers (`rejoin peers=N`). The end-of-run
-//! `run-summary` gains WAL append counts and an fsync-latency histogram,
+//! `run-summary` gains WAL append counts and an fsync-latency histogram
+//! (`wal-summary ... fsync-p50-us=`: one sample per sync, not per append),
 //! and the final `exit value=V` line reports the committed counter at
 //! process exit — after lingering, so converged peers print identical
 //! values.
@@ -374,7 +376,7 @@ fn render_metrics(site: u32, t: &Telemetry) -> String {
         );
         p.histogram(
             "decaf_wal_fsync_us",
-            "Per-append WAL fsync latency.",
+            "WAL fsync latency, one sample per sync (a sync covers every commit a loop turn appended).",
             l,
             &t.fsync_us,
         );
@@ -761,10 +763,11 @@ fn main() {
             }
         }
 
-        // One turn of the node loop. A durable node fsyncs every captured
-        // commit before that commit's broadcast leaves the process: a crash
-        // can tear the file tail, never lose an acknowledged commit. The
-        // 1 ms wait for the first event doubles as loop pacing.
+        // One turn of the node loop. A durable node appends every captured
+        // commit and fsyncs once before any of their broadcasts leave the
+        // process: a crash can tear the file tail, never lose an
+        // acknowledged commit. The 1 ms wait for the first event doubles as
+        // loop pacing.
         let pumped = match node.pump(&endpoint, Duration::from_millis(1)) {
             Ok(pumped) => pumped,
             Err(e) => {

@@ -42,6 +42,15 @@
 //! [`TxnPropagate`]'s reads keep the full layout: a transaction reads few
 //! objects, and catch-up streams carry the same bytes.
 //!
+//! These bytes are also a request's in-memory form: a
+//! [`SnapshotReads`] is the items' coding and their count, written item by
+//! item as the guessing site pushes them, so a CONFIRM-READ holds its wire
+//! size while it is queued, in flight or parked at the primary, and the
+//! encoder copies it out unchanged. The envelope decoder runs every check
+//! above on each item before it keeps the bytes, so a malformed request is
+//! refused where it is read off the wire, and the primary decodes each item
+//! once more, as it checks it.
+//!
 //! The layout is strict and self-delimiting — decoding rejects unknown
 //! tags, truncation, and trailing bytes, bounds every declared count by the
 //! bytes that remain before allocating for it, and follows composites no
@@ -390,50 +399,185 @@ fn root_and_index(a: &ObjectAddr) -> (ObjectName, Option<(usize, VirtualTime)>) 
     }
 }
 
-fn snapshot_reads(o: &mut Vec<u8>, reads: &[ReadItem]) {
-    put_varint(o, reads.len() as u64);
-    // The preceding item's root, its index if its path is one, and its `hi`.
-    let mut prev: Option<(ObjectName, Option<usize>, Option<VirtualTime>)> = None;
-    for r in reads {
-        let (root, index) = root_and_index(&r.addr);
-        let mut flags = 0;
-        if let (Some((index, tag)), Some((prev_root, prev_index, _))) = (index, prev) {
-            if prev_root == root {
-                flags |= READ_SAME_ROOT;
-                if prev_index.is_some_and(|i| i.checked_add(1) == Some(index)) {
-                    flags |= READ_NEXT_INDEX;
-                }
-                if r.t_r == tag {
-                    flags |= READ_TR_IS_TAG;
-                }
+/// What a snapshot's read item is coded against: the preceding item's
+/// root, its index if its path is one list index, and its `hi`.
+#[derive(Clone, Copy, PartialEq)]
+struct ReadCtx {
+    root: ObjectName,
+    index: Option<usize>,
+    hi: Option<VirtualTime>,
+}
+
+/// Appends `r` coded against `prev`, the item before it if there is one,
+/// and returns what the next item is coded against.
+fn snapshot_read(o: &mut Vec<u8>, prev: Option<ReadCtx>, r: &ReadItem) -> ReadCtx {
+    let (root, index) = root_and_index(&r.addr);
+    let mut flags = 0;
+    if let (Some((index, tag)), Some(prev)) = (index, prev) {
+        if prev.root == root {
+            flags |= READ_SAME_ROOT;
+            if prev.index.is_some_and(|i| i.checked_add(1) == Some(index)) {
+                flags |= READ_NEXT_INDEX;
+            }
+            if r.t_r == tag {
+                flags |= READ_TR_IS_TAG;
             }
         }
-        if r.t_g == r.t_r {
-            flags |= READ_TG_IS_TR;
-        }
-        if prev.is_some_and(|(_, _, hi)| hi == r.hi) {
-            flags |= READ_HI_REPEATS;
-        }
-        o.push(flags);
-        match index {
-            Some((index, tag)) if flags & READ_SAME_ROOT != 0 => {
-                if flags & READ_NEXT_INDEX == 0 {
-                    put_varint(o, index as u64);
-                }
-                vt(o, &tag);
+    }
+    if r.t_g == r.t_r {
+        flags |= READ_TG_IS_TR;
+    }
+    if prev.is_some_and(|prev| prev.hi == r.hi) {
+        flags |= READ_HI_REPEATS;
+    }
+    o.push(flags);
+    match index {
+        Some((index, tag)) if flags & READ_SAME_ROOT != 0 => {
+            if flags & READ_NEXT_INDEX == 0 {
+                put_varint(o, index as u64);
             }
-            _ => addr(o, &r.addr),
+            vt(o, &tag);
         }
-        if flags & READ_TR_IS_TAG == 0 {
-            vt(o, &r.t_r);
+        _ => addr(o, &r.addr),
+    }
+    if flags & READ_TR_IS_TAG == 0 {
+        vt(o, &r.t_r);
+    }
+    if flags & READ_TG_IS_TR == 0 {
+        vt(o, &r.t_g);
+    }
+    if flags & READ_HI_REPEATS == 0 {
+        put_opt(o, r.hi.as_ref(), vt);
+    }
+    ReadCtx {
+        root,
+        index: index.map(|(i, _)| i),
+        hi: r.hi,
+    }
+}
+
+fn snapshot_reads(o: &mut Vec<u8>, reads: &SnapshotReads) {
+    put_varint(o, reads.len as u64);
+    o.extend_from_slice(&reads.bytes);
+}
+
+/// A view snapshot's CONFIRM-READ items ([`Message::SnapshotConfirm`]),
+/// kept as their coding (module docs, "Snapshot reads"): what a request
+/// holds while it is queued at the guessing site, in flight and parked at
+/// the primary is its wire size, 4–5 bytes for the next child of a list
+/// where a [`ReadItem`] is 104.
+///
+/// Built with [`push`](SnapshotReads::push) (or collected), read back with
+/// [`iter`](SnapshotReads::iter), which decodes each item once. The bytes
+/// are valid by construction: `push` writes them and the envelope decoder
+/// checks every item before it keeps them, so `iter` cannot fail. Two
+/// values are equal exactly when they hold the same items in the same
+/// order.
+#[derive(Clone, Default, PartialEq)]
+pub struct SnapshotReads {
+    /// The items' coding, without the leading count.
+    bytes: Vec<u8>,
+    /// How many items `bytes` holds.
+    len: usize,
+    /// What the next item pushed is coded against.
+    last: Option<ReadCtx>,
+}
+
+impl SnapshotReads {
+    /// No items.
+    pub fn new() -> Self {
+        SnapshotReads::default()
+    }
+
+    /// Appends one item, coded against the one before it.
+    pub fn push(&mut self, item: &ReadItem) {
+        let at = self.bytes.len();
+        let last = snapshot_read(&mut self.bytes, self.last, item);
+        debug_assert!(
+            exact(&self.bytes[at..], |r| d_snapshot_read(r, self.last))
+                .is_ok_and(|(decoded, next)| decoded == *item && next == last),
+            "iter() yields what was pushed: {item:?}"
+        );
+        self.last = Some(last);
+        self.len += 1;
+    }
+
+    /// The number of items.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no items.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The heap bytes held: the capacity of the coding.
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes.capacity()
+    }
+
+    /// Gives back the spare capacity pushing left, so a request that is
+    /// queued holds its coding and nothing more.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+    }
+
+    /// The items in the order they were pushed, each decoded as it is
+    /// reached.
+    pub fn iter(&self) -> SnapshotReadsIter<'_> {
+        SnapshotReadsIter {
+            r: R::new(&self.bytes),
+            prev: None,
+            left: self.len,
         }
-        if flags & READ_TG_IS_TR == 0 {
-            vt(o, &r.t_g);
+    }
+}
+
+impl FromIterator<ReadItem> for SnapshotReads {
+    fn from_iter<I: IntoIterator<Item = ReadItem>>(items: I) -> Self {
+        let mut reads = SnapshotReads::new();
+        for item in items {
+            reads.push(&item);
         }
-        if flags & READ_HI_REPEATS == 0 {
-            put_opt(o, r.hi.as_ref(), vt);
-        }
-        prev = Some((root, index.map(|(i, _)| i), r.hi));
+        reads.shrink_to_fit();
+        reads
+    }
+}
+
+impl From<Vec<ReadItem>> for SnapshotReads {
+    fn from(items: Vec<ReadItem>) -> Self {
+        items.into_iter().collect()
+    }
+}
+
+impl std::fmt::Debug for SnapshotReads {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The items of a [`SnapshotReads`], decoded one at a time.
+pub struct SnapshotReadsIter<'a> {
+    r: R<'a>,
+    prev: Option<ReadCtx>,
+    left: usize,
+}
+
+impl Iterator for SnapshotReadsIter<'_> {
+    type Item = ReadItem;
+
+    #[inline]
+    fn next(&mut self) -> Option<ReadItem> {
+        self.left = self.left.checked_sub(1)?;
+        let (item, next) = d_snapshot_read(&mut self.r, self.prev)
+            .expect("snapshot reads are checked when they are built");
+        self.prev = Some(next);
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
@@ -1005,57 +1149,77 @@ fn d_read(r: &mut R) -> Result<ReadItem, String> {
     })
 }
 
-fn d_snapshot_reads(r: &mut R) -> Result<Vec<ReadItem>, String> {
-    let n = r.count()?;
-    let mut reads: Vec<ReadItem> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let flags = r.u8()?;
-        if flags & !READ_FLAGS != 0 {
-            return Err(format!("unknown read flag bits {flags:#04x}"));
-        }
-        if flags & READ_SAME_ROOT == 0 && flags & (READ_NEXT_INDEX | READ_TR_IS_TAG) != 0 {
-            return Err(format!(
-                "read flags {flags:#04x} name an index without a root"
-            ));
-        }
-        let prev = reads.last();
-        if prev.is_none() && flags & (READ_SAME_ROOT | READ_HI_REPEATS) != 0 {
-            return Err(format!(
-                "read flags {flags:#04x} repeat an item that is not there"
-            ));
-        }
-        let (addr, tag) = if flags & READ_SAME_ROOT != 0 {
-            let (root, prev_index) = root_and_index(&prev.expect("checked above").addr);
-            let index = if flags & READ_NEXT_INDEX == 0 {
-                r.varint_usize()?
-            } else {
-                prev_index
-                    .and_then(|(i, _)| i.checked_add(1))
-                    .ok_or("read index follows an item that has none")?
-            };
-            let tag = d_vt(r)?;
-            let path = Path::from(PathElem::Index { index, tag });
-            (ObjectAddr::Indirect { root, path }, Some(tag))
-        } else {
-            (d_addr(r)?, None)
-        };
-        let t_r = match tag {
-            Some(tag) if flags & READ_TR_IS_TAG != 0 => tag,
-            _ => d_vt(r)?,
-        };
-        let t_g = if flags & READ_TG_IS_TR != 0 {
-            t_r
-        } else {
-            d_vt(r)?
-        };
-        let hi = if flags & READ_HI_REPEATS != 0 {
-            prev.expect("checked above").hi
-        } else {
-            r.opt(d_vt)?
-        };
-        reads.push(ReadItem { addr, t_r, t_g, hi });
+/// Decodes one snapshot read item coded against `prev`, the item before it
+/// if there is one, and what the next item is coded against. Inlined: it
+/// is the primary's per-item cost when it checks a request.
+#[inline(always)]
+fn d_snapshot_read(r: &mut R, prev: Option<ReadCtx>) -> Result<(ReadItem, ReadCtx), String> {
+    let flags = r.u8()?;
+    if flags & !READ_FLAGS != 0 {
+        return Err(format!("unknown read flag bits {flags:#04x}"));
     }
-    Ok(reads)
+    if flags & READ_SAME_ROOT == 0 && flags & (READ_NEXT_INDEX | READ_TR_IS_TAG) != 0 {
+        return Err(format!(
+            "read flags {flags:#04x} name an index without a root"
+        ));
+    }
+    if prev.is_none() && flags & (READ_SAME_ROOT | READ_HI_REPEATS) != 0 {
+        return Err(format!(
+            "read flags {flags:#04x} repeat an item that is not there"
+        ));
+    }
+    let (addr, root, index, tag) = if flags & READ_SAME_ROOT != 0 {
+        let prev = prev.expect("checked above");
+        let index = if flags & READ_NEXT_INDEX == 0 {
+            r.varint_usize()?
+        } else {
+            prev.index
+                .and_then(|i| i.checked_add(1))
+                .ok_or("read index follows an item that has none")?
+        };
+        let tag = d_vt(r)?;
+        let path = Path::from(PathElem::Index { index, tag });
+        let addr = ObjectAddr::Indirect {
+            root: prev.root,
+            path,
+        };
+        (addr, prev.root, Some(index), Some(tag))
+    } else {
+        let addr = d_addr(r)?;
+        let (root, index) = root_and_index(&addr);
+        (addr, root, index.map(|(i, _)| i), None)
+    };
+    let t_r = match tag {
+        Some(tag) if flags & READ_TR_IS_TAG != 0 => tag,
+        _ => d_vt(r)?,
+    };
+    let t_g = if flags & READ_TG_IS_TR != 0 {
+        t_r
+    } else {
+        d_vt(r)?
+    };
+    let hi = if flags & READ_HI_REPEATS != 0 {
+        prev.expect("checked above").hi
+    } else {
+        r.opt(d_vt)?
+    };
+    let next = ReadCtx { root, index, hi };
+    Ok((ReadItem { addr, t_r, t_g, hi }, next))
+}
+
+/// Decodes a snapshot's reads, checking every item, and keeps their bytes.
+fn d_snapshot_reads(r: &mut R) -> Result<SnapshotReads, String> {
+    let len = r.count()?;
+    let start = r.i;
+    let mut last = None;
+    for _ in 0..len {
+        last = Some(d_snapshot_read(r, last)?.1);
+    }
+    Ok(SnapshotReads {
+        bytes: r.b[start..r.i].to_vec(),
+        len,
+        last,
+    })
 }
 
 fn d_vts(r: &mut R) -> Result<Vec<VirtualTime>, String> {
@@ -1718,8 +1882,9 @@ mod tests {
 
     fn coded(reads: &[ReadItem]) -> Vec<u8> {
         let mut bytes = Vec::new();
-        snapshot_reads(&mut bytes, reads);
-        assert_eq!(exact(&bytes, d_snapshot_reads).as_deref(), Ok(reads));
+        snapshot_reads(&mut bytes, &reads.iter().cloned().collect());
+        let back = exact(&bytes, d_snapshot_reads).map(|r| r.iter().collect::<Vec<_>>());
+        assert_eq!(back.as_deref(), Ok(reads));
         bytes
     }
 
@@ -1768,7 +1933,15 @@ mod tests {
 
     #[test]
     fn snapshot_reads_are_decoded_strictly() {
-        let decode = |bytes: &[u8]| exact(bytes, d_snapshot_reads);
+        // Checked alone and inside a CONFIRM-READ envelope: what the one
+        // rejects, the other does.
+        let decode = |bytes: &[u8]| {
+            let alone = exact(bytes, d_snapshot_reads);
+            // Tag 2, subject 49@2, origin 2.
+            let in_message = exact(&[&[2, 0x31, 0x02, 0x02], bytes].concat(), d_message);
+            assert_eq!(alone.is_ok(), in_message.is_ok(), "{bytes:?}");
+            alone
+        };
         let pair = [list_read(0, 10, Some(50)), list_read(1, 11, Some(50))];
         let good = coded(&pair);
         assert_eq!(good[0], 2);

@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 use decaf_trace::TraceKind;
 use decaf_vt::{SiteId, VirtualTime};
 
+use crate::codec::SnapshotReads;
 use crate::message::{Envelope, Message, ObjectAddr, SubjectKind, TxnPropagate};
 use crate::object::ObjectName;
 use crate::store::ApplyBlocked;
@@ -448,16 +449,14 @@ impl Site {
         &mut self,
         subject: VirtualTime,
         origin: SiteId,
-        reads: Vec<crate::message::ReadItem>,
+        reads: SnapshotReads,
     ) {
         match self.evaluate_snapshot_reads(subject, &reads) {
-            SnapVerdict::Confirm(targets) => {
+            SnapVerdict::Confirm(intervals) => {
                 // Reserve every interval, then confirm.
-                for (r, target) in reads.iter().zip(targets) {
-                    debug_assert_eq!(self.resolve_now(&r.addr).ok(), Some(target));
-                    let hi = r.hi.unwrap_or(subject);
+                for (target, lo, hi) in intervals {
                     if let Ok(o) = self.store.get_mut(target) {
-                        let merged = o.value_reservations.reserve_read(r.t_r, hi);
+                        let merged = o.value_reservations.reserve_read(lo, hi);
                         self.stats.snapshot_reservations_merged += u64::from(merged);
                     }
                 }
@@ -487,20 +486,17 @@ impl Site {
         }
     }
 
-    /// Classifies a snapshot CONFIRM-READ batch against current state.
-    fn evaluate_snapshot_reads(
-        &self,
-        subject: VirtualTime,
-        reads: &[crate::message::ReadItem],
-    ) -> SnapVerdict {
+    /// Classifies a snapshot CONFIRM-READ batch against current state,
+    /// decoding each item once.
+    fn evaluate_snapshot_reads(&self, subject: VirtualTime, reads: &SnapshotReads) -> SnapVerdict {
         let mut park = false;
-        let mut targets = Vec::with_capacity(reads.len());
-        for r in reads {
+        let mut intervals = Vec::with_capacity(reads.len());
+        for r in reads.iter() {
             let Ok(target) = self.resolve_now(&r.addr) else {
                 return SnapVerdict::Deny;
             };
-            targets.push(target);
             let hi = r.hi.unwrap_or(subject);
+            intervals.push((target, r.t_r, hi));
             let Ok(obj) = self.store.get(target) else {
                 return SnapVerdict::Deny;
             };
@@ -516,7 +512,7 @@ impl Site {
         if park {
             SnapVerdict::Park
         } else {
-            SnapVerdict::Confirm(targets)
+            SnapVerdict::Confirm(intervals)
         }
     }
 
@@ -659,8 +655,9 @@ impl Site {
 
 /// Verdict classes for snapshot CONFIRM-READ evaluation.
 enum SnapVerdict {
-    /// Every interval is clean; the objects the reads resolved to, in order.
-    Confirm(Vec<ObjectName>),
+    /// Every interval is clean: the object each read resolved to and the
+    /// `(lo, hi)` to reserve on it, in order.
+    Confirm(Vec<(ObjectName, VirtualTime, VirtualTime)>),
     Deny,
     Park,
 }

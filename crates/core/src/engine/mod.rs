@@ -263,7 +263,7 @@ pub struct Site {
 
     /// Snapshot CONFIRM-READ requests blocked only by *uncommitted* writes
     /// in their interval: parked until those writes decide (§4 deferral).
-    pub(crate) parked_snaps: Vec<(VirtualTime, SiteId, Vec<crate::message::ReadItem>)>,
+    pub(crate) parked_snaps: Vec<(VirtualTime, SiteId, crate::codec::SnapshotReads)>,
     pub(crate) joins: BTreeMap<VirtualTime, JoinOp>,
     pub(crate) graph_txns: BTreeMap<VirtualTime, GraphTxn>,
     pub(crate) next_relation: u64,

@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use decaf_trace::TraceKind;
 use decaf_vt::{SiteId, VirtualTime};
 
+use crate::codec::SnapshotReads;
 use crate::message::{Message, ReadItem};
 use crate::object::ObjectName;
 use crate::store::ReadSet;
@@ -69,17 +70,18 @@ impl Site {
     fn request_confirmation(
         &mut self,
         token: VirtualTime,
-        batches: BTreeMap<SiteId, Vec<ReadItem>>,
+        batches: BTreeMap<SiteId, SnapshotReads>,
     ) {
-        for (site, items) in batches {
+        for (site, mut reads) in batches {
             self.snap_requested_at = self.clock.counter();
-            self.stats.snapshot_reads_sent += items.len() as u64;
+            self.stats.snapshot_reads_sent += reads.len() as u64;
+            reads.shrink_to_fit();
             self.send(
                 site,
                 Message::SnapshotConfirm {
                     subject: token,
                     origin: self.id,
-                    reads: items,
+                    reads,
                 },
             );
         }
@@ -179,7 +181,7 @@ impl Site {
         let token = self.clock.next();
         let mut guesses = SnapGuesses::default();
         let mut reads: Vec<(ObjectName, VirtualTime)> = Vec::with_capacity(set.entries().len());
-        let mut remote_batches: BTreeMap<SiteId, Vec<ReadItem>> = BTreeMap::new();
+        let mut remote_batches: BTreeMap<SiteId, SnapshotReads> = BTreeMap::new();
         for (i, e) in set.entries().iter().enumerate() {
             let o = e.object;
             // `ts` is at or above every current VT, so what the snapshot
@@ -222,7 +224,7 @@ impl Site {
                     remote_batches
                         .entry(primary.site)
                         .or_default()
-                        .push(ReadItem {
+                        .push(&ReadItem {
                             addr,
                             t_r,
                             t_g: t_r,
@@ -423,7 +425,7 @@ impl Site {
 
         let token = self.clock.next();
         let mut guesses = SnapGuesses::default();
-        let mut remote_batches: BTreeMap<SiteId, Vec<ReadItem>> = BTreeMap::new();
+        let mut remote_batches: BTreeMap<SiteId, SnapshotReads> = BTreeMap::new();
         for &(i, (o, lo, hi)) in &intervals {
             let primary = set.primary(i);
             debug_assert_eq!(primary, self.store.primary_of(o).ok());
@@ -452,7 +454,7 @@ impl Site {
                 remote_batches
                     .entry(primary.site)
                     .or_default()
-                    .push(ReadItem {
+                    .push(&ReadItem {
                         addr,
                         t_r: lo,
                         t_g: lo,
@@ -833,7 +835,7 @@ mod tests {
         let mut out = BTreeMap::new();
         for env in site.drain_outbox() {
             if let Message::SnapshotConfirm { reads, .. } = env.msg {
-                let earlier = out.insert(env.to, reads);
+                let earlier = out.insert(env.to, reads.iter().collect());
                 assert!(earlier.is_none(), "one batch per primary site");
             }
         }

@@ -79,6 +79,7 @@ mod value;
 mod view;
 pub mod wiring;
 
+pub use codec::SnapshotReads;
 pub use collab::{Invitation, RelationId, RelationInfo};
 pub use engine::{EngineEvent, Site, SiteConfig};
 pub use error::{DecafError, TxnError};

@@ -18,6 +18,7 @@
 
 use decaf_vt::{SiteId, VirtualTime};
 
+use crate::codec::SnapshotReads;
 use crate::collab::RelationId;
 use crate::graph::{NodeRef, ReplicationGraph};
 use crate::object::{AssocState, Blueprint, ObjectName};
@@ -93,10 +94,10 @@ pub enum PathElem {
 ///
 /// A one-element path is kept inline, with no heap memory of its own: it
 /// is the shape of every list child's address under its root, so a view
-/// snapshot over a list sends one per object it reads, and the
-/// CONFIRM-READ carrying them is built on one thread and freed on another
-/// (a writer thread after encoding, the node thread after decoding). Two or
-/// more elements go in a `Vec`. Equality and hashing see only the
+/// snapshot over a list builds one per object it reads, and the primary
+/// decodes one per item it checks, without allocating (the CONFIRM-READ
+/// itself holds their coding, [`SnapshotReads`]). Two or more elements go
+/// in a `Vec`. Equality and hashing see only the
 /// elements (`elems`), whatever the representation.
 #[derive(Clone, Default)]
 pub struct Path(PathRepr);
@@ -122,7 +123,7 @@ impl Path {
     }
 
     /// The elements, from the root down.
-    pub(crate) fn elems(&self) -> &[PathElem] {
+    pub fn elems(&self) -> &[PathElem] {
         match &self.0 {
             PathRepr::Root => &[],
             PathRepr::One(e) => std::slice::from_ref(e),
@@ -384,8 +385,8 @@ pub enum Message {
         subject: VirtualTime,
         /// Site hosting the view proxy.
         origin: SiteId,
-        /// The intervals to verify and reserve.
-        reads: Vec<ReadItem>,
+        /// The intervals to verify and reserve, kept as their wire coding.
+        reads: SnapshotReads,
     },
     /// Primary-site verdict: all checks in the referenced request passed.
     Confirm {

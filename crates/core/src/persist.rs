@@ -460,9 +460,10 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
     })
 }
 
-/// An append-only, fsync-on-commit WAL file (`wal.log` under a site's data
-/// directory). Opening scans the existing contents, truncates any torn
-/// tail, and positions appends at the end of the valid prefix.
+/// An append-only WAL file (`wal.log` under a site's data directory),
+/// fsynced before what it records is acknowledged. Opening scans the
+/// existing contents, truncates any torn tail, and positions appends at the
+/// end of the valid prefix.
 #[derive(Debug)]
 pub struct CommitLog {
     file: std::fs::File,
@@ -502,19 +503,39 @@ impl CommitLog {
     /// Writes one already-framed record and fsyncs; returns the fsync
     /// latency.
     fn append(&mut self, framed: &[u8]) -> Result<Duration, WalError> {
+        self.write(framed)?;
+        self.sync()
+    }
+
+    /// Writes one already-framed record, not yet synced.
+    fn write(&mut self, framed: &[u8]) -> Result<(), WalError> {
         self.file.write_all(framed)?;
-        let start = Instant::now();
-        self.file.sync_data()?;
         self.len += framed.len() as u64;
-        Ok(start.elapsed())
+        Ok(())
     }
 
     /// Appends one committed transaction and fsyncs; returns the fsync
     /// latency (for the WAL latency histogram).
     pub fn append_commit(&mut self, rec: &CommitRecord) -> Result<Duration, WalError> {
+        self.write_commit(rec)?;
+        self.sync()
+    }
+
+    /// Appends one committed transaction without syncing: it survives a
+    /// crash only once a later [`sync`](CommitLog::sync) returns. Returns
+    /// the bytes the log grew by.
+    pub fn write_commit(&mut self, rec: &CommitRecord) -> Result<u64, WalError> {
         let mut buf = Vec::new();
         commit_frame(&mut buf, rec);
-        self.append(&buf)
+        self.write(&buf)?;
+        Ok(buf.len() as u64)
+    }
+
+    /// Fsyncs everything written so far; returns the fsync latency.
+    pub fn sync(&mut self) -> Result<Duration, WalError> {
+        let start = Instant::now();
+        self.file.sync_data()?;
+        Ok(start.elapsed())
     }
 
     /// Appends an inline checkpoint record and fsyncs.

@@ -143,7 +143,8 @@ fn snapshot_confirm_for_unknown_object_is_denied() {
                 t_r: VirtualTime::ZERO,
                 t_g: VirtualTime::ZERO,
                 hi: None,
-            }],
+            }]
+            .into(),
         },
     ));
     let out = a.drain_outbox();

@@ -3,9 +3,9 @@
 //! one-element path. The request is built on a site's node thread and freed
 //! on a writer thread after encoding, and the copy decoded at the primary
 //! is built on a reader thread and freed on the node thread, so every
-//! per-item allocation is a cross-thread malloc/free pair. A one-element
-//! path is kept inline, so cloning or decoding the whole request is one
-//! allocation: its `Vec` of items.
+//! per-item allocation is a cross-thread malloc/free pair. The request
+//! holds its items as their wire coding, so cloning or decoding the whole
+//! request is one allocation, and what it holds is 4–5 bytes an item.
 //!
 //! Alone in this file: the count is read off a counting global allocator,
 //! which only means something with one test thread.
@@ -89,6 +89,15 @@ fn list_snapshot_request() -> Envelope {
 #[test]
 fn a_list_snapshot_request_clones_and_decodes_in_one_allocation() {
     let request = list_snapshot_request();
+    let Message::SnapshotConfirm { reads, .. } = &request.msg else {
+        unreachable!("a snapshot request");
+    };
+    assert!(
+        reads.heap_bytes() <= 6 * reads.len(),
+        "{} heap bytes for {} reads",
+        reads.heap_bytes(),
+        reads.len()
+    );
 
     let (cloned, copy) = allocations(|| request.clone());
     assert_eq!(copy, request);

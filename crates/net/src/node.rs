@@ -8,12 +8,13 @@
 //! * **upon a transport event** — [`Node::deliver`]: a message or a §3.4
 //!   fail-stop notice goes into the engine;
 //! * **upon a drain point** — [`Node::flush`]: append *every* queued commit
-//!   record to the log, then hand the outbox to the substrate, then return
-//!   the engine events. Persist → send → events, every time: a durable
-//!   primary commits inside `Site::execute`, so its COMMITs are in the
-//!   outbox before anything has been received, and a loop that sends first
-//!   acknowledges commits it has not written. A failed append returns
-//!   before anything is sent (fail-stop is the defined response);
+//!   record to the log and sync it once, then hand the outbox to the
+//!   substrate, then return the engine events. Persist → send → events,
+//!   every time: a durable primary commits inside `Site::execute`, so its
+//!   COMMITs are in the outbox before anything has been received, and a
+//!   loop that sends first acknowledges commits it has not written. A
+//!   failed append or sync returns before anything is sent (fail-stop is
+//!   the defined response);
 //! * **upon a turn of a real endpoint** — [`Node::pump`]: flush, wait for
 //!   traffic, deliver what arrived, flush.
 //!
@@ -33,27 +34,38 @@ use crate::{TransportEndpoint, TransportEvent};
 
 /// Where a durable node's commit records go.
 pub trait Log {
-    /// Appends one commit record and returns once it would survive a
-    /// crash: the bytes the log grew by and the time the sync took.
-    fn append_commit(&mut self, rec: CommitRecord) -> Result<(u64, Duration), WalError>;
+    /// Appends one commit record and returns the bytes the log grew by.
+    /// The record need not survive a crash until [`sync`](Log::sync)
+    /// returns.
+    fn append_commit(&mut self, rec: CommitRecord) -> Result<u64, WalError>;
+
+    /// Returns once every record appended so far would survive a crash,
+    /// with the time the sync took.
+    fn sync(&mut self) -> Result<Duration, WalError>;
 }
 
-/// The on-disk log: one fsync per record.
+/// The on-disk log: one fsync per [`sync`](Log::sync).
 impl Log for CommitLog {
-    fn append_commit(&mut self, rec: CommitRecord) -> Result<(u64, Duration), WalError> {
-        let before = self.len_bytes();
-        let sync = CommitLog::append_commit(self, &rec)?;
-        Ok((self.len_bytes() - before, sync))
+    fn append_commit(&mut self, rec: CommitRecord) -> Result<u64, WalError> {
+        self.write_commit(&rec)
+    }
+
+    fn sync(&mut self) -> Result<Duration, WalError> {
+        CommitLog::sync(self)
     }
 }
 
 /// An in-memory image of `wal.log` (the simulator's disk): same frames,
 /// nothing to sync.
 impl Log for Vec<u8> {
-    fn append_commit(&mut self, rec: CommitRecord) -> Result<(u64, Duration), WalError> {
+    fn append_commit(&mut self, rec: CommitRecord) -> Result<u64, WalError> {
         let before = self.len();
         append_frame(self, &WalRecord::Commit(rec));
-        Ok(((self.len() - before) as u64, Duration::ZERO))
+        Ok((self.len() - before) as u64)
+    }
+
+    fn sync(&mut self) -> Result<Duration, WalError> {
+        Ok(Duration::ZERO)
     }
 }
 
@@ -111,7 +123,8 @@ impl<L: Log> Node<L> {
         (self.site, self.log)
     }
 
-    /// Commit records appended so far, and the sync latency of each in µs.
+    /// Commit records appended so far, and the latency in µs of each sync
+    /// (one per flush that appended).
     pub fn wal_stats(&self) -> (u64, &Histogram) {
         (self.wal_appends, &self.wal_sync_us)
     }
@@ -124,30 +137,32 @@ impl<L: Log> Node<L> {
         }
     }
 
-    /// Persists every queued commit record, then passes the outbox to
-    /// `send`, then returns the engine events since the last flush. Each
-    /// append is traced as one `WalAppend` (`vt` = commit VT, `n` = bytes).
+    /// Persists every queued commit record with one sync, then passes the
+    /// outbox to `send`, then returns the engine events since the last
+    /// flush. Each append is traced as one `WalAppend` (`vt` = commit VT,
+    /// `n` = bytes).
     ///
     /// # Errors
     ///
-    /// The first failed append, before anything is sent; the node must
-    /// stop (its outbox still holds what the lost commit would have told
-    /// the peers).
+    /// The first failed append, or a failed sync, before anything is sent;
+    /// the node must stop (its outbox still holds what the lost commits
+    /// would have told the peers).
     pub fn flush(&mut self, mut send: impl FnMut(Envelope)) -> Result<Vec<EngineEvent>, WalError> {
-        for rec in self.site.drain_wal() {
-            let Some(log) = self.log.as_mut() else {
-                continue;
-            };
-            let vt = rec.vt;
-            let (bytes, sync) = log.append_commit(rec)?;
-            self.wal_appends += 1;
+        let records = self.site.drain_wal();
+        if let Some(log) = self.log.as_mut().filter(|_| !records.is_empty()) {
+            for rec in records {
+                let vt = rec.vt;
+                let bytes = log.append_commit(rec)?;
+                self.wal_appends += 1;
+                self.site.trace_sink().emit(
+                    TraceKind::WalAppend,
+                    Some((vt.lamport, vt.site.0)),
+                    None,
+                    Some(bytes),
+                );
+            }
+            let sync = log.sync()?;
             self.wal_sync_us.record(sync.as_micros() as u64);
-            self.site.trace_sink().emit(
-                TraceKind::WalAppend,
-                Some((vt.lamport, vt.site.0)),
-                None,
-                Some(bytes),
-            );
         }
         for env in self.site.drain_outbox() {
             send(env);
@@ -219,12 +234,16 @@ mod tests {
     }
 
     impl Log for RecLog {
-        fn append_commit(&mut self, rec: CommitRecord) -> Result<(u64, Duration), WalError> {
+        fn append_commit(&mut self, rec: CommitRecord) -> Result<u64, WalError> {
             if self.fail {
                 return Err(WalError::Io(std::io::Error::other("disk gone")));
             }
             self.journal.borrow_mut().push(Did::Append(rec.vt));
-            Ok((21, Duration::ZERO))
+            Ok(21)
+        }
+
+        fn sync(&mut self) -> Result<Duration, WalError> {
+            Ok(Duration::ZERO)
         }
     }
 
@@ -316,6 +335,72 @@ mod tests {
             endpoint.journal.borrow()
         );
         assert_eq!(node.wal_stats().0, 0);
+    }
+
+    /// A log that journals its appends and syncs, in order, and refuses
+    /// every sync if told to.
+    struct SyncLog {
+        journal: std::rc::Rc<RefCell<Vec<&'static str>>>,
+        sync_fails: bool,
+    }
+
+    impl Log for SyncLog {
+        fn append_commit(&mut self, _rec: CommitRecord) -> Result<u64, WalError> {
+            self.journal.borrow_mut().push("append");
+            Ok(21)
+        }
+
+        fn sync(&mut self) -> Result<Duration, WalError> {
+            if self.sync_fails {
+                return Err(WalError::Io(std::io::Error::other("disk gone")));
+            }
+            self.journal.borrow_mut().push("sync");
+            Ok(Duration::ZERO)
+        }
+    }
+
+    /// The primary fixture over a [`SyncLog`], with three commits queued.
+    fn three_commits(sync_fails: bool) -> (Node<SyncLog>, std::rc::Rc<RefCell<Vec<&'static str>>>) {
+        let (node, _, obj) = primary(false);
+        let journal = std::rc::Rc::new(RefCell::new(Vec::new()));
+        let log = SyncLog {
+            journal: journal.clone(),
+            sync_fails,
+        };
+        let mut node = Node::durable(node.into_parts().0, log);
+        for _ in 0..3 {
+            node.site.execute(Box::new(Incr(obj)));
+        }
+        (node, journal)
+    }
+
+    #[test]
+    fn a_flush_syncs_once_after_all_its_appends_and_before_any_send() {
+        let (mut node, journal) = three_commits(false);
+        node.flush(|_| journal.borrow_mut().push("send"))
+            .expect("append works");
+        {
+            let journal = journal.borrow();
+            assert_eq!(journal[..4], ["append", "append", "append", "sync"]);
+            assert!(journal.len() > 4 && journal[4..].iter().all(|d| *d == "send"));
+        }
+        assert_eq!(node.wal_stats().0, 3);
+        assert_eq!(node.wal_stats().1.count(), 1, "one sync sample per flush");
+
+        // A flush with nothing to append syncs nothing.
+        node.flush(drop).expect("nothing to append");
+        assert_eq!(node.wal_stats().1.count(), 1);
+    }
+
+    #[test]
+    fn a_failed_sync_stops_the_node_before_anything_is_sent() {
+        let (mut node, journal) = three_commits(true);
+        let err = node
+            .flush(|_| journal.borrow_mut().push("send"))
+            .unwrap_err();
+        assert!(matches!(err, WalError::Io(_)), "{err}");
+        assert_eq!(*journal.borrow(), ["append", "append", "append"]);
+        assert_eq!(node.wal_stats().1.count(), 0);
     }
 
     #[test]

@@ -8,11 +8,11 @@ use std::io::Cursor;
 
 use decaf_proptest::prelude::*;
 
-use decaf_core::codec::{crc32, MAX_NESTING};
+use decaf_core::codec::{crc32, put_varint, MAX_NESTING};
 use decaf_core::{
     AssocSnapshot, Blueprint, Delegate, Envelope, Message, NodeRef, ObjectAddr, ObjectName, Path,
-    PathElem, ReadItem, RelationId, ReplicationGraph, ScalarValue, SpanCtx, SubjectKind,
-    TreeSnapshot, TxnOutcome, TxnPropagate, UpdateItem, WireOp,
+    PathElem, ReadItem, RelationId, ReplicationGraph, ScalarValue, SnapshotReads, SpanCtx,
+    SubjectKind, TreeSnapshot, TxnOutcome, TxnPropagate, UpdateItem, WireOp,
 };
 use decaf_net::wire::{
     self, encode_frame, Frame, FrameKind, FrameReader, WireError, CODEC_VERSION, HEADER_LEN, MAGIC,
@@ -167,7 +167,7 @@ fn sample_envelopes() -> Vec<Envelope> {
         Message::SnapshotConfirm {
             subject: vt(210, 3),
             origin: SiteId(3),
-            reads: sample_reads(),
+            reads: sample_reads().into(),
         },
         Message::Confirm {
             subject: vt(211, 1),
@@ -551,9 +551,116 @@ fn snapshot_env(reads: Vec<ReadItem>) -> Envelope {
         msg: Message::SnapshotConfirm {
             subject: vt(49, 2),
             origin: SiteId(2),
-            reads,
+            reads: reads.into(),
         },
         span: None,
+    }
+}
+
+/// Whole lists walked in order, as a snapshot over one reads them: every
+/// child after the first sets all five flag bits.
+fn arb_list_walk() -> impl Strategy<Value = Vec<ReadItem>> {
+    (0usize..300, 0u64..100_000, 0u64..100_000)
+        .prop_map(|(children, first_tag, hi)| list_children_reads(children, first_tag, vt(hi, 2)))
+}
+
+/// The snapshot-read coding as it was written when a request held a
+/// `Vec<ReadItem>`: the reference a [`SnapshotReads`] must reproduce byte
+/// for byte (codec module docs, "Snapshot reads").
+fn reference_snapshot_reads(o: &mut Vec<u8>, reads: &[ReadItem]) {
+    fn put_vt(o: &mut Vec<u8>, t: &VirtualTime) {
+        put_varint(o, t.lamport);
+        put_varint(o, t.site.0 as u64);
+    }
+    fn put_name(o: &mut Vec<u8>, n: &ObjectName) {
+        put_varint(o, n.site.0 as u64);
+        put_varint(o, n.seq);
+    }
+    fn put_hi(o: &mut Vec<u8>, hi: Option<VirtualTime>) {
+        match hi {
+            None => o.push(0),
+            Some(hi) => {
+                o.push(1);
+                put_vt(o, &hi);
+            }
+        }
+    }
+    fn put_addr(o: &mut Vec<u8>, a: &ObjectAddr) {
+        match a {
+            ObjectAddr::Direct(n) => {
+                o.push(0);
+                put_name(o, n);
+            }
+            ObjectAddr::Indirect { root, path } => {
+                o.push(1);
+                put_name(o, root);
+                put_varint(o, path.elems().len() as u64);
+                for e in path.elems() {
+                    match e {
+                        PathElem::Index { index, tag } => {
+                            o.push(0);
+                            put_varint(o, *index as u64);
+                            put_vt(o, tag);
+                        }
+                        PathElem::Key(k) => {
+                            o.push(1);
+                            put_varint(o, k.len() as u64);
+                            o.extend_from_slice(k.as_bytes());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let root_and_index = |a: &ObjectAddr| match a {
+        ObjectAddr::Direct(n) => (*n, None),
+        ObjectAddr::Indirect { root, path } => match path.elems() {
+            [PathElem::Index { index, tag }] => (*root, Some((*index, *tag))),
+            _ => (*root, None),
+        },
+    };
+    put_varint(o, reads.len() as u64);
+    let mut prev: Option<(ObjectName, Option<usize>, Option<VirtualTime>)> = None;
+    for r in reads {
+        let (root, index) = root_and_index(&r.addr);
+        let mut flags = 0;
+        if let (Some((index, tag)), Some((prev_root, prev_index, _))) = (index, prev) {
+            if prev_root == root {
+                flags |= 0x01;
+                if prev_index.is_some_and(|i| i.checked_add(1) == Some(index)) {
+                    flags |= 0x02;
+                }
+                if r.t_r == tag {
+                    flags |= 0x04;
+                }
+            }
+        }
+        if r.t_g == r.t_r {
+            flags |= 0x08;
+        }
+        if prev.is_some_and(|(_, _, hi)| hi == r.hi) {
+            flags |= 0x10;
+        }
+        o.push(flags);
+        match index {
+            Some((index, tag)) if flags & 0x01 != 0 => {
+                if flags & 0x02 == 0 {
+                    put_varint(o, index as u64);
+                }
+                put_vt(o, &tag);
+            }
+            _ => put_addr(o, &r.addr),
+        }
+        if flags & 0x04 == 0 {
+            put_vt(o, &r.t_r);
+        }
+        if flags & 0x08 == 0 {
+            put_vt(o, &r.t_g);
+        }
+        if flags & 0x10 == 0 {
+            put_hi(o, r.hi);
+        }
+        prev = Some((root, index.map(|(i, _)| i), r.hi));
     }
 }
 
@@ -643,7 +750,7 @@ fn arb_msg() -> impl Strategy<Value = Message> {
             .prop_map(|(subject, origin, reads)| Message::SnapshotConfirm {
                 subject,
                 origin,
-                reads
+                reads: reads.into()
             }),
         (arb_vt(), arb_kind()).prop_map(|(subject, kind)| Message::Confirm { subject, kind }),
         (arb_vt(), arb_kind()).prop_map(|(subject, kind)| Message::Deny { subject, kind }),
@@ -870,6 +977,33 @@ proptest! {
             let env = snapshot_env(reads);
             let bytes = wire::encode_envelope_v2(&env);
             prop_assert_eq!(wire::decode_envelope_v2(&bytes).unwrap(), env);
+        }
+    }
+
+    /// Pushing items one at a time writes the reference coding of the
+    /// whole sequence, and `iter()` gives the items back in order.
+    #[test]
+    fn pushed_snapshot_reads_are_the_reference_coding(
+        walk in arb_walk_reads(),
+        full in prop::collection::vec(arb_read(), 0..6),
+        list in arb_list_walk(),
+    ) {
+        for items in [walk, full, list] {
+            let mut reads = SnapshotReads::new();
+            for item in &items {
+                reads.push(item);
+            }
+            prop_assert_eq!(reads.len(), items.len());
+            prop_assert_eq!(reads.iter().collect::<Vec<_>>(), items.clone());
+            // The envelope's bytes are its header, then the reads' coding.
+            let mut expected = wire::encode_envelope_v2(&snapshot_env(vec![]));
+            expected.pop(); // the empty request's count
+            reference_snapshot_reads(&mut expected, &items);
+            let built = Envelope {
+                msg: Message::SnapshotConfirm { subject: vt(49, 2), origin: SiteId(2), reads },
+                ..snapshot_env(vec![])
+            };
+            prop_assert_eq!(wire::encode_envelope_v2(&built), expected);
         }
     }
 

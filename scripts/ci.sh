@@ -116,6 +116,15 @@ run cargo test --workspace --offline -q
 run cargo test -p decaf-apps --test tcp_transport --offline -q \
     durable_site_recovers_from_sigkill_and_rejoins
 
+# The byte goldens, gated by name like the durability test above: the wire
+# envelopes (`wire_codec_v2`), the WAL frames (`wal`) and the codec's own
+# unit goldens (the snapshot-read flag bytes and the strict decoder). A
+# snapshot's CONFIRM-READ is held as its wire coding (codec::SnapshotReads),
+# so these bytes are also the engine's in-memory form of a request.
+run cargo test -p decaf-net --test wire_codec_v2 --offline -q
+run cargo test -p decaf-core --test wal --offline -q
+run cargo test -p decaf-core --lib --offline -q codec::
+
 # The TCP mesh's accept thread sleeps in accept() and is woken by
 # shutdown's dial to its own listener. Ten rounds under a timeout, so a
 # shutdown that hangs or an accept/shutdown race that shows once in a few
@@ -131,16 +140,18 @@ done
 
 # The engine's exactness cross-checks are debug assertions (a snapshot's
 # flat read set against Store::subtree, primary_of, addr_at and
-# value_at(ts); the embedding registry against the list scan; the primary's
-# resolved targets against a second resolve). A debug build of the
-# benchmark harness arms every one of them over a real three-site TCP
-# session with a 256-element list, conflicts and rollbacks, which the unit
-# fixtures do not have. The same session arms Site::drain_outbox's check
-# that no CONFIRM-READ is queued for a snapshot the site no longer holds
-# (retire_snapshot, DESIGN.md §8): the 256-append fill supersedes a view's
-# snapshot many times between two drains, and the bouts roll back and
-# re-issue them. A site that trips an assertion may only cost the harness a
-# thread, so a panic line on stderr fails the block as well.
+# value_at(ts); the embedding registry against the list scan). A debug
+# build of the benchmark harness arms every one of them over a real
+# three-site TCP session with a 256-element list, conflicts and rollbacks,
+# which the unit fixtures do not have. The same session arms
+# Site::drain_outbox's check that no CONFIRM-READ is queued for a snapshot
+# the site no longer holds (retire_snapshot, DESIGN.md §8): the 256-append
+# fill supersedes a view's snapshot many times between two drains, and the
+# bouts roll back and re-issue them. It also arms SnapshotReads::push's
+# check that iter() yields what was pushed: every CONFIRM-READ item the
+# session builds is decoded back from its coding and compared. A site that
+# trips an assertion may only cost the harness a thread, so a panic line on
+# stderr fails the block as well.
 echo "==> decaf-e2e duel_list3 --smoke, debug build (timeout 600 s)"
 run cargo build -p decaf-e2e -p decaf-apps --bin decaf-e2e --bin decaf-site --offline -q
 E2E_ERR="$(mktemp)"

@@ -6,7 +6,30 @@
 //! One tag byte per enum variant, LEB128 varints for unsigned integers,
 //! zigzag varints for signed ones, length-prefixed UTF-8 strings, and 8-byte
 //! little-endian IEEE bit patterns for reals (so non-finite values
-//! round-trip).
+//! round-trip). A struct is its fields in order; a sequence, set or map is a
+//! varint count, then its items; an option is a byte 0 or 1, then the value.
+//!
+//! # One table per layout
+//!
+//! Each layout is stated once, and both directions come from it: a type
+//! implements the private `Wire` trait, whose `put` appends the type and
+//! whose `get` reads it back. The leaves (integers, reals, strings, options,
+//! sequences, sets, maps) and the few layouts that are not plain field
+//! sequences (a path's one-element form, snapshot reads, the replication
+//! graph, histories, reservations, the clock and the envelope's trailing
+//! span) are written by hand; every other struct and enum is one row of the
+//! `wire!` tables, which list each tag, variant and field once, in the order
+//! their bytes take.
+//!
+//! # Adding a field or a variant
+//!
+//! A new field is its name in its row of the table, where its bytes go; a
+//! new variant is one row with the next free tag. Then pin the bytes: add
+//! the variant to `sample_envelopes` and its hex to `SAMPLE_ENVELOPES_HEX`
+//! in `decaf-net`'s `tests/wire_codec_v2.rs`, or extend the populated-log
+//! goldens of this crate's `tests/wal.rs`. A change to bytes that are
+//! already written bumps `decaf-net`'s `CODEC_VERSION` (the wire) or
+//! [`WAL_FORMAT_VERSION`](crate::WAL_FORMAT_VERSION) (the log).
 //!
 //! # Snapshot reads
 //!
@@ -60,7 +83,7 @@
 //! strings; callers wrap them in their own error type (`WireError::Codec`,
 //! [`WalError::SchemaMismatch`](crate::WalError)).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use decaf_vt::{History, LamportClock, ReservationSet, SiteId, VirtualTime};
@@ -72,7 +95,7 @@ use crate::message::{
     SubjectKind, TreeSnapshot, TxnPropagate, UpdateItem, WireOp,
 };
 use crate::object::{
-    AssocState, Blueprint, ListEntry, ListOp, ObjectKind, ObjectName, ObjectValue, PropagationMode,
+    Blueprint, ListEntry, ListOp, ObjectKind, ObjectName, ObjectValue, PropagationMode, Relation,
     TupleOp,
 };
 use crate::persist::{Checkpoint, CommitRecord, ObjectCheckpoint};
@@ -118,7 +141,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0, bytes)
 }
 
-// ---- primitives -------------------------------------------------------
+// ---- the two directions of a layout -------------------------------------
+
+/// A type's binary layout: `put` appends it, `get` reads it back.
+///
+/// Every `put` and `get` below, and the reader's methods, are
+/// `#[inline]`. Unlike a private function, a trait method keeps an exported
+/// symbol, which LLVM seldom inlines, and the reader's methods are called
+/// from other codegen units through the GOT. Without the attribute on the
+/// `Wire` methods, a blind write's envelopes decode 28 % slower than from
+/// the free functions this trait replaced (EXPERIMENTS.md §C1).
+trait Wire: Sized {
+    fn put(&self, o: &mut Vec<u8>);
+    fn get(r: &mut R) -> Result<Self, String>;
+}
 
 /// Appends `v` as an LEB128 varint.
 pub fn put_varint(o: &mut Vec<u8>, mut v: u64) {
@@ -133,244 +169,520 @@ pub fn put_varint(o: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn put_str(o: &mut Vec<u8>, s: &str) {
-    put_varint(o, s.len() as u64);
-    o.extend_from_slice(s.as_bytes());
+/// Appends the count of `items`, then each of them.
+fn put_all<'a, T: Wire + 'a>(o: &mut Vec<u8>, items: impl ExactSizeIterator<Item = &'a T>) {
+    put_varint(o, items.len() as u64);
+    for item in items {
+        item.put(o);
+    }
 }
 
-fn put_i64(o: &mut Vec<u8>, v: i64) {
-    // Zigzag: small magnitudes of either sign stay short.
-    put_varint(o, ((v << 1) ^ (v >> 63)) as u64);
+impl Wire for u64 {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_varint(o, *self);
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        r.varint()
+    }
 }
 
-fn put_f64(o: &mut Vec<u8>, v: f64) {
-    o.extend_from_slice(&v.to_bits().to_le_bytes());
+impl Wire for u32 {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_varint(o, u64::from(*self));
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        u32::try_from(r.varint()?).map_err(|_| "varint overflows u32".to_string())
+    }
 }
 
-fn put_bool(o: &mut Vec<u8>, v: bool) {
-    o.push(u8::from(v));
+impl Wire for usize {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_varint(o, *self as u64);
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        usize::try_from(r.varint()?).map_err(|_| "varint overflows usize".to_string())
+    }
 }
 
-fn put_opt<T>(o: &mut Vec<u8>, v: Option<T>, f: impl FnOnce(&mut Vec<u8>, T)) {
-    match v {
-        None => o.push(0),
-        Some(v) => {
-            o.push(1);
-            f(o, v);
+impl Wire for i64 {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        // Zigzag: small magnitudes of either sign stay short.
+        put_varint(o, ((self << 1) ^ (self >> 63)) as u64);
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let z = r.varint()?;
+        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
+    }
+}
+
+impl Wire for f64 {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        o.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let s = r.slice(8)?;
+        let bits = u64::from_le_bytes(s.try_into().expect("slice has 8 bytes"));
+        Ok(f64::from_bits(bits))
+    }
+}
+
+impl Wire for bool {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        o.push(u8::from(*self));
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("bad bool byte {b}")),
         }
     }
 }
 
-// ---- encoder ----------------------------------------------------------
-
-/// Appends the binary encoding of `e` to `o`.
-pub fn envelope(o: &mut Vec<u8>, e: &Envelope) {
-    put_varint(o, e.from.0 as u64);
-    put_varint(o, e.to.0 as u64);
-    vt(o, &e.clock);
-    message(o, &e.msg);
-    // Trailing optional span section. Span-less envelopes keep the
-    // pre-span byte layout exactly (pinned by golden snapshots); the
-    // decoder parses a span iff bytes remain after the message, which
-    // is sound because every envelope is decoded from an exactly
-    // delimited slice (whole frame payload, or the batch's per-entry
-    // length prefix).
-    if let Some(s) = &e.span {
-        put_varint(o, s.origin.0 as u64);
-        put_varint(o, s.seq);
-        put_varint(o, s.hop as u64);
+impl Wire for String {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_varint(o, self.len() as u64);
+        o.extend_from_slice(self.as_bytes());
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let len = usize::get(r)?;
+        let s = r.slice(len)?;
+        String::from_utf8(s.to_vec()).map_err(|_| "invalid UTF-8 in string".to_string())
     }
 }
 
-fn vt(o: &mut Vec<u8>, t: &VirtualTime) {
-    put_varint(o, t.lamport);
-    put_varint(o, t.site.0 as u64);
-}
-
-fn oname(o: &mut Vec<u8>, n: &ObjectName) {
-    put_varint(o, n.site.0 as u64);
-    put_varint(o, n.seq);
-}
-
-fn noderef(o: &mut Vec<u8>, n: &NodeRef) {
-    put_varint(o, n.site.0 as u64);
-    oname(o, &n.object);
-}
-
-fn scalar(o: &mut Vec<u8>, s: &ScalarValue) {
-    match s {
-        ScalarValue::Int(v) => {
-            o.push(0);
-            put_i64(o, *v);
-        }
-        ScalarValue::Real(v) => {
-            o.push(1);
-            put_f64(o, *v);
-        }
-        ScalarValue::Str(v) => {
-            o.push(2);
-            put_str(o, v);
-        }
-    }
-}
-
-fn blueprint(o: &mut Vec<u8>, b: &Blueprint) {
-    match b {
-        Blueprint::Int(v) => {
-            o.push(0);
-            put_i64(o, *v);
-        }
-        Blueprint::Real(v) => {
-            o.push(1);
-            put_f64(o, *v);
-        }
-        Blueprint::Str(v) => {
-            o.push(2);
-            put_str(o, v);
-        }
-        Blueprint::List(children) => {
-            o.push(3);
-            put_varint(o, children.len() as u64);
-            for c in children {
-                blueprint(o, c);
-            }
-        }
-        Blueprint::Tuple(children) => {
-            o.push(4);
-            put_varint(o, children.len() as u64);
-            for (k, c) in children {
-                put_str(o, k);
-                blueprint(o, c);
-            }
-        }
-    }
-}
-
-fn path(o: &mut Vec<u8>, p: &Path) {
-    put_varint(o, p.elems().len() as u64);
-    for e in p.elems() {
-        match e {
-            PathElem::Index { index, tag } => {
-                o.push(0);
-                put_varint(o, *index as u64);
-                vt(o, tag);
-            }
-            PathElem::Key(k) => {
+impl<T: Wire> Wire for Option<T> {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        match self {
+            None => o.push(0),
+            Some(v) => {
                 o.push(1);
-                put_str(o, k);
+                v.put(o);
             }
         }
     }
-}
-
-fn addr(o: &mut Vec<u8>, a: &ObjectAddr) {
-    match a {
-        ObjectAddr::Direct(n) => {
-            o.push(0);
-            oname(o, n);
-        }
-        ObjectAddr::Indirect { root, path: p } => {
-            o.push(1);
-            oname(o, root);
-            path(o, p);
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            b => Err(format!("bad option byte {b}")),
         }
     }
 }
 
-fn assoc_state(o: &mut Vec<u8>, a: &AssocState) {
-    put_varint(o, a.len() as u64);
-    for (RelationId(id), rel) in a {
-        put_varint(o, *id);
-        put_varint(o, rel.members.len() as u64);
-        for m in &rel.members {
-            noderef(o, m);
-        }
-        put_str(o, &rel.description);
+impl<T: Wire> Wire for Vec<T> {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_all(o, self.iter());
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let n = r.count()?;
+        r.items(n)
     }
 }
 
-fn assoc(o: &mut Vec<u8>, a: &AssocSnapshot) {
-    assoc_state(o, &a.0);
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_all(o, self.iter());
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let n = r.count()?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
 }
 
-fn tree(o: &mut Vec<u8>, t: &TreeSnapshot) {
-    match t {
-        TreeSnapshot::Scalar(s) => {
-            o.push(0);
-            scalar(o, s);
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_varint(o, self.len() as u64);
+        for (k, v) in self {
+            k.put(o);
+            v.put(o);
         }
-        TreeSnapshot::List(entries) => {
-            o.push(1);
-            put_varint(o, entries.len() as u64);
-            for (tag, child) in entries {
-                vt(o, tag);
-                tree(o, child);
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let n = r.count()?;
+        (0..n).map(|_| <(K, V)>::get(r)).collect()
+    }
+}
+
+/// Written by content: sharing is a memory matter only.
+impl<T: Wire> Wire for Arc<T> {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        (**self).put(o);
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        T::get(r).map(Arc::new)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        self.0.put(o);
+        self.1.put(o);
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        self.0.put(o);
+        self.1.put(o);
+        self.2.put(o);
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+// ---- the tables ---------------------------------------------------------
+
+/// Implements [`Wire`] for each item from one table. `struct T { a, b }` is
+/// its fields in the order listed. `enum T { 0 => A(x), 1 => B { a, b } }`
+/// is the variant's tag byte, then its fields in the order listed; a tag
+/// past the table is refused as "unknown T tag". A variant marked `nested`
+/// is one composite level, decoded under [`R::nested`].
+macro_rules! wire {
+    () => {};
+    (struct $T:ident { $($f:tt),* $(,)? } $($rest:tt)*) => {
+        impl Wire for $T {
+            #[inline]
+            fn put(&self, o: &mut Vec<u8>) {
+                $( self.$f.put(o); )*
+            }
+            #[inline]
+            fn get(r: &mut R) -> Result<Self, String> {
+                Ok($T { $( $f: Wire::get(r)? ),* })
             }
         }
-        TreeSnapshot::Tuple(entries) => {
-            o.push(2);
-            put_varint(o, entries.len() as u64);
-            for (k, child) in entries {
-                put_str(o, k);
-                tree(o, child);
+        wire!($($rest)*);
+    };
+    (enum $T:ident {
+        $( $tag:literal => $V:ident $(($x:ident))? $({ $($f:ident),* $(,)? })? $($nested:ident)? ),*
+        $(,)?
+    } $($rest:tt)*) => {
+        impl Wire for $T {
+            #[inline]
+            fn put(&self, o: &mut Vec<u8>) {
+                match self {
+                    $( $T::$V $(($x))? $({ $($f),* })? => {
+                        o.push($tag);
+                        $( $x.put(o); )?
+                        $( $( $f.put(o); )* )?
+                    } )*
+                }
+            }
+            #[inline]
+            fn get(r: &mut R) -> Result<Self, String> {
+                match r.u8()? {
+                    $( $tag => wire!(@level r $($nested)? {
+                        $( let $x = Wire::get(r)?; )?
+                        $( $( let $f = Wire::get(r)?; )* )?
+                        Ok($T::$V $(($x))? $({ $($f),* })?)
+                    }), )*
+                    t => Err(format!(concat!("unknown ", stringify!($T), " tag {}"), t)),
+                }
             }
         }
-        TreeSnapshot::Assoc(a) => {
-            o.push(3);
-            assoc(o, a);
+        wire!($($rest)*);
+    };
+    (@level $r:ident nested $body:block) => { $r.nested(|$r| $body) };
+    (@level $r:ident $body:block) => { $body };
+}
+
+wire! {
+    struct SiteId { 0 }
+    struct RelationId { 0 }
+    struct VirtualTime { lamport, site }
+    struct ObjectName { site, seq }
+    struct NodeRef { site, object }
+
+    enum ScalarValue {
+        0 => Int(v),
+        1 => Real(v),
+        2 => Str(v),
+    }
+    enum Blueprint {
+        0 => Int(v),
+        1 => Real(v),
+        2 => Str(v),
+        3 => List(children) nested,
+        4 => Tuple(children) nested,
+    }
+    enum PathElem {
+        0 => Index { index, tag },
+        1 => Key(k),
+    }
+    enum ObjectAddr {
+        0 => Direct(name),
+        1 => Indirect { root, path },
+    }
+    struct Relation { members, description }
+    struct AssocSnapshot { 0 }
+    enum TreeSnapshot {
+        0 => Scalar(s),
+        1 => List(entries) nested,
+        2 => Tuple(entries) nested,
+        3 => Assoc(a),
+    }
+    enum WireOp {
+        0 => SetScalar(s),
+        1 => ListInsert { index, child },
+        2 => ListRemove { tag },
+        3 => TuplePut { key, child },
+        4 => TupleRemove { key },
+        5 => SetAssoc(a),
+        6 => SetTree(t),
+    }
+    struct UpdateItem { addr, t_r, t_g, op, needs_check }
+    struct ReadItem { addr, t_r, t_g, hi }
+    struct Delegate { notify }
+    struct TxnPropagate { txn, origin, updates, reads, delegate }
+    enum SubjectKind {
+        0 => Txn,
+        1 => Snapshot,
+    }
+    enum TxnOutcome {
+        0 => Committed,
+        1 => Aborted,
+    }
+    struct SpanCtx { origin, seq, hop }
+
+    enum Message {
+        1 => Txn(p),
+        2 => SnapshotConfirm { subject, origin, reads },
+        3 => Confirm { subject, kind },
+        4 => Deny { subject, kind },
+        5 => Commit { txn },
+        6 => Abort { txn },
+        7 => JoinRequest { txn, origin, relation, a_node, a_graph, b_object, assoc_object },
+        8 => JoinReply {
+            txn, ok, b_node, merged, b_value, b_value_vt, b_value_committed, confirms_expected,
+            extra_affected,
+        },
+        9 => GraphUpdate {
+            txn, origin, target, graph, t_g, needs_check, adopt_value, adopt_value_vt,
+        },
+        10 => OutcomeQuery { txn, asker },
+        11 => OutcomeReport { txn, outcome },
+        12 => OutcomeDecision { txn, outcome },
+        13 => GraphPropose { ballot, coordinator, target, coord_target, graph, at },
+        14 => GraphAck { ballot, coord_target },
+        15 => Heartbeat,
+        16 => GraphApply { ballot, target, graph, at },
+        17 => RejoinRequest { frontier, have, serve },
+        18 => RejoinAck { frontier, have },
+        19 => CatchUp { commits, rejoined },
+    }
+
+    // Durable state: the WAL's payloads and the out-of-band invitation.
+    struct CommitRecord { vt, origin, updates }
+    struct Invitation { assoc, relation, contact }
+    struct ListEntry { tag, child }
+    enum ListOp {
+        0 => Insert { index, tag, child },
+        1 => Remove { tag },
+        2 => ReplaceAll { entries },
+    }
+    enum TupleOp {
+        0 => Put { key, child },
+        1 => Remove { key },
+        2 => ReplaceAll { entries },
+    }
+    enum ObjectValue {
+        0 => Scalar(s),
+        1 => List { entries, ops },
+        2 => Tuple { entries, ops },
+        3 => Assoc(a),
+    }
+    enum ObjectKind {
+        0 => Int,
+        1 => Real,
+        2 => Str,
+        3 => List,
+        4 => Tuple,
+        5 => Association,
+    }
+    enum PropagationMode {
+        0 => Direct,
+        1 => Indirect,
+    }
+    struct ObjectCheckpoint {
+        name, kind, values, graphs, value_reservations, graph_reservations, parent, propagation,
+        embeddings,
+    }
+    struct Checkpoint { site, clock, objects, next_seq, decided, next_relation }
+}
+
+// ---- the layouts that are not plain field sequences ---------------------
+
+impl Wire for Path {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_all(o, self.elems().iter());
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let n = r.count()?;
+        // One element, a list child under its root, is kept without a `Vec`.
+        if n == 1 {
+            return Ok(Path::from(PathElem::get(r)?));
         }
+        Ok(Path::from(r.items(n)?))
     }
 }
 
-fn wireop(o: &mut Vec<u8>, w: &WireOp) {
-    match w {
-        WireOp::SetScalar(s) => {
-            o.push(0);
-            scalar(o, s);
-        }
-        WireOp::ListInsert { index, child } => {
-            o.push(1);
-            put_varint(o, *index as u64);
-            blueprint(o, child);
-        }
-        WireOp::ListRemove { tag } => {
-            o.push(2);
-            vt(o, tag);
-        }
-        WireOp::TuplePut { key, child } => {
-            o.push(3);
-            put_str(o, key);
-            blueprint(o, child);
-        }
-        WireOp::TupleRemove { key } => {
-            o.push(4);
-            put_str(o, key);
-        }
-        WireOp::SetAssoc(a) => {
-            o.push(5);
-            assoc(o, a);
-        }
-        WireOp::SetTree(t) => {
-            o.push(6);
-            tree(o, t);
-        }
+/// Its node set, then its edge set, each counted from the set itself.
+impl Wire for ReplicationGraph {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_all(o, self.nodes());
+        put_all(o, self.edges());
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let nodes: Vec<NodeRef> = Wire::get(r)?;
+        let edges: Vec<(NodeRef, NodeRef, RelationId)> = Wire::get(r)?;
+        Ok(ReplicationGraph::from_parts(nodes, edges))
     }
 }
 
-fn update(o: &mut Vec<u8>, u: &UpdateItem) {
-    addr(o, &u.addr);
-    vt(o, &u.t_r);
-    vt(o, &u.t_g);
-    wireop(o, &u.op);
-    put_bool(o, u.needs_check);
+// Durable state comes from a disk, so its decoders re-establish what the
+// in-memory types assume: histories strictly ascending in VT, reservation
+// intervals not inverted.
+
+impl<T: Wire> Wire for History<T> {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_varint(o, self.len() as u64);
+        for e in self.iter() {
+            e.vt.put(o);
+            e.committed.put(o);
+            e.value.put(o);
+        }
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let n = r.count()?;
+        let mut h = History::new();
+        let mut last = None;
+        for _ in 0..n {
+            let at = VirtualTime::get(r)?;
+            let committed = bool::get(r)?;
+            if last.is_some_and(|l| at <= l) {
+                return Err(format!("history entry {at} out of VT order"));
+            }
+            last = Some(at);
+            h.insert(at, T::get(r)?);
+            if committed {
+                h.mark_committed(at);
+            }
+        }
+        Ok(h)
+    }
 }
 
-fn read(o: &mut Vec<u8>, r: &ReadItem) {
-    addr(o, &r.addr);
-    vt(o, &r.t_r);
-    vt(o, &r.t_g);
-    put_opt(o, r.hi.as_ref(), vt);
+impl Wire for ReservationSet {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_varint(o, self.len() as u64);
+        for r in self.iter() {
+            (r.lo, r.hi, r.owner).put(o);
+        }
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let n = r.count()?;
+        let mut rs = ReservationSet::new();
+        for _ in 0..n {
+            let (lo, hi, owner) = <(VirtualTime, VirtualTime, VirtualTime)>::get(r)?;
+            if lo > hi {
+                return Err(format!("reservation interval ({lo}, {hi}) is inverted"));
+            }
+            rs.reserve(lo, hi, owner);
+        }
+        Ok(rs)
+    }
 }
+
+/// Its site and its counter; decoding witnesses the counter.
+impl Wire for LamportClock {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        self.site().put(o);
+        self.counter().put(o);
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let site = SiteId::get(r)?;
+        let mut clock = LamportClock::new(site);
+        clock.witness(VirtualTime::new(u64::get(r)?, site));
+        Ok(clock)
+    }
+}
+
+impl Wire for Envelope {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        self.from.put(o);
+        self.to.put(o);
+        self.clock.put(o);
+        self.msg.put(o);
+        // Trailing optional span section. Span-less envelopes keep the
+        // pre-span byte layout exactly (pinned by golden snapshots); the
+        // decoder parses a span iff bytes remain after the message, which
+        // is sound because every envelope is decoded from an exactly
+        // delimited slice (whole frame payload, or the batch's per-entry
+        // length prefix).
+        if let Some(s) = &self.span {
+            s.put(o);
+        }
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        Ok(Envelope {
+            from: Wire::get(r)?,
+            to: Wire::get(r)?,
+            clock: Wire::get(r)?,
+            msg: Wire::get(r)?,
+            span: if r.i < r.b.len() {
+                Some(Wire::get(r)?)
+            } else {
+                None
+            },
+        })
+    }
+}
+
+// ---- snapshot reads ------------------------------------------------------
 
 // The flag bits of a snapshot's read item (module docs, "Snapshot reads").
 
@@ -434,31 +746,26 @@ fn snapshot_read(o: &mut Vec<u8>, prev: Option<ReadCtx>, r: &ReadItem) -> ReadCt
     match index {
         Some((index, tag)) if flags & READ_SAME_ROOT != 0 => {
             if flags & READ_NEXT_INDEX == 0 {
-                put_varint(o, index as u64);
+                index.put(o);
             }
-            vt(o, &tag);
+            tag.put(o);
         }
-        _ => addr(o, &r.addr),
+        _ => r.addr.put(o),
     }
     if flags & READ_TR_IS_TAG == 0 {
-        vt(o, &r.t_r);
+        r.t_r.put(o);
     }
     if flags & READ_TG_IS_TR == 0 {
-        vt(o, &r.t_g);
+        r.t_g.put(o);
     }
     if flags & READ_HI_REPEATS == 0 {
-        put_opt(o, r.hi.as_ref(), vt);
+        r.hi.put(o);
     }
     ReadCtx {
         root,
         index: index.map(|(i, _)| i),
         hi: r.hi,
     }
-}
-
-fn snapshot_reads(o: &mut Vec<u8>, reads: &SnapshotReads) {
-    put_varint(o, reads.len as u64);
-    o.extend_from_slice(&reads.bytes);
 }
 
 /// A view snapshot's CONFIRM-READ items ([`Message::SnapshotConfirm`]),
@@ -581,233 +888,94 @@ impl Iterator for SnapshotReadsIter<'_> {
     }
 }
 
-fn sites(o: &mut Vec<u8>, xs: &[SiteId]) {
-    put_varint(o, xs.len() as u64);
-    for s in xs {
-        put_varint(o, s.0 as u64);
+/// Decodes one snapshot read item coded against `prev`, the item before it
+/// if there is one, and what the next item is coded against. Inlined: it
+/// is the primary's per-item cost when it checks a request.
+#[inline(always)]
+fn d_snapshot_read(r: &mut R, prev: Option<ReadCtx>) -> Result<(ReadItem, ReadCtx), String> {
+    let flags = r.u8()?;
+    if flags & !READ_FLAGS != 0 {
+        return Err(format!("unknown read flag bits {flags:#04x}"));
+    }
+    if flags & READ_SAME_ROOT == 0 && flags & (READ_NEXT_INDEX | READ_TR_IS_TAG) != 0 {
+        return Err(format!(
+            "read flags {flags:#04x} name an index without a root"
+        ));
+    }
+    if prev.is_none() && flags & (READ_SAME_ROOT | READ_HI_REPEATS) != 0 {
+        return Err(format!(
+            "read flags {flags:#04x} repeat an item that is not there"
+        ));
+    }
+    let (addr, root, index, tag) = if flags & READ_SAME_ROOT != 0 {
+        let prev = prev.expect("checked above");
+        let index = if flags & READ_NEXT_INDEX == 0 {
+            usize::get(r)?
+        } else {
+            prev.index
+                .and_then(|i| i.checked_add(1))
+                .ok_or("read index follows an item that has none")?
+        };
+        let tag = VirtualTime::get(r)?;
+        let path = Path::from(PathElem::Index { index, tag });
+        let addr = ObjectAddr::Indirect {
+            root: prev.root,
+            path,
+        };
+        (addr, prev.root, Some(index), Some(tag))
+    } else {
+        let addr = ObjectAddr::get(r)?;
+        let (root, index) = root_and_index(&addr);
+        (addr, root, index.map(|(i, _)| i), None)
+    };
+    let t_r = match tag {
+        Some(tag) if flags & READ_TR_IS_TAG != 0 => tag,
+        _ => VirtualTime::get(r)?,
+    };
+    let t_g = if flags & READ_TG_IS_TR != 0 {
+        t_r
+    } else {
+        VirtualTime::get(r)?
+    };
+    let hi = if flags & READ_HI_REPEATS != 0 {
+        prev.expect("checked above").hi
+    } else {
+        Option::get(r)?
+    };
+    let next = ReadCtx { root, index, hi };
+    Ok((ReadItem { addr, t_r, t_g, hi }, next))
+}
+
+/// The items' count, then their coding, copied out as it is held; decoding
+/// checks every item before it keeps the bytes.
+impl Wire for SnapshotReads {
+    #[inline]
+    fn put(&self, o: &mut Vec<u8>) {
+        put_varint(o, self.len as u64);
+        o.extend_from_slice(&self.bytes);
+    }
+    #[inline]
+    fn get(r: &mut R) -> Result<Self, String> {
+        let len = r.count()?;
+        let start = r.i;
+        let mut last = None;
+        for _ in 0..len {
+            last = Some(d_snapshot_read(r, last)?.1);
+        }
+        Ok(SnapshotReads {
+            bytes: r.b[start..r.i].to_vec(),
+            len,
+            last,
+        })
     }
 }
 
-fn vts(o: &mut Vec<u8>, xs: &[VirtualTime]) {
-    put_varint(o, xs.len() as u64);
-    for t in xs {
-        vt(o, t);
-    }
-}
+// ---- entry points and the reader ----------------------------------------
 
-fn graph(o: &mut Vec<u8>, g: &ReplicationGraph) {
-    let nodes: Vec<&NodeRef> = g.nodes().collect();
-    put_varint(o, nodes.len() as u64);
-    for n in nodes {
-        noderef(o, n);
-    }
-    let edges: Vec<_> = g.edges().collect();
-    put_varint(o, edges.len() as u64);
-    for (a, b, RelationId(r)) in edges {
-        noderef(o, a);
-        noderef(o, b);
-        put_varint(o, *r);
-    }
+/// Appends the binary encoding of `e` to `o`.
+pub fn envelope(o: &mut Vec<u8>, e: &Envelope) {
+    e.put(o);
 }
-
-fn outcome(o: &mut Vec<u8>, v: &TxnOutcome) {
-    o.push(match v {
-        TxnOutcome::Committed => 0,
-        TxnOutcome::Aborted => 1,
-    });
-}
-
-fn propagate(o: &mut Vec<u8>, p: &TxnPropagate) {
-    vt(o, &p.txn);
-    put_varint(o, p.origin.0 as u64);
-    put_varint(o, p.updates.len() as u64);
-    for u in &p.updates {
-        update(o, u);
-    }
-    put_varint(o, p.reads.len() as u64);
-    for r in &p.reads {
-        read(o, r);
-    }
-    put_opt(o, p.delegate.as_ref(), |o, d: &Delegate| {
-        sites(o, &d.notify);
-    });
-}
-
-fn message(o: &mut Vec<u8>, m: &Message) {
-    match m {
-        Message::Txn(p) => {
-            o.push(1);
-            propagate(o, p);
-        }
-        Message::SnapshotConfirm {
-            subject,
-            origin,
-            reads,
-        } => {
-            o.push(2);
-            vt(o, subject);
-            put_varint(o, origin.0 as u64);
-            snapshot_reads(o, reads);
-        }
-        Message::Confirm { subject, kind } | Message::Deny { subject, kind } => {
-            o.push(if matches!(m, Message::Confirm { .. }) {
-                3
-            } else {
-                4
-            });
-            vt(o, subject);
-            o.push(match kind {
-                SubjectKind::Txn => 0,
-                SubjectKind::Snapshot => 1,
-            });
-        }
-        Message::Commit { txn } => {
-            o.push(5);
-            vt(o, txn);
-        }
-        Message::Abort { txn } => {
-            o.push(6);
-            vt(o, txn);
-        }
-        Message::JoinRequest {
-            txn,
-            origin,
-            relation,
-            a_node,
-            a_graph,
-            b_object,
-            assoc_object,
-        } => {
-            o.push(7);
-            vt(o, txn);
-            put_varint(o, origin.0 as u64);
-            put_varint(o, relation.0);
-            noderef(o, a_node);
-            graph(o, a_graph);
-            oname(o, b_object);
-            put_opt(o, assoc_object.as_ref(), oname);
-        }
-        Message::JoinReply {
-            txn,
-            ok,
-            b_node,
-            merged,
-            b_value,
-            b_value_vt,
-            b_value_committed,
-            confirms_expected,
-            extra_affected,
-        } => {
-            o.push(8);
-            vt(o, txn);
-            put_bool(o, *ok);
-            noderef(o, b_node);
-            graph(o, merged);
-            put_opt(o, b_value.as_ref(), tree);
-            vt(o, b_value_vt);
-            put_bool(o, *b_value_committed);
-            put_varint(o, *confirms_expected as u64);
-            sites(o, extra_affected);
-        }
-        Message::GraphUpdate {
-            txn,
-            origin,
-            target,
-            graph: g,
-            t_g,
-            needs_check,
-            adopt_value,
-            adopt_value_vt,
-        } => {
-            o.push(9);
-            vt(o, txn);
-            put_varint(o, origin.0 as u64);
-            oname(o, target);
-            graph(o, g);
-            vt(o, t_g);
-            put_bool(o, *needs_check);
-            put_opt(o, adopt_value.as_ref(), tree);
-            vt(o, adopt_value_vt);
-        }
-        Message::OutcomeQuery { txn, asker } => {
-            o.push(10);
-            vt(o, txn);
-            put_varint(o, asker.0 as u64);
-        }
-        Message::OutcomeReport { txn, outcome: out } => {
-            o.push(11);
-            vt(o, txn);
-            put_opt(o, out.as_ref(), outcome);
-        }
-        Message::OutcomeDecision { txn, outcome: out } => {
-            o.push(12);
-            vt(o, txn);
-            outcome(o, out);
-        }
-        Message::GraphPropose {
-            ballot,
-            coordinator,
-            target,
-            coord_target,
-            graph: g,
-            at,
-        } => {
-            o.push(13);
-            put_varint(o, *ballot);
-            put_varint(o, coordinator.0 as u64);
-            oname(o, target);
-            oname(o, coord_target);
-            graph(o, g);
-            vt(o, at);
-        }
-        Message::GraphAck {
-            ballot,
-            coord_target,
-        } => {
-            o.push(14);
-            put_varint(o, *ballot);
-            oname(o, coord_target);
-        }
-        Message::Heartbeat => o.push(15),
-        Message::GraphApply {
-            ballot,
-            target,
-            graph: g,
-            at,
-        } => {
-            o.push(16);
-            put_varint(o, *ballot);
-            oname(o, target);
-            graph(o, g);
-            vt(o, at);
-        }
-        Message::RejoinRequest {
-            frontier,
-            have,
-            serve,
-        } => {
-            o.push(17);
-            vt(o, frontier);
-            vts(o, have);
-            put_bool(o, *serve);
-        }
-        Message::RejoinAck { frontier, have } => {
-            o.push(18);
-            vt(o, frontier);
-            vts(o, have);
-        }
-        Message::CatchUp { commits, rejoined } => {
-            o.push(19);
-            put_varint(o, commits.len() as u64);
-            for c in commits {
-                propagate(o, c);
-            }
-            put_bool(o, *rejoined);
-        }
-    }
-}
-
-// ---- decoder ----------------------------------------------------------
 
 /// Runs decoder `f` over exactly `bytes`: leftovers are an error.
 fn exact<'a, T>(
@@ -828,7 +996,7 @@ fn exact<'a, T>(
 ///
 /// Truncation, trailing bytes, an unknown tag, or invalid UTF-8.
 pub fn decode_envelope(bytes: &[u8]) -> Result<Envelope, String> {
-    exact(bytes, d_envelope)
+    exact(bytes, Envelope::get)
 }
 
 /// Decodes a batch payload: a varint count, then each envelope as a varint
@@ -862,6 +1030,30 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<Envelope>, String> {
     Ok(out)
 }
 
+pub(crate) fn commit_record(o: &mut Vec<u8>, c: &CommitRecord) {
+    c.put(o);
+}
+
+pub(crate) fn decode_commit_record(bytes: &[u8]) -> Result<CommitRecord, String> {
+    exact(bytes, CommitRecord::get)
+}
+
+pub(crate) fn invitation(o: &mut Vec<u8>, i: &Invitation) {
+    i.put(o);
+}
+
+pub(crate) fn decode_invitation(bytes: &[u8]) -> Result<Invitation, String> {
+    exact(bytes, Invitation::get)
+}
+
+pub(crate) fn checkpoint(o: &mut Vec<u8>, cp: &Checkpoint) {
+    cp.put(o);
+}
+
+pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, String> {
+    exact(bytes, Checkpoint::get)
+}
+
 /// Deepest composite nesting (`List`/`Tuple` levels of a [`Blueprint`] or
 /// [`TreeSnapshot`]) the decoder follows. The two are the only recursive
 /// shapes in the format, and a level costs as little as two bytes, so
@@ -881,6 +1073,7 @@ impl<'a> R<'a> {
     }
 
     /// Runs `f` one composite level down, refusing past [`MAX_NESTING`].
+    #[inline]
     fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T, String>) -> Result<T, String> {
         if self.depth == MAX_NESTING {
             return Err(format!("composite nested deeper than {MAX_NESTING} levels"));
@@ -891,12 +1084,14 @@ impl<'a> R<'a> {
         v
     }
 
+    #[inline]
     fn u8(&mut self) -> Result<u8, String> {
         let v = *self.b.get(self.i).ok_or("unexpected end of input")?;
         self.i += 1;
         Ok(v)
     }
 
+    #[inline]
     fn slice(&mut self, n: usize) -> Result<&'a [u8], String> {
         // `n` comes from input: checked, so a huge length is an error
         // and not an overflow.
@@ -906,6 +1101,7 @@ impl<'a> R<'a> {
         Ok(s)
     }
 
+    #[inline]
     fn varint(&mut self) -> Result<u64, String> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
@@ -922,868 +1118,27 @@ impl<'a> R<'a> {
         Err("varint longer than 10 bytes".into())
     }
 
-    fn varint_u32(&mut self) -> Result<u32, String> {
-        u32::try_from(self.varint()?).map_err(|_| "varint overflows u32".to_string())
-    }
-
-    fn varint_usize(&mut self) -> Result<usize, String> {
-        usize::try_from(self.varint()?).map_err(|_| "varint overflows usize".to_string())
-    }
-
-    fn i64v(&mut self) -> Result<i64, String> {
-        let z = self.varint()?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-    }
-
-    fn f64v(&mut self) -> Result<f64, String> {
-        let s = self.slice(8)?;
-        let bits = u64::from_le_bytes(s.try_into().expect("slice has 8 bytes"));
-        Ok(f64::from_bits(bits))
-    }
-
-    fn boolv(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(format!("bad bool byte {b}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let len = self.varint_usize()?;
-        let s = self.slice(len)?;
-        String::from_utf8(s.to_vec()).map_err(|_| "invalid UTF-8 in string".to_string())
-    }
-
     /// Bounds a declared element count by the bytes actually remaining
     /// (each element costs ≥ 1 byte), so a corrupt count cannot trigger
     /// an absurd `Vec::with_capacity`.
+    #[inline]
     fn count(&mut self) -> Result<usize, String> {
-        let n = self.varint_usize()?;
+        let n = usize::get(self)?;
         if n > self.b.len() - self.i {
             return Err(format!("element count {n} exceeds remaining payload"));
         }
         Ok(n)
     }
 
-    fn opt<T>(
-        &mut self,
-        f: impl FnOnce(&mut Self) -> Result<T, String>,
-    ) -> Result<Option<T>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            b => Err(format!("bad option byte {b}")),
-        }
-    }
-}
-
-fn d_site(r: &mut R) -> Result<SiteId, String> {
-    Ok(SiteId(r.varint_u32()?))
-}
-
-fn d_vt(r: &mut R) -> Result<VirtualTime, String> {
-    Ok(VirtualTime {
-        lamport: r.varint()?,
-        site: d_site(r)?,
-    })
-}
-
-fn d_oname(r: &mut R) -> Result<ObjectName, String> {
-    Ok(ObjectName {
-        site: d_site(r)?,
-        seq: r.varint()?,
-    })
-}
-
-fn d_noderef(r: &mut R) -> Result<NodeRef, String> {
-    Ok(NodeRef {
-        site: d_site(r)?,
-        object: d_oname(r)?,
-    })
-}
-
-fn d_scalar(r: &mut R) -> Result<ScalarValue, String> {
-    match r.u8()? {
-        0 => Ok(ScalarValue::Int(r.i64v()?)),
-        1 => Ok(ScalarValue::Real(r.f64v()?)),
-        2 => Ok(ScalarValue::Str(r.string()?)),
-        t => Err(format!("unknown ScalarValue tag {t}")),
-    }
-}
-
-fn d_blueprint(r: &mut R) -> Result<Blueprint, String> {
-    match r.u8()? {
-        0 => Ok(Blueprint::Int(r.i64v()?)),
-        1 => Ok(Blueprint::Real(r.f64v()?)),
-        2 => Ok(Blueprint::Str(r.string()?)),
-        3 => r.nested(|r| {
-            let n = r.count()?;
-            let mut children = Vec::with_capacity(n);
-            for _ in 0..n {
-                children.push(d_blueprint(r)?);
-            }
-            Ok(Blueprint::List(children))
-        }),
-        4 => r.nested(|r| {
-            let n = r.count()?;
-            let mut children = Vec::with_capacity(n);
-            for _ in 0..n {
-                children.push((r.string()?, d_blueprint(r)?));
-            }
-            Ok(Blueprint::Tuple(children))
-        }),
-        t => Err(format!("unknown Blueprint tag {t}")),
-    }
-}
-
-fn d_path(r: &mut R) -> Result<Path, String> {
-    let n = r.count()?;
-    // One element, a list child under its root, is kept without a `Vec`.
-    if n == 1 {
-        return Ok(Path::from(d_path_elem(r)?));
-    }
-    let mut elems = Vec::with_capacity(n);
-    for _ in 0..n {
-        elems.push(d_path_elem(r)?);
-    }
-    Ok(Path::from(elems))
-}
-
-fn d_path_elem(r: &mut R) -> Result<PathElem, String> {
-    match r.u8()? {
-        0 => Ok(PathElem::Index {
-            index: r.varint_usize()?,
-            tag: d_vt(r)?,
-        }),
-        1 => Ok(PathElem::Key(r.string()?)),
-        t => Err(format!("unknown PathElem tag {t}")),
-    }
-}
-
-fn d_addr(r: &mut R) -> Result<ObjectAddr, String> {
-    match r.u8()? {
-        0 => Ok(ObjectAddr::Direct(d_oname(r)?)),
-        1 => Ok(ObjectAddr::Indirect {
-            root: d_oname(r)?,
-            path: d_path(r)?,
-        }),
-        t => Err(format!("unknown ObjectAddr tag {t}")),
-    }
-}
-
-fn d_assoc(r: &mut R) -> Result<AssocSnapshot, String> {
-    let n = r.count()?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = RelationId(r.varint()?);
-        let m = r.count()?;
-        let mut members = Vec::with_capacity(m);
-        for _ in 0..m {
-            members.push(d_noderef(r)?);
-        }
-        rows.push((id, members, r.string()?));
-    }
-    Ok(AssocSnapshot::from_wire_parts(rows))
-}
-
-fn d_tree(r: &mut R) -> Result<TreeSnapshot, String> {
-    match r.u8()? {
-        0 => Ok(TreeSnapshot::Scalar(d_scalar(r)?)),
-        1 => r.nested(|r| {
-            let n = r.count()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push((d_vt(r)?, d_tree(r)?));
-            }
-            Ok(TreeSnapshot::List(entries))
-        }),
-        2 => r.nested(|r| {
-            let n = r.count()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push((r.string()?, d_tree(r)?));
-            }
-            Ok(TreeSnapshot::Tuple(entries))
-        }),
-        3 => Ok(TreeSnapshot::Assoc(d_assoc(r)?)),
-        t => Err(format!("unknown TreeSnapshot tag {t}")),
-    }
-}
-
-fn d_wireop(r: &mut R) -> Result<WireOp, String> {
-    match r.u8()? {
-        0 => Ok(WireOp::SetScalar(d_scalar(r)?)),
-        1 => Ok(WireOp::ListInsert {
-            index: r.varint_usize()?,
-            child: d_blueprint(r)?,
-        }),
-        2 => Ok(WireOp::ListRemove { tag: d_vt(r)? }),
-        3 => Ok(WireOp::TuplePut {
-            key: r.string()?,
-            child: d_blueprint(r)?,
-        }),
-        4 => Ok(WireOp::TupleRemove { key: r.string()? }),
-        5 => Ok(WireOp::SetAssoc(d_assoc(r)?)),
-        6 => Ok(WireOp::SetTree(d_tree(r)?)),
-        t => Err(format!("unknown WireOp tag {t}")),
-    }
-}
-
-fn d_update(r: &mut R) -> Result<UpdateItem, String> {
-    Ok(UpdateItem {
-        addr: d_addr(r)?,
-        t_r: d_vt(r)?,
-        t_g: d_vt(r)?,
-        op: d_wireop(r)?,
-        needs_check: r.boolv()?,
-    })
-}
-
-fn d_read(r: &mut R) -> Result<ReadItem, String> {
-    Ok(ReadItem {
-        addr: d_addr(r)?,
-        t_r: d_vt(r)?,
-        t_g: d_vt(r)?,
-        hi: r.opt(d_vt)?,
-    })
-}
-
-/// Decodes one snapshot read item coded against `prev`, the item before it
-/// if there is one, and what the next item is coded against. Inlined: it
-/// is the primary's per-item cost when it checks a request.
-#[inline(always)]
-fn d_snapshot_read(r: &mut R, prev: Option<ReadCtx>) -> Result<(ReadItem, ReadCtx), String> {
-    let flags = r.u8()?;
-    if flags & !READ_FLAGS != 0 {
-        return Err(format!("unknown read flag bits {flags:#04x}"));
-    }
-    if flags & READ_SAME_ROOT == 0 && flags & (READ_NEXT_INDEX | READ_TR_IS_TAG) != 0 {
-        return Err(format!(
-            "read flags {flags:#04x} name an index without a root"
-        ));
-    }
-    if prev.is_none() && flags & (READ_SAME_ROOT | READ_HI_REPEATS) != 0 {
-        return Err(format!(
-            "read flags {flags:#04x} repeat an item that is not there"
-        ));
-    }
-    let (addr, root, index, tag) = if flags & READ_SAME_ROOT != 0 {
-        let prev = prev.expect("checked above");
-        let index = if flags & READ_NEXT_INDEX == 0 {
-            r.varint_usize()?
-        } else {
-            prev.index
-                .and_then(|i| i.checked_add(1))
-                .ok_or("read index follows an item that has none")?
-        };
-        let tag = d_vt(r)?;
-        let path = Path::from(PathElem::Index { index, tag });
-        let addr = ObjectAddr::Indirect {
-            root: prev.root,
-            path,
-        };
-        (addr, prev.root, Some(index), Some(tag))
-    } else {
-        let addr = d_addr(r)?;
-        let (root, index) = root_and_index(&addr);
-        (addr, root, index.map(|(i, _)| i), None)
-    };
-    let t_r = match tag {
-        Some(tag) if flags & READ_TR_IS_TAG != 0 => tag,
-        _ => d_vt(r)?,
-    };
-    let t_g = if flags & READ_TG_IS_TR != 0 {
-        t_r
-    } else {
-        d_vt(r)?
-    };
-    let hi = if flags & READ_HI_REPEATS != 0 {
-        prev.expect("checked above").hi
-    } else {
-        r.opt(d_vt)?
-    };
-    let next = ReadCtx { root, index, hi };
-    Ok((ReadItem { addr, t_r, t_g, hi }, next))
-}
-
-/// Decodes a snapshot's reads, checking every item, and keeps their bytes.
-fn d_snapshot_reads(r: &mut R) -> Result<SnapshotReads, String> {
-    let len = r.count()?;
-    let start = r.i;
-    let mut last = None;
-    for _ in 0..len {
-        last = Some(d_snapshot_read(r, last)?.1);
-    }
-    Ok(SnapshotReads {
-        bytes: r.b[start..r.i].to_vec(),
-        len,
-        last,
-    })
-}
-
-fn d_vts(r: &mut R) -> Result<Vec<VirtualTime>, String> {
-    let n = r.count()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(d_vt(r)?);
-    }
-    Ok(out)
-}
-
-fn d_sites(r: &mut R) -> Result<Vec<SiteId>, String> {
-    let n = r.count()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(d_site(r)?);
-    }
-    Ok(out)
-}
-
-fn d_graph(r: &mut R) -> Result<ReplicationGraph, String> {
-    let n = r.count()?;
-    let mut nodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        nodes.push(d_noderef(r)?);
-    }
-    let m = r.count()?;
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        edges.push((d_noderef(r)?, d_noderef(r)?, RelationId(r.varint()?)));
-    }
-    Ok(ReplicationGraph::from_parts(nodes, edges))
-}
-
-fn d_outcome(r: &mut R) -> Result<TxnOutcome, String> {
-    match r.u8()? {
-        0 => Ok(TxnOutcome::Committed),
-        1 => Ok(TxnOutcome::Aborted),
-        t => Err(format!("unknown TxnOutcome tag {t}")),
-    }
-}
-
-fn d_subject_kind(r: &mut R) -> Result<SubjectKind, String> {
-    match r.u8()? {
-        0 => Ok(SubjectKind::Txn),
-        1 => Ok(SubjectKind::Snapshot),
-        t => Err(format!("unknown SubjectKind tag {t}")),
-    }
-}
-
-fn d_propagate(r: &mut R) -> Result<TxnPropagate, String> {
-    let txn = d_vt(r)?;
-    let origin = d_site(r)?;
-    let n = r.count()?;
-    let mut updates = Vec::with_capacity(n);
-    for _ in 0..n {
-        updates.push(d_update(r)?);
-    }
-    let m = r.count()?;
-    let mut reads = Vec::with_capacity(m);
-    for _ in 0..m {
-        reads.push(d_read(r)?);
-    }
-    let delegate = r.opt(|r| {
-        Ok(Delegate {
-            notify: d_sites(r)?,
-        })
-    })?;
-    Ok(TxnPropagate {
-        txn,
-        origin,
-        updates,
-        reads,
-        delegate,
-    })
-}
-
-fn d_message(r: &mut R) -> Result<Message, String> {
-    match r.u8()? {
-        1 => Ok(Message::Txn(d_propagate(r)?)),
-        2 => {
-            let subject = d_vt(r)?;
-            let origin = d_site(r)?;
-            let reads = d_snapshot_reads(r)?;
-            Ok(Message::SnapshotConfirm {
-                subject,
-                origin,
-                reads,
-            })
-        }
-        3 => Ok(Message::Confirm {
-            subject: d_vt(r)?,
-            kind: d_subject_kind(r)?,
-        }),
-        4 => Ok(Message::Deny {
-            subject: d_vt(r)?,
-            kind: d_subject_kind(r)?,
-        }),
-        5 => Ok(Message::Commit { txn: d_vt(r)? }),
-        6 => Ok(Message::Abort { txn: d_vt(r)? }),
-        7 => Ok(Message::JoinRequest {
-            txn: d_vt(r)?,
-            origin: d_site(r)?,
-            relation: RelationId(r.varint()?),
-            a_node: d_noderef(r)?,
-            a_graph: d_graph(r)?,
-            b_object: d_oname(r)?,
-            assoc_object: r.opt(d_oname)?,
-        }),
-        8 => Ok(Message::JoinReply {
-            txn: d_vt(r)?,
-            ok: r.boolv()?,
-            b_node: d_noderef(r)?,
-            merged: d_graph(r)?,
-            b_value: r.opt(d_tree)?,
-            b_value_vt: d_vt(r)?,
-            b_value_committed: r.boolv()?,
-            confirms_expected: r.varint_u32()?,
-            extra_affected: d_sites(r)?,
-        }),
-        9 => Ok(Message::GraphUpdate {
-            txn: d_vt(r)?,
-            origin: d_site(r)?,
-            target: d_oname(r)?,
-            graph: d_graph(r)?,
-            t_g: d_vt(r)?,
-            needs_check: r.boolv()?,
-            adopt_value: r.opt(d_tree)?,
-            adopt_value_vt: d_vt(r)?,
-        }),
-        10 => Ok(Message::OutcomeQuery {
-            txn: d_vt(r)?,
-            asker: d_site(r)?,
-        }),
-        11 => Ok(Message::OutcomeReport {
-            txn: d_vt(r)?,
-            outcome: r.opt(d_outcome)?,
-        }),
-        12 => Ok(Message::OutcomeDecision {
-            txn: d_vt(r)?,
-            outcome: d_outcome(r)?,
-        }),
-        13 => Ok(Message::GraphPropose {
-            ballot: r.varint()?,
-            coordinator: d_site(r)?,
-            target: d_oname(r)?,
-            coord_target: d_oname(r)?,
-            graph: d_graph(r)?,
-            at: d_vt(r)?,
-        }),
-        14 => Ok(Message::GraphAck {
-            ballot: r.varint()?,
-            coord_target: d_oname(r)?,
-        }),
-        15 => Ok(Message::Heartbeat),
-        16 => Ok(Message::GraphApply {
-            ballot: r.varint()?,
-            target: d_oname(r)?,
-            graph: d_graph(r)?,
-            at: d_vt(r)?,
-        }),
-        17 => Ok(Message::RejoinRequest {
-            frontier: d_vt(r)?,
-            have: d_vts(r)?,
-            serve: r.boolv()?,
-        }),
-        18 => Ok(Message::RejoinAck {
-            frontier: d_vt(r)?,
-            have: d_vts(r)?,
-        }),
-        19 => {
-            let n = r.count()?;
-            let mut commits = Vec::with_capacity(n);
-            for _ in 0..n {
-                commits.push(d_propagate(r)?);
-            }
-            Ok(Message::CatchUp {
-                commits,
-                rejoined: r.boolv()?,
-            })
-        }
-        t => Err(format!("unknown Message tag {t}")),
-    }
-}
-
-fn d_envelope(r: &mut R) -> Result<Envelope, String> {
-    let from = d_site(r)?;
-    let to = d_site(r)?;
-    let clock = d_vt(r)?;
-    let msg = d_message(r)?;
-    // Bytes past the message are the optional trailing span section;
-    // pre-span encoders never produce them.
-    let span = if r.i < r.b.len() {
-        Some(SpanCtx {
-            origin: d_site(r)?,
-            seq: r.varint()?,
-            hop: r.varint_u32()?,
-        })
-    } else {
-        None
-    };
-    Ok(Envelope {
-        from,
-        to,
-        clock,
-        msg,
-        span,
-    })
-}
-
-// ---- durable state: WAL payloads and out-of-band tokens -----------------
-//
-// Built from the same primitives and the same `WireOp`/graph/association
-// encoders as the envelopes above. Every decoder re-establishes what the
-// in-memory type assumes (histories strictly ascending in VT, reservation
-// intervals not inverted), since the bytes come from a disk.
-
-pub(crate) fn commit_record(o: &mut Vec<u8>, c: &CommitRecord) {
-    vt(o, &c.vt);
-    put_varint(o, c.origin.0 as u64);
-    put_varint(o, c.updates.len() as u64);
-    for (object, t_r, op) in &c.updates {
-        oname(o, object);
-        vt(o, t_r);
-        wireop(o, op);
-    }
-}
-
-pub(crate) fn decode_commit_record(bytes: &[u8]) -> Result<CommitRecord, String> {
-    exact(bytes, |r| {
-        let vt = d_vt(r)?;
-        let origin = d_site(r)?;
-        let n = r.count()?;
-        let mut updates = Vec::with_capacity(n);
+    /// Reads `n` items, `n` already bounded by [`count`](Self::count).
+    #[inline]
+    fn items<T: Wire>(&mut self, n: usize) -> Result<Vec<T>, String> {
+        let mut items = Vec::with_capacity(n);
         for _ in 0..n {
-            updates.push((d_oname(r)?, d_vt(r)?, d_wireop(r)?));
+            items.push(T::get(self)?);
         }
-        Ok(CommitRecord {
-            vt,
-            origin,
-            updates,
-        })
-    })
-}
-
-pub(crate) fn invitation(o: &mut Vec<u8>, i: &Invitation) {
-    noderef(o, &i.assoc);
-    put_varint(o, i.relation.0);
-    noderef(o, &i.contact);
-}
-
-pub(crate) fn decode_invitation(bytes: &[u8]) -> Result<Invitation, String> {
-    exact(bytes, |r| {
-        Ok(Invitation {
-            assoc: d_noderef(r)?,
-            relation: RelationId(r.varint()?),
-            contact: d_noderef(r)?,
-        })
-    })
-}
-
-fn history<T>(o: &mut Vec<u8>, h: &History<T>, value: impl Fn(&mut Vec<u8>, &T)) {
-    put_varint(o, h.len() as u64);
-    for e in h.iter() {
-        vt(o, &e.vt);
-        put_bool(o, e.committed);
-        value(o, &e.value);
+        Ok(items)
     }
-}
-
-fn d_history<T>(
-    r: &mut R,
-    value: impl Fn(&mut R) -> Result<T, String>,
-) -> Result<History<T>, String> {
-    let n = r.count()?;
-    let mut h = History::new();
-    let mut last = None;
-    for _ in 0..n {
-        let at = d_vt(r)?;
-        let committed = r.boolv()?;
-        if last.is_some_and(|l| at <= l) {
-            return Err(format!("history entry {at} out of VT order"));
-        }
-        last = Some(at);
-        h.insert(at, value(r)?);
-        if committed {
-            h.mark_committed(at);
-        }
-    }
-    Ok(h)
-}
-
-fn reservations(o: &mut Vec<u8>, rs: &ReservationSet) {
-    put_varint(o, rs.len() as u64);
-    for r in rs.iter() {
-        vt(o, &r.lo);
-        vt(o, &r.hi);
-        vt(o, &r.owner);
-    }
-}
-
-fn d_reservations(r: &mut R) -> Result<ReservationSet, String> {
-    let n = r.count()?;
-    let mut rs = ReservationSet::new();
-    for _ in 0..n {
-        let (lo, hi, owner) = (d_vt(r)?, d_vt(r)?, d_vt(r)?);
-        if lo > hi {
-            return Err(format!("reservation interval ({lo}, {hi}) is inverted"));
-        }
-        rs.reserve(lo, hi, owner);
-    }
-    Ok(rs)
-}
-
-fn list_entries(o: &mut Vec<u8>, entries: &[ListEntry]) {
-    put_varint(o, entries.len() as u64);
-    for e in entries {
-        vt(o, &e.tag);
-        oname(o, &e.child);
-    }
-}
-
-fn d_list_entries(r: &mut R) -> Result<Vec<ListEntry>, String> {
-    let n = r.count()?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(ListEntry {
-            tag: d_vt(r)?,
-            child: d_oname(r)?,
-        });
-    }
-    Ok(entries)
-}
-
-fn tuple_entries(o: &mut Vec<u8>, entries: &BTreeMap<String, ObjectName>) {
-    put_varint(o, entries.len() as u64);
-    for (key, child) in entries {
-        put_str(o, key);
-        oname(o, child);
-    }
-}
-
-fn d_tuple_entries(r: &mut R) -> Result<BTreeMap<String, ObjectName>, String> {
-    let n = r.count()?;
-    let mut entries = BTreeMap::new();
-    for _ in 0..n {
-        entries.insert(r.string()?, d_oname(r)?);
-    }
-    Ok(entries)
-}
-
-fn object_value(o: &mut Vec<u8>, v: &ObjectValue) {
-    match v {
-        ObjectValue::Scalar(s) => {
-            o.push(0);
-            scalar(o, s);
-        }
-        ObjectValue::List { entries, ops } => {
-            o.push(1);
-            list_entries(o, entries);
-            put_varint(o, ops.len() as u64);
-            for op in ops {
-                match op {
-                    ListOp::Insert { index, tag, child } => {
-                        o.push(0);
-                        put_varint(o, *index as u64);
-                        vt(o, tag);
-                        oname(o, child);
-                    }
-                    ListOp::Remove { tag } => {
-                        o.push(1);
-                        vt(o, tag);
-                    }
-                    ListOp::ReplaceAll { entries } => {
-                        o.push(2);
-                        list_entries(o, entries);
-                    }
-                }
-            }
-        }
-        ObjectValue::Tuple { entries, ops } => {
-            o.push(2);
-            tuple_entries(o, entries);
-            put_varint(o, ops.len() as u64);
-            for op in ops {
-                match op {
-                    TupleOp::Put { key, child } => {
-                        o.push(0);
-                        put_str(o, key);
-                        oname(o, child);
-                    }
-                    TupleOp::Remove { key } => {
-                        o.push(1);
-                        put_str(o, key);
-                    }
-                    TupleOp::ReplaceAll { entries } => {
-                        o.push(2);
-                        tuple_entries(o, entries);
-                    }
-                }
-            }
-        }
-        ObjectValue::Assoc(a) => {
-            o.push(3);
-            assoc_state(o, a);
-        }
-    }
-}
-
-fn d_object_value(r: &mut R) -> Result<ObjectValue, String> {
-    match r.u8()? {
-        0 => Ok(ObjectValue::Scalar(d_scalar(r)?)),
-        1 => {
-            let entries = Arc::new(d_list_entries(r)?);
-            let n = r.count()?;
-            let mut ops = Vec::with_capacity(n);
-            for _ in 0..n {
-                ops.push(match r.u8()? {
-                    0 => ListOp::Insert {
-                        index: r.varint_usize()?,
-                        tag: d_vt(r)?,
-                        child: d_oname(r)?,
-                    },
-                    1 => ListOp::Remove { tag: d_vt(r)? },
-                    2 => ListOp::ReplaceAll {
-                        entries: d_list_entries(r)?,
-                    },
-                    t => return Err(format!("unknown ListOp tag {t}")),
-                });
-            }
-            Ok(ObjectValue::List { entries, ops })
-        }
-        2 => {
-            let entries = Arc::new(d_tuple_entries(r)?);
-            let n = r.count()?;
-            let mut ops = Vec::with_capacity(n);
-            for _ in 0..n {
-                ops.push(match r.u8()? {
-                    0 => TupleOp::Put {
-                        key: r.string()?,
-                        child: d_oname(r)?,
-                    },
-                    1 => TupleOp::Remove { key: r.string()? },
-                    2 => TupleOp::ReplaceAll {
-                        entries: d_tuple_entries(r)?,
-                    },
-                    t => return Err(format!("unknown TupleOp tag {t}")),
-                });
-            }
-            Ok(ObjectValue::Tuple { entries, ops })
-        }
-        3 => Ok(ObjectValue::Assoc(Arc::new(d_assoc(r)?.0))),
-        t => Err(format!("unknown ObjectValue tag {t}")),
-    }
-}
-
-fn object_checkpoint(o: &mut Vec<u8>, c: &ObjectCheckpoint) {
-    oname(o, &c.name);
-    o.push(match c.kind {
-        ObjectKind::Int => 0,
-        ObjectKind::Real => 1,
-        ObjectKind::Str => 2,
-        ObjectKind::List => 3,
-        ObjectKind::Tuple => 4,
-        ObjectKind::Association => 5,
-    });
-    history(o, &c.values, object_value);
-    history(o, &c.graphs, graph);
-    reservations(o, &c.value_reservations);
-    reservations(o, &c.graph_reservations);
-    put_opt(o, c.parent.as_ref(), oname);
-    o.push(match c.propagation {
-        PropagationMode::Direct => 0,
-        PropagationMode::Indirect => 1,
-    });
-    put_varint(o, c.embeddings.len() as u64);
-    for (tag, child) in &c.embeddings {
-        vt(o, tag);
-        oname(o, child);
-    }
-}
-
-fn d_object_checkpoint(r: &mut R) -> Result<ObjectCheckpoint, String> {
-    let name = d_oname(r)?;
-    let kind = match r.u8()? {
-        0 => ObjectKind::Int,
-        1 => ObjectKind::Real,
-        2 => ObjectKind::Str,
-        3 => ObjectKind::List,
-        4 => ObjectKind::Tuple,
-        5 => ObjectKind::Association,
-        t => return Err(format!("unknown ObjectKind tag {t}")),
-    };
-    let values = d_history(r, d_object_value)?;
-    let graphs = d_history(r, d_graph)?;
-    let value_reservations = d_reservations(r)?;
-    let graph_reservations = d_reservations(r)?;
-    let parent = r.opt(d_oname)?;
-    let propagation = match r.u8()? {
-        0 => PropagationMode::Direct,
-        1 => PropagationMode::Indirect,
-        t => return Err(format!("unknown PropagationMode tag {t}")),
-    };
-    let n = r.count()?;
-    let mut embeddings = Vec::with_capacity(n);
-    for _ in 0..n {
-        embeddings.push((d_vt(r)?, d_oname(r)?));
-    }
-    Ok(ObjectCheckpoint {
-        name,
-        kind,
-        values,
-        graphs,
-        value_reservations,
-        graph_reservations,
-        parent,
-        propagation,
-        embeddings,
-    })
-}
-
-pub(crate) fn checkpoint(o: &mut Vec<u8>, cp: &Checkpoint) {
-    put_varint(o, cp.site.0 as u64);
-    put_varint(o, cp.clock.site().0 as u64);
-    put_varint(o, cp.clock.counter());
-    put_varint(o, cp.objects.len() as u64);
-    for obj in &cp.objects {
-        object_checkpoint(o, obj);
-    }
-    put_varint(o, cp.next_seq);
-    put_varint(o, cp.decided.len() as u64);
-    for (txn, out) in &cp.decided {
-        vt(o, txn);
-        outcome(o, out);
-    }
-    put_varint(o, cp.next_relation);
-}
-
-pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, String> {
-    exact(bytes, |r| {
-        let site = d_site(r)?;
-        let clock_site = d_site(r)?;
-        let mut clock = LamportClock::new(clock_site);
-        clock.witness(VirtualTime::new(r.varint()?, clock_site));
-        let n = r.count()?;
-        let mut objects = Vec::with_capacity(n);
-        for _ in 0..n {
-            objects.push(d_object_checkpoint(r)?);
-        }
-        let next_seq = r.varint()?;
-        let m = r.count()?;
-        let mut decided = Vec::with_capacity(m);
-        for _ in 0..m {
-            decided.push((d_vt(r)?, d_outcome(r)?));
-        }
-        Ok(Checkpoint {
-            site,
-            clock,
-            objects,
-            next_seq,
-            decided,
-            next_relation: r.varint()?,
-        })
-    })
 }
 
 #[cfg(test)]
@@ -1809,13 +1164,13 @@ mod tests {
         let mut bytes = vec![2u8]; // ScalarValue::Str
         put_varint(&mut bytes, u64::MAX);
         let mut r = R::new(&bytes);
-        assert!(d_scalar(&mut r).is_err());
+        assert!(ScalarValue::get(&mut r).is_err());
         // An element count beyond the remaining bytes is refused before
         // anything is reserved for it.
         let mut bytes = Vec::new();
         put_varint(&mut bytes, 1 << 40);
         let mut r = R::new(&bytes);
-        assert!(d_vts(&mut r).is_err());
+        assert!(Vec::<VirtualTime>::get(&mut r).is_err());
     }
 
     #[test]
@@ -1828,20 +1183,20 @@ mod tests {
                 snap = TreeSnapshot::Tuple(vec![("k".into(), snap)]);
             }
             let (mut b, mut t) = (Vec::new(), Vec::new());
-            blueprint(&mut b, &bp);
-            tree(&mut t, &snap);
+            bp.put(&mut b);
+            snap.put(&mut t);
             (bp, b, snap, t)
         };
         let (bp, b, snap, t) = nest(MAX_NESTING);
-        assert_eq!(exact(&b, d_blueprint), Ok(bp));
-        assert_eq!(exact(&t, d_tree), Ok(snap));
+        assert_eq!(exact(&b, Blueprint::get), Ok(bp));
+        assert_eq!(exact(&t, TreeSnapshot::get), Ok(snap));
         let (_, b, _, t) = nest(MAX_NESTING + 1);
-        assert!(exact(&b, d_blueprint).is_err());
-        assert!(exact(&t, d_tree).is_err());
+        assert!(exact(&b, Blueprint::get).is_err());
+        assert!(exact(&t, TreeSnapshot::get).is_err());
         // Two bytes a level, a million levels: refused at the bound, long
         // before the stack is at risk.
         let deep = [3u8, 1].repeat(1_000_000);
-        assert!(exact(&deep, d_blueprint).is_err());
+        assert!(exact(&deep, Blueprint::get).is_err());
     }
 
     #[test]
@@ -1851,20 +1206,20 @@ mod tests {
         let mut bytes = Vec::new();
         put_varint(&mut bytes, 2);
         for _ in 0..2 {
-            vt(&mut bytes, &at);
-            put_bool(&mut bytes, true);
-            graph(&mut bytes, &ReplicationGraph::default());
+            at.put(&mut bytes);
+            true.put(&mut bytes);
+            ReplicationGraph::default().put(&mut bytes);
         }
         let mut r = R::new(&bytes);
-        assert!(d_history(&mut r, d_graph).is_err());
+        assert!(History::<ReplicationGraph>::get(&mut r).is_err());
         // A reservation with lo > hi.
         let mut bytes = Vec::new();
         put_varint(&mut bytes, 1);
-        vt(&mut bytes, &at);
-        vt(&mut bytes, &VirtualTime::ZERO);
-        vt(&mut bytes, &at);
+        at.put(&mut bytes);
+        VirtualTime::ZERO.put(&mut bytes);
+        at.put(&mut bytes);
         let mut r = R::new(&bytes);
-        assert!(d_reservations(&mut r).is_err());
+        assert!(ReservationSet::get(&mut r).is_err());
     }
 
     fn list_read(index: usize, tag: u64, hi: Option<u64>) -> ReadItem {
@@ -1882,8 +1237,8 @@ mod tests {
 
     fn coded(reads: &[ReadItem]) -> Vec<u8> {
         let mut bytes = Vec::new();
-        snapshot_reads(&mut bytes, &reads.iter().cloned().collect());
-        let back = exact(&bytes, d_snapshot_reads).map(|r| r.iter().collect::<Vec<_>>());
+        SnapshotReads::from_iter(reads.iter().cloned()).put(&mut bytes);
+        let back = exact(&bytes, SnapshotReads::get).map(|r| r.iter().collect::<Vec<_>>());
         assert_eq!(back.as_deref(), Ok(reads));
         bytes
     }
@@ -1936,9 +1291,9 @@ mod tests {
         // Checked alone and inside a CONFIRM-READ envelope: what the one
         // rejects, the other does.
         let decode = |bytes: &[u8]| {
-            let alone = exact(bytes, d_snapshot_reads);
+            let alone = exact(bytes, SnapshotReads::get);
             // Tag 2, subject 49@2, origin 2.
-            let in_message = exact(&[&[2, 0x31, 0x02, 0x02], bytes].concat(), d_message);
+            let in_message = exact(&[&[2, 0x31, 0x02, 0x02], bytes].concat(), Message::get);
             assert_eq!(alone.is_ok(), in_message.is_ok(), "{bytes:?}");
             alone
         };
@@ -1992,6 +1347,52 @@ mod tests {
         let mut bytes = Vec::new();
         put_varint(&mut bytes, 1 << 40);
         assert!(decode(&bytes).unwrap_err().contains("exceeds remaining"));
+    }
+
+    /// Decodes exactly `bytes` as a `T`, dropping the value.
+    fn decodes<T: Wire>(bytes: &[u8]) -> Result<(), String> {
+        exact(bytes, T::get).map(drop)
+    }
+
+    #[test]
+    fn unknown_tags_are_refused_for_every_enum() {
+        type Decode = fn(&[u8]) -> Result<(), String>;
+        // Each tagged enum, and the first tag past its table.
+        let enums: [(&str, u8, Decode); 14] = [
+            ("Message", 20, decodes::<Message>),
+            ("ScalarValue", 3, decodes::<ScalarValue>),
+            ("Blueprint", 5, decodes::<Blueprint>),
+            ("PathElem", 2, decodes::<PathElem>),
+            ("ObjectAddr", 2, decodes::<ObjectAddr>),
+            ("TreeSnapshot", 4, decodes::<TreeSnapshot>),
+            ("WireOp", 7, decodes::<WireOp>),
+            ("SubjectKind", 2, decodes::<SubjectKind>),
+            ("TxnOutcome", 2, decodes::<TxnOutcome>),
+            ("ObjectValue", 4, decodes::<ObjectValue>),
+            ("ListOp", 3, decodes::<ListOp>),
+            ("TupleOp", 3, decodes::<TupleOp>),
+            ("ObjectKind", 6, decodes::<ObjectKind>),
+            ("PropagationMode", 2, decodes::<PropagationMode>),
+        ];
+        for (name, past, decode) in enums {
+            let unknown = |tag: u8| Err(format!("unknown {name} tag {tag}"));
+            for tag in [past, 0xFF] {
+                assert_eq!(decode(&[tag]), unknown(tag));
+            }
+            // Every tag below it is in the table (Message's start at 1).
+            for tag in u8::from(name == "Message")..past {
+                assert_ne!(decode(&[tag]), unknown(tag));
+            }
+        }
+        assert_eq!(
+            decodes::<Message>(&[0]),
+            Err("unknown Message tag 0".into())
+        );
+        assert_eq!(decodes::<bool>(&[2]), Err("bad bool byte 2".into()));
+        assert_eq!(
+            decodes::<Option<VirtualTime>>(&[2]),
+            Err("bad option byte 2".into())
+        );
     }
 
     #[test]

@@ -101,13 +101,13 @@ impl ReplicationGraph {
     }
 
     /// Iterates the nodes in ascending order.
-    pub fn nodes(&self) -> impl Iterator<Item = &NodeRef> {
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = &NodeRef> {
         self.nodes.iter()
     }
 
     /// Iterates the relation edges `(a, b, relation)` in ascending order,
     /// with `a < b` as maintained by [`joined_with`](Self::joined_with).
-    pub(crate) fn edges(&self) -> impl Iterator<Item = &(NodeRef, NodeRef, RelationId)> {
+    pub(crate) fn edges(&self) -> impl ExactSizeIterator<Item = &(NodeRef, NodeRef, RelationId)> {
         self.edges.iter()
     }
 

@@ -690,3 +690,232 @@ fn drain_and_checkpoint_reaches_quiescence_locally() {
     assert_eq!(cp.site, SiteId(1));
     assert!(cp.object_count() >= 1);
 }
+
+// ---- golden bytes: populated logs -----------------------------------------
+//
+// `golden_commit_frame_bytes` and `golden_checkpoint_frame_has_kind_two`
+// pin an empty site and a one-update commit; these pin what a working
+// pair of sites logs. A layout that swaps two fields or two tags in both
+// its directions still round-trips; only committed bytes see it.
+//
+// The script of `records_after` reaches every `ObjectValue` arm,
+// `ListOp::Remove`, `TupleOp::Put` and `TupleOp::Remove`, histories with
+// more than one entry, reservations, parents, embeddings and an
+// association. It reaches no `ListOp::Insert` (collected before the
+// closing checkpoint) and no `ListOp::ReplaceAll` or `TupleOp::ReplaceAll`
+// (only a join's adoption writes those): `joined_records` does.
+
+/// Site 1 fills a list and a tuple and offers each in a relation; site 2
+/// joins a fresh list and a fresh tuple to them (§3.3), adopting their
+/// values. Yields what the two logs would hold, as [`records_after`] does.
+fn joined_records() -> Vec<WalRecord> {
+    let mut a = Site::with_config(SiteId(1), durable_config());
+    let mut b = Site::with_config(SiteId(2), durable_config());
+    let (list, tuple, assoc) = (a.create_list(), a.create_tuple(), a.create_association());
+    for op in [Op::ListPush(Blueprint::Int(1)), Op::TuplePut("k".into(), 2)] {
+        let apply = Apply {
+            op,
+            counter: list,
+            real: list,
+            text: list,
+            list,
+            tuple,
+        };
+        a.execute(Box::new(apply));
+    }
+    let list_rel = a.create_relation(assoc, "list", list).expect("local list");
+    let tuple_rel = a
+        .create_relation(assoc, "tuple", tuple)
+        .expect("local tuple");
+    wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+    for (rel, local) in [(list_rel, b.create_list()), (tuple_rel, b.create_tuple())] {
+        let invitation = a.make_invitation(assoc, rel).expect("relation at site 1");
+        b.join(invitation, local).expect("local object");
+        wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+    }
+    let mut records = Vec::new();
+    for site in [&mut a, &mut b] {
+        records.extend(site.drain_wal().into_iter().map(WalRecord::Commit));
+        let cp = site.drain_and_checkpoint().expect("settled pair");
+        records.push(WalRecord::Checkpoint(Box::new(cp)));
+    }
+    records
+}
+
+/// The frames of `records_after(&scripted_ops())`, in order: site 1's
+/// commits and checkpoint, then site 2's.
+const SCRIPTED_FRAMES_HEX: [&str; 22] = [
+    // commit
+    "02011b0000009b57834d01010101010500000501808080801001010100076564\
+     69746f7273",
+    // commit
+    "02010b0000003bd38a1b020101010100020100000d",
+    // commit
+    "02010b000000082edde1030202010100020100000b",
+    // commit
+    "020112000000f793adec04010101010204010001000000000000f0ff",
+    // commit
+    "0201150000002a714498050101010103050100020a68c3a96c6c6f20e29c93",
+    // commit
+    "020110000000f00f6e6106010101010106010601010601000002",
+    // commit
+    "02013f0000002b2473c507010101010107010601020601000002070102020474\
+     616773010207010001000000000000008007010000ffffffffffffffffff0103\
+     77686f000203616e61",
+    // commit
+    "02013a000000b2a4b0ad08010101010107010601010701020204746167730102\
+     07010001000000000000008007010000ffffffffffffffffff010377686f0002\
+     03616e61",
+    // commit
+    "020110000000f68ae6bf0901010101040901060201016b000006",
+    // commit
+    "0201180000001fc222440a01010101040a0106020204676f6e65000008016b00\
+     0006",
+    // commit
+    "020110000000961471d30b01010101040a01060201016b000006",
+    // commit
+    "02010b000000fe91a9c20902020101000302000009",
+    // commit
+    "0201140000002628aa9d0d01010101000d010000feffffffffffffffff01",
+    // checkpoint
+    "02022202000039112a1701010d0e010000020902010000090d01010000feffff\
+     ffffffffffff0101000001020101000202000101010002020000010d010d010d\
+     010100000d010d010000000109030107010101020701010a0701010b00000000\
+     0101070100010404030901010201016b010c0100016b010c0a0101020204676f\
+     6e65010d016b010c010004676f6e65010d0b01010201016b010c010104676f6e\
+     65010000010101010400020a010a010a010a010b010b010200000a010a010000\
+     0b010b01000000010a0101070101000100000000000000800000000101090100\
+     01050501010101030180808080100101010007656469746f7273010000010101\
+     0105000000000000010c00010901010000060000000101040100010302010501\
+     0100020a68c3a96c6c6f20e29c93010000010101010300000000000001060001\
+     0601010000020000000101010100010201010401010001000000000000f0ff01\
+     00000101010102000000000000010b00010701010000ffffffffffffffffff01\
+     0000000101090100010d00010a01010000080000000101040100010103010801\
+     0101010701010701010601010000010201010102020101010101020201000000\
+     000002060101060701010701080201070101000203616e610000000101070100\
+     010704010701010202047461677301090377686f01080000000001010101000e\
+     0e0101000201000302000401000501000601000701000801000901000902000a\
+     01000b01000c01010d010001",
+    // commit
+    "02010b000000a6c9622a020101010200020100000d",
+    // commit
+    "02010b000000953435d0030202010200020100000b",
+    // commit
+    "02011700000016c0537006010102020106010601010601000002020206010000\
+     02",
+    // commit
+    "0201ba0000008ddc6cbc07010106020107010601020601000002070102020474\
+     616773010207010001000000000000008007010000ffffffffffffffffff0103\
+     77686f000203616e610203070106020204746167730102070100010000000000\
+     00008007010000ffffffffffffffffff010377686f000203616e610204070100\
+     0203616e610205070106010207010001000000000000008007010000ffffffff\
+     ffffffffff010206070100010000000000000080020707010000ffffffffffff\
+     ffffff01",
+    // commit
+    "02013a000000685e5eaf08010101020107010601010701020204746167730102\
+     07010001000000000000008007010000ffffffffffffffffff010377686f0002\
+     03616e61",
+    // commit
+    "02010b000000638b41f30902020102000302000009",
+    // commit
+    "020114000000d49c62b40d01010102000d010000feffffffffffffffff01",
+    // checkpoint
+    "02020c010000e5eb40dd02020d08020200010601010000020000000102010100\
+     020700010701010000ffffffffffffffffff0100000001020501000203040107\
+     01010202047461677302050377686f0204000000000102010100020402010701\
+     01000203616e6100000001020301000205030107010101020701020607010207\
+     000000000102030100020000010d01010000feffffffffffffffff0101000001\
+     0201010002020001010100020200000000000000020103010801010101070102\
+     0301010601010000010201010102020101010101020201000000000002060102\
+     0207010203020601010701010001000000000000008000000001020501000807\
+     0201000302000601000701000801000902000d010000",
+];
+
+/// The frames of `joined_records()`, in order: site 1's commits and
+/// checkpoint, then site 2's.
+const JOINED_FRAMES_HEX: [&str; 10] = [
+    // commit
+    "0201100000002cefe50d01010101010001010601010101000002",
+    // commit
+    "020110000000d29784820201010101010201060201016b000004",
+    // commit
+    "0201180000009d08e76a03010101010200000501808080801001010100046c69\
+     7374",
+    // commit
+    "020127000000ac4b3f8904010101010203010502808080801001010100046c69\
+     7374818080801001010101057475706c65",
+    // commit
+    "02012a00000067b1023301020201010201020502808080801002010100020200\
+     046c697374818080801001010101057475706c65",
+    // commit
+    "02012a000000630c93e305020201010205020502808080801001010100046c69\
+     7374818080801002010101020201057475706c65",
+    // checkpoint
+    "0202e00000005274e53801010505010003010101010101010101030100ffffff\
+     ffffffffffff0101010103010102010201010002020001010100020200808080\
+     8010000000000101010103010205010502010302808080801001010100046c69\
+     7374818080801002010101020201057475706c65010000010101010200000000\
+     0000010400010201010000040000000101010100010104010201010201016b01\
+     040100016b010401050201020101010202010101010102020181808080100000\
+     0000000103000101010100000200000001010001000506010100010200020100\
+     03010004010005020002",
+    // commit
+    "020110000000bb4eea2e01020201020001020601010101000002",
+    // commit
+    "02011000000049d5aebe0502020102010502060201016b000004",
+    // checkpoint
+    "0202a3000000f53cbec002020504020200010101010000020000000102000100\
+     0200030101010101010101020201020101010202010102010201010002020001\
+     0101000202008080808010000000000101010202020300010201010000040000\
+     000102010100020104010201010201016b0203010201016b0203020000010102\
+     0201000502010201010102020101010101020201818080801000010000050205\
+     02000000040201020005020000",
+];
+
+fn to_hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn from_hex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
+#[test]
+fn golden_populated_log_frames() {
+    let scripted = records_after(&scripted_ops());
+    let joined = joined_records();
+    for (records, golden) in [
+        (&scripted, &SCRIPTED_FRAMES_HEX[..]),
+        (&joined, &JOINED_FRAMES_HEX[..]),
+    ] {
+        assert_eq!(records.len(), golden.len());
+        for (record, hex) in records.iter().zip(golden) {
+            let mut frame = Vec::new();
+            append_frame(&mut frame, record);
+            assert_eq!(to_hex(&frame), *hex, "{record:?}");
+            let scan = scan_wal(&from_hex(hex)).expect("golden frame decodes");
+            assert_eq!(scan.records, std::slice::from_ref(record));
+        }
+    }
+    // The arms each fixture is there for (their `Debug` forms).
+    let (scripted, joined) = (format!("{scripted:?}"), format!("{joined:?}"));
+    for arm in ["Scalar(", "List {", "Tuple {", "Assoc("] {
+        assert!(
+            scripted.contains(&format!("value: {arm}")),
+            "ObjectValue::{arm}"
+        );
+    }
+    for arm in ["Remove { tag", "Put { key", "Remove { key"] {
+        assert!(scripted.contains(arm), "scripted arm {arm}");
+    }
+    for arm in [
+        "Insert { index",
+        "ReplaceAll { entries: [",
+        "ReplaceAll { entries: {",
+    ] {
+        assert!(joined.contains(arm), "joined arm {arm}");
+    }
+}

@@ -1514,3 +1514,114 @@ fn a_256_child_snapshot_fits_in_1600_bytes() {
     let full = wire::encode_envelope_v2(&txn_reading(reads));
     assert!(full.len() >= 6_000, "{} bytes", full.len());
 }
+
+// ---- golden snapshots: every sample envelope ------------------------------
+//
+// A layout that swaps two fields or two tags in both its directions still
+// round-trips; only committed bytes see it. These are the bytes of each
+// envelope of `sample_envelopes()`, in order: all 19 `Message` variants,
+// each `Option` field in both forms, a span on every third envelope.
+
+const SAMPLE_ENVELOPES_HEX: [&str; 26] = [
+    // Txn, every WireOp, two reads, a delegate
+    "0102ac020101c80101010900040b640132020000ffffffffffffffffff010101\
+     0102020003080101016b650132020001355800662deb41fe0000040d66013202\
+     000207cebccf84662d3801010102020003080101016b6701320201ffffffffff\
+     ffffffff010303000201000000000000d03f0401016b0201760000040f680132\
+     02024d0501010102020003080101016b6901320203036b657901000000000000\
+     f83f000004116a0132020404676f6e6501010102020003080101016b6b013202\
+     0502070201010302020907656469746f72730c0000000004136c013202060204\
+     016e000005017200010000000000000440017300020a68c3a96c6c6f20e29c93\
+     016c010209020000020a030302070201010302020907656469746f72730c0000\
+     010200020528021e01000102050101017829021e010163030102020301ac0200",
+    // Txn, empty
+    "0202ad020201c9010202000000",
+    // SnapshotConfirm
+    "0302ae020302d2010303020000020528021e0100000102050101017829021e01\
+     016303",
+    // Confirm
+    "0402af020403d301010004af0200",
+    // Deny
+    "0102b0020104d4010101",
+    // Commit
+    "0202b1020205d50102",
+    // Abort
+    "0302b2020306d6010203b20200",
+    // JoinRequest, with an association
+    "0402b3020407dc01010107010103030101030202090404010101010302020907\
+     020901020a",
+    // JoinRequest, without
+    "0102b4020107dd010101080101040101010400030100",
+    // JoinReply, ok, with a value
+    "0202b5020208dc01010102020903010103020209040401010101030202090701\
+     0204016e000005017200010000000000000440017300020a68c3a96c6c6f20e2\
+     9c93016c010209020000020a030302070201010302020907656469746f72730c\
+     0000be0102000202040502b50200",
+    // JoinReply, refused
+    "0302b6020308dd0101000303010103030100000000010000",
+    // GraphUpdate, with a value
+    "0402b7020409e601010102090301010302020904040101010103020209073202\
+     01010204016e000005017200010000000000000440017300020a68c3a96c6c6f\
+     20e29c93016c010209020000020a030302070201010302020907656469746f72\
+     730c0000be0102",
+    // GraphUpdate, without
+    "0102b8020109e701010102090301010302020904040101010103020209073202\
+     0000000001b80200",
+    // OutcomeQuery
+    "0202b902020af0010402",
+    // OutcomeReport, known
+    "0302ba02030bf001040100",
+    // OutcomeReport, unknown
+    "0402bb02040bf001040004bb0200",
+    // OutcomeDecision
+    "0102bc02010cf0010401",
+    // GraphPropose
+    "0202bd02020dffffffffffffffffff0101020901030301010302020904040101\
+     01010302020907fa0101",
+    // GraphAck
+    "0302be02030effffffffffffffffff01010303be0200",
+    // Heartbeat
+    "0402bf02040f",
+    // GraphApply
+    "0102c0020110030209030101030202090404010101010302020907fa0101",
+    // RejoinRequest, serving
+    "0202c102021184020202ff01018402020102c10200",
+    // RejoinRequest, empty
+    "0302c202031100000000",
+    // RejoinAck
+    "0402c302041285020301ff0101",
+    // CatchUp, one commit
+    "0102c402011301860201010900040b640132020000ffffffffffffffffff0101\
+     010102020003080101016b650132020001355800662deb41fe0000040d660132\
+     02000207cebccf84662d3801010102020003080101016b6701320201ffffffff\
+     ffffffffff010303000201000000000000d03f0401016b0201760000040f6801\
+     3202024d0501010102020003080101016b6901320203036b6579010000000000\
+     00f83f000004116a0132020404676f6e6501010102020003080101016b6b0132\
+     020502070201010302020907656469746f72730c0000000004136c0132020602\
+     04016e000005017200010000000000000440017300020a68c3a96c6c6f20e29c\
+     93016c010209020000020a030302070201010302020907656469746f72730c00\
+     000100000001c40200",
+    // CatchUp, empty
+    "0202c50202130001",
+];
+
+fn to_hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn from_hex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
+#[test]
+fn golden_v3_every_sample_envelope() {
+    let envs = sample_envelopes();
+    assert_eq!(envs.len(), SAMPLE_ENVELOPES_HEX.len());
+    for (env, hex) in envs.iter().zip(SAMPLE_ENVELOPES_HEX) {
+        assert_eq!(to_hex(&wire::encode_envelope_v2(env)), hex, "{env:?}");
+        assert_eq!(wire::decode_envelope_v2(&from_hex(hex)).unwrap(), *env);
+    }
+}

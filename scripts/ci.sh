@@ -47,6 +47,15 @@ if [[ "$(grep -c 'mod json' crates/net/src/wire.rs)" != 0 ]]; then
     exit 1
 fi
 
+# One statement per layout: a type the codec's `wire!` tables write gets
+# both its encoder and its decoder from its row, so no twin hand-written
+# decoder comes back (crates/core/src/codec.rs, "One table per layout").
+if grep -nE 'fn d_(message|propagate|wireop|object_value|object_checkpoint)\b' \
+    crates/core/src/codec.rs; then
+    echo "FAIL: a twin decoder is back in crates/core/src/codec.rs (add a table row instead)" >&2
+    exit 1
+fi
+
 # One node loop, two substrates: the threaded substrate, the simulator's
 # endpoint facade and the Transport trait stay deleted, and nothing outside
 # decaf_net::node drives a Site's queues by hand (tests/end_to_end_sim.rs
@@ -117,10 +126,16 @@ run cargo test -p decaf-apps --test tcp_transport --offline -q \
     durable_site_recovers_from_sigkill_and_rejoins
 
 # The byte goldens, gated by name like the durability test above: the wire
-# envelopes (`wire_codec_v2`), the WAL frames (`wal`) and the codec's own
-# unit goldens (the snapshot-read flag bytes and the strict decoder). A
-# snapshot's CONFIRM-READ is held as its wire coding (codec::SnapshotReads),
-# so these bytes are also the engine's in-memory form of a request.
+# envelopes (`wire_codec_v2`, whose `golden_v3_every_sample_envelope` pins
+# the bytes of every `Message` variant), the WAL frames (`wal`, whose
+# `golden_populated_log_frames` pins what a working pair of sites logs,
+# every `ObjectValue`/`ListOp`/`TupleOp` arm included) and the codec's own
+# unit goldens (the snapshot-read flag bytes, the strict decoder, every
+# enum's unknown tags). The codec states each layout once, so a table row
+# that swaps two fields or two tags still round-trips: only these bytes see
+# it. A snapshot's CONFIRM-READ is held as its wire coding
+# (codec::SnapshotReads), so these bytes are also the engine's in-memory
+# form of a request.
 run cargo test -p decaf-net --test wire_codec_v2 --offline -q
 run cargo test -p decaf-core --test wal --offline -q
 run cargo test -p decaf-core --lib --offline -q codec::

@@ -17,6 +17,17 @@
 //!    round of conflicting read-modify-write transactions at two wired sites
 //!    (rollback + automatic re-execution at the losing site).
 //!
+//! 3. **A list snapshot's CONFIRM-READ, per read item** (engine + codec):
+//!    a replica of a 256-element list with an optimistic view on it asks
+//!    the list's primary to confirm one read item per element each time
+//!    one element is written (§4.1). Three stages, each in ns per item:
+//!    the replica building the request (a write's `execute` with the view
+//!    attached, less the same write at a replica without one, the two
+//!    timed in turn), the envelope decoder checking it, and the primary
+//!    handling it (`Site::handle_message`). Medians and quartiles over the
+//!    samples; in the JSON document this table is `per_item`, beside the
+//!    two `sections`.
+//!
 //! Flags: `--json` emits one JSON document on stdout (this is what
 //! `BENCH_throughput.json` is produced from); `--smoke` shrinks iteration
 //! counts for CI. The process exits non-zero if any transported envelope
@@ -30,8 +41,8 @@ use std::time::{Duration, Instant};
 
 use decaf_bench::{print_table, table_json};
 use decaf_core::{
-    wiring, Blueprint, Envelope, Message, ObjectAddr, ObjectName, ScalarValue, Site, Transaction,
-    TxnCtx, TxnError, TxnPropagate, UpdateItem, WireOp,
+    codec, wiring, Blueprint, Envelope, Message, ObjectAddr, ObjectName, RecordingView,
+    ScalarValue, Site, Transaction, TxnCtx, TxnError, TxnPropagate, UpdateItem, ViewMode, WireOp,
 };
 use decaf_net::wire::{
     decode_batch, decode_envelope_v2, encode_batch_parts, encode_envelope_v2, encode_frame,
@@ -297,6 +308,115 @@ fn run_conflict(elems: usize, iters: u64) -> CowRow {
 }
 
 // ===========================================================================
+// Section 3: a list snapshot's CONFIRM-READ, ns per read item
+// ===========================================================================
+
+/// Elements of the list a snapshot reads, as in `decaf-e2e`'s `duel_list3`.
+const SNAPSHOT_ELEMS: usize = 256;
+
+/// Overwrites the integer at `index` of the list.
+struct WriteElement(ObjectName, usize);
+impl Transaction for WriteElement {
+    fn execute(&mut self, ctx: &mut TxnCtx<'_>) -> Result<(), TxnError> {
+        let child = ctx.list_child(self.0, self.1)?;
+        ctx.write_int(child, self.1 as i64)
+    }
+}
+
+/// A primary (site 1) and a replica (site 2) of a `SNAPSHOT_ELEMS`-element
+/// list, everything committed; the replica's view of it, if `view`.
+fn snapshot_pair(view: bool) -> (Site, Site, ObjectName) {
+    let (mut a, mut b) = (Site::new(SiteId(1)), Site::new(SiteId(2)));
+    let (la, lb) = (a.create_list(), b.create_list());
+    wiring::wire_pair(&mut a, la, &mut b, lb);
+    a.execute(Box::new(FillList(la, SNAPSHOT_ELEMS)));
+    wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+    if view {
+        let recording = Box::new(RecordingView::new(vec![]));
+        b.attach_view(recording, &[lb], ViewMode::Optimistic);
+    }
+    (a, b, lb)
+}
+
+/// One stage's samples, in ns per read item.
+struct ItemRow {
+    stage: &'static str,
+    items: usize,
+    ns: Vec<f64>,
+}
+
+impl ItemRow {
+    /// The value a share `q` of the way up the sorted samples.
+    fn quantile(&self, q: f64) -> f64 {
+        let mut ns = self.ns.clone();
+        ns.sort_by(f64::total_cmp);
+        ns[((ns.len() - 1) as f64 * q).round() as usize]
+    }
+}
+
+/// Times the three stages of `samples` list snapshots: each sample writes
+/// one element at the replica with the view and at the one without, in
+/// turn, then decodes the request the first sent and hands it to its
+/// primary.
+fn run_snapshot_items(samples: usize) -> Vec<ItemRow> {
+    let ns = |t: Duration, items: usize| t.as_nanos() as f64 / items as f64;
+    let (mut a, mut b, lb) = snapshot_pair(true);
+    let (mut a0, mut b0, lb0) = snapshot_pair(false);
+    let (mut build, mut check, mut handle) = (Vec::new(), Vec::new(), Vec::new());
+    let mut items = 0;
+    for k in 0..samples {
+        let index = k % SNAPSHOT_ELEMS;
+        let timed = |site: &mut Site, list| {
+            let start = Instant::now();
+            site.execute(Box::new(WriteElement(list, index)));
+            start.elapsed()
+        };
+        let (with, without) = if k % 2 == 0 {
+            let with = timed(&mut b, lb);
+            (with, timed(&mut b0, lb0))
+        } else {
+            let without = timed(&mut b0, lb0);
+            (timed(&mut b, lb), without)
+        };
+        wiring::run_to_quiescence(&mut [&mut a0, &mut b0]);
+
+        let (request, rest): (Vec<Envelope>, Vec<Envelope>) = b
+            .drain_outbox()
+            .into_iter()
+            .partition(|env| matches!(env.msg, Message::SnapshotConfirm { .. }));
+        let [request] = <[Envelope; 1]>::try_from(request).expect("one snapshot request");
+        let Message::SnapshotConfirm { reads, .. } = &request.msg else {
+            unreachable!("partitioned above");
+        };
+        items = reads.len();
+        build.push(ns(with.saturating_sub(without), items));
+
+        let mut bytes = Vec::new();
+        codec::envelope(&mut bytes, &request);
+        let start = Instant::now();
+        let decoded = codec::decode_envelope(&bytes).expect("a request decodes");
+        check.push(ns(start.elapsed(), items));
+        drop(decoded);
+
+        for env in rest {
+            a.handle_message(env);
+        }
+        let start = Instant::now();
+        a.handle_message(request);
+        handle.push(ns(start.elapsed(), items));
+        wiring::run_to_quiescence(&mut [&mut a, &mut b]);
+    }
+    [
+        ("replica builds", build),
+        ("decoder checks", check),
+        ("primary handles", handle),
+    ]
+    .into_iter()
+    .map(|(stage, ns)| ItemRow { stage, items, ns })
+    .collect()
+}
+
+// ===========================================================================
 // Output
 // ===========================================================================
 
@@ -325,6 +445,9 @@ fn main() {
         cow_rows.push(run_rollback(elems, r_iters));
         cow_rows.push(run_conflict(elems, c_iters));
     }
+
+    // Per-item sweep: a 256-element list snapshot's three stages.
+    let item_rows = run_snapshot_items(if smoke { 64 } else { 2_000 });
 
     let wire_table: Vec<Vec<String>> = wire_rows
         .iter()
@@ -365,6 +488,21 @@ fn main() {
         })
         .collect();
     let cow_headers = ["elems", "metric", "iters", "total ms", "us/iter", "retries"];
+    let item_table: Vec<Vec<String>> = item_rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.stage.to_string(),
+                r.items.to_string(),
+                r.ns.len().to_string(),
+                format!("{:.1}", r.quantile(0.5)),
+                format!("{:.1}", r.quantile(0.25)),
+                format!("{:.1}", r.quantile(0.75)),
+            ]
+        })
+        .collect();
+    let item_headers = ["stage", "items", "samples", "ns/item p50", "p25", "p75"];
+    let item_title = "P1 list snapshot CONFIRM-READ, ns per read item";
 
     let ok = delivered >= expected;
     if json {
@@ -383,6 +521,10 @@ fn main() {
                 ]),
             ),
             (
+                "per_item",
+                table_json(item_title, &item_headers, &item_table),
+            ),
+            (
                 "check",
                 Value::object([
                     ("sent", expected.into()),
@@ -399,6 +541,7 @@ fn main() {
             &wire_table,
         );
         print_table("P1 CoW rollback/re-execute", &cow_headers, &cow_table);
+        print_table(item_title, &item_headers, &item_table);
         println!(
             "\nwire check: sent {expected}, delivered {delivered} ({})",
             if ok { "ok" } else { "LOST ENVELOPES" }

@@ -69,10 +69,16 @@
 //! [`SnapshotReads`] is the items' coding and their count, written item by
 //! item as the guessing site pushes them, so a CONFIRM-READ holds its wire
 //! size while it is queued, in flight or parked at the primary, and the
-//! encoder copies it out unchanged. The envelope decoder runs every check
-//! above on each item before it keeps the bytes, so a malformed request is
-//! refused where it is read off the wire, and the primary decodes each item
-//! once more, as it checks it.
+//! encoder copies it out unchanged. The guessing site pushes a list child
+//! straight from its key (`push_child`: the list, the index, the tag), and
+//! any other object by its address (`push`); both write the same bytes for
+//! the same item. One decoder reads the flags back. The envelope decoder
+//! runs every check above on each item with it before it keeps the bytes,
+//! so a malformed request is refused where it is read off the wire. The
+//! primary decodes each item once more, as it checks it, into a
+//! [`ReadTarget`] rather than a [`ReadItem`]: a list child comes back as
+//! its key, which the primary resolves against the list's entries, fetched
+//! once for each run of children of one list, and builds no path for it.
 //!
 //! The layout is strict and self-delimiting — decoding rejects unknown
 //! tags, truncation, and trailing bytes, bounds every declared count by the
@@ -711,6 +717,71 @@ fn root_and_index(a: &ObjectAddr) -> (ObjectName, Option<(usize, VirtualTime)>) 
     }
 }
 
+/// What a snapshot read names at the primary: a list child as the list and
+/// the child's index and tag, so that reading it builds no path, and any
+/// other object by its address.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ReadTarget {
+    /// The child embedded at `tag` in list `root`, `index` its position when
+    /// the read was made (a hint, as in [`PathElem::Index`]).
+    Child {
+        /// The list, named at the primary.
+        root: ObjectName,
+        /// The child's position in it at the guessing site.
+        index: usize,
+        /// The VT of the transaction that embedded the child.
+        tag: VirtualTime,
+    },
+    /// Any address that is not exactly one list index under a root.
+    Addr(ObjectAddr),
+}
+
+impl From<ObjectAddr> for ReadTarget {
+    fn from(addr: ObjectAddr) -> Self {
+        match root_and_index(&addr) {
+            (root, Some((index, tag))) => ReadTarget::Child { root, index, tag },
+            _ => ReadTarget::Addr(addr),
+        }
+    }
+}
+
+impl From<ReadTarget> for ObjectAddr {
+    fn from(target: ReadTarget) -> Self {
+        match target {
+            ReadTarget::Child { root, index, tag } => ObjectAddr::Indirect {
+                root,
+                path: Path::from(PathElem::Index { index, tag }),
+            },
+            ReadTarget::Addr(addr) => addr,
+        }
+    }
+}
+
+/// One item of a [`SnapshotReads`] as it is decoded: a [`ReadItem`] whose
+/// address is a [`ReadTarget`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SnapshotRead {
+    /// The object read, named at the primary.
+    pub target: ReadTarget,
+    /// `tR`, as in [`ReadItem::t_r`].
+    pub t_r: VirtualTime,
+    /// `tG`, as in [`ReadItem::t_g`].
+    pub t_g: VirtualTime,
+    /// The guessed interval's upper bound, as in [`ReadItem::hi`].
+    pub hi: Option<VirtualTime>,
+}
+
+impl From<SnapshotRead> for ReadItem {
+    fn from(r: SnapshotRead) -> Self {
+        ReadItem {
+            addr: r.target.into(),
+            t_r: r.t_r,
+            t_g: r.t_g,
+            hi: r.hi,
+        }
+    }
+}
+
 /// What a snapshot's read item is coded against: the preceding item's
 /// root, its index if its path is one list index, and its `hi`.
 #[derive(Clone, Copy, PartialEq)]
@@ -720,66 +791,19 @@ struct ReadCtx {
     hi: Option<VirtualTime>,
 }
 
-/// Appends `r` coded against `prev`, the item before it if there is one,
-/// and returns what the next item is coded against.
-fn snapshot_read(o: &mut Vec<u8>, prev: Option<ReadCtx>, r: &ReadItem) -> ReadCtx {
-    let (root, index) = root_and_index(&r.addr);
-    let mut flags = 0;
-    if let (Some((index, tag)), Some(prev)) = (index, prev) {
-        if prev.root == root {
-            flags |= READ_SAME_ROOT;
-            if prev.index.is_some_and(|i| i.checked_add(1) == Some(index)) {
-                flags |= READ_NEXT_INDEX;
-            }
-            if r.t_r == tag {
-                flags |= READ_TR_IS_TAG;
-            }
-        }
-    }
-    if r.t_g == r.t_r {
-        flags |= READ_TG_IS_TR;
-    }
-    if prev.is_some_and(|prev| prev.hi == r.hi) {
-        flags |= READ_HI_REPEATS;
-    }
-    o.push(flags);
-    match index {
-        Some((index, tag)) if flags & READ_SAME_ROOT != 0 => {
-            if flags & READ_NEXT_INDEX == 0 {
-                index.put(o);
-            }
-            tag.put(o);
-        }
-        _ => r.addr.put(o),
-    }
-    if flags & READ_TR_IS_TAG == 0 {
-        r.t_r.put(o);
-    }
-    if flags & READ_TG_IS_TR == 0 {
-        r.t_g.put(o);
-    }
-    if flags & READ_HI_REPEATS == 0 {
-        r.hi.put(o);
-    }
-    ReadCtx {
-        root,
-        index: index.map(|(i, _)| i),
-        hi: r.hi,
-    }
-}
-
 /// A view snapshot's CONFIRM-READ items ([`Message::SnapshotConfirm`]),
 /// kept as their coding (module docs, "Snapshot reads"): what a request
 /// holds while it is queued at the guessing site, in flight and parked at
 /// the primary is its wire size, 4–5 bytes for the next child of a list
 /// where a [`ReadItem`] is 104.
 ///
-/// Built with [`push`](SnapshotReads::push) (or collected), read back with
-/// [`iter`](SnapshotReads::iter), which decodes each item once. The bytes
-/// are valid by construction: `push` writes them and the envelope decoder
-/// checks every item before it keeps them, so `iter` cannot fail. Two
-/// values are equal exactly when they hold the same items in the same
-/// order.
+/// Built with [`push`](SnapshotReads::push) or, for a list child,
+/// [`push_child`](SnapshotReads::push_child) (or collected), read back with
+/// [`targets`](SnapshotReads::targets) or [`iter`](SnapshotReads::iter),
+/// which decode each item once. The bytes are valid by construction: the
+/// pushes write them and the envelope decoder checks every item before it
+/// keeps them, so reading them back cannot fail. Two values are equal
+/// exactly when they hold the same items in the same order.
 #[derive(Clone, Default, PartialEq)]
 pub struct SnapshotReads {
     /// The items' coding, without the leading count.
@@ -798,12 +822,103 @@ impl SnapshotReads {
 
     /// Appends one item, coded against the one before it.
     pub fn push(&mut self, item: &ReadItem) {
-        let at = self.bytes.len();
-        let last = snapshot_read(&mut self.bytes, self.last, item);
+        let (root, child) = root_and_index(&item.addr);
+        self.push_coded(root, child, Some(&item.addr), item.t_r, item.t_g, item.hi);
+    }
+
+    /// Appends the read of the child embedded at `tag` in list `root`, at
+    /// `index` there, read at `t_r` (which is also its `t_g`) up to `hi`:
+    /// the bytes [`push`](SnapshotReads::push) writes for that item, without
+    /// building its address.
+    pub fn push_child(
+        &mut self,
+        root: ObjectName,
+        index: usize,
+        tag: VirtualTime,
+        t_r: VirtualTime,
+        hi: Option<VirtualTime>,
+    ) {
+        self.push_coded(root, Some((index, tag)), None, t_r, t_r, hi);
+    }
+
+    /// Appends one item coded against the one before it: the item's `root`,
+    /// its index and tag if it is one list index under that root, and its
+    /// address in full (`None` only for such a child, whose address is
+    /// then built if it must be written in full).
+    #[inline(always)]
+    fn push_coded(
+        &mut self,
+        root: ObjectName,
+        child: Option<(usize, VirtualTime)>,
+        addr: Option<&ObjectAddr>,
+        t_r: VirtualTime,
+        t_g: VirtualTime,
+        hi: Option<VirtualTime>,
+    ) {
+        let (prev, at) = (self.last, self.bytes.len());
+        let o = &mut self.bytes;
+        let mut flags = 0;
+        if let (Some((index, tag)), Some(prev)) = (child, prev) {
+            if prev.root == root {
+                flags |= READ_SAME_ROOT;
+                if prev.index.is_some_and(|i| i.checked_add(1) == Some(index)) {
+                    flags |= READ_NEXT_INDEX;
+                }
+                if t_r == tag {
+                    flags |= READ_TR_IS_TAG;
+                }
+            }
+        }
+        if t_g == t_r {
+            flags |= READ_TG_IS_TR;
+        }
+        if prev.is_some_and(|prev| prev.hi == hi) {
+            flags |= READ_HI_REPEATS;
+        }
+        o.push(flags);
+        match (child, addr) {
+            (Some((index, tag)), _) if flags & READ_SAME_ROOT != 0 => {
+                if flags & READ_NEXT_INDEX == 0 {
+                    index.put(o);
+                }
+                tag.put(o);
+            }
+            (_, Some(addr)) => addr.put(o),
+            (Some((index, tag)), None) => {
+                ObjectAddr::from(ReadTarget::Child { root, index, tag }).put(o)
+            }
+            (None, None) => unreachable!("only a list child is pushed without its address"),
+        }
+        if flags & READ_TR_IS_TAG == 0 {
+            t_r.put(o);
+        }
+        if flags & READ_TG_IS_TR == 0 {
+            t_g.put(o);
+        }
+        if flags & READ_HI_REPEATS == 0 {
+            hi.put(o);
+        }
+        let last = ReadCtx {
+            root,
+            index: child.map(|(i, _)| i),
+            hi,
+        };
         debug_assert!(
-            exact(&self.bytes[at..], |r| d_snapshot_read(r, self.last))
-                .is_ok_and(|(decoded, next)| decoded == *item && next == last),
-            "iter() yields what was pushed: {item:?}"
+            {
+                let target = match (child, addr) {
+                    (Some((index, tag)), _) => ReadTarget::Child { root, index, tag },
+                    (None, addr) => ReadTarget::Addr(addr.expect("checked above").clone()),
+                };
+                let pushed = SnapshotRead {
+                    target,
+                    t_r,
+                    t_g,
+                    hi,
+                };
+                exact(&self.bytes[at..], |r| d_snapshot_read(r, prev))
+                    .is_ok_and(|(decoded, next)| decoded == pushed && next == last)
+            },
+            "targets() yields what was pushed"
         );
         self.last = Some(last);
         self.len += 1;
@@ -831,13 +946,19 @@ impl SnapshotReads {
     }
 
     /// The items in the order they were pushed, each decoded as it is
-    /// reached.
-    pub fn iter(&self) -> SnapshotReadsIter<'_> {
+    /// reached; a list child comes back as [`ReadTarget::Child`] however it
+    /// was pushed.
+    pub fn targets(&self) -> SnapshotReadsIter<'_> {
         SnapshotReadsIter {
             r: R::new(&self.bytes),
             prev: None,
             left: self.len,
         }
+    }
+
+    /// The items in the order they were pushed, as [`ReadItem`]s.
+    pub fn iter(&self) -> impl Iterator<Item = ReadItem> + '_ {
+        self.targets().map(ReadItem::from)
     }
 }
 
@@ -872,10 +993,10 @@ pub struct SnapshotReadsIter<'a> {
 }
 
 impl Iterator for SnapshotReadsIter<'_> {
-    type Item = ReadItem;
+    type Item = SnapshotRead;
 
     #[inline]
-    fn next(&mut self) -> Option<ReadItem> {
+    fn next(&mut self) -> Option<SnapshotRead> {
         self.left = self.left.checked_sub(1)?;
         let (item, next) = d_snapshot_read(&mut self.r, self.prev)
             .expect("snapshot reads are checked when they are built");
@@ -889,10 +1010,12 @@ impl Iterator for SnapshotReadsIter<'_> {
 }
 
 /// Decodes one snapshot read item coded against `prev`, the item before it
-/// if there is one, and what the next item is coded against. Inlined: it
-/// is the primary's per-item cost when it checks a request.
+/// if there is one, and what the next item is coded against. The one
+/// decoder of the flags: the envelope decoder's check, [`SnapshotReads::targets`]
+/// and [`SnapshotReads::iter`] all go through it. Inlined: it is the
+/// primary's per-item cost when it checks a request.
 #[inline(always)]
-fn d_snapshot_read(r: &mut R, prev: Option<ReadCtx>) -> Result<(ReadItem, ReadCtx), String> {
+fn d_snapshot_read(r: &mut R, prev: Option<ReadCtx>) -> Result<(SnapshotRead, ReadCtx), String> {
     let flags = r.u8()?;
     if flags & !READ_FLAGS != 0 {
         return Err(format!("unknown read flag bits {flags:#04x}"));
@@ -907,7 +1030,7 @@ fn d_snapshot_read(r: &mut R, prev: Option<ReadCtx>) -> Result<(ReadItem, ReadCt
             "read flags {flags:#04x} repeat an item that is not there"
         ));
     }
-    let (addr, root, index, tag) = if flags & READ_SAME_ROOT != 0 {
+    let (target, root, index, same_root_tag) = if flags & READ_SAME_ROOT != 0 {
         let prev = prev.expect("checked above");
         let index = if flags & READ_NEXT_INDEX == 0 {
             usize::get(r)?
@@ -917,18 +1040,21 @@ fn d_snapshot_read(r: &mut R, prev: Option<ReadCtx>) -> Result<(ReadItem, ReadCt
                 .ok_or("read index follows an item that has none")?
         };
         let tag = VirtualTime::get(r)?;
-        let path = Path::from(PathElem::Index { index, tag });
-        let addr = ObjectAddr::Indirect {
+        let target = ReadTarget::Child {
             root: prev.root,
-            path,
+            index,
+            tag,
         };
-        (addr, prev.root, Some(index), Some(tag))
+        (target, prev.root, Some(index), Some(tag))
     } else {
-        let addr = ObjectAddr::get(r)?;
-        let (root, index) = root_and_index(&addr);
-        (addr, root, index.map(|(i, _)| i), None)
+        let target = ReadTarget::from(ObjectAddr::get(r)?);
+        let (root, index) = match &target {
+            ReadTarget::Child { root, index, .. } => (*root, Some(*index)),
+            ReadTarget::Addr(addr) => (root_and_index(addr).0, None),
+        };
+        (target, root, index, None)
     };
-    let t_r = match tag {
+    let t_r = match same_root_tag {
         Some(tag) if flags & READ_TR_IS_TAG != 0 => tag,
         _ => VirtualTime::get(r)?,
     };
@@ -943,7 +1069,15 @@ fn d_snapshot_read(r: &mut R, prev: Option<ReadCtx>) -> Result<(ReadItem, ReadCt
         Option::get(r)?
     };
     let next = ReadCtx { root, index, hi };
-    Ok((ReadItem { addr, t_r, t_g, hi }, next))
+    Ok((
+        SnapshotRead {
+            target,
+            t_r,
+            t_g,
+            hi,
+        },
+        next,
+    ))
 }
 
 /// The items' count, then their coding, copied out as it is held; decoding

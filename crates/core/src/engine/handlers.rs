@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use decaf_trace::TraceKind;
 use decaf_vt::{SiteId, VirtualTime};
 
-use crate::codec::SnapshotReads;
+use crate::codec::{ReadTarget, SnapshotReads};
 use crate::message::{Envelope, Message, ObjectAddr, SubjectKind, TxnPropagate};
 use crate::object::ObjectName;
 use crate::store::ApplyBlocked;
@@ -487,12 +487,33 @@ impl Site {
     }
 
     /// Classifies a snapshot CONFIRM-READ batch against current state,
-    /// decoding each item once.
-    fn evaluate_snapshot_reads(&self, subject: VirtualTime, reads: &SnapshotReads) -> SnapVerdict {
+    /// decoding each item once. A list child is resolved against its
+    /// list's entries, fetched once for each run of children of one list;
+    /// any other address goes through [`Store::resolve`](crate::store::Store).
+    pub(crate) fn evaluate_snapshot_reads(
+        &self,
+        subject: VirtualTime,
+        reads: &SnapshotReads,
+    ) -> SnapVerdict {
         let mut park = false;
         let mut intervals = Vec::with_capacity(reads.len());
-        for r in reads.iter() {
-            let Ok(target) = self.resolve_now(&r.addr) else {
+        // The list the preceding child was read under.
+        let mut list = None;
+        for r in reads.targets() {
+            let target = match r.target {
+                ReadTarget::Child { root, index, tag } => {
+                    if list.as_ref().is_none_or(|(at, _)| *at != root) {
+                        let Some(children) = self.store.list_children(root) else {
+                            return SnapVerdict::Deny;
+                        };
+                        list = Some((root, children));
+                    }
+                    let (_, children) = list.as_ref().expect("fetched above");
+                    children.child(index, tag)
+                }
+                ReadTarget::Addr(addr) => self.resolve_now(&addr).ok(),
+            };
+            let Some(target) = target else {
                 return SnapVerdict::Deny;
             };
             let hi = r.hi.unwrap_or(subject);
@@ -500,13 +521,12 @@ impl Site {
             let Ok(obj) = self.store.get(target) else {
                 return SnapVerdict::Deny;
             };
-            if obj.values.has_committed_write_in(r.t_r, hi) {
+            match obj.values.write_in(r.t_r, hi) {
                 // A committed update the requester has not seen: hard deny;
                 // the commit's arrival at the requester revises the guess.
-                return SnapVerdict::Deny;
-            }
-            if obj.values.has_write_in(r.t_r, hi) {
-                park = true;
+                Some(true) => return SnapVerdict::Deny,
+                Some(false) => park = true,
+                None => {}
             }
         }
         if park {
@@ -654,7 +674,8 @@ impl Site {
 }
 
 /// Verdict classes for snapshot CONFIRM-READ evaluation.
-enum SnapVerdict {
+#[derive(Debug, PartialEq)]
+pub(crate) enum SnapVerdict {
     /// Every interval is clean: the object each read resolved to and the
     /// `(lo, hi)` to reserve on it, in order.
     Confirm(Vec<(ObjectName, VirtualTime, VirtualTime)>),

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use decaf_trace::TraceKind;
 use decaf_vt::{SiteId, VirtualTime};
 
-use crate::codec::SnapshotReads;
+use crate::codec::{ReadTarget, SnapshotReads};
 use crate::message::{Message, ReadItem};
 use crate::object::ObjectName;
 use crate::store::ReadSet;
@@ -216,20 +216,7 @@ impl Site {
                         self.stats.snapshot_reservations_merged += u64::from(merged);
                     }
                 } else {
-                    let addr = set.addr(i);
-                    debug_assert_eq!(addr, self.store.addr_at(o, primary.site));
-                    let Some(addr) = addr else {
-                        continue;
-                    };
-                    remote_batches
-                        .entry(primary.site)
-                        .or_default()
-                        .push(&ReadItem {
-                            addr,
-                            t_r,
-                            t_g: t_r,
-                            hi: Some(ts),
-                        });
+                    self.push_remote_read(&set, i, &mut remote_batches, primary.site, (t_r, ts));
                 }
             }
         }
@@ -285,6 +272,41 @@ impl Site {
             self.request_confirmation(token, remote_batches);
         }
         self.maybe_commit_opt(vid);
+    }
+
+    /// Adds the RL guess that entry `i` of `set` is unwritten in `(lo, hi)`
+    /// to the CONFIRM-READ batch for `primary`, which checks it. A list
+    /// child one index below its routed root is pushed straight from its
+    /// key; every other object by its address there, and none if it has
+    /// no address there.
+    fn push_remote_read(
+        &self,
+        set: &ReadSet,
+        i: usize,
+        batches: &mut BTreeMap<SiteId, SnapshotReads>,
+        primary: SiteId,
+        (lo, hi): (VirtualTime, VirtualTime),
+    ) {
+        let o = set.entries()[i].object;
+        if let Some((root, index, tag)) = set.child_key(i) {
+            debug_assert_eq!(
+                self.store.addr_at(o, primary).map(ReadTarget::from),
+                Some(ReadTarget::Child { root, index, tag })
+            );
+            let batch = batches.entry(primary).or_default();
+            batch.push_child(root, index, tag, lo, Some(hi));
+            return;
+        }
+        let addr = set.addr(i);
+        debug_assert_eq!(addr, self.store.addr_at(o, primary));
+        if let Some(addr) = addr {
+            batches.entry(primary).or_default().push(&ReadItem {
+                addr,
+                t_r: lo,
+                t_g: lo,
+                hi: Some(hi),
+            });
+        }
     }
 
     /// Commit-notifies the optimistic view if its latest snapshot settled.
@@ -446,20 +468,7 @@ impl Site {
                     self.stats.snapshot_reservations_merged += u64::from(merged);
                 }
             } else {
-                let addr = set.addr(i);
-                debug_assert_eq!(addr, self.store.addr_at(o, primary.site));
-                let Some(addr) = addr else {
-                    continue;
-                };
-                remote_batches
-                    .entry(primary.site)
-                    .or_default()
-                    .push(&ReadItem {
-                        addr,
-                        t_r: lo,
-                        t_g: lo,
-                        hi: Some(hi),
-                    });
+                self.push_remote_read(&set, i, &mut remote_batches, primary.site, (lo, hi));
             }
         }
         guesses.outstanding.extend(remote_batches.keys());
@@ -794,10 +803,11 @@ impl Site {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::handlers::SnapVerdict;
     use crate::error::TxnError;
     use crate::graph::NodeRef;
-    use crate::message::{Envelope, WireOp};
-    use crate::object::Blueprint;
+    use crate::message::{Envelope, ObjectAddr, Path, PathElem, WireOp};
+    use crate::object::{Blueprint, ObjectValue};
     use crate::txn::{Transaction, TxnCtx};
     use crate::value::ScalarValue;
     use crate::view::{RecordingView, ViewEvent};
@@ -963,6 +973,254 @@ mod tests {
         assert_eq!(sent[&SiteId(1)].len(), 17);
         let issued = &b.views[&pess].pess[&ts].issued;
         assert_eq!(issued.len(), 17, "what a deny compares against");
+    }
+
+    /// Appends `child` to `list`.
+    struct Append(ObjectName, Blueprint);
+
+    impl Transaction for Append {
+        fn execute(&mut self, ctx: &mut TxnCtx<'_>) -> Result<(), TxnError> {
+            ctx.list_insert(self.0, usize::MAX, self.1.clone())?;
+            Ok(())
+        }
+    }
+
+    /// `(tag, child)` of each current entry of `list` at `site`.
+    fn entries_of(site: &Site, list: ObjectName) -> Vec<(VirtualTime, ObjectName)> {
+        let value = &site
+            .store
+            .get(list)
+            .unwrap()
+            .values
+            .current()
+            .unwrap()
+            .value;
+        value
+            .as_list()
+            .expect("a list")
+            .iter()
+            .map(|e| (e.tag, e.child))
+            .collect()
+    }
+
+    /// The primary's verdict on `reads`, found the way it was before list
+    /// children were read against their list fetched once: each item's
+    /// address resolved on its own, its history asked twice.
+    fn verdict_the_long_way(
+        site: &Site,
+        subject: VirtualTime,
+        reads: &SnapshotReads,
+    ) -> SnapVerdict {
+        let mut park = false;
+        let mut intervals = Vec::new();
+        for r in reads.iter() {
+            let Ok(target) = site.store.resolve(&r.addr) else {
+                return SnapVerdict::Deny;
+            };
+            let hi = r.hi.unwrap_or(subject);
+            intervals.push((target, r.t_r, hi));
+            let values = &site.store.get(target).unwrap().values;
+            if values
+                .iter()
+                .any(|e| e.committed && e.vt > r.t_r && e.vt < hi)
+            {
+                return SnapVerdict::Deny;
+            }
+            park |= values.has_write_in(r.t_r, hi);
+        }
+        if park {
+            SnapVerdict::Park
+        } else {
+            SnapVerdict::Confirm(intervals)
+        }
+    }
+
+    #[test]
+    fn primary_verdicts_equal_the_ones_found_the_long_way() {
+        let mut a = Site::new(SiteId(1));
+        let list = a.create_list();
+        for v in 0..6 {
+            a.execute(Box::new(Append(list, Blueprint::Int(v))));
+        }
+        let inner = Blueprint::List(vec![Blueprint::Int(10), Blueprint::Int(11)]);
+        a.execute(Box::new(Append(list, inner)));
+        let fields = Blueprint::Tuple(vec![("k".into(), Blueprint::Int(20))]);
+        a.execute(Box::new(Append(list, fields)));
+        let (removed_tag, removed) = entries_of(&a, list)[0];
+        a.execute(Box::new(Edit {
+            list: Some(list),
+            remove: Some(0),
+            ..Default::default()
+        }));
+        wiring::run_to_quiescence(&mut [&mut a]);
+        let scalar = a.create_int(7);
+
+        // Seven entries now: five ints, the inner list (index 5), the tuple
+        // (index 6). The inner list's children came with its blueprint, so
+        // the embedding registry does not know them: they resolve by scan.
+        let children = entries_of(&a, list);
+        assert_eq!(children.len(), 7);
+        let (inner_tag, inner) = children[5];
+        let (tuple_tag, tuple) = children[6];
+        let grandchildren = entries_of(&a, inner);
+        assert!(a.store.get(inner).unwrap().embeddings.is_empty());
+        assert!(a
+            .store
+            .get(list)
+            .unwrap()
+            .embeddings
+            .contains_key(&removed_tag));
+        let current =
+            |a: &Site, o: ObjectName| a.store.get(o).unwrap().values.current().unwrap().vt;
+        let hi = VirtualTime::new(1_000, SiteId(2));
+        let subject = VirtualTime::new(1_001, SiteId(2));
+
+        // One write in `(read, hi)` of each of two ints: element 1's
+        // uncommitted, element 2's committed.
+        let (uncommitted, committed) = (children[1].1, children[2].1);
+        let (t_uncommitted, t_committed) = (current(&a, uncommitted), current(&a, committed));
+        for (o, lamport, done) in [(uncommitted, 500, false), (committed, 600, true)] {
+            let vt = VirtualTime::new(lamport, SiteId(3));
+            let values = &mut a.store.get_mut(o).unwrap().values;
+            values.insert(vt, ObjectValue::Scalar(ScalarValue::Int(99)));
+            if done {
+                values.mark_committed(vt);
+            }
+        }
+        // What the requester read of each object.
+        let now = |o: ObjectName| {
+            if o == uncommitted {
+                t_uncommitted
+            } else if o == committed {
+                t_committed
+            } else {
+                current(&a, o)
+            }
+        };
+
+        let every_child = |reads: &mut SnapshotReads, root, kids: &[(VirtualTime, ObjectName)]| {
+            for (index, &(tag, o)) in kids.iter().enumerate() {
+                reads.push_child(root, index, tag, now(o), Some(hi));
+            }
+        };
+        // One child of `root` at `index`, read at `o`'s VT.
+        let one = |root, index, (tag, o): (VirtualTime, ObjectName)| {
+            let mut reads = SnapshotReads::new();
+            reads.push_child(root, index, tag, now(o), Some(hi));
+            reads
+        };
+        let addr = |path: Vec<PathElem>, o| {
+            let mut reads = SnapshotReads::new();
+            reads.push(&ReadItem {
+                addr: ObjectAddr::Indirect {
+                    root: list,
+                    path: Path::from(path),
+                },
+                t_r: now(o),
+                t_g: now(o),
+                hi: None,
+            });
+            reads
+        };
+        let index = |index, tag| PathElem::Index { index, tag };
+
+        let clean: Vec<_> = children
+            .iter()
+            .copied()
+            .filter(|(_, o)| ![uncommitted, committed].contains(o))
+            .collect();
+        let mut exact = SnapshotReads::new();
+        exact.push(&ReadItem {
+            addr: ObjectAddr::Direct(list),
+            t_r: now(list),
+            t_g: now(list),
+            hi: Some(hi),
+        });
+        for &(tag, o) in &clean {
+            let at = children.iter().position(|c| c.1 == o).unwrap();
+            exact.push_child(list, at, tag, now(o), Some(hi));
+        }
+        let mut uncommitted_write = SnapshotReads::new();
+        every_child(&mut uncommitted_write, list, &children[..2]);
+        let mut committed_write = SnapshotReads::new();
+        every_child(&mut committed_write, list, &children);
+        // Two roots, their children interleaved: every item switches list.
+        let mut interleaved = SnapshotReads::new();
+        for (k, &(tag, o)) in grandchildren.iter().enumerate() {
+            interleaved.push_child(list, 3 + k, clean[3 + k].0, now(clean[3 + k].1), Some(hi));
+            interleaved.push_child(inner, k, tag, now(o), Some(hi));
+        }
+        let never = VirtualTime::new(77, SiteId(3));
+        let cases: Vec<(&str, SnapshotReads, &str)> = vec![
+            ("exact index", exact, "confirm"),
+            ("stale index hint", one(list, 0, children[3]), "confirm"),
+            ("hint past the end", one(list, 40, children[4]), "confirm"),
+            (
+                "removed child, from the registry",
+                one(list, 0, (removed_tag, removed)),
+                "confirm",
+            ),
+            (
+                "blueprint child, stale hint, by scan",
+                one(inner, 1, grandchildren[0]),
+                "confirm",
+            ),
+            (
+                "tag never embedded",
+                one(list, 0, (never, children[0].1)),
+                "deny",
+            ),
+            ("root not a list", one(scalar, 0, children[0]), "deny"),
+            (
+                "root not an object",
+                one(ObjectName::new(SiteId(9), 9), 0, children[5]),
+                "deny",
+            ),
+            (
+                "tuple key",
+                addr(vec![index(6, tuple_tag), PathElem::Key("k".into())], {
+                    a.store
+                        .get(tuple)
+                        .unwrap()
+                        .values
+                        .current()
+                        .unwrap()
+                        .value
+                        .as_tuple()
+                        .unwrap()["k"]
+                }),
+                "confirm",
+            ),
+            (
+                "two-level path",
+                addr(
+                    vec![index(0, inner_tag), index(1, grandchildren[1].0)],
+                    grandchildren[1].1,
+                ),
+                "confirm",
+            ),
+            (
+                "two-level path, missing tag",
+                addr(vec![index(5, inner_tag), index(0, never)], inner),
+                "deny",
+            ),
+            ("uncommitted write", uncommitted_write, "park"),
+            ("committed write", committed_write, "deny"),
+            ("two roots interleaved", interleaved, "confirm"),
+        ];
+        for (case, reads, expected) in cases {
+            let verdict = a.evaluate_snapshot_reads(subject, &reads);
+            assert_eq!(verdict, verdict_the_long_way(&a, subject, &reads), "{case}");
+            let kind = match &verdict {
+                SnapVerdict::Confirm(intervals) => {
+                    assert_eq!(intervals.len(), reads.len(), "{case}");
+                    "confirm"
+                }
+                SnapVerdict::Deny => "deny",
+                SnapVerdict::Park => "park",
+            };
+            assert_eq!(kind, expected, "{case}: {verdict:?}");
+        }
     }
 
     /// Site 1 with the primary copy of a three-element list and site 2 with

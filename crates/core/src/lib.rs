@@ -79,7 +79,7 @@ mod value;
 mod view;
 pub mod wiring;
 
-pub use codec::SnapshotReads;
+pub use codec::{ReadTarget, SnapshotRead, SnapshotReads};
 pub use collab::{Invitation, RelationId, RelationInfo};
 pub use engine::{EngineEvent, Site, SiteConfig};
 pub use error::{DecafError, TxnError};

@@ -175,6 +175,28 @@ impl ReadSet {
         Some(object_addr(*root, path))
     }
 
+    /// Entry `i` as a list child one index below its routed root at its
+    /// primary's site: that root there, the index and the tag — the
+    /// address [`addr`](ReadSet::addr) gives, unbuilt. `None` for any other
+    /// shape, and where `addr` gives none.
+    pub(crate) fn child_key(&self, i: usize) -> Option<(ObjectName, usize, VirtualTime)> {
+        let EntryRoute::Under {
+            from,
+            elem: PathElem::Index { index, tag },
+        } = &self.entries[i].route
+        else {
+            return None;
+        };
+        let EntryRoute::Own(Some(GuessRoute {
+            there: Some((root, path)),
+            ..
+        })) = &self.entries[*from].route
+        else {
+            return None;
+        };
+        path.is_root().then_some((*root, *index, *tag))
+    }
+
     /// Appends the elements leading from entry `i`'s routed ancestor down to
     /// it, outermost first.
     fn push_path(&self, i: usize, path: &mut Path) {
@@ -182,6 +204,41 @@ impl ReadSet {
             self.push_path(*from, path);
             path.push(elem.clone());
         }
+    }
+}
+
+/// A list object and its current entries ([`Store::list_children`]).
+pub(crate) struct ListChildren<'a> {
+    obj: &'a ModelObject,
+    entries: &'a [ListEntry],
+}
+
+impl ListChildren<'_> {
+    /// The child embedded at `tag`, `index` a hint of where it sits — the
+    /// one way an address's list element is resolved ([`Store::resolve`]).
+    ///
+    /// The tag decides. A child that was concurrently *removed* must still
+    /// resolve (§3.2.1: propagation proceeds "regardless of the order in
+    /// which it has received other structure-changing operations"), which
+    /// the embedding registry answers — as it does for a child the hint is
+    /// merely off for, without a scan of the list. Only embeddings that
+    /// never went through a list op (a blueprint's children) are missing
+    /// from it.
+    pub(crate) fn child(&self, index: usize, tag: VirtualTime) -> Option<ObjectName> {
+        let scan = || self.entries.iter().find(|e| e.tag == tag).map(|e| e.child);
+        self.entries
+            .get(index)
+            .filter(|e| e.tag == tag)
+            .map(|e| e.child)
+            .or_else(|| {
+                let known = self.obj.embeddings.get(&tag).copied();
+                debug_assert!(
+                    known.is_none() || scan().is_none_or(|c| Some(c) == known),
+                    "registry and list disagree on the child tagged {tag}"
+                );
+                known
+            })
+            .or_else(scan)
     }
 }
 
@@ -590,31 +647,7 @@ impl Store {
                     let val = obj.values.current().ok_or(DecafError::Uninitialized(cur))?;
                     cur = match (elem, &val.value) {
                         (PathElem::Index { tag, index }, ObjectValue::List { entries, .. }) => {
-                            // Index is a hint; the tag decides. A child that
-                            // was concurrently *removed* must still resolve
-                            // (§3.2.1: propagation proceeds "regardless of
-                            // the order in which it has received other
-                            // structure-changing operations"), which the
-                            // embedding registry answers — as it does for a
-                            // child the hint is merely off for, without a
-                            // scan of the list. Only embeddings that never
-                            // went through a list op (a blueprint's
-                            // children) are missing from it.
-                            let scan = || entries.iter().find(|e| e.tag == *tag).map(|e| e.child);
-                            let hit = entries
-                                .get(*index)
-                                .filter(|e| e.tag == *tag)
-                                .map(|e| e.child)
-                                .or_else(|| {
-                                    let known = obj.embeddings.get(tag).copied();
-                                    debug_assert!(
-                                        known.is_none() || scan().is_none_or(|c| Some(c) == known),
-                                        "registry and list disagree on the child tagged {tag}"
-                                    );
-                                    known
-                                })
-                                .or_else(scan);
-                            match hit {
+                            match (ListChildren { obj, entries }).child(*index, *tag) {
                                 Some(child) => child,
                                 None => return Err(ApplyBlocked::MissingDependency(Some(*tag))),
                             }
@@ -636,6 +669,15 @@ impl Store {
                 Ok(cur)
             }
         }
+    }
+
+    /// The current children of `list`, to resolve many of them against one
+    /// look-up; `None` when there is no such object, it has no value, or
+    /// its value is not a list.
+    pub(crate) fn list_children(&self, list: ObjectName) -> Option<ListChildren<'_>> {
+        let obj = self.objects.get(&list)?;
+        let entries = obj.values.current()?.value.as_list()?;
+        Some(ListChildren { obj, entries })
     }
 
     /// Finds the child a list embedded under `tag`, even if a later

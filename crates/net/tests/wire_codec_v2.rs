@@ -11,8 +11,9 @@ use decaf_proptest::prelude::*;
 use decaf_core::codec::{crc32, put_varint, MAX_NESTING};
 use decaf_core::{
     AssocSnapshot, Blueprint, Delegate, Envelope, Message, NodeRef, ObjectAddr, ObjectName, Path,
-    PathElem, ReadItem, RelationId, ReplicationGraph, ScalarValue, SnapshotReads, SpanCtx,
-    SubjectKind, TreeSnapshot, TxnOutcome, TxnPropagate, UpdateItem, WireOp,
+    PathElem, ReadItem, ReadTarget, RelationId, ReplicationGraph, ScalarValue, SnapshotRead,
+    SnapshotReads, SpanCtx, SubjectKind, TreeSnapshot, TxnOutcome, TxnPropagate, UpdateItem,
+    WireOp,
 };
 use decaf_net::wire::{
     self, encode_frame, Frame, FrameKind, FrameReader, WireError, CODEC_VERSION, HEADER_LEN, MAGIC,
@@ -981,7 +982,9 @@ proptest! {
     }
 
     /// Pushing items one at a time writes the reference coding of the
-    /// whole sequence, and `iter()` gives the items back in order.
+    /// whole sequence, whether a list child goes through `push` or
+    /// `push_child`; `iter()` gives the items back in order, and
+    /// `targets()` gives every list child back as its key.
     #[test]
     fn pushed_snapshot_reads_are_the_reference_coding(
         walk in arb_walk_reads(),
@@ -990,9 +993,27 @@ proptest! {
     ) {
         for items in [walk, full, list] {
             let mut reads = SnapshotReads::new();
+            let mut by_key = SnapshotReads::new();
             for item in &items {
                 reads.push(item);
+                match ReadTarget::from(item.addr.clone()) {
+                    ReadTarget::Child { root, index, tag } if item.t_g == item.t_r => {
+                        by_key.push_child(root, index, tag, item.t_r, item.hi);
+                    }
+                    _ => by_key.push(item),
+                }
             }
+            prop_assert_eq!(&by_key, &reads);
+            let targets: Vec<SnapshotRead> = items
+                .iter()
+                .map(|r| SnapshotRead {
+                    target: r.addr.clone().into(),
+                    t_r: r.t_r,
+                    t_g: r.t_g,
+                    hi: r.hi,
+                })
+                .collect();
+            prop_assert_eq!(reads.targets().collect::<Vec<_>>(), targets);
             prop_assert_eq!(reads.len(), items.len());
             prop_assert_eq!(reads.iter().collect::<Vec<_>>(), items.clone());
             // The envelope's bytes are its header, then the reads' coding.

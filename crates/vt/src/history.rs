@@ -177,13 +177,21 @@ impl<T> History<T> {
         self.entries.iter().any(|e| e.vt > lo && e.vt < hi)
     }
 
-    /// Like [`has_write_in`](History::has_write_in), restricted to
-    /// *committed* writes (used by pessimistic-view monotonicity guesses,
-    /// paper §4.2).
-    pub fn has_committed_write_in(&self, lo: VirtualTime, hi: VirtualTime) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.committed && e.vt > lo && e.vt < hi)
+    /// What writes fall in the open interval `(lo, hi)`, in one probe: none
+    /// (`None`), only uncommitted ones (`Some(false)`), or at least one
+    /// committed one (`Some(true)`). A view snapshot's guess at the primary
+    /// is denied on a committed write and waits on uncommitted ones
+    /// (paper §4.2).
+    pub fn write_in(&self, lo: VirtualTime, hi: VirtualTime) -> Option<bool> {
+        let from = self.entries.partition_point(|e| e.vt <= lo);
+        let mut found = None;
+        for e in self.entries[from..].iter().take_while(|e| e.vt < hi) {
+            if e.committed {
+                return Some(true);
+            }
+            found = Some(false);
+        }
+        found
     }
 
     /// Garbage-collects entries made obsolete by commitment.
@@ -313,9 +321,10 @@ mod tests {
     fn committed_write_check_ignores_uncommitted() {
         let mut h = History::new();
         h.insert(vt(50), ());
-        assert!(!h.has_committed_write_in(vt(0), vt(100)));
+        assert_eq!(h.write_in(vt(0), vt(100)), Some(false));
         h.mark_committed(vt(50));
-        assert!(h.has_committed_write_in(vt(0), vt(100)));
+        assert_eq!(h.write_in(vt(0), vt(100)), Some(true));
+        assert_eq!(h.write_in(vt(50), vt(100)), None, "endpoints excluded");
     }
 
     #[test]

@@ -67,6 +67,27 @@ proptest! {
         prop_assert_eq!(h.has_write_in(lo, hi), expected);
     }
 
+    /// The one-probe `write_in` agrees with both predicates it stands for:
+    /// any write in the open interval (`has_write_in`), and any committed
+    /// one there (a naive scan).
+    #[test]
+    fn history_write_in_matches_both_predicates(
+        entries in prop::collection::vec((arb_vt(), prop::bool::ANY), 0..30),
+        lo in arb_vt(),
+        hi in arb_vt(),
+    ) {
+        let mut h = History::new();
+        for (t, committed) in &entries {
+            h.insert(*t, ());
+            if *committed {
+                h.mark_committed(*t);
+            }
+        }
+        let committed = h.iter().any(|e| e.committed && e.vt > lo && e.vt < hi);
+        let expected = h.has_write_in(lo, hi).then_some(committed);
+        prop_assert_eq!(h.write_in(lo, hi), expected);
+    }
+
     /// GC never discards the latest committed entry or anything after the
     /// low-water mark, and the observable value at any probe ≥ low water is
     /// unchanged.

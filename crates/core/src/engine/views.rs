@@ -436,6 +436,19 @@ impl Site {
     /// the transaction's confirmed reservation already covers) must be
     /// update-free at the primary (§4.2).
     pub(crate) fn issue_pess_guesses(&mut self, vid: ViewId, ts: VirtualTime) {
+        let computed = self.pess_intervals(vid, ts);
+        self.issue_pess_guesses_over(vid, ts, computed);
+    }
+
+    /// [`Site::issue_pess_guesses`] over the read set and intervals that
+    /// [`Site::pess_intervals`] computed for `(vid, ts)` on the current
+    /// store.
+    fn issue_pess_guesses_over(
+        &mut self,
+        vid: ViewId,
+        ts: VirtualTime,
+        (set, intervals): (ReadSet, Vec<(usize, PessInterval)>),
+    ) {
         let Some(proxy) = self.views.get(&vid) else {
             return;
         };
@@ -443,7 +456,6 @@ impl Site {
             return;
         };
         let old_token = snap.token;
-        let (set, intervals) = self.pess_intervals(vid, ts);
 
         let token = self.clock.next();
         let mut guesses = SnapGuesses::default();
@@ -782,7 +794,7 @@ impl Site {
                 // intervals, re-issue right away; otherwise the straggler's
                 // own arrival will trigger the revision (§4.2).
                 if let Some(ts) = denied_ts {
-                    let (_, fresh) = self.pess_intervals(vid, ts);
+                    let (set, fresh) = self.pess_intervals(vid, ts);
                     let stale = self
                         .views
                         .get(&vid)
@@ -791,7 +803,8 @@ impl Site {
                         .unwrap_or_default();
                     if !fresh.iter().map(|(_, interval)| interval).eq(&stale) {
                         self.stats.snapshot_reruns += 1;
-                        self.issue_pess_guesses(vid, ts);
+                        // Nothing has changed the store since `set`.
+                        self.issue_pess_guesses_over(vid, ts, (set, fresh));
                         self.pump_pessimistic(vid);
                     }
                 }

@@ -178,7 +178,7 @@ pub struct TransportStats {
     /// notification toward the engine, §3.4).
     pub peers_failed: u64,
     /// Outbound messages dropped because a peer's bounded queue was full
-    /// or the peer was already declared failed.
+    /// or the peer was declared failed (and has not dialled back in).
     pub sends_dropped: u64,
     /// Trace events lost by the transport's trace sink (ring overflow or
     /// sink contention); 0 when tracing is disabled.

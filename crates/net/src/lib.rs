@@ -17,6 +17,12 @@
 //!   as the §3.4 fail-stop notification, the way the paper's prototype ran
 //!   one JVM per user on a real LAN/WAN (§5.2).
 //!
+//! [`link`] is the TCP mesh's link model, one state machine per peer: the
+//! re-dial ladders, batching, heartbeats, the silence watchdog, the
+//! fail-stop and the reopening of a failed peer that dials back in are
+//! decided there, in time passed as an argument; [`tcp`] owns the
+//! sockets, threads and clock and does what the link asks.
+//!
 //! [`node`] is the loop between a site and either of them: deliver a
 //! [`TransportEvent`], persist, send, collect events — in that order,
 //! written once. The daemon and the TCP example call [`Node::pump`] on a
@@ -48,6 +54,7 @@ use std::time::Duration;
 
 use decaf_vt::SiteId;
 
+pub mod link;
 pub mod node;
 pub mod sim;
 pub mod tcp;

@@ -17,30 +17,45 @@
 //!   thread sleeps in `accept()` and hands each connection to a reader at
 //!   once, so a site is reachable from the moment it binds; a dial that
 //!   comes before the peer's bind is refused and repeated 1 ms later, then
-//!   2, 4, … ms (see *Failure mapping*), so a session's links are up a few
-//!   round trips after its last site has started.
-//! * **Liveness** — per-peer writer threads send heartbeat `Ping` frames
-//!   after `HEARTBEAT_INTERVAL` (200 ms) idle; readers track the last time
-//!   each peer was heard from.
-//! * **Batching** — a writer woken by an envelope lingers `BATCH_DELAY`
-//!   (200 µs) for ride-alongs and writes up to `BATCH_MAX` (64) envelopes
-//!   as one `Batch` frame. Its queue holds `OUTBOUND_QUEUE` (4 096)
-//!   envelopes; a send to a full queue is dropped and counted.
-//! * **Failure mapping** — there are two re-dial schedules, and which one
-//!   a peer is on depends only on whether this site has ever had a
-//!   connection to it. A peer that **was connected** and whose link broke
-//!   or fell silent (`HEARTBEAT_TIMEOUT`, 3 s) is on the failure-detection
-//!   schedule: re-dialled after `RECONNECT_BASE` (50 ms), doubling to
-//!   `RECONNECT_CAP` (1 s, ±25 % jitter seeded from the site id), and
-//!   declared fail-stopped after `MAX_RECONNECT_ATTEMPTS` (6) consecutive
-//!   failures. A peer that was **never connected** is assumed to be
-//!   starting: its ladder begins at `FIRST_DIAL_STEP` (1 ms) and doubles
-//!   to the same cap with the same jitter, and it is declared fail-stopped
-//!   only when `CONNECT_DEADLINE` (20 s) has passed since this mesh
-//!   started. Either way a fail-stopped peer yields a single
-//!   [`TransportEvent::SiteFailed`], delivered locally — the ISIS-style
-//!   notification the paper assumes the communication layer provides
-//!   (§3.4). [`Node::pump`](crate::Node::pump) hands it to the engine.
+//!   2, 4, … ms, so a session's links are up a few round trips after its
+//!   last site has started.
+//! * **Decisions and I/O** — every decision about a peer is taken by its
+//!   [`Link`], a sans-I/O state machine that reads no
+//!   clock; this module only performs them. Each peer has one writer
+//!   thread and one queue: the site's envelopes, the readers' "heard from
+//!   the peer" and "the peer said `Hello`", and the mesh's stop all arrive
+//!   on it in order, and the thread is one loop that feeds them to the
+//!   link, asks it what to do next and does it — dial, write a frame,
+//!   probe for a hang-up, wait, or tell the site the peer failed.
+//! * **Liveness** — the link asks for a heartbeat `Ping` after
+//!   `HEARTBEAT_INTERVAL` (200 ms) without a write, and drops a connection
+//!   whose peer has been silent for `HEARTBEAT_TIMEOUT` (3 s); readers
+//!   report what they hear at most every 50 ms.
+//! * **Batching** — woken by an envelope, the link lingers `BATCH_DELAY`
+//!   (200 µs) for ride-alongs, then takes what is still queued, and has up
+//!   to `BATCH_MAX` (64) envelopes written as one `Batch` frame (one alone
+//!   as a `DataV2` frame). A
+//!   peer's queue holds `OUTBOUND_QUEUE` (4 096) envelopes, and so does
+//!   its link; a send beyond either is dropped and counted. Control inputs
+//!   are neither bounded nor counted in the queue depth.
+//! * **Failure mapping** — the link re-dials on one of two schedules,
+//!   depending only on whether it has ever been connected. A peer that
+//!   **was connected** and whose link broke or fell silent is re-dialled
+//!   after `RECONNECT_BASE` (50 ms), doubling to `RECONNECT_CAP` (1 s,
+//!   ±25 % jitter seeded from the site and peer ids), and declared
+//!   fail-stopped after `MAX_RECONNECT_ATTEMPTS` (6) consecutive failures.
+//!   A peer that was **never connected** is assumed to be starting: its
+//!   ladder begins at `FIRST_DIAL_STEP` (1 ms) and doubles to the same cap
+//!   with the same jitter, and it is declared fail-stopped only when
+//!   `CONNECT_DEADLINE` (20 s) has passed since this mesh started. Either
+//!   way a fail-stopped peer yields a single [`TransportEvent::SiteFailed`],
+//!   delivered locally — the ISIS-style notification the paper assumes the
+//!   communication layer provides (§3.4). [`Node::pump`](crate::Node::pump)
+//!   hands it to the engine. Envelopes sent to a failed peer are dropped
+//!   and counted until it dials this site again: its `Hello` reopens the
+//!   link, and reaches the link before any later frame of that connection
+//!   reaches the site, so the site's answer to a restarted peer's
+//!   `RejoinRequest` is sent, not dropped.
 //! * **Counters** — byte/frame/reconnect/heartbeat accounting is exposed
 //!   as [`decaf_core::TransportStats`] via [`TcpMesh::stats`].
 //!
@@ -75,9 +90,9 @@ use std::time::{Duration, Instant};
 
 use decaf_core::{Envelope, TransportStats};
 use decaf_trace::{Histogram, TraceKind, TraceSink};
-use decaf_vt::rng::SplitMix64;
 use decaf_vt::SiteId;
 
+use crate::link::{Action, Input, Link, OUTBOUND_QUEUE};
 use crate::wire::{
     decode_batch, decode_envelope_v2, decode_hello, encode_batch_parts, encode_envelope_v2,
     encode_hello_v2, write_frame, FrameKind, FrameReader, CODEC_VERSION, HEADER_LEN,
@@ -126,40 +141,10 @@ impl TcpConfig {
     }
 }
 
-/// Idle interval after which a writer sends a heartbeat `Ping`.
-const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
-
-/// Silence from a peer after which its link is torn down and re-dialled.
-const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(3);
-
-/// First re-dial step for a peer that **was connected**; doubles per
-/// failed attempt up to [`RECONNECT_CAP`].
-const RECONNECT_BASE: Duration = Duration::from_millis(50);
-
-/// Ceiling of both re-dial ladders.
-const RECONNECT_CAP: Duration = Duration::from_secs(1);
-
-/// Consecutive failed re-dials of a previously connected peer before it is
-/// declared fail-stopped.
-const MAX_RECONNECT_ATTEMPTS: u32 = 6;
-
-/// Grace period, from this mesh's start, for a peer that has *never* been
-/// reached: start-up races are not failures. Until it has passed such a
-/// peer is re-dialled on the [`FIRST_DIAL_STEP`] ladder however many dials
-/// fail, and [`MAX_RECONNECT_ATTEMPTS`] does not apply to it.
-const CONNECT_DEADLINE: Duration = Duration::from_secs(20);
-
-/// Bound of each per-peer outbound queue; overflow drops the message and
-/// counts `sends_dropped`.
-const OUTBOUND_QUEUE: usize = 4096;
-
-/// Most envelopes coalesced into one `Batch` frame.
-const BATCH_MAX: usize = 64;
-
-/// How long a writer lingers draining its queue for ride-along envelopes
-/// after the first one of a flush — a Nagle-style delay with a microsecond
-/// budget, bounding the latency cost of coalescing.
-const BATCH_DELAY: Duration = Duration::from_micros(200);
+/// How often at most a reader tells a peer's link that it heard from the
+/// peer; the silence watchdog reads the peer as at most this much quieter
+/// than it is.
+const HEARD_EVERY: Duration = Duration::from_millis(50);
 
 /// Atomic counter block shared by all mesh threads; snapshots into
 /// [`TransportStats`].
@@ -212,133 +197,114 @@ fn add(c: &AtomicU64, n: u64) {
 }
 
 /// Locks `m`, ignoring poisoning: every value behind these locks (a
-/// timestamp, a histogram, a channel end) stays usable if a holder panicked.
+/// histogram, a channel end) stays usable if a holder panicked.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Sender half of a bounded outbound queue.
-///
-/// Implemented as an unbounded channel plus an atomic depth counter with
-/// drop-on-overflow semantics: a full queue rejects the message instead of
-/// blocking the engine loop behind a slow peer (the counter shows up as
-/// `sends_dropped`).
-struct BoundedTx {
-    tx: Sender<Envelope>,
-    depth: Arc<AtomicU64>,
-    cap: u64,
+/// The sending half of one peer's queue: what its [`Link`] is told, in
+/// order. Envelopes are bounded by an atomic depth counter with
+/// drop-on-overflow semantics — a full queue rejects the envelope instead
+/// of blocking the engine loop behind a slow peer (the counter shows up as
+/// `sends_dropped`); control inputs are not.
+struct Outbox {
+    tx: Sender<Input>,
+    depth: AtomicU64,
 }
 
-impl BoundedTx {
-    /// Enqueues unless the queue is full or closed; reports success.
-    fn try_send(&self, env: Envelope) -> bool {
-        if self.depth.load(Ordering::Relaxed) >= self.cap {
+impl Outbox {
+    /// Queues `env` unless the queue is full or closed; returns the depth
+    /// it left.
+    fn queue(&self, env: Envelope) -> Option<u64> {
+        if self.depth.load(Ordering::Relaxed) >= OUTBOUND_QUEUE as u64 {
+            return None;
+        }
+        // Counted before it is sent, so the link thread never takes it off
+        // the count first.
+        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.tx.send(Input::Queued(env)).ok()?;
+        Some(depth)
+    }
+}
+
+/// What every thread of one mesh shares.
+struct Hub {
+    site: SiteId,
+    /// The site's inbox.
+    events: Sender<TransportEvent<Envelope>>,
+    outboxes: BTreeMap<SiteId, Outbox>,
+    counters: Counters,
+    batch_sizes: Mutex<Histogram>,
+    trace: TraceSink,
+    shutdown: Arc<AtomicBool>,
+}
+
+impl Hub {
+    /// Hands `input` to `peer`'s link (no-op for a site not in the table).
+    fn tell(&self, peer: SiteId, input: Input) {
+        if let Some(outbox) = self.outboxes.get(&peer) {
+            let _ = outbox.tx.send(input);
+        }
+    }
+
+    /// Writes one frame of `kind` to `peer` — a `Hello`, a `Ping`, or
+    /// `envs` as one `DataV2` or `Batch` — and accounts for it; returns
+    /// whether the write succeeded.
+    fn write(
+        &self,
+        stream: Option<&mut TcpStream>,
+        peer: SiteId,
+        kind: FrameKind,
+        envs: &[Envelope],
+    ) -> bool {
+        let mut parts: Vec<Vec<u8>> = envs.iter().map(encode_envelope_v2).collect();
+        let unbatched: usize = parts.iter().map(|p| HEADER_LEN + p.len()).sum();
+        let payload = match kind {
+            FrameKind::Hello => encode_hello_v2(self.site, CODEC_VERSION).to_vec(),
+            FrameKind::Batch => encode_batch_parts(&parts),
+            // A `Ping` has no payload; a `DataV2` carries its one envelope.
+            FrameKind::Ping | FrameKind::DataV2 => parts.pop().unwrap_or_default(),
+        };
+        let Some(n) = stream.and_then(|s| write_frame(s, kind, &payload).ok()) else {
             return false;
+        };
+        let c = &self.counters;
+        bump(&c.frames_out);
+        add(&c.bytes_out, n as u64);
+        self.trace
+            .emit(TraceKind::MsgSend, None, Some(peer.0), Some(n as u64));
+        match kind {
+            FrameKind::Ping => bump(&c.heartbeats_sent),
+            FrameKind::Batch => {
+                add(&c.frames_coalesced, (envs.len() - 1) as u64);
+                // Headers elided minus the batch's own length prefixes.
+                add(&c.bytes_saved, unbatched.saturating_sub(n) as u64);
+            }
+            FrameKind::Hello | FrameKind::DataV2 => {}
         }
-        if self.tx.send(env).is_ok() {
-            self.depth.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
+        if !envs.is_empty() {
+            lock(&self.batch_sizes).record(envs.len() as u64);
         }
-    }
-
-    /// Current queue depth (racy, monitoring only).
-    fn depth(&self) -> u64 {
-        self.depth.load(Ordering::Relaxed)
-    }
-}
-
-/// Receiver half of a bounded outbound queue (see [`BoundedTx`]).
-struct BoundedRx {
-    rx: Receiver<Envelope>,
-    depth: Arc<AtomicU64>,
-}
-
-impl BoundedRx {
-    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
-        let got = self.rx.recv_timeout(timeout);
-        if got.is_ok() {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
+        for env in envs {
+            emit_env_send(&self.trace, peer, env);
         }
-        got
-    }
-
-    /// Non-blocking pop, for draining ride-along envelopes into a batch.
-    fn try_recv(&self) -> Option<Envelope> {
-        let got = self.rx.try_recv().ok();
-        if got.is_some() {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-        got
-    }
-}
-
-fn bounded_outbox(cap: usize) -> (BoundedTx, BoundedRx) {
-    let (tx, rx) = channel::<Envelope>();
-    let depth = Arc::new(AtomicU64::new(0));
-    (
-        BoundedTx {
-            tx,
-            depth: Arc::clone(&depth),
-            cap: cap as u64,
-        },
-        BoundedRx { rx, depth },
-    )
-}
-
-/// Per-peer link state shared between the writer thread, the readers, and
-/// the endpoint.
-struct PeerShared {
-    /// Last instant any frame from this peer was read.
-    last_seen: Mutex<Instant>,
-    /// Whether an outbound connection has ever been established.
-    ever_connected: AtomicBool,
-    /// One-shot fail-stop latch.
-    failed: AtomicBool,
-}
-
-impl PeerShared {
-    fn new() -> Self {
-        PeerShared {
-            last_seen: Mutex::new(Instant::now()),
-            ever_connected: AtomicBool::new(false),
-            failed: AtomicBool::new(false),
-        }
+        true
     }
 }
 
 /// One site's handle onto a [`TcpMesh`] (cloneable; give it to the site
 /// loop).
+#[derive(Clone)]
 pub struct TcpEndpoint {
-    site: SiteId,
     inbox: Arc<Mutex<Receiver<TransportEvent<Envelope>>>>,
-    loopback: Sender<TransportEvent<Envelope>>,
-    outboxes: Arc<BTreeMap<SiteId, BoundedTx>>,
-    peers: Arc<BTreeMap<SiteId, Arc<PeerShared>>>,
-    counters: Arc<Counters>,
-    trace: TraceSink,
+    hub: Arc<Hub>,
 }
 
 impl fmt::Debug for TcpEndpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TcpEndpoint")
-            .field("site", &self.site)
+            .field("site", &self.hub.site)
             .finish()
-    }
-}
-
-impl Clone for TcpEndpoint {
-    fn clone(&self) -> Self {
-        TcpEndpoint {
-            site: self.site,
-            inbox: Arc::clone(&self.inbox),
-            loopback: self.loopback.clone(),
-            outboxes: Arc::clone(&self.outboxes),
-            peers: Arc::clone(&self.peers),
-            counters: Arc::clone(&self.counters),
-            trace: self.trace.clone(),
-        }
     }
 }
 
@@ -357,30 +323,24 @@ impl TransportEndpoint for TcpEndpoint {
     type Msg = Envelope;
 
     fn site(&self) -> SiteId {
-        self.site
+        self.hub.site
     }
 
     fn send(&self, to: SiteId, msg: Envelope) {
-        if to == self.site {
+        let hub = &self.hub;
+        if to == hub.site {
             // Local delivery needs no socket.
-            let _ = self.loopback.send(TransportEvent::Message {
-                from: self.site,
-                msg,
-            });
+            let _ = hub.events.send(TransportEvent::Message { from: to, msg });
             return;
         }
-        let (Some(tx), Some(shared)) = (self.outboxes.get(&to), self.peers.get(&to)) else {
-            bump(&self.counters.sends_dropped);
-            return;
-        };
-        if shared.failed.load(Ordering::Relaxed) || !tx.try_send(msg) {
-            bump(&self.counters.sends_dropped);
-        } else {
-            let depth = tx.depth();
-            self.counters
-                .queue_depth_hwm
-                .fetch_max(depth, Ordering::Relaxed);
-            self.trace.record_queue_depth(depth);
+        match hub.outboxes.get(&to).and_then(|outbox| outbox.queue(msg)) {
+            Some(depth) => {
+                hub.counters
+                    .queue_depth_hwm
+                    .fetch_max(depth, Ordering::Relaxed);
+                hub.trace.record_queue_depth(depth);
+            }
+            None => bump(&hub.counters.sends_dropped),
         }
     }
 
@@ -398,12 +358,8 @@ impl TransportEndpoint for TcpEndpoint {
 /// See the [module docs](crate::tcp) for the protocol and its fixed
 /// timings; see [`TcpConfig`] for what a site chooses.
 pub struct TcpMesh {
-    site: SiteId,
     local_addr: SocketAddr,
     endpoint: TcpEndpoint,
-    counters: Arc<Counters>,
-    batch_sizes: Arc<Mutex<Histogram>>,
-    trace: TraceSink,
     shutdown: Arc<AtomicBool>,
     /// The accept thread, which sleeps in `accept()` and is woken by
     /// [`TcpMesh::shutdown`]; `None` once that has run.
@@ -415,7 +371,7 @@ pub struct TcpMesh {
 impl fmt::Debug for TcpMesh {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TcpMesh")
-            .field("site", &self.site)
+            .field("site", &self.site())
             .field("local_addr", &self.local_addr)
             .finish()
     }
@@ -430,75 +386,49 @@ impl TcpMesh {
     pub fn start(config: TcpConfig) -> std::io::Result<TcpMesh> {
         let listener = TcpListener::bind(config.listen)?;
         let local_addr = listener.local_addr()?;
-
-        let counters = Arc::new(Counters::default());
-        let batch_sizes = Arc::new(Mutex::new(Histogram::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (events_tx, events_rx) = channel::<TransportEvent<Envelope>>();
-
+        let (events, inbox) = channel::<TransportEvent<Envelope>>();
+        let mut queues = Vec::new();
         let mut outboxes = BTreeMap::new();
-        let mut peers = BTreeMap::new();
-        for &peer in config.peers.keys() {
-            let (tx, rx) = bounded_outbox(OUTBOUND_QUEUE);
-            outboxes.insert(peer, tx);
-            peers.insert(peer, (rx, Arc::new(PeerShared::new())));
+        for (&peer, &addr) in &config.peers {
+            let (tx, rx) = channel();
+            queues.push((peer, addr, rx));
+            let depth = AtomicU64::new(0);
+            outboxes.insert(peer, Outbox { tx, depth });
         }
-        let peer_shared: Arc<BTreeMap<SiteId, Arc<PeerShared>>> = Arc::new(
-            peers
-                .iter()
-                .map(|(&id, (_, shared))| (id, Arc::clone(shared)))
-                .collect(),
-        );
-        let outboxes = Arc::new(outboxes);
-
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let hub = Arc::new(Hub {
+            site: config.site,
+            events,
+            outboxes,
+            counters: Counters::default(),
+            batch_sizes: Mutex::new(Histogram::new()),
+            trace: config.trace,
+            shutdown: Arc::clone(&shutdown),
+        });
+        let site = config.site.0;
         // Accept thread: read-only inbound connections.
         let accept = {
-            let events = events_tx.clone();
-            let shared = Arc::clone(&peer_shared);
-            let counters = Arc::clone(&counters);
-            let stop = Arc::clone(&shutdown);
-            let trace = config.trace.clone();
+            let hub = Arc::clone(&hub);
             std::thread::Builder::new()
-                .name(format!("decaf-tcp-accept-{}", config.site.0))
-                .spawn(move || accept_loop(listener, events, shared, counters, trace, stop))
+                .name(format!("decaf-tcp-accept-{site}"))
+                .spawn(move || accept_loop(listener, hub))
                 .expect("spawn accept thread")
         };
-
-        let mut threads = Vec::new();
-
-        // Per-peer writer threads: dial, frame, heartbeat, reconnect.
-        for (peer, (rx, shared)) in peers {
-            let cfg = config.clone();
-            let events = events_tx.clone();
-            let counters = Arc::clone(&counters);
-            let sizes = Arc::clone(&batch_sizes);
-            let stop = Arc::clone(&shutdown);
-            threads.push(
+        // Per-peer writer threads, each driving its peer's link.
+        let threads = queues
+            .into_iter()
+            .map(|(peer, addr, rx)| {
+                let hub = Arc::clone(&hub);
                 std::thread::Builder::new()
-                    .name(format!("decaf-tcp-link-{}-{}", config.site.0, peer.0))
-                    .spawn(move || {
-                        writer_loop(cfg, peer, rx, shared, events, counters, sizes, stop)
-                    })
-                    .expect("spawn link thread"),
-            );
-        }
-
-        let endpoint = TcpEndpoint {
-            site: config.site,
-            inbox: Arc::new(Mutex::new(events_rx)),
-            loopback: events_tx,
-            outboxes,
-            peers: peer_shared,
-            counters: Arc::clone(&counters),
-            trace: config.trace.clone(),
-        };
+                    .name(format!("decaf-tcp-link-{site}-{}", peer.0))
+                    .spawn(move || writer_loop(hub, peer, addr, rx))
+                    .expect("spawn link thread")
+            })
+            .collect();
+        let inbox = Arc::new(Mutex::new(inbox));
         Ok(TcpMesh {
-            site: config.site,
             local_addr,
-            endpoint,
-            counters,
-            batch_sizes,
-            trace: config.trace,
+            endpoint: TcpEndpoint { inbox, hub },
             shutdown,
             accept: Some(accept),
             threads,
@@ -507,7 +437,7 @@ impl TcpMesh {
 
     /// This mesh node's site id.
     pub fn site(&self) -> SiteId {
-        self.site
+        self.endpoint.hub.site
     }
 
     /// The actually bound listen address (useful with port 0).
@@ -518,15 +448,15 @@ impl TcpMesh {
     /// A snapshot of the transport counters. Trace-sink loss is folded in
     /// so end-of-run reports expose it alongside the frame counters.
     pub fn stats(&self) -> TransportStats {
-        let mut s = self.counters.snapshot();
-        s.trace_events_dropped = self.trace.dropped();
+        let mut s = self.endpoint.hub.counters.snapshot();
+        s.trace_events_dropped = self.trace_sink().dropped();
         s
     }
 
     /// The mesh's trace sink (disabled unless one was installed via
     /// [`TcpConfig::trace`]).
     pub fn trace_sink(&self) -> &TraceSink {
-        &self.trace
+        &self.endpoint.hub.trace
     }
 
     /// A snapshot of the batch-size distribution: how many envelopes each
@@ -534,7 +464,7 @@ impl TcpMesh {
     /// [`Histogram::quantile`]/[`Histogram::summary`] on the result).
     /// Unbatched links record `1` per frame.
     pub fn batch_histogram(&self) -> Histogram {
-        lock(&self.batch_sizes).clone()
+        lock(&self.endpoint.hub.batch_sizes).clone()
     }
 
     /// The endpoint for this mesh's (single) site.
@@ -545,6 +475,10 @@ impl TcpMesh {
     /// Stops every mesh thread and closes the sockets. Idempotent.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // A stop on each queue wakes its link thread at once.
+        for &peer in self.endpoint.hub.outboxes.keys() {
+            self.endpoint.hub.tell(peer, Input::Stop);
+        }
         for h in self.threads.drain(..) {
             let _ = h.join();
         }
@@ -590,29 +524,18 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
 /// [`TcpMesh::shutdown`] sets it and then connects — and a connection
 /// accepted with the flag set is closed without a reader.
 /// Readers are detached: they exit on EOF, error, or the shutdown flag.
-fn accept_loop(
-    listener: TcpListener,
-    events: Sender<TransportEvent<Envelope>>,
-    peers: Arc<BTreeMap<SiteId, Arc<PeerShared>>>,
-    counters: Arc<Counters>,
-    trace: TraceSink,
-    shutdown: Arc<AtomicBool>,
-) {
+fn accept_loop(listener: TcpListener, hub: Arc<Hub>) {
     loop {
         let accepted = listener.accept();
-        if shutdown.load(Ordering::SeqCst) {
+        if hub.shutdown.load(Ordering::SeqCst) {
             return;
         }
         match accepted {
             Ok((stream, _)) => {
-                let events = events.clone();
-                let peers = Arc::clone(&peers);
-                let counters = Arc::clone(&counters);
-                let trace = trace.clone();
-                let stop = Arc::clone(&shutdown);
+                let hub = Arc::clone(&hub);
                 let _ = std::thread::Builder::new()
                     .name("decaf-tcp-reader".into())
-                    .spawn(move || reader_loop(stream, events, peers, counters, trace, stop));
+                    .spawn(move || reader_loop(stream, &hub));
             }
             // The connection died in the backlog, or the process is out of
             // descriptors: nothing to hand on; do not spin on the latter.
@@ -623,119 +546,80 @@ fn accept_loop(
 
 /// Reads frames off one accepted connection. The first frame must be a
 /// `Hello` identifying the dialing peer and naming a codec this build
-/// speaks; afterwards `DataV2`/`Batch` frames become inbox messages and
-/// `Ping`s only refresh liveness. Anything else — a Hello of a codec-1
-/// peer, the reserved frame kind 2, a broken header — is counted in
+/// speaks; it is handed to the peer's link before anything else of the
+/// connection reaches the site (a failed link reopens on it). Afterwards
+/// `DataV2`/`Batch` frames become inbox messages, and every frame is
+/// reported to the link as heard, at most every [`HEARD_EVERY`]. Anything
+/// else — a Hello of a codec-1 peer, a frame before the Hello, the
+/// reserved frame kind 2, a broken header — is counted in
 /// `frames_rejected` and closes this connection, leaving the other links
 /// alone.
-fn reader_loop(
-    stream: TcpStream,
-    events: Sender<TransportEvent<Envelope>>,
-    peers: Arc<BTreeMap<SiteId, Arc<PeerShared>>>,
-    counters: Arc<Counters>,
-    trace: TraceSink,
-    shutdown: Arc<AtomicBool>,
-) {
-    let mut stream = stream;
+fn reader_loop(mut stream: TcpStream, hub: &Hub) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(300)));
+    let c = &hub.counters;
     let mut reader = FrameReader::new();
     let mut peer: Option<SiteId> = None;
+    let mut told = Instant::now();
     let mut buf = [0u8; 64 * 1024];
-    let touch = |site: SiteId| {
-        if let Some(shared) = peers.get(&site) {
-            *lock(&shared.last_seen) = Instant::now();
-        }
-    };
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if hub.shutdown.load(Ordering::SeqCst) {
             return;
         }
         // Drain complete frames before reading more bytes.
         loop {
-            match reader.next_frame() {
-                Ok(Some(frame)) => {
-                    bump(&counters.frames_in);
-                    // Transport-level receive trace: `peer` is the dialing
-                    // site, `n` the frame payload size in bytes.
-                    if let Some(from) = peer.or_else(|| {
-                        matches!(frame.kind, FrameKind::Hello)
-                            .then(|| decode_hello(&frame.payload).ok())
-                            .flatten()
-                            .map(|(site, _)| site)
-                    }) {
-                        trace.emit(
-                            TraceKind::MsgRecv,
-                            None,
-                            Some(from.0),
-                            Some(frame.payload.len() as u64),
-                        );
-                    }
-                    match frame.kind {
-                        FrameKind::Hello => match decode_hello(&frame.payload) {
-                            Ok((site, _max_codec)) => {
-                                peer = Some(site);
-                                touch(site);
-                            }
-                            Err(_) => {
-                                bump(&counters.frames_rejected);
-                                return;
-                            }
-                        },
-                        FrameKind::DataV2 => {
-                            let Some(from) = peer else {
-                                // Data before Hello: protocol violation.
-                                bump(&counters.frames_rejected);
-                                return;
-                            };
-                            touch(from);
-                            match decode_envelope_v2(&frame.payload) {
-                                Ok(env) => {
-                                    emit_env_recv(&trace, &env);
-                                    let _ = events.send(TransportEvent::Message { from, msg: env });
-                                }
-                                // Framing is intact, only this payload is
-                                // bad: count it and keep the connection.
-                                Err(_) => bump(&counters.frames_rejected),
-                            }
-                        }
-                        FrameKind::Batch => {
-                            let Some(from) = peer else {
-                                bump(&counters.frames_rejected);
-                                return;
-                            };
-                            touch(from);
-                            match decode_batch(&frame.payload) {
-                                Ok(envs) => {
-                                    for env in envs {
-                                        emit_env_recv(&trace, &env);
-                                        let _ =
-                                            events.send(TransportEvent::Message { from, msg: env });
-                                    }
-                                }
-                                Err(_) => bump(&counters.frames_rejected),
-                            }
-                        }
-                        FrameKind::Ping => {
-                            if let Some(from) = peer {
-                                touch(from);
-                            }
-                        }
-                    }
-                }
+            let frame = match reader.next_frame() {
+                Ok(Some(frame)) => frame,
                 Ok(None) => break,
-                Err(_) => {
-                    // Unrecoverable framing error: there is no
-                    // resynchronization point in a TCP byte stream.
-                    bump(&counters.frames_rejected);
-                    return;
+                // Unrecoverable framing error: there is no
+                // resynchronization point in a TCP byte stream.
+                Err(_) => return bump(&c.frames_rejected),
+            };
+            bump(&c.frames_in);
+            if frame.kind == FrameKind::Hello {
+                let Ok((site, _max_codec)) = decode_hello(&frame.payload) else {
+                    return bump(&c.frames_rejected);
+                };
+                peer = Some(site);
+                hub.tell(site, Input::Hello);
+                told = Instant::now();
+            }
+            let Some(from) = peer else {
+                return bump(&c.frames_rejected);
+            };
+            // Transport-level receive trace: `peer` is the dialing site,
+            // `n` the frame payload size in bytes.
+            hub.trace.emit(
+                TraceKind::MsgRecv,
+                None,
+                Some(from.0),
+                Some(frame.payload.len() as u64),
+            );
+            if told.elapsed() >= HEARD_EVERY {
+                hub.tell(from, Input::Heard);
+                told = Instant::now();
+            }
+            let envs = match frame.kind {
+                FrameKind::DataV2 => decode_envelope_v2(&frame.payload).map(|env| vec![env]),
+                FrameKind::Batch => decode_batch(&frame.payload),
+                FrameKind::Hello | FrameKind::Ping => continue,
+            };
+            match envs {
+                Ok(envs) => {
+                    for env in envs {
+                        emit_env_recv(&hub.trace, &env);
+                        let _ = hub.events.send(TransportEvent::Message { from, msg: env });
+                    }
                 }
+                // Framing is intact, only this payload is bad: count it
+                // and keep the connection.
+                Err(_) => bump(&c.frames_rejected),
             }
         }
         match stream.read(&mut buf) {
             Ok(0) => return, // EOF
             Ok(n) => {
-                add(&counters.bytes_in, n as u64);
+                add(&c.bytes_in, n as u64);
                 reader.feed(&buf[..n]);
             }
             Err(e)
@@ -743,30 +627,6 @@ fn reader_loop(
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
             Err(_) => return,
         }
-    }
-}
-
-/// Declares `peer` fail-stopped exactly once.
-fn declare_failed(
-    peer: SiteId,
-    shared: &PeerShared,
-    events: &Sender<TransportEvent<Envelope>>,
-    counters: &Counters,
-    trace: &TraceSink,
-) {
-    if !shared.failed.swap(true, Ordering::SeqCst) {
-        bump(&counters.peers_failed);
-        trace.emit(TraceKind::SiteFailed, None, Some(peer.0), None);
-        let _ = events.send(TransportEvent::SiteFailed { failed: peer });
-    }
-}
-
-/// Sleeps in small slices so shutdown stays responsive.
-fn interruptible_sleep(total: Duration, shutdown: &AtomicBool) {
-    let slice = Duration::from_millis(25);
-    let deadline = Instant::now() + total;
-    while Instant::now() < deadline && !shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(slice.min(deadline.saturating_duration_since(Instant::now())));
     }
 }
 
@@ -801,19 +661,9 @@ fn emit_env_recv(trace: &TraceSink, env: &Envelope) {
     }
 }
 
-/// How long an outbound link must have carried no envelopes before the
-/// next ones are preceded by a [`peer_hung_up`] probe. A peer cannot die,
-/// restart and ask for anything in less, and a link that wrote more
-/// recently learns of a dead peer from the write error itself — so a busy
-/// link never pays for the probe.
-const PROBE_AFTER_QUIET: Duration = Duration::from_millis(5);
-
 /// Whether the peer has closed or reset this outbound connection. A peer
 /// never writes on a connection it accepted, so anything readable here is
-/// an EOF or an error. Asked before envelopes are written to a link that
-/// has been quiet: the first write into a socket whose peer has died still
-/// "succeeds", and what it carried — a restarted peer's `RejoinAck`, say —
-/// would be lost with no one to resend it.
+/// an EOF or an error.
 fn peer_hung_up(stream: &TcpStream) -> bool {
     if stream.set_nonblocking(true).is_err() {
         return true;
@@ -827,230 +677,87 @@ fn peer_hung_up(stream: &TcpStream) -> bool {
     stream.set_nonblocking(false).is_err() || gone
 }
 
-/// Writes the buffered envelopes out as one frame: `DataV2` for a single
-/// envelope, `Batch` for several. Written envelopes leave `batch`; if the
-/// write fails they stay put (for the reconnect carry-over) and `false` is
-/// returned.
-fn flush_envelopes(
-    stream: &mut TcpStream,
-    batch: &mut Vec<Envelope>,
-    peer: SiteId,
-    counters: &Counters,
-    trace: &TraceSink,
-    batch_sizes: &Mutex<Histogram>,
-) -> bool {
-    if batch.is_empty() {
-        return true;
-    }
-    let parts: Vec<Vec<u8>> = batch.iter().map(encode_envelope_v2).collect();
-    let unbatched: usize = parts.iter().map(|p| HEADER_LEN + p.len()).sum();
-    let n_envs = parts.len();
-    let (kind, payload) = if n_envs == 1 {
-        (
-            FrameKind::DataV2,
-            parts.into_iter().next().expect("one part"),
-        )
-    } else {
-        (FrameKind::Batch, encode_batch_parts(&parts))
-    };
-    match write_frame(stream, kind, &payload) {
-        Ok(n) => {
-            bump(&counters.frames_out);
-            if n_envs > 1 {
-                add(&counters.frames_coalesced, (n_envs - 1) as u64);
-                // Headers elided minus the batch's own length prefixes.
-                add(&counters.bytes_saved, unbatched.saturating_sub(n) as u64);
-            }
-            add(&counters.bytes_out, n as u64);
-            trace.emit(TraceKind::MsgSend, None, Some(peer.0), Some(n as u64));
-            for env in batch.iter() {
-                emit_env_send(trace, peer, env);
-            }
-            lock(batch_sizes).record(n_envs as u64);
-            batch.clear();
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// First step of the re-dial ladder for a peer that has never been
-/// connected: such a peer is most likely a site that is starting too and
-/// has not bound yet, so the next dial follows within a round trip's
-/// order of magnitude, not a failure-detection interval.
-const FIRST_DIAL_STEP: Duration = Duration::from_millis(1);
-
-/// The wait (before jitter) after the `attempts`-th consecutive failed
-/// dial. A peer that was connected is on the failure-detection schedule:
-/// [`RECONNECT_BASE`] doubling to [`RECONNECT_CAP`]. One that never was
-/// climbs to that same cap from [`FIRST_DIAL_STEP`].
-fn redial_step(was_connected: bool, attempts: u32) -> Duration {
-    let base = if was_connected {
-        RECONNECT_BASE
-    } else {
-        FIRST_DIAL_STEP
-    };
-    base.saturating_mul(1u32 << attempts.saturating_sub(1).min(16))
-        .min(RECONNECT_CAP)
-}
-
-/// The per-peer link thread: dials the peer, writes `Hello` + data +
-/// heartbeat `Ping` frames, and re-dials with exponential backoff and
-/// jitter ([`redial_step`]). Exhausted reconnection to a peer that was
-/// connected, or a never-connected peer's missed [`CONNECT_DEADLINE`],
-/// declares the peer fail-stopped.
-#[allow(clippy::too_many_arguments)] // one thread entry point, never composed
-fn writer_loop(
-    cfg: TcpConfig,
-    peer: SiteId,
-    outbox: BoundedRx,
-    shared: Arc<PeerShared>,
-    events: Sender<TransportEvent<Envelope>>,
-    counters: Arc<Counters>,
-    batch_sizes: Arc<Mutex<Histogram>>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let addr = cfg.peers[&peer];
-    let jitter_seed = 0xDECAF ^ cfg.site.0 as u64;
-    let mut rng = SplitMix64::new(jitter_seed ^ (peer.0 as u64).wrapping_mul(0x9E37));
+/// The per-peer link thread: one loop that asks `peer`'s [`Link`] what to
+/// do next and does it. It owns the link's socket and clock (the link's
+/// time is the time since this thread started) and does the accounting;
+/// it takes no decision of its own.
+fn writer_loop(hub: Arc<Hub>, peer: SiteId, addr: SocketAddr, queue: Receiver<Input>) {
     let born = Instant::now();
-    let mut had_conn = false;
-    // Envelopes popped from the outbox whose socket write failed. The
-    // engine has no retransmission of its own — once the endpoint accepts
-    // a send, the mesh owns delivery — so they are carried across the
-    // reconnect instead of being dropped with the broken connection.
-    let mut pending: Vec<Envelope> = Vec::new();
-    'link: loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // --- connect phase, with backoff + jitter ---
-        let mut attempts: u32 = 0;
-        let mut stream = loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
-                Ok(s) => break s,
-                Err(_) => {
-                    attempts += 1;
-                    let was_connected = had_conn || shared.ever_connected.load(Ordering::Relaxed);
-                    let exhausted = if was_connected {
-                        attempts > MAX_RECONNECT_ATTEMPTS
-                    } else {
-                        born.elapsed() > CONNECT_DEADLINE
-                    };
-                    if exhausted {
-                        declare_failed(peer, &shared, &events, &counters, &cfg.trace);
-                        return;
-                    }
-                    let exp = redial_step(was_connected, attempts);
-                    // ±25% jitter so a rebooted mesh doesn't thunder.
-                    let jitter = rng.range(0.75..=1.25);
-                    let wait = Duration::from_secs_f64(exp.as_secs_f64() * jitter);
-                    interruptible_sleep(wait, &shutdown);
+    let now = || born.elapsed();
+    let (c, depth) = (&hub.counters, &hub.outboxes[&peer].depth);
+    let mut link = Link::new(hub.site, peer);
+    let mut stream: Option<TcpStream> = None;
+    loop {
+        let input = match link.next(now()) {
+            Action::Dial => {
+                drop(stream.take());
+                stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).ok();
+                if let Some(s) = &stream {
+                    let _ = s.set_nodelay(true);
+                    let _ = s.set_write_timeout(Some(Duration::from_secs(2)));
                 }
+                link.dialed(stream.is_some(), now());
+                continue;
             }
-        };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        let hello = encode_hello_v2(cfg.site, CODEC_VERSION);
-        match write_frame(&mut stream, FrameKind::Hello, &hello) {
-            Ok(n) => {
-                bump(&counters.frames_out);
-                add(&counters.bytes_out, n as u64);
-                cfg.trace
-                    .emit(TraceKind::MsgSend, None, Some(peer.0), Some(n as u64));
-            }
-            Err(_) => continue 'link,
-        }
-        if had_conn {
-            bump(&counters.reconnects);
-            cfg.trace
-                .emit(TraceKind::Reconnect, None, Some(peer.0), None);
-        }
-        had_conn = true;
-        shared.ever_connected.store(true, Ordering::Relaxed);
-        let conn_start = Instant::now();
-        let mut last_flush = conn_start;
-
-        // Flush envelopes the previous connection stranded, if any.
-        if !flush_envelopes(
-            &mut stream,
-            &mut pending,
-            peer,
-            &counters,
-            &cfg.trace,
-            &batch_sizes,
-        ) {
-            continue 'link;
-        }
-
-        // --- pump phase: outbox drains + heartbeats + silence watchdog ---
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            match outbox.recv_timeout(HEARTBEAT_INTERVAL) {
-                Ok(env) => {
-                    pending.push(env);
-                    let woke = Instant::now();
-                    // Nagle-style linger: pick up ride-alongs already in (or
-                    // just arriving on) the queue, bounded by count and a
-                    // microsecond budget.
-                    let deadline = woke + BATCH_DELAY;
-                    while pending.len() < BATCH_MAX {
-                        match outbox.try_recv() {
-                            Some(more) => pending.push(more),
-                            None if Instant::now() < deadline => std::thread::yield_now(),
-                            None => break,
-                        }
-                    }
-                    let quiet = woke.duration_since(last_flush) >= PROBE_AFTER_QUIET;
-                    if (quiet && peer_hung_up(&stream))
-                        || !flush_envelopes(
-                            &mut stream,
-                            &mut pending,
-                            peer,
-                            &counters,
-                            &cfg.trace,
-                            &batch_sizes,
-                        )
-                    {
-                        // Unwritten envelopes stay for the next connection.
-                        continue 'link;
-                    }
-                    last_flush = woke;
+            Action::Hello { again } => {
+                let ok = hub.write(stream.as_mut(), peer, FrameKind::Hello, &[]);
+                if ok && again {
+                    bump(&c.reconnects);
+                    hub.trace
+                        .emit(TraceKind::Reconnect, None, Some(peer.0), None);
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Watchdog: if the peer has been silent too long on the
-                    // inbound side, tear the link down and re-dial; the
-                    // reconnect policy then decides whether it is dead.
-                    let heard = (*lock(&shared.last_seen)).max(conn_start);
-                    if heard.elapsed() > HEARTBEAT_TIMEOUT {
-                        bump(&counters.heartbeat_misses);
-                        continue 'link;
-                    }
-                    match write_frame(&mut stream, FrameKind::Ping, &[]) {
-                        Ok(n) => {
-                            bump(&counters.heartbeats_sent);
-                            bump(&counters.frames_out);
-                            add(&counters.bytes_out, n as u64);
-                            cfg.trace
-                                .emit(TraceKind::MsgSend, None, Some(peer.0), Some(n as u64));
-                        }
-                        Err(_) => continue 'link,
-                    }
-                }
+                link.wrote(ok, now());
+                continue;
+            }
+            Action::Write(kind, envs) => {
+                let ok = hub.write(stream.as_mut(), peer, kind, envs);
+                link.wrote(ok, now());
+                continue;
+            }
+            Action::Probe => {
+                link.probed(stream.as_ref().is_none_or(peer_hung_up), now());
+                continue;
+            }
+            Action::Silent => {
+                bump(&c.heartbeat_misses);
+                continue;
+            }
+            Action::Fail { dropped } => {
+                add(&c.sends_dropped, dropped as u64);
+                bump(&c.peers_failed);
+                hub.trace
+                    .emit(TraceKind::SiteFailed, None, Some(peer.0), None);
+                let _ = hub.events.send(TransportEvent::SiteFailed { failed: peer });
+                continue;
+            }
+            Action::Wait(until) => match queue.recv_timeout(until.saturating_sub(now())) {
+                Ok(input) => input,
+                Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => return,
-            }
+            },
+            Action::Linger(_) => match queue.try_recv() {
+                Ok(input) => input,
+                Err(_) => {
+                    if link.drained(now()) {
+                        std::thread::yield_now();
+                    }
+                    continue;
+                }
+            },
+            Action::Stop => return,
+        };
+        if matches!(input, Input::Queued(_)) {
+            depth.fetch_sub(1, Ordering::Relaxed);
+        }
+        if link.input(input, now()) {
+            bump(&c.sends_dropped);
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::PROBE_AFTER_QUIET;
     use decaf_core::Message;
     use decaf_vt::VirtualTime;
 
@@ -1273,29 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn a_connected_peer_is_redialled_on_the_failure_detection_schedule() {
-        let ms = Duration::from_millis;
-        let steps = |was_connected| -> Vec<Duration> {
-            (1..=12).map(|n| redial_step(was_connected, n)).collect()
-        };
-        assert_eq!(
-            steps(true)[..7],
-            [50, 100, 200, 400, 800, 1000, 1000].map(ms)
-        );
-        assert_eq!(
-            steps(false),
-            [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000, 1000].map(ms)
-        );
-        // The ladders are the constants: each starts at its own step and
-        // tops out at the shared cap, which a connected peer reaches
-        // within its attempt budget.
-        assert_eq!(steps(true)[0], RECONNECT_BASE);
-        assert_eq!(steps(false)[0], FIRST_DIAL_STEP);
-        assert_eq!(steps(false)[11], RECONNECT_CAP);
-        assert_eq!(redial_step(true, MAX_RECONNECT_ATTEMPTS), RECONNECT_CAP);
-    }
-
-    #[test]
     fn wake_up_dial_goes_to_loopback_when_bound_to_the_unspecified_address() {
         let addr = |s: &str| s.parse::<SocketAddr>().unwrap();
         assert_eq!(wake_addr(addr("0.0.0.0:7")), addr("127.0.0.1:7"));
@@ -1305,8 +989,8 @@ mod tests {
     }
 
     /// `shutdown()` returned in time, and the accept thread is gone: its
-    /// listener no longer takes connections.
-    fn assert_shuts_down_promptly(mut mesh: TcpMesh) {
+    /// listener no longer takes connections. Returns how long it took.
+    fn assert_shuts_down_promptly(mut mesh: TcpMesh) -> Duration {
         let dial = wake_addr(mesh.local_addr());
         let t0 = Instant::now();
         mesh.shutdown();
@@ -1320,6 +1004,7 @@ mod tests {
         let t0 = Instant::now();
         mesh.shutdown();
         assert!(t0.elapsed() < Duration::from_millis(300), "second shutdown");
+        took
     }
 
     #[test]
@@ -1328,6 +1013,78 @@ mod tests {
             let cfg = TcpConfig::new(SiteId(1), listen.parse().unwrap());
             assert_shuts_down_promptly(TcpMesh::start(cfg).unwrap());
         }
+    }
+
+    #[test]
+    fn shutdown_wakes_the_link_threads_at_once() {
+        // One peer connected (its link waits for the next heartbeat), one
+        // that nothing listens for (its link waits on the re-dial ladder):
+        // the stop on their queues ends both waits.
+        let addr = |port: u16| -> SocketAddr { format!("127.0.0.1:{port}").parse().unwrap() };
+        let (a_addr, b_addr, nobody) = (
+            addr(reserve_port()),
+            addr(reserve_port()),
+            addr(reserve_port()),
+        );
+        let a = TcpMesh::start(
+            TcpConfig::new(SiteId(1), a_addr)
+                .peer(SiteId(2), b_addr)
+                .peer(SiteId(3), nobody),
+        )
+        .unwrap();
+        let mut b =
+            TcpMesh::start(TcpConfig::new(SiteId(2), b_addr).peer(SiteId(1), a_addr)).unwrap();
+        a.endpoint().send(SiteId(2), env(SiteId(1), SiteId(2)));
+        b.endpoint()
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the link to site 2 is up");
+        std::thread::sleep(Duration::from_millis(300));
+        let took = assert_shuts_down_promptly(a);
+        assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
+        b.shutdown();
+    }
+
+    #[test]
+    fn a_failed_peer_that_says_hello_is_reopened() {
+        let (mut a, mut b) = mesh_pair();
+        let (ea, b_addr) = (a.endpoint(), b.local_addr());
+        ea.send(SiteId(2), env(SiteId(1), SiteId(2)));
+        b.endpoint()
+            .recv_timeout(Duration::from_secs(10))
+            .expect("warm-up");
+        b.shutdown();
+        drop(b);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            assert!(Instant::now() < deadline, "no SiteFailed: {}", a.stats());
+            if let Some(TransportEvent::SiteFailed { failed }) =
+                ea.recv_timeout(Duration::from_millis(200))
+            {
+                assert_eq!(failed, SiteId(2));
+                break;
+            }
+        }
+        // Site 2 restarts on its old address and speaks first, as a
+        // restarted site's rejoin request does; site 1 answers.
+        let mut b =
+            TcpMesh::start(TcpConfig::new(SiteId(2), b_addr).peer(SiteId(1), a.local_addr()))
+                .expect("rebind site 2");
+        let eb = b.endpoint();
+        eb.send(SiteId(1), env(SiteId(2), SiteId(1)));
+        let asked = ea
+            .recv_timeout(Duration::from_secs(10))
+            .and_then(TransportEvent::into_message)
+            .expect("the restarted site is heard");
+        assert_eq!(asked.0, SiteId(2));
+        ea.send(SiteId(2), env(SiteId(1), SiteId(2)));
+        let answer = eb
+            .recv_timeout(Duration::from_secs(10))
+            .and_then(TransportEvent::into_message)
+            .expect("the answer reaches the restarted site");
+        assert_eq!(answer.0, SiteId(1));
+        assert_eq!(a.stats().peers_failed, 1);
+        a.shutdown();
+        b.shutdown();
     }
 
     #[test]

@@ -106,6 +106,15 @@ if [[ -n "$KEYED" ]]; then
     exit 1
 fi
 
+# The TCP mesh's link model stays sans-I/O (DESIGN.md §2.2): every dial,
+# write, heartbeat and fail-stop decision is taken in decaf_net::link on a
+# time it is given, so its tests step it in virtual time; sockets, threads
+# and the clock stay in tcp.rs.
+if grep -nE 'std::net|std::thread|std::io|Instant::now|SystemTime' crates/net/src/link.rs; then
+    echo "FAIL: crates/net/src/link.rs does I/O or reads a clock (that belongs in tcp.rs)" >&2
+    exit 1
+fi
+
 # Lints are errors: the tree stays clippy-clean.
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -139,6 +148,10 @@ run cargo test -p decaf-apps --test tcp_transport --offline -q \
 run cargo test -p decaf-net --test wire_codec_v2 --offline -q
 run cargo test -p decaf-core --test wal --offline -q
 run cargo test -p decaf-core --lib --offline -q codec::
+
+# The link model's decisions, each checked in virtual time, gated by name
+# like the goldens above.
+run cargo test -p decaf-net --lib --offline -q link::
 
 # The TCP mesh's accept thread sleeps in accept() and is woken by
 # shutdown's dial to its own listener. Ten rounds under a timeout, so a

@@ -350,6 +350,91 @@ fn durable_site_recovers_from_sigkill_and_rejoins() {
     let _ = fs::remove_dir_all(&data_dir);
 }
 
+#[test]
+fn durable_site_restarted_after_its_fail_stop_is_reopened_and_converges() {
+    // The durable scenario above, but site 3 comes back only after both
+    // survivors have declared it fail-stopped (`site-failed 3`): their
+    // links to it are failed, and its `Hello` must reopen them, or the
+    // answers to its rejoin request are dropped and it never converges.
+    let addrs: Vec<String> = (0..SITES).map(|_| reserve_addr()).collect();
+    let data_dir = std::env::temp_dir().join(format!(
+        "decaf-tcp-test-{}-site3-wal-failstop",
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&data_dir);
+    fs::create_dir_all(&data_dir).expect("create data dir");
+    let spawn = |site: u32, tag: &str, args: &[&str]| {
+        let (mut cmd, log) = site_cmd(site, tag, &addrs);
+        cmd.args(args);
+        if site == 3 {
+            cmd.arg("--data-dir").arg(&data_dir);
+        }
+        let child = cmd.spawn().expect("spawn decaf-site");
+        Daemon { child, log }
+    };
+    let survivor_args = [
+        "--txns",
+        "3",
+        "--phase1-target",
+        "11",
+        "--linger-ms",
+        "4000",
+    ];
+    let mut survivors: Vec<Daemon> = (1..=2)
+        .map(|i| spawn(i, "-failstop", &survivor_args))
+        .collect();
+    let mut victim1 = spawn(
+        3,
+        "-failstop-run1",
+        &[
+            "--txns",
+            "3",
+            "--phase1-target",
+            "9",
+            "--linger-ms",
+            "30000",
+        ],
+    );
+    await_in_logs(
+        std::slice::from_mut(&mut victim1),
+        "phase1-done value=9",
+        Duration::from_secs(30),
+    );
+    victim1.child.kill().expect("sigkill durable site 3");
+    let _ = victim1.child.wait();
+    await_in_logs(&mut survivors, "site-failed 3", Duration::from_secs(30));
+
+    let mut victim2 = spawn(
+        3,
+        "-failstop-run2",
+        &[
+            "--txns",
+            "2",
+            "--phase1-target",
+            "11",
+            "--linger-ms",
+            "4000",
+        ],
+    );
+    await_in_logs(
+        std::slice::from_mut(&mut victim2),
+        "rejoin peers=2",
+        Duration::from_secs(30),
+    );
+    await_in_logs(&mut survivors, "final value=11", Duration::from_secs(30));
+    await_in_logs(
+        std::slice::from_mut(&mut victim2),
+        "final value=11",
+        Duration::from_secs(30),
+    );
+    for d in survivors.iter_mut().chain(std::iter::once(&mut victim2)) {
+        wait_success(d);
+        let log = d.log_contents();
+        assert!(log.contains("exit value=11"), "log:\n{log}");
+    }
+    let _ = fs::remove_dir_all(&data_dir);
+}
+
 /// A log written by WAL format 1 (JSON payloads) is refused by name, with a
 /// non-zero exit, and is left on disk exactly as it was — neither truncated
 /// as a torn tail nor overwritten by a fresh baseline.
